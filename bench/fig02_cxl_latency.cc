@@ -8,6 +8,7 @@
  */
 
 #include "bench/bench_common.hh"
+#include "common/stats.hh"
 
 using namespace m2ndp;
 using namespace m2ndp::bench;

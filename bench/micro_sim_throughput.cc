@@ -7,7 +7,7 @@
  *
  *  1. Event engine: a synthetic open system of self-rescheduling actors
  *     (mixed near/far delays, same-tick fan-out) is run both on the
- *     current zero-allocation calendar-queue engine and on a copy of the
+ *     current zero-allocation heap engine and on a copy of the
  *     seed engine (std::function callbacks + std::priority_queue), the
  *     same workload on both. Reports events/sec for each and the speedup.
  *     The order-sensitive checksums must match: this doubles as a
@@ -165,10 +165,10 @@ actorStep(Ctx<Queue> *c, unsigned id, std::uint64_t s0, std::uint64_t s1,
         delay = 0; // same-tick fan-out: exercises the FIFO tie-break
         break;
       case 1:
-        delay = 50'000 + (r >> 8) % 3'000'000; // overflow tier
+        delay = 50'000 + (r >> 8) % 3'000'000; // sparse far-future event
         break;
       default:
-        delay = 100 + (r >> 8) % 2'000; // near-term calendar traffic
+        delay = 100 + (r >> 8) % 2'000; // dense near-term traffic
         break;
     }
     // The capture shape (a pointer plus ~4 words of state, ~40 B) mirrors

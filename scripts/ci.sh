@@ -11,7 +11,8 @@
 #
 # Usage: scripts/ci.sh [--no-sanitize] [--no-bench]
 #   --no-sanitize  skip the sanitizer smoke trees (ASan/UBSan and TSan)
-#   --no-bench     skip the bench/run_bench.sh perf gate
+#   --no-bench     skip the bench/run_bench.sh perf gate and the
+#                  benchmark/run.py self-test
 #
 # Environment:
 #   BUILD_DIR           main build tree     (default: <repo>/build)
@@ -51,6 +52,12 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 if [[ "$run_bench" == 1 ]]; then
     echo "==> benchmark regression gate"
     "$repo_root/bench/run_bench.sh" "$build_dir"
+
+    # Quick-scale run of the repository benchmark's three workloads:
+    # checks every workload's outputs, that each declared metric is
+    # emitted with its unit, and the cross-workload sanity checks.
+    echo "==> repository benchmark self-test"
+    (cd "$repo_root" && python3 benchmark/run.py --selftest)
 fi
 
 if [[ "$run_sanitize" == 1 ]]; then

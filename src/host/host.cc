@@ -109,7 +109,6 @@ HostCxlPort::writeAsync(Addr hpa, const void *data, std::uint32_t size,
     HostAccess *a = allocAccess();
     a->hpa = hpa;
     a->size = size;
-    a->start = eq_.now();
     a->is_write = true;
     a->done = std::move(done);
     if (size <= HostAccess::kInlineBytes) {
@@ -173,7 +172,6 @@ HostCxlPort::readAsync(Addr hpa, std::uint32_t size, void *out,
     HostAccess *a = allocAccess();
     a->hpa = hpa;
     a->size = size;
-    a->start = eq_.now();
     a->is_write = false;
     a->read_out = out;
     a->done = std::move(done);
@@ -226,9 +224,6 @@ HostCxlPort::finish(HostAccess *a)
     Tick now = eq_.now();
     if (a->failed)
         ++stats_.link_aborts;
-    if (!a->is_write && !a->failed) {
-        stats_.read_latency.add(static_cast<double>(now - a->start) / kNs);
-    }
     TickCallback done = std::move(a->done);
     releaseAccess(a);
     if (done)

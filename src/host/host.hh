@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/slab_pool.hh"
-#include "common/stats.hh"
 #include "cxl/link.hh"
 #include "device/cxl_memory_expander.hh"
 #include "sim/event_queue.hh"
@@ -50,7 +49,6 @@ struct HostPortStats
     std::uint64_t writes = 0;
     /** Accesses aborted because the CXL link went down. */
     std::uint64_t link_aborts = 0;
-    Histogram read_latency; ///< ns
 };
 
 class HostCxlPort
@@ -158,7 +156,6 @@ class HostCxlPort
         HostCxlPort *port = nullptr;
         Addr hpa = 0;
         std::uint32_t size = 0;
-        Tick start = 0;
         bool is_write = false;
         /** Aborted mid-chain because the link went down. */
         bool failed = false;

@@ -1,8 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/annotations.hh"
 
 namespace m2ndp {
@@ -34,55 +31,51 @@ void
 EventQueue::recycle(Event *ev)
 {
     ev->cb.reset();
-    ev->loc = Loc::Free;
     ev->next = free_head_;
     free_head_ = ev;
 }
 
+M2NDP_HOT_PATH
 void
-EventQueue::setOccupied(unsigned bucket)
+EventQueue::siftUp(std::size_t i, Event *ev)
 {
-    occupied_[bucket >> 6] |= std::uint64_t(1) << (bucket & 63);
-}
-
-void
-EventQueue::clearOccupied(unsigned bucket)
-{
-    occupied_[bucket >> 6] &= ~(std::uint64_t(1) << (bucket & 63));
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 4;
+        Event *p = heap_[parent];
+        if (!before(ev, p))
+            break;
+        heap_[i] = p;
+        p->pos = i;
+        i = parent;
+    }
+    heap_[i] = ev;
+    ev->pos = i;
 }
 
 M2NDP_HOT_PATH
 void
-EventQueue::pushBucket(Event *ev)
+EventQueue::siftDown(std::size_t i, Event *ev)
 {
-    // Chains are kept sorted by (when, seq) so the bucket minimum is
-    // always the head and extraction is O(1). The append fast path
-    // covers nearly all traffic: same-tick events arrive in seq order,
-    // and scheduling is mostly time-monotone within a 32-tick bucket.
-    unsigned b = bucketOf(dayOf(ev->when));
-    ev->loc = Loc::Bucket;
-    Bucket &bk = buckets_[b];
-    if (bk.tail == nullptr) {
-        ev->next = nullptr;
-        bk.head = bk.tail = ev;
-        setOccupied(b);
-    } else if (!before(ev, bk.tail)) {
-        ev->next = nullptr;
-        bk.tail->next = ev;
-        bk.tail = ev;
-    } else {
-        Event *prev = nullptr;
-        Event *cur = bk.head;
-        while (cur != nullptr && !before(ev, cur)) {
-            prev = cur;
-            cur = cur->next;
+    const std::size_t n = heap_.size();
+    for (;;) {
+        std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        std::size_t last = std::min(first + 4, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c) {
+            if (before(heap_[c], heap_[best]))
+                best = c;
         }
-        ev->next = cur;
-        (prev != nullptr ? prev->next : bk.head) = ev;
-        // cur != nullptr here (the tail ordered after ev), so tail is
-        // unchanged.
+        Event *child = heap_[best];
+        if (!before(child, ev))
+            break;
+        heap_[i] = child;
+        child->pos = i;
+        i = best;
     }
-    ++cal_count_;
+    heap_[i] = ev;
+    ev->pos = i;
 }
 
 M2NDP_HOT_PATH
@@ -94,220 +87,58 @@ EventQueue::scheduleNode(Tick when)
     ev->when = when;
     ev->seq = seq_++;
     ++scheduled_total_;
-
-    std::uint64_t day = dayOf(when);
-    if (cal_count_ == 0)
-        cal_day_ = day; // empty calendar: re-anchor the window here
-    if (day >= cal_day_ && day - cal_day_ < kBucketCount) {
-        pushBucket(ev);
-    } else {
-        // Beyond the horizon — or, rarely, below a window re-anchored
-        // ahead of now() — the overflow tier holds it; the (when, seq)
-        // compare in peekMin keeps global ordering exact either way.
-        ev->loc = Loc::Overflow;
-        // Overflow vector reaches its high-water capacity once, then
-        // recycles storage. ndp-lint: allow(hotpath-alloc)
-        overflow_.push_back(ev);
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       [](const Event *a, const Event *b) {
-                           return before(b, a);
-                       });
-    }
-    ++size_;
+    // The heap reaches its high-water capacity once, then recycles
+    // storage. ndp-lint: allow(hotpath-alloc)
+    heap_.push_back(ev);
+    siftUp(heap_.size() - 1, ev);
     return ev;
+}
+
+M2NDP_HOT_PATH
+void
+EventQueue::removeAt(std::size_t i)
+{
+    // Fill the hole with the last entry, which may belong above or below
+    // it; the compare against the hole's parent picks the direction.
+    Event *moved = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size())
+        return; // the hole was the last slot
+    if (i > 0 && before(moved, heap_[(i - 1) / 4]))
+        siftUp(i, moved);
+    else
+        siftDown(i, moved);
 }
 
 void
 EventQueue::cancelEvent(Event *ev)
 {
-    M2_ASSERT(ev->loc == Loc::Bucket || ev->loc == Loc::Overflow,
+    M2_ASSERT(ev->pos < heap_.size() && heap_[ev->pos] == ev,
               "cancel of a non-pending event");
-    if (ev->loc == Loc::Bucket) {
-        unsigned b = bucketOf(dayOf(ev->when));
-        Bucket &bk = buckets_[b];
-        Event *prev = nullptr;
-        Event *cur = bk.head;
-        while (cur != ev) {
-            M2_ASSERT(cur != nullptr, "cancelled event not in its bucket");
-            prev = cur;
-            cur = cur->next;
-        }
-        (prev != nullptr ? prev->next : bk.head) = ev->next;
-        if (bk.tail == ev)
-            bk.tail = prev;
-        if (bk.head == nullptr)
-            clearOccupied(b);
-        --cal_count_;
-        --size_;
-        recycle(ev);
-    } else {
-        // Overflow nodes sit mid-heap; mark dead and reap lazily when the
-        // node surfaces at the top. Release captured state promptly.
-        ev->loc = Loc::Dead;
-        ev->cb.reset();
-        --size_;
-        ++overflow_dead_;
-        pruneOverflowTop();
-    }
-}
-
-void
-EventQueue::pruneOverflowTop()
-{
-    if (overflow_dead_ == 0)
-        return;
-    auto after = [](const Event *a, const Event *b) { return before(b, a); };
-    while (!overflow_.empty() && overflow_.front()->loc == Loc::Dead) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), after);
-        recycle(overflow_.back());
-        overflow_.pop_back();
-        --overflow_dead_;
-    }
-}
-
-void
-EventQueue::migrateOverflow()
-{
-    auto after = [](const Event *a, const Event *b) { return before(b, a); };
-    while (!overflow_.empty()) {
-        Event *top = overflow_.front();
-        std::uint64_t day = dayOf(top->when);
-        if (day < cal_day_ || day - cal_day_ >= kBucketCount)
-            break;
-        std::pop_heap(overflow_.begin(), overflow_.end(), after);
-        overflow_.pop_back();
-        pushBucket(top);
-        pruneOverflowTop();
-    }
-}
-
-namespace {
-
-/** First set bit at or cyclically after @p start; words*64 if none. */
-unsigned
-findOccupiedFrom(const std::vector<std::uint64_t> &bits, unsigned start)
-{
-    const unsigned words = static_cast<unsigned>(bits.size());
-    const unsigned word_mask = words - 1; // words is a power of two
-    unsigned w = start >> 6;
-    std::uint64_t word = bits[w] & (~std::uint64_t(0) << (start & 63));
-    for (unsigned i = 0; i <= words; ++i) {
-        if (word != 0) {
-            unsigned cw = (w + i) & word_mask;
-            return (cw << 6) + static_cast<unsigned>(std::countr_zero(word));
-        }
-        unsigned nw = (w + i + 1) & word_mask;
-        word = bits[nw];
-    }
-    return words * 64;
-}
-
-} // namespace
-
-M2NDP_HOT_PATH
-EventQueue::Event *
-EventQueue::peekMin(unsigned *bucket) const
-{
-    Event *best = nullptr;
-    unsigned best_bucket = kBucketCount;
-    if (cal_count_ > 0) {
-        unsigned b = findOccupiedFrom(occupied_, bucketOf(cal_day_));
-        M2_ASSERT(b < kBucketCount, "calendar count / bitmap mismatch");
-        best = buckets_[b].head; // chains are sorted: head is the minimum
-        best_bucket = b;
-    }
-    if (!overflow_.empty()) {
-        Event *top = overflow_.front();
-        M2_ASSERT(top->loc == Loc::Overflow, "dead event at overflow top");
-        if (best == nullptr || before(top, best)) {
-            best = top;
-            best_bucket = kBucketCount;
-        }
-    }
-    if (bucket != nullptr)
-        *bucket = best_bucket;
-    return best;
+    removeAt(ev->pos);
+    recycle(ev);
 }
 
 M2NDP_HOT_PATH
 EventQueue::Event *
 EventQueue::extractMin(Tick limit)
 {
-    if (size_ == 0)
+    if (heap_.empty() || heap_.front()->when > limit)
         return nullptr;
-    if (!overflow_.empty()) {
-        pruneOverflowTop();
-        if (!overflow_.empty()) {
-            if (cal_count_ == 0)
-                cal_day_ = dayOf(overflow_.front()->when); // re-anchor
-            // Migrate only when the top actually fits the window (the
-            // common case is "far future": one compare, no call).
-            std::uint64_t top_day = dayOf(overflow_.front()->when);
-            if (top_day >= cal_day_ && top_day - cal_day_ < kBucketCount)
-                migrateOverflow();
-        }
-    }
-
-    Event *best = nullptr;
-    unsigned bucket = kBucketCount;
-    if (cal_count_ > 0) {
-        bucket = findOccupiedFrom(occupied_, bucketOf(cal_day_));
-        M2_ASSERT(bucket < kBucketCount, "calendar count / bitmap mismatch");
-        best = buckets_[bucket].head; // sorted chain: head is the minimum
-    }
-    bool from_overflow = false;
-    if (!overflow_.empty() &&
-        (best == nullptr || before(overflow_.front(), best))) {
-        best = overflow_.front();
-        from_overflow = true;
-    }
-    M2_ASSERT(best != nullptr, "event count / tier bookkeeping mismatch");
-    if (best->when > limit)
-        return nullptr;
-
-    if (!from_overflow) {
-        Bucket &bk = buckets_[bucket];
-        bk.head = best->next;
-        if (bk.tail == best)
-            bk.tail = nullptr;
-        if (bk.head == nullptr)
-            clearOccupied(bucket);
-        --cal_count_;
-        // The window only ever advances: calendar events are never below
-        // cal_day_, so this keeps the scan anchored at the frontier.
-        cal_day_ = dayOf(best->when);
-    } else {
-        auto after = [](const Event *a, const Event *b) {
-            return before(b, a);
-        };
-        std::pop_heap(overflow_.begin(), overflow_.end(), after);
-        overflow_.pop_back();
-        // A cancelled node may surface now; reap it so the const peek
-        // paths can rely on the top being live.
-        pruneOverflowTop();
-    }
-    --size_;
-    return best;
+    Event *top = heap_.front();
+    removeAt(0);
+    return top;
 }
 
 M2NDP_HOT_PATH
 void
 EventQueue::dispatch(Event *ev)
 {
-    // Invoke in place: the node is already unlinked from both tiers, so
-    // events scheduled from within the callback cannot alias it; it goes
-    // back to the freelist (callback destroyed) right after.
+    // Invoke in place: the node is already out of the heap, so events
+    // scheduled from within the callback cannot alias it; it goes back to
+    // the freelist (callback destroyed) right after.
     ev->cb();
     recycle(ev);
-}
-
-Tick
-EventQueue::nextEventTick() const
-{
-    if (size_ == 0)
-        return kTickMax;
-    const Event *best = peekMin(nullptr);
-    return best != nullptr ? best->when : kTickMax;
 }
 
 M2NDP_HOT_PATH

@@ -12,12 +12,12 @@
  *    48 B live inline in the event node, never on the heap.
  *  - Event nodes come from a slab-backed freelist and are recycled as soon
  *    as they execute or are cancelled.
- *  - Pending events live in a two-level calendar queue: a power-of-two ring
- *    of 32-tick buckets (~2 us horizon) absorbs the near-term events that
- *    dominate cycle-level simulation in O(1), while events beyond the
- *    horizon wait in a binary-heap overflow tier and migrate into the
- *    calendar as time advances. Ordering is always by (tick, sequence), so
- *    the deterministic FIFO tie-break holds across both tiers.
+ *  - Pending events live in one 4-ary min-heap of node pointers ordered
+ *    by (tick, sequence), so the deterministic FIFO tie-break is the
+ *    heap key itself. Real workloads keep a few to a few dozen events
+ *    pending (docs/performance.md), so the O(log n) sifts stay short.
+ *    Each node records its heap index, so cancellation removes it eagerly
+ *    in O(log n).
  *  - `Ticker` gives components a single reusable self-wakeup event with
  *    earliest-wins coalescing, replacing the hand-rolled
  *    armed-flag/supersede patterns that used to leave stale closures in
@@ -27,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -118,11 +117,11 @@ class EventQueue
     bool
     empty() const
     {
-        return driver_ != nullptr ? driver_->driveEmpty() : size_ == 0;
+        return driver_ != nullptr ? driver_->driveEmpty() : heap_.empty();
     }
 
     /** Pending events in *this* queue only (never routed). */
-    std::size_t pending() const { return size_; }
+    std::size_t pending() const { return heap_.size(); }
 
     /**
      * Install a partitioned-simulation driver: `run()`, `step()` and
@@ -141,7 +140,11 @@ class EventQueue
     std::uint64_t scheduledTotal() const { return scheduled_total_; }
 
     /** Tick of the next pending event (kTickMax if none). */
-    Tick nextEventTick() const;
+    Tick
+    nextEventTick() const
+    {
+        return heap_.empty() ? kTickMax : heap_.front()->when;
+    }
 
     /**
      * Execute events until the queue drains or @p limit is exceeded.
@@ -204,51 +207,16 @@ class EventQueue
     friend class Ticker;
     friend class SimDomain;
 
-    /**
-     * Calendar geometry: 65536 buckets of 32 ticks = ~2.1 us horizon.
-     * Buckets are much narrower than any modeled clock period (>= 500
-     * ticks), so a bucket holds at most one cycle-edge tick. Chains are
-     * kept sorted by (when, seq) — see pushBucket — so extraction pops
-     * the head in O(1); the old unsorted chains cost an O(chain) min-scan
-     * per extract, which went quadratic at cycle edges where all units'
-     * tick events pile into one bucket. The ~2 us horizon keeps every
-     * dense latency in the model (DRAM chains, NoC, links) in the O(1)
-     * calendar tier; only sparse outliers (ATS walks) use the overflow
-     * heap. ~1 MiB of headers per queue — one EventQueue per System.
-     */
-    static constexpr unsigned kBucketShift = 5;
-    static constexpr unsigned kBucketBits = 16;
-    static constexpr unsigned kBucketCount = 1u << kBucketBits;
-    static constexpr std::uint64_t kBucketIndexMask = kBucketCount - 1;
     static constexpr unsigned kSlabEvents = 256;
-
-    enum class Loc : std::uint8_t {
-        Free,     ///< on the freelist
-        Bucket,   ///< linked into a calendar bucket
-        Overflow, ///< in the overflow heap
-        Dead,     ///< cancelled while in the overflow heap; reaped lazily
-    };
 
     struct Event
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        Event *next = nullptr;
-        Loc loc = Loc::Free;
+        Event *next = nullptr; ///< freelist link
+        std::size_t pos = 0;   ///< index in heap_ while pending
         EventCallback cb;
     };
-
-    struct Bucket
-    {
-        Event *head = nullptr;
-        Event *tail = nullptr;
-    };
-
-    static std::uint64_t dayOf(Tick t) { return t >> kBucketShift; }
-    static unsigned bucketOf(std::uint64_t day)
-    {
-        return static_cast<unsigned>(day & kBucketIndexMask);
-    }
 
     /** True iff @p a orders strictly before @p b (tick, then FIFO seq). */
     static bool
@@ -275,25 +243,16 @@ class EventQueue
     /** Remove a pending event scheduled by this queue (Ticker support). */
     void cancelEvent(Event *ev);
 
-    void pushBucket(Event *ev);
-    void setOccupied(unsigned bucket);
-    void clearOccupied(unsigned bucket);
-
-    /** Drop cancelled events sitting at the top of the overflow heap. */
-    void pruneOverflowTop();
-    /** Pull overflow events that now fit in the calendar window. */
-    void migrateOverflow();
-
-    /**
-     * Find the earliest pending event without removing it. Returns the
-     * bucket index through @p bucket when the winner lives in the calendar
-     * (kBucketCount when it is the overflow top). Const: no migration.
-     */
-    Event *peekMin(unsigned *bucket) const;
+    /** Place @p ev at heap slot @p i or above (a hole at i). */
+    void siftUp(std::size_t i, Event *ev);
+    /** Place @p ev at heap slot @p i or below (a hole at i). */
+    void siftDown(std::size_t i, Event *ev);
+    /** Remove the entry at heap slot @p i, restoring heap order. */
+    void removeAt(std::size_t i);
 
     /**
      * Remove and return the earliest event if its tick is <= @p limit,
-     * nullptr otherwise. Performs overflow migration.
+     * nullptr otherwise.
      */
     Event *extractMin(Tick limit);
 
@@ -325,26 +284,13 @@ class EventQueue
     Tick delivery_slack_ = 0; ///< see deliverySlack()
     std::uint64_t seq_ = 0;
     std::uint64_t scheduled_total_ = 0;
-    std::size_t size_ = 0;      ///< live pending events (both tiers)
-    std::size_t cal_count_ = 0; ///< live events in the calendar tier
 
     /**
-     * Day index anchoring the calendar window: every bucketed event has
-     * dayOf(when) in [cal_day_, cal_day_ + kBucketCount), so each bucket
-     * holds events of exactly one day and never aliases.
+     * 4-ary min-heap on (when, seq): children of slot i are 4i+1..4i+4.
+     * Four children per node halve the depth of a binary heap; the four
+     * siblings a sift-down compares sit in adjacent slots.
      */
-    std::uint64_t cal_day_ = 0;
-
-    /** Heap-held so EventQueue stays cheap to place on the stack. */
-    std::vector<Bucket> buckets_ = std::vector<Bucket>(kBucketCount);
-    /** One bit per bucket: set iff the bucket is non-empty. */
-    std::vector<std::uint64_t> occupied_ =
-        std::vector<std::uint64_t>(kBucketCount / 64, 0);
-
-    /** Min-heap on (when, seq) of events beyond the calendar horizon. */
-    std::vector<Event *> overflow_;
-    /** Cancelled-but-unreaped nodes in overflow_ (skip pruning when 0). */
-    std::size_t overflow_dead_ = 0;
+    std::vector<Event *> heap_;
 
     Event *free_head_ = nullptr;
     std::vector<std::unique_ptr<Event[]>> slabs_;

@@ -203,7 +203,7 @@ SimDomain::driveEmpty() const
     if (mail_pending_.load(std::memory_order_acquire) != 0)
         return false;
     for (const EventQueue *q : queues_)
-        if (q->size_ != 0)
+        if (q->pending() != 0)
             return false;
     return true;
 }

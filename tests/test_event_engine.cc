@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the zero-allocation event engine: calendar/overflow tier
- * ordering, FIFO tie-break determinism, Ticker coalescing semantics, and
- * the InlineCallback small-buffer wrapper.
+ * Tests for the zero-allocation event engine: (tick, seq) heap ordering
+ * for near and far-future events, FIFO tie-break determinism, Ticker
+ * coalescing and cancellation, and the InlineCallback small-buffer wrapper.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,8 @@
 namespace m2ndp {
 namespace {
 
-// The calendar horizon is 2^21 ticks (~2.1 us); anything scheduled further
-// ahead than that lands in the overflow heap.
+// A far-future distance (~4.2 us), well past every dense latency in the
+// model, for mixing sparse long-range events with near-term ones.
 constexpr Tick kBeyondHorizon = Tick(1) << 22;
 
 TEST(EventEngine, FifoTieBreakAtEqualTicks)
@@ -43,12 +43,12 @@ TEST(EventEngine, OverflowTierPreservesGlobalOrdering)
 {
     EventQueue eq;
     std::vector<Tick> fired;
-    // Far-future events (overflow tier), scheduled in scrambled order.
+    // Far-future events, scheduled in scrambled order.
     for (Tick t : {7, 3, 9, 1, 5})
         eq.schedule(t * kBeyondHorizon, [&fired, &eq] {
             fired.push_back(eq.now());
         });
-    // Near-term events (calendar tier).
+    // Near-term events.
     for (Tick t : {400, 100})
         eq.schedule(t, [&fired, &eq] { fired.push_back(eq.now()); });
     eq.run();
@@ -60,16 +60,15 @@ TEST(EventEngine, OverflowTierPreservesGlobalOrdering)
 
 TEST(EventEngine, FifoTieBreakAcrossTiers)
 {
-    // An event scheduled long in advance (overflow tier) and one scheduled
-    // for the same tick from close range (calendar tier) must still fire
-    // in scheduling order.
+    // An event scheduled long in advance and one scheduled for the same
+    // tick from close range must still fire in scheduling order.
     EventQueue eq;
     std::vector<char> order;
     const Tick target = kBeyondHorizon + 1000;
-    eq.schedule(10, [] {}); // anchors the calendar window near tick 0
-    eq.schedule(target, [&order] { order.push_back('A'); }); // overflow
+    eq.schedule(10, [] {});
+    eq.schedule(target, [&order] { order.push_back('A'); }); // far ahead
     eq.schedule(target - 500, [&order, &eq, target] {
-        eq.schedule(target, [&order] { order.push_back('B'); }); // calendar
+        eq.schedule(target, [&order] { order.push_back('B'); }); // close
     });
     eq.run();
     ASSERT_EQ(order.size(), 2u);
@@ -206,8 +205,8 @@ TEST(Ticker, CancelledOverflowArmIsHarmless)
     EventQueue eq;
     int fired = 0;
     Ticker ticker(eq, [&] { ++fired; });
-    eq.schedule(10, [] {});           // anchors the calendar window
-    ticker.armAt(3 * kBeyondHorizon); // lands in the overflow heap
+    eq.schedule(10, [] {});
+    ticker.armAt(3 * kBeyondHorizon); // far-future arm
     ticker.armAt(100);                // supersede: cancels mid-heap
     eq.schedule(2 * kBeyondHorizon, [] {});
     eq.run();
@@ -217,10 +216,13 @@ TEST(Ticker, CancelledOverflowArmIsHarmless)
 
 TEST(EventEngine, DifferentialStressAgainstReferenceModel)
 {
-    // Random schedules across both tiers, checked event-by-event against
-    // a trivially correct reference ((when, seq)-ordered multimap).
+    // Random near, same-tick and far-future schedules plus random Ticker
+    // arms, supersedes and disarms, checked event-by-event against a
+    // trivially correct reference: a (when, seq)-ordered multimap in
+    // which every cancel is mirrored as an erase.
     EventQueue eq;
-    std::multimap<std::pair<Tick, std::uint64_t>, int> model;
+    using Model = std::multimap<std::pair<Tick, std::uint64_t>, int>;
+    Model model;
     std::uint64_t next_seq = 0;
     std::vector<int> fired_eq, fired_model;
 
@@ -231,22 +233,83 @@ TEST(EventEngine, DifferentialStressAgainstReferenceModel)
         rng ^= rng >> 27;
         return rng * 0x2545F4914F6CDD1Dull;
     };
+    auto random_delay = [](std::uint64_t r) -> Tick {
+        if ((r & 7) == 0)
+            return (r >> 8) % (8 * kBeyondHorizon); // far future
+        if ((r & 7) == 1)
+            return 0; // same tick
+        return (r >> 8) % 5000; // near term
+    };
+
+    // Model-side view of each Ticker, kept independently of the Ticker's
+    // own state so coalescing is checked rather than copied.
+    struct TickerSlot
+    {
+        std::unique_ptr<Ticker> ticker;
+        bool pending = false;
+        Tick at = 0;
+        int arm_id = -1;
+        Model::iterator entry;
+    };
+    constexpr unsigned kTickers = 8;
+    std::vector<TickerSlot> slots(kTickers);
 
     int tag = 0;
+    std::uint64_t cancels = 0;
+    auto arm = [&](TickerSlot &s, Tick when) {
+        if (s.pending && s.at <= when)
+            return; // coalesced: the earlier arm stands, nothing scheduled
+        if (s.pending) {
+            model.erase(s.entry); // supersede cancels the later arm
+            ++cancels;
+        }
+        s.ticker->armAt(when);
+        s.pending = true;
+        s.at = when;
+        s.arm_id = tag++;
+        s.entry = model.emplace(std::make_pair(when, next_seq++), s.arm_id);
+    };
+    auto disarm = [&](TickerSlot &s) {
+        if (s.pending) {
+            model.erase(s.entry);
+            ++cancels;
+        }
+        s.ticker->disarm();
+        s.pending = false;
+    };
+    auto poke_ticker = [&](std::uint64_t r) {
+        TickerSlot &s = slots[(r >> 40) % kTickers];
+        if (((r >> 48) & 3) == 0)
+            disarm(s);
+        else
+            arm(s, eq.now() + random_delay(r >> 16));
+        ASSERT_EQ(s.ticker->armed(), s.pending);
+        if (s.pending) {
+            ASSERT_EQ(s.ticker->armedAt(), s.at);
+        }
+    };
+
+    for (unsigned k = 0; k < kTickers; ++k) {
+        slots[k].ticker = std::make_unique<Ticker>(eq, [&, k] {
+            TickerSlot &s = slots[k];
+            s.pending = false;
+            fired_eq.push_back(s.arm_id);
+            std::uint64_t r = next_rand();
+            if ((r & 3) == 0 && tag < 20000)
+                arm(s, eq.now() + random_delay(r >> 2)); // re-arm self
+        });
+    }
+
     std::function<void()> schedule_random = [&] {
         std::uint64_t r = next_rand();
-        Tick delay;
-        if ((r & 7) == 0)
-            delay = (r >> 8) % (8 * kBeyondHorizon); // overflow range
-        else if ((r & 7) == 1)
-            delay = 0; // same tick
-        else
-            delay = (r >> 8) % 5000; // calendar range
-        Tick when = eq.now() + delay;
+        Tick when = eq.now() + random_delay(r);
         int id = tag++;
         bool respawn = (r & 63) != 63 && id < 20000;
-        eq.schedule(when, [&fired_eq, &schedule_random, id, respawn] {
+        eq.schedule(when, [&, id, respawn] {
             fired_eq.push_back(id);
+            std::uint64_t r2 = next_rand();
+            if ((r2 & 3) != 0)
+                poke_ticker(r2);
             if (respawn)
                 schedule_random();
         });
@@ -256,17 +319,17 @@ TEST(EventEngine, DifferentialStressAgainstReferenceModel)
     for (int i = 0; i < 200; ++i)
         schedule_random();
 
-    // Drain the engine; replay the model with the same respawn decisions
-    // by re-generating: instead, drain the model lazily — every model pop
-    // must match the engine's next fired id, and respawned entries were
-    // added to the model at schedule time (same code path), so both sides
-    // see identical sets.
+    // Every schedule was entered into the model at schedule time and
+    // every cancel erased there, so the model's (when, seq) order is the
+    // exact sequence the engine must fire.
     eq.run();
     for (auto &kv : model)
         fired_model.push_back(kv.second);
 
+    EXPECT_GT(cancels, 1000u);
     ASSERT_EQ(fired_eq.size(), fired_model.size());
     EXPECT_EQ(fired_eq, fired_model);
+    EXPECT_TRUE(eq.empty());
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stats.hh"
 #include "system/system.hh"
 
 namespace m2ndp {

@@ -554,8 +554,8 @@ TEST(Determinism, SameSeedSameStatsEndToEnd)
 {
     // Two fresh systems running the identical workload must agree on every
     // stat and on the simulated clock, bit for bit: the event engine's
-    // FIFO tie-break (including calendar/overflow migration) is the only
-    // thing standing between this and scheduling nondeterminism.
+    // (tick, seq) FIFO tie-break is the only thing standing between this
+    // and scheduling nondeterminism.
     RunDigest first = runVecAddOnce();
     RunDigest second = runVecAddOnce();
     EXPECT_TRUE(first == second);
