@@ -6,8 +6,8 @@
  * packet. `std::function` heap-allocates for any capture larger than its
  * tiny internal buffer and requires copyability; InlineCallback instead
  * stores captures up to kInlineBytes (48 B) directly inline and accepts
- * move-only callables, so the vast majority of scheduling sites perform
- * zero allocations. Larger captures transparently fall back to the heap.
+ * move-only callables. It has no heap path: a larger capture is a compile
+ * error, so every scheduling site performs zero allocations.
  */
 
 #pragma once
@@ -26,7 +26,7 @@ template <typename R, typename... Args>
 class InlineCallback<R(Args...)>
 {
   public:
-    /** Captures up to this many bytes are stored inline (no allocation). */
+    /** Capture budget: larger callables do not compile. */
     static constexpr std::size_t kInlineBytes = 48;
 
     InlineCallback() noexcept = default;
@@ -127,44 +127,16 @@ class InlineCallback<R(Args...)>
     };
 
     template <typename F>
-    struct HeapModel
-    {
-        static F *&
-        slot(void *s) noexcept
-        {
-            return *std::launder(reinterpret_cast<F **>(s));
-        }
-        static R
-        invoke(void *s, Args &&...args)
-        {
-            return (*slot(s))(std::forward<Args>(args)...);
-        }
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            ::new (dst) (F *)(slot(src));
-        }
-        static void
-        destroy(void *s) noexcept
-        {
-            delete slot(s);
-        }
-        static constexpr Ops ops{&invoke, &relocate, &destroy};
-    };
-
-    template <typename F>
     void
     emplace(F &&f)
     {
         using Fd = std::decay_t<F>;
-        if constexpr (kFitsInline<Fd>) {
-            ::new (static_cast<void *>(&storage_)) Fd(std::forward<F>(f));
-            ops_ = &InlineModel<Fd>::ops;
-        } else {
-            ::new (static_cast<void *>(&storage_))
-                (Fd *)(new Fd(std::forward<F>(f)));
-            ops_ = &HeapModel<Fd>::ops;
-        }
+        static_assert(kFitsInline<Fd>,
+                      "InlineCallback capture exceeds the 48 B inline budget "
+                      "(or is over-aligned / throwing-move): capture a "
+                      "pointer to pooled or per-request state instead");
+        ::new (static_cast<void *>(&storage_)) Fd(std::forward<F>(f));
+        ops_ = &InlineModel<Fd>::ops;
     }
 
     void

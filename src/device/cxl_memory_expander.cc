@@ -334,16 +334,19 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     }
 
     // Through the unit's L1D; misses route over the NoC to the L2 slices
-    // (the UnitPort adapter books the response crossbar).
-    auto launch = [this, unit, op, pa, size,
-                   done = std::move(done)]() mutable {
-        l1d_[unit]->receive(makePacket(op, pa, size, MemSource::NdpUnit,
-                                       eq_.now(), std::move(done)));
-    };
-    if (bi_delay > 0)
-        eq_.scheduleAfter(bi_delay, std::move(launch));
-    else
-        launch();
+    // (the UnitPort adapter books the response crossbar). A delayed
+    // access parks in its pooled packet, stamped with the tick it
+    // enters the L1D, so the event only captures the packet.
+    MemPacketPtr pkt = makePacket(op, pa, size, MemSource::NdpUnit,
+                                  eq_.now() + bi_delay, std::move(done));
+    if (bi_delay > 0) {
+        eq_.scheduleAfter(bi_delay,
+                          [this, unit, pkt = std::move(pkt)]() mutable {
+                              l1d_[unit]->receive(std::move(pkt));
+                          });
+    } else {
+        l1d_[unit]->receive(std::move(pkt));
+    }
 }
 
 Tick

@@ -890,27 +890,24 @@ void
 NdpRuntime::ringBufferArrived(LaunchRecord *rec)
 {
     // Runs on the device partition: controller state is device-owned;
-    // runtime/stream state is only touched back on the host side.
+    // runtime/stream state is only touched back on the host side. A
+    // rejected launch pays the same 3y completion path as a finished one.
+    auto complete_on_host = [](LaunchRecord *r, std::int64_t ret) {
+        HostCxlPort *port = r->rt->devs_[r->device].port;
+        port->postToHostAt(
+            port->deviceQueue().now() + 3 * r->rt->cfg_.io.oneway_latency,
+            [r, ret] { r->rt->completeRecord(r, ret, r->rt->eq_.now()); });
+    };
     DeviceState &dev = devs_[rec->device];
-    auto &ctrl = dev.port->device().controller();
-    Tick y = cfg_.io.oneway_latency;
-    std::int64_t iid = ctrl.launch(
+    std::int64_t iid = dev.port->device().controller().launch(
         process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
         rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
-        rec->desc.argSize());
-    if (iid < 0) {
-        dev.port->postToHostAt(
-            dev.port->deviceQueue().now() + 3 * y, [rec, iid] {
-                rec->rt->completeRecord(rec, iid, rec->rt->eq_.now());
-            });
-        return;
-    }
-    ctrl.onInstanceComplete(iid, [rec, iid, y](Tick) {
-        HostCxlPort *port = rec->rt->devs_[rec->device].port;
-        port->postToHostAt(port->deviceQueue().now() + 3 * y, [rec, iid] {
-            rec->rt->completeRecord(rec, iid, rec->rt->eq_.now());
+        rec->desc.argSize(),
+        [rec, complete_on_host](const KernelInstance &inst) {
+            complete_on_host(rec, inst.returnValue());
         });
-    });
+    if (iid < 0)
+        complete_on_host(rec, iid);
 }
 
 // ---- CXL.io direct MMIO (Fig. 5c): device-wide serialization ----
@@ -950,37 +947,31 @@ void
 NdpRuntime::directArrived(LaunchRecord *rec)
 {
     // Runs on the device partition; `direct_busy`, completion and pumping
-    // are host state and travel back across the boundary (the failure
-    // path pays the result-read y like the success path).
+    // are host state and travel back across the boundary. The result
+    // register read costs y after kernel end; the failure path pays the
+    // same y.
+    auto complete_on_host = [](LaunchRecord *r, std::int64_t ret) {
+        HostCxlPort *port = r->rt->devs_[r->device].port;
+        port->postToHostAt(
+            port->deviceQueue().now() + r->rt->cfg_.io.oneway_latency,
+            [r, ret] {
+                NdpRuntime *rt = r->rt;
+                DeviceState &d = rt->devs_[r->device];
+                d.direct_busy = false;
+                rt->completeRecord(r, ret, rt->eq_.now());
+                rt->pumpDirectQueue(d);
+            });
+    };
     DeviceState &dev = devs_[rec->device];
-    auto &ctrl = dev.port->device().controller();
-    Tick y = cfg_.io.oneway_latency;
-    std::int64_t iid = ctrl.launch(
+    std::int64_t iid = dev.port->device().controller().launch(
         process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
         rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
-        rec->desc.argSize());
-    auto complete_on_host = [rec, iid] {
-        NdpRuntime *rt = rec->rt;
-        DeviceState &d = rt->devs_[rec->device];
-        d.direct_busy = false;
-        rt->completeRecord(rec, iid, rt->eq_.now());
-        rt->pumpDirectQueue(d);
-    };
-    if (iid < 0) {
-        dev.port->postToHostAt(dev.port->deviceQueue().now() + y,
-                               complete_on_host);
-        return;
-    }
-    ctrl.onInstanceComplete(iid, [rec, iid, y](Tick) {
-        HostCxlPort *port = rec->rt->devs_[rec->device].port;
-        port->postToHostAt(port->deviceQueue().now() + y, [rec, iid] {
-            NdpRuntime *rt = rec->rt;
-            DeviceState &d = rt->devs_[rec->device];
-            d.direct_busy = false;
-            rt->completeRecord(rec, iid, rt->eq_.now());
-            rt->pumpDirectQueue(d);
+        rec->desc.argSize(),
+        [rec, complete_on_host](const KernelInstance &inst) {
+            complete_on_host(rec, inst.returnValue());
         });
-    });
+    if (iid < 0)
+        complete_on_host(rec, iid);
 }
 
 } // namespace m2ndp

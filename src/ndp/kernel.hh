@@ -22,12 +22,15 @@
 
 namespace m2ndp {
 
+struct KernelInstance;
+
 /**
- * Completion hook attached to a kernel instance. Inline (48 B SBO,
- * move-only) so the per-launch completion plumbing — armed on every warm
- * launch — never touches the heap the way the old `std::function` did.
+ * Completion hook given to a kernel launch; invoked once with the
+ * finished instance (its id, error and finish tick). Inline (48 B,
+ * move-only) so the per-launch completion plumbing never touches the
+ * heap.
  */
-using InstanceCompleteFn = InlineCallback<void(Tick)>;
+using InstanceCompleteFn = InlineCallback<void(const KernelInstance &)>;
 
 /** Resource declaration given at kernel registration (Table II). */
 struct KernelResources
@@ -128,29 +131,18 @@ struct KernelInstance
     /** Total dynamic instructions executed by this instance's uthreads. */
     std::uint64_t instructions = 0;
 
-    /**
-     * Invoked exactly once when the instance reaches Done, in slot order.
-     * Two fixed slots instead of one wrappable hook: composing inline
-     * callbacks by capturing the previous one inside a new lambda would
-     * blow the 48 B capture budget and fall back to the heap on every
-     * warm launch. Slot 0 is the launch-time hook; slot 1 is the
-     * observer appended later (the sync-M2func return resolver or the
-     * host runtime's completion notification).
-     */
+    /** Launch-time hook, invoked exactly once when the instance is Done. */
     InstanceCompleteFn on_complete;
-    InstanceCompleteFn on_complete_observer;
 
-    /** Append a completion hook into the first free slot. */
-    void
-    addCompletion(InstanceCompleteFn cb)
+    /**
+     * What the launch returns to the host once Done: the error code if
+     * the instance faulted, else its instance id. Every offload scheme
+     * reports completion through this one rule.
+     */
+    std::int64_t
+    returnValue() const
     {
-        if (!on_complete) {
-            on_complete = std::move(cb);
-            return;
-        }
-        M2_ASSERT(!on_complete_observer,
-                  "kernel instance completion slots exhausted");
-        on_complete_observer = std::move(cb);
+        return error < 0 ? error : id;
     }
 
     bool

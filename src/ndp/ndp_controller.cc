@@ -101,26 +101,20 @@ NdpController::launchParsed(Asid asid, std::uint64_t fn_index, bool sync,
 {
     // The *write* returns promptly; the launch return value is fetched by
     // the subsequent read to the same offset (deferred if synchronous).
+    // A synchronous launch resolves it when the instance completes, which
+    // can already happen inside launch() (an empty pool region).
     setReturn(asid, fn_index, kNdpErr, !sync);
-    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
-                              args_size, {}, weight);
-    if (iid < 0) {
-        // Typed rejection code travels back through the return slot.
-        resolveReturn(asid, fn_index, iid);
-        return;
-    }
+    InstanceCompleteFn resolve;
     if (sync) {
-        KernelInstance *inst = instances_by_id_.at(iid);
-        // Appended as a completion slot rather than wrapping the previous
-        // hook: capturing an InlineCallback inside another lambda would
-        // overflow the inline budget and heap-allocate per sync launch.
-        inst->addCompletion([this, asid, iid, fn_index](Tick) {
-            std::int64_t err = instanceError(iid);
-            resolveReturn(asid, fn_index, err < 0 ? err : iid);
-        });
-    } else {
-        resolveReturn(asid, fn_index, iid);
+        resolve = [this, asid, fn_index](const KernelInstance &inst) {
+            resolveReturn(asid, fn_index, inst.returnValue());
+        };
     }
+    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
+                              args_size, std::move(resolve), weight);
+    // Typed rejection codes travel back through the return slot too.
+    if (iid < 0 || !sync)
+        resolveReturn(asid, fn_index, iid);
 }
 
 void
@@ -309,52 +303,21 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
     return id;
 }
 
-void
-NdpController::onInstanceComplete(std::int64_t instance_id,
-                                  InstanceCompleteFn cb)
-{
-    auto done = completed_.find(instance_id);
-    if (done != completed_.end()) {
-        Tick now = env_.eventQueue().now();
-        // Cold path (observer attached after completion): the event
-        // captures the 56 B hook and falls back to the heap; acceptable
-        // because it only runs for already-finished instances.
-        // ndp-lint: allow(capture-budget)
-        env_.eventQueue().schedule(now, [cb = std::move(cb), now]() mutable {
-            cb(now);
-        });
-        return;
-    }
-    auto it = instances_by_id_.find(instance_id);
-    M2_ASSERT(it != instances_by_id_.end(),
-              "onInstanceComplete: unknown instance ", instance_id);
-    it->second->addCompletion(std::move(cb));
-}
-
 KernelStatus
 NdpController::status(std::int64_t instance_id) const
 {
-    if (completed_.count(instance_id)) {
-        return completed_errors_.count(instance_id)
-                   ? KernelStatus::Faulted
-                   : KernelStatus::Finished;
-    }
     auto it = instances_by_id_.find(instance_id);
-    if (it == instances_by_id_.end())
+    if (it != instances_by_id_.end()) {
+        return it->second->phase == InstancePhase::Pending
+                   ? KernelStatus::Pending
+                   : KernelStatus::Running;
+    }
+    // Ids are handed out in order and an instance is live until it
+    // completes, so an issued id that is no longer live has finished.
+    if (instance_id <= 0 || instance_id >= next_instance_id_)
         return static_cast<KernelStatus>(kNdpErr);
-    return it->second->phase == InstancePhase::Pending
-               ? KernelStatus::Pending
-               : KernelStatus::Running;
-}
-
-std::int64_t
-NdpController::instanceError(std::int64_t instance_id) const
-{
-    auto done = completed_errors_.find(instance_id);
-    if (done != completed_errors_.end())
-        return done->second;
-    auto live = instances_by_id_.find(instance_id);
-    return live != instances_by_id_.end() ? live->second->error : 0;
+    return completed_errors_.count(instance_id) ? KernelStatus::Faulted
+                                                : KernelStatus::Finished;
 }
 
 std::uint64_t
@@ -524,14 +487,12 @@ NdpController::completeInstance(KernelInstance *inst, Tick when)
     ++stats_.instances_completed;
     if (inst->error < 0) [[unlikely]] {
         ++stats_.instances_faulted;
-        completed_errors_.emplace(inst->id, inst->error);
+        completed_errors_.insert(inst->id);
     }
-    completed_.emplace(inst->id, when);
     instances_by_id_.erase(inst->id);
     spadFree(inst->spad_offset, inst->kernel->resources.scratchpad_bytes);
 
     auto cb = std::move(inst->on_complete);
-    auto observer = std::move(inst->on_complete_observer);
 
     auto it = std::find_if(active_.begin(), active_.end(),
                            [inst](const auto &p) { return p.get() == inst; });
@@ -542,9 +503,7 @@ NdpController::completeInstance(KernelInstance *inst, Tick when)
 
     admitPending();
     if (cb)
-        cb(when);
-    if (observer)
-        observer(when);
+        cb(*inst);
 }
 
 // --------------------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/error.hh"
@@ -206,6 +207,11 @@ class NdpController
     // ---- direct (driver-level) API used by tests and host runtime ----
     std::int64_t registerKernel(Asid asid, const std::string &text,
                                 const KernelResources &res);
+    /**
+     * Queue a kernel instance; returns its id or a negative NdpError.
+     * @p on_complete runs once when the instance is Done, which for a
+     * degenerate launch (empty pool region) is before launch() returns.
+     */
     std::int64_t launch(Asid asid, std::int64_t kernel_id, bool synchronous,
                         Addr pool_base, Addr pool_bound,
                         const std::uint8_t *args, std::uint32_t args_size,
@@ -226,12 +232,6 @@ class NdpController
     KernelStatus status(std::int64_t instance_id) const;
 
     /**
-     * Error code of a live or completed instance (a negative NdpError
-     * value; 0 for clean instances, unknown ids included).
-     */
-    std::int64_t instanceError(std::int64_t instance_id) const;
-
-    /**
      * uthreads spawned so far by a *live* instance in its current phase
      * (0 for unknown/completed ids). Fairness tests read this to measure
      * the issue share each tenant received from the weighted cursor.
@@ -246,13 +246,6 @@ class NdpController
      * Used by the watchdog and by the device when a uthread traps.
      */
     void killInstance(KernelInstance *inst, std::int64_t code);
-
-    /**
-     * Attach a completion observer to a live instance; fires immediately
-     * (same tick) if the instance already finished. Used by the host
-     * runtime to model completion notification.
-     */
-    void onInstanceComplete(std::int64_t instance_id, InstanceCompleteFn cb);
 
     const NdpControllerStats &stats() const { return stats_; }
     unsigned activeInstances() const
@@ -327,10 +320,8 @@ class NdpController
      */
     unsigned rr_credit_ = 0;
     std::unordered_map<std::int64_t, KernelInstance *> instances_by_id_;
-    /** Completed instance ids (for poll-after-completion). */
-    std::unordered_map<std::int64_t, Tick> completed_;
-    /** Error codes of completed-with-error instances (status/poll). */
-    std::unordered_map<std::int64_t, std::int64_t> completed_errors_;
+    /** Ids of instances that completed with an error (status/poll). */
+    std::unordered_set<std::int64_t> completed_errors_;
 
     /** Work requeued by units (register-file pressure). */
     std::vector<std::vector<SpawnItem>> requeued_;

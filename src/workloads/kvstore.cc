@@ -189,6 +189,202 @@ KvstoreWorkload::makeTrace() const
     return trace;
 }
 
+/**
+ * One trace run's state. Request callbacks reach it through one pointer
+ * and name their request by its trace index, so every capture is
+ * {this, idx[, reads left]} and fits InlineCallback's budget; anything
+ * else a step needs is recomputed from the trace entry.
+ */
+struct KvstoreWorkload::Run
+{
+    Run(KvstoreWorkload &w_, HostCxlPort &port_, NdpRuntime *rt_)
+        : w(w_), port(port_), rt(rt_), eq(w_.sys_.eq()),
+          trace(w_.makeTrace()), t0(trace.size()), base(eq.now())
+    {
+        if (rt != nullptr) {
+            // One stream per client connection: requests round-robin
+            // over the pool, so up to kM2FuncLaunchSlots kernels are in
+            // flight concurrently while each stream stays in order
+            // (Section III-C, MPS-style concurrency).
+            for (unsigned s = 0; s < kM2FuncLaunchSlots; ++s)
+                streams.push_back(&rt->createStream());
+        }
+    }
+
+    /**
+     * Issue every request the arrival process and the closed-loop window
+     * (16 in flight, modelling 16 server threads) allow right now; the
+     * host hashes each key before it touches memory.
+     */
+    void
+    launchNext()
+    {
+        const bool open_loop = w.cfg_.arrival_rate > 0.0;
+        while (next_req < trace.size() &&
+               (open_loop || in_flight < kClosedLoopWindow)) {
+            Tick arrival = base + trace[next_req].arrival;
+            if (open_loop && arrival > eq.now()) {
+                // Open loop: wait for the next arrival.
+                eq.schedule(arrival, [this] { launchNext(); });
+                return;
+            }
+            unsigned idx = next_req++;
+            ++in_flight;
+            t0[idx] = std::max(eq.now(), arrival);
+            if (rt != nullptr) {
+                eq.schedule(t0[idx] + kHashCost,
+                            [this, idx] { offload(idx); });
+            } else {
+                eq.schedule(t0[idx] + kHashCost,
+                            [this, idx] { walk(idx, chainHops(idx)); });
+            }
+        }
+    }
+
+    // ---- NDP offload: GET/SET kernels through the runtime ----
+
+    Addr
+    slotVa(unsigned idx) const
+    {
+        return w.resp_va_ + static_cast<std::uint64_t>(idx) * kSlotBytes;
+    }
+
+    void
+    launchKernel(unsigned idx)
+    {
+        const Request &req = trace[idx];
+        auto key = keyParts(req.key_rank);
+        Addr slot = slotVa(idx);
+        streams[idx % streams.size()]
+            ->launch(makeLaunch(req.is_get ? get_kid : set_kid, slot,
+                                slot + 32,
+                                {w.bucketAddr(w.keyHash(req.key_rank)),
+                                 key[0], key[1], key[2]}))
+            .onComplete([this, idx](std::int64_t, Tick) { launched(idx); });
+    }
+
+    void
+    offload(unsigned idx)
+    {
+        if (trace[idx].is_get) {
+            launchKernel(idx);
+            return;
+        }
+        // SET ships the new value into the slot first.
+        std::uint8_t val[64];
+        writeValue(idx, val);
+        rt->port().writeAsync(*w.proc_.translate(slotVa(idx)), val, 64,
+                              [this, idx](Tick) { launchKernel(idx); });
+    }
+
+    void
+    launched(unsigned idx)
+    {
+        if (trace[idx].is_get) {
+            // Fetch the 64 B value from the response slot.
+            rt->port().readAsync(*w.proc_.translate(slotVa(idx)), 64,
+                                 [this, idx](Tick t) { finish(idx, t); });
+        } else {
+            finish(idx, eq.now());
+        }
+    }
+
+    // ---- host baseline: the host walks the chain itself ----
+
+    unsigned
+    chainHops(unsigned idx) const
+    {
+        return static_cast<unsigned>(
+                   w.chain_depth_[trace[idx].key_rank]) +
+               1;
+    }
+
+    /**
+     * Chain of dependent reads (bucket head, then per-node keys), then
+     * the 64 B value read/write; @p remaining counts the reads left.
+     */
+    void
+    walk(unsigned idx, unsigned remaining)
+    {
+        std::uint64_t rank = trace[idx].key_rank;
+        Addr node_pa = *w.proc_.translate(w.nodes_va_ + rank * kNodeBytes);
+        if (remaining > 0) {
+            Addr a = remaining == chainHops(idx)
+                         ? *w.proc_.translate(w.bucketAddr(w.keyHash(rank)))
+                         : node_pa + kKeyOff;
+            port.readAsync(a, 32, [this, idx, remaining](Tick) {
+                walk(idx, remaining - 1);
+            });
+            return;
+        }
+        auto done = [this, idx](Tick t) { finish(idx, t); };
+        if (trace[idx].is_get) {
+            port.readAsync(node_pa + kValueOff, 64, done);
+        } else {
+            // Same updated-value pattern the NDP SET writes, so later
+            // runs over the same table still verify.
+            std::uint8_t val[64];
+            writeValue(idx, val);
+            port.writeAsync(node_pa + kValueOff, val, 64, done);
+        }
+    }
+
+    // ---- shared ----
+
+    /** The updated value (version 1) a SET of request @p idx stores. */
+    void
+    writeValue(unsigned idx, std::uint8_t (&val)[64]) const
+    {
+        std::uint64_t v1 = valuePattern(trace[idx].key_rank, 1);
+        for (unsigned w8 = 0; w8 < 8; ++w8) {
+            std::uint64_t word = v1 + w8;
+            std::memcpy(val + w8 * 8, &word, 8);
+        }
+    }
+
+    void
+    finish(unsigned idx, Tick t_end)
+    {
+        result.latency_ns.add(static_cast<double>(t_end - t0[idx]) / kNs);
+        first = std::min(first, t0[idx]);
+        last = std::max(last, t_end);
+        ++result.completed;
+        --in_flight;
+        launchNext();
+    }
+
+    KvstoreResult
+    run()
+    {
+        launchNext();
+        w.sys_.run();
+        result.throughput_rps =
+            result.completed > 0 && last > first
+                ? static_cast<double>(result.completed) /
+                      ticksToSeconds(last - first)
+                : 0.0;
+        return std::move(result);
+    }
+
+    static constexpr unsigned kClosedLoopWindow = 16;
+
+    KvstoreWorkload &w;
+    HostCxlPort &port;
+    NdpRuntime *rt; ///< null for the host baseline
+    EventQueue &eq;
+    std::vector<Request> trace;
+    std::vector<Tick> t0; ///< per request: when the host took it
+    std::vector<NdpStream *> streams;
+    std::int64_t get_kid = 0;
+    std::int64_t set_kid = 0;
+    const Tick base;
+    unsigned next_req = 0;
+    unsigned in_flight = 0;
+    Tick first = kTickMax;
+    Tick last = 0;
+    KvstoreResult result;
+};
+
 KvstoreResult
 KvstoreWorkload::runNdp(NdpRuntime &rt)
 {
@@ -199,118 +395,18 @@ KvstoreWorkload::runNdp(NdpRuntime &rt)
     std::int64_t set_kid = rt.registerKernel(kSetKernel, res);
     M2_ASSERT(get_kid > 0 && set_kid > 0, "kvs kernel registration failed");
 
-    auto trace = makeTrace();
-    auto &eq = sys_.eq();
-    KvstoreResult result;
-    unsigned completed = 0;
-    Tick first = kTickMax, last = 0;
-    const Tick base = eq.now();
-
-    // In-flight cap for the closed-loop mode (models 16 server threads).
-    const unsigned kClosedLoopWindow = 16;
-    unsigned next_req = 0;
-    unsigned in_flight = 0;
-
-    // One stream per client connection: requests round-robin over the
-    // pool, so up to kStreams kernels are in flight concurrently while
-    // each stream stays in order (Section III-C, MPS-style concurrency).
-    constexpr unsigned kStreams = kM2FuncLaunchSlots;
-    std::vector<NdpStream *> streams;
-    for (unsigned s = 0; s < kStreams; ++s)
-        streams.push_back(&rt.createStream());
-
-    std::function<void()> launch_next = [&]() {
-        while (next_req < trace.size() &&
-               (cfg_.arrival_rate > 0.0 || in_flight < kClosedLoopWindow)) {
-            const Request &req = trace[next_req];
-            Tick arrival = base + req.arrival;
-            if (cfg_.arrival_rate > 0.0 && arrival > eq.now()) {
-                // Open loop: wait for the next arrival.
-                eq.schedule(arrival, [&] { launch_next(); });
-                return;
-            }
-            unsigned idx = next_req++;
-            ++in_flight;
-            Addr slot = resp_va_ + static_cast<std::uint64_t>(idx) *
-                                       kSlotBytes;
-            auto key = keyParts(req.key_rank);
-            Addr bucket = bucketAddr(keyHash(req.key_rank));
-            Tick t0 = std::max(eq.now(), arrival);
-            bool is_get = req.is_get;
-            std::uint64_t rank = req.key_rank;
-
-            // Host computes the hash, then issues the offload.
-            eq.schedule(t0 + kHashCost, [&, idx, slot, key, bucket, t0,
-                                         is_get, rank] {
-                NdpStream &stream = *streams[idx % streams.size()];
-                auto on_done = [&, slot, t0, is_get](std::int64_t iid,
-                                                     Tick) {
-                    (void)iid;
-                    auto finish = [&, t0](Tick t_end) {
-                        result.latency_ns.add(
-                            static_cast<double>(t_end - t0) / kNs);
-                        first = std::min(first, t0);
-                        last = std::max(last, t_end);
-                        ++completed;
-                        --in_flight;
-                        launch_next();
-                    };
-                    if (is_get) {
-                        // Fetch the 64 B value from the response slot.
-                        auto slot_pa = proc_.translate(slot);
-                        rt.port().readAsync(*slot_pa, 64,
-                                            [finish](Tick t) { finish(t); });
-                    } else {
-                        finish(eq.now());
-                    }
-                };
-                if (is_get) {
-                    stream
-                        .launch(makeLaunch(get_kid, slot, slot + 32,
-                                           {bucket, key[0], key[1],
-                                            key[2]}))
-                        .onComplete(std::move(on_done));
-                } else {
-                    // SET ships the new value into the slot first.
-                    std::uint8_t val[64];
-                    std::uint64_t v1 = valuePattern(rank, 1);
-                    for (unsigned w = 0; w < 8; ++w) {
-                        std::uint64_t word = v1 + w;
-                        std::memcpy(val + w * 8, &word, 8);
-                    }
-                    auto slot_pa = proc_.translate(slot);
-                    LaunchDesc desc = makeLaunch(
-                        set_kid, slot, slot + 32,
-                        {bucket, key[0], key[1], key[2]});
-                    rt.port().writeAsync(
-                        *slot_pa, val, 64,
-                        [&, desc, on_done, idx](Tick) mutable {
-                            NdpStream &s = *streams[idx % streams.size()];
-                            s.launch(desc).onComplete(std::move(on_done));
-                        });
-                }
-            });
-            if (cfg_.arrival_rate > 0.0)
-                continue; // open loop: issue all due arrivals
-        }
-    };
-
-    launch_next();
-    sys_.run();
-
-    result.completed = completed;
-    result.throughput_rps =
-        completed > 0 && last > first
-            ? static_cast<double>(completed) / ticksToSeconds(last - first)
-            : 0.0;
+    Run r(*this, rt.port(), &rt);
+    r.get_kid = get_kid;
+    r.set_kid = set_kid;
+    KvstoreResult result = r.run();
 
     // Verify a sample of GET responses.
     result.verified = true;
     unsigned checked = 0;
-    for (unsigned i = 0; i < trace.size() && checked < 64; ++i) {
-        if (!trace[i].is_get)
+    for (unsigned i = 0; i < r.trace.size() && checked < 64; ++i) {
+        if (!r.trace[i].is_get)
             continue;
-        Addr slot = resp_va_ + static_cast<std::uint64_t>(i) * kSlotBytes;
+        Addr slot = r.slotVa(i);
         auto status = sys_.readVirtual<std::int64_t>(proc_,
                                                      slot + kStatusOff);
         if (status != 1) {
@@ -318,7 +414,7 @@ KvstoreWorkload::runNdp(NdpRuntime &rt)
             break;
         }
         auto word = sys_.readVirtual<std::uint64_t>(proc_, slot);
-        std::uint64_t rank = trace[i].key_rank;
+        std::uint64_t rank = r.trace[i].key_rank;
         if (word != valuePattern(rank, 0) &&
             word != valuePattern(rank, 1)) {
             result.verified = false;
@@ -332,90 +428,7 @@ KvstoreWorkload::runNdp(NdpRuntime &rt)
 KvstoreResult
 KvstoreWorkload::runHostBaseline(HostCxlPort &port)
 {
-    auto trace = makeTrace();
-    auto &eq = sys_.eq();
-    KvstoreResult result;
-    unsigned completed = 0;
-    Tick first = kTickMax, last = 0;
-    const Tick base = eq.now();
-    const unsigned kClosedLoopWindow = 16;
-    unsigned next_req = 0;
-    unsigned in_flight = 0;
-
-    std::function<void()> launch_next = [&]() {
-        while (next_req < trace.size() &&
-               (cfg_.arrival_rate > 0.0 || in_flight < kClosedLoopWindow)) {
-            const Request &req = trace[next_req];
-            Tick arrival = base + req.arrival;
-            if (cfg_.arrival_rate > 0.0 && arrival > eq.now()) {
-                eq.schedule(arrival, [&] { launch_next(); });
-                return;
-            }
-            ++next_req;
-            ++in_flight;
-            Tick t0 = std::max(eq.now(), arrival);
-            std::uint64_t rank = req.key_rank;
-            bool is_get = req.is_get;
-
-            // The chain walk: bucket head read, then per-node key reads
-            // (dependent), then the value access.
-            unsigned hops = static_cast<unsigned>(chain_depth_[rank]) + 1;
-            Addr node = nodes_va_ + rank * kNodeBytes;
-            Addr node_pa = *proc_.translate(node);
-            Addr bucket_pa = *proc_.translate(bucketAddr(keyHash(rank)));
-
-            auto finish = [&, t0](Tick t_end) {
-                result.latency_ns.add(static_cast<double>(t_end - t0) /
-                                      kNs);
-                first = std::min(first, t0);
-                last = std::max(last, t_end);
-                ++completed;
-                --in_flight;
-                launch_next();
-            };
-
-            // Chain of dependent reads, then the 64 B value read/write.
-            std::shared_ptr<std::function<void(unsigned)>> step =
-                std::make_shared<std::function<void(unsigned)>>();
-            *step = [&, node_pa, bucket_pa, hops, is_get, rank, finish,
-                     step](unsigned remaining) {
-                if (remaining == 0) {
-                    if (is_get) {
-                        port.readAsync(node_pa + kValueOff, 64,
-                                       [finish](Tick t) { finish(t); });
-                    } else {
-                        // Same updated-value pattern the NDP SET writes,
-                        // so later runs over the same table still verify.
-                        std::uint8_t val[64];
-                        std::uint64_t v1 = valuePattern(rank, 1);
-                        for (unsigned w = 0; w < 8; ++w) {
-                            std::uint64_t word = v1 + w;
-                            std::memcpy(val + w * 8, &word, 8);
-                        }
-                        port.writeAsync(node_pa + kValueOff, val, 64,
-                                        [finish](Tick t) { finish(t); });
-                    }
-                    return;
-                }
-                Addr a = remaining == hops ? bucket_pa : node_pa + kKeyOff;
-                port.readAsync(a, 32, [step, remaining](Tick) {
-                    (*step)(remaining - 1);
-                });
-            };
-            eq.schedule(t0 + kHashCost,
-                        [step, hops] { (*step)(hops); });
-            if (cfg_.arrival_rate > 0.0)
-                continue;
-        }
-    };
-
-    launch_next();
-    sys_.run();
-    result.completed = completed;
-    result.throughput_rps =
-        completed > 0 && last > first
-            ? static_cast<double>(completed) / ticksToSeconds(last - first)
-            : 0.0;
+    KvstoreResult result = Run(*this, port, nullptr).run();
     result.verified = true;
     return result;
 }

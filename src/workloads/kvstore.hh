@@ -64,6 +64,8 @@ class KvstoreWorkload
     const KvstoreConfig &config() const { return cfg_; }
 
   private:
+    struct Run;
+
     struct Request
     {
         bool is_get;

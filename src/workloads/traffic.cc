@@ -113,6 +113,46 @@ struct Tenant
     unsigned next_req = 0;
     Tick base = 0;
     Tick last_completion = 0;
+
+    /**
+     * Launch trace request @p idx on its stream; the outcome lands in
+     * @p res. The descriptor is rebuilt here from the trace entry so the
+     * scheduling event only captures the request index.
+     */
+    void
+    launch(unsigned idx, TrafficTenantResult &res)
+    {
+        const Request &req = trace[idx];
+        const Tick arrival = base + req.arrival;
+        unsigned s = idx % streams.size();
+        unsigned dev = s % nodes_va.size();
+        Addr slot = slots_va[dev] + (s / nodes_va.size()) * kSlotBytes;
+        Addr node = nodes_va[dev] + req.key * kNodeBytes;
+        std::uint64_t bytes = req.is_large ? kNodeBytes : 64;
+        LaunchDesc desc(kid[req.is_get][req.is_large], slot, slot + bytes);
+        desc.arg(node);
+        streams[s]->launch(desc).onComplete(
+            [this, &res, arrival](std::int64_t iid, Tick done) {
+                if (iid >= 0) {
+                    ++res.completed;
+                    res.latency.record(
+                        static_cast<std::uint64_t>((done - arrival) / kNs));
+                    last_completion = std::max(last_completion, done);
+                    return;
+                }
+                switch (ndpErrorOf(iid)) {
+                  case NdpError::Overloaded:
+                    ++res.rejected;
+                    break;
+                  case NdpError::DeadlineExceeded:
+                    ++res.shed;
+                    break;
+                  default:
+                    ++res.faulted;
+                    break;
+                }
+            });
+    }
 };
 
 std::uint64_t
@@ -252,46 +292,10 @@ TrafficHarness::run()
                     return;
                 }
                 unsigned idx = t.next_req++;
-                unsigned s = idx % t.streams.size();
-                NdpStream &stream = *t.streams[s];
-                unsigned dev = s % t.nodes_va.size();
-                Addr slot = t.slots_va[dev] +
-                            (s / t.nodes_va.size()) * kSlotBytes;
-                Addr node = t.nodes_va[dev] + req.key * kNodeBytes;
-                std::uint64_t bytes = req.is_large ? kNodeBytes : 64;
-                LaunchDesc desc(t.kid[req.is_get][req.is_large], slot,
-                                slot + bytes);
-                desc.arg(node);
                 // The host prepares the request (hash, routing), then
                 // launches; latency is measured from the arrival.
-                eq.schedule(
-                    std::max(arrival, eq.now()) + kPrepCost,
-                    [&stream, &t, &res, desc, arrival]() mutable {
-                        NdpEvent ev = stream.launch(desc);
-                        ev.onComplete([&t, &res, arrival](std::int64_t iid,
-                                                          Tick done) {
-                            if (iid >= 0) {
-                                ++res.completed;
-                                res.latency.record(
-                                    static_cast<std::uint64_t>(
-                                        (done - arrival) / kNs));
-                                t.last_completion =
-                                    std::max(t.last_completion, done);
-                                return;
-                            }
-                            switch (ndpErrorOf(iid)) {
-                              case NdpError::Overloaded:
-                                ++res.rejected;
-                                break;
-                              case NdpError::DeadlineExceeded:
-                                ++res.shed;
-                                break;
-                              default:
-                                ++res.faulted;
-                                break;
-                            }
-                        });
-                    });
+                eq.schedule(std::max(arrival, eq.now()) + kPrepCost,
+                            [&t, &res, idx] { t.launch(idx, res); });
             }
         };
     }

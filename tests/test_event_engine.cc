@@ -121,22 +121,14 @@ TEST(EventEngine, RunWithLimitAndAdvanceTo)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventEngine, MoveOnlyAndLargeCaptures)
+TEST(EventEngine, MoveOnlyCaptures)
 {
     EventQueue eq;
     int value = 0;
     // Move-only capture (std::function would reject this).
     auto owned = std::make_unique<int>(41);
     eq.schedule(10, [&value, owned = std::move(owned)] { value = *owned; });
-    // Capture larger than the 48 B inline buffer (heap fallback path).
-    struct Big
-    {
-        std::uint64_t pad[12];
-    } big{};
-    big.pad[11] = 1;
-    eq.schedule(20, [&value, big] {
-        value += static_cast<int>(big.pad[11]);
-    });
+    eq.schedule(20, [&value] { ++value; });
     eq.run();
     EXPECT_EQ(value, 42);
 }
@@ -289,15 +281,20 @@ TEST(EventEngine, DifferentialStressAgainstReferenceModel)
         }
     };
 
+    // Each Ticker reaches this shared body through one pointer: a
+    // by-reference capture of every local it touches would overflow the
+    // 48 B inline callback budget.
+    auto ticker_fired = [&](unsigned k) {
+        TickerSlot &s = slots[k];
+        s.pending = false;
+        fired_eq.push_back(s.arm_id);
+        std::uint64_t r = next_rand();
+        if ((r & 3) == 0 && tag < 20000)
+            arm(s, eq.now() + random_delay(r >> 2)); // re-arm self
+    };
     for (unsigned k = 0; k < kTickers; ++k) {
-        slots[k].ticker = std::make_unique<Ticker>(eq, [&, k] {
-            TickerSlot &s = slots[k];
-            s.pending = false;
-            fired_eq.push_back(s.arm_id);
-            std::uint64_t r = next_rand();
-            if ((r & 3) == 0 && tag < 20000)
-                arm(s, eq.now() + random_delay(r >> 2)); // re-arm self
-        });
+        slots[k].ticker = std::make_unique<Ticker>(
+            eq, [&ticker_fired, k] { ticker_fired(k); });
     }
 
     std::function<void()> schedule_random = [&] {

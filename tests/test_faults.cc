@@ -157,23 +157,41 @@ tinyLaunch(std::int64_t kid, ProcessAddressSpace &proc)
 
 TEST_F(FaultTest, UnmappedAddressTrapSurfacesTypedError)
 {
-    NdpStream &stream = rt->createStream();
-    NdpEvent ev = stream.launch(tinyLaunch(wild_kid, *proc));
-    ev.wait();
-    ASSERT_TRUE(ev.done());
-    EXPECT_TRUE(ev.failed());
-    EXPECT_EQ(ev.error(), NdpError::UnmappedAddress);
+    // Every offload scheme reports a trapped instance through the same
+    // rule: the typed error, never the instance id.
+    std::uint64_t traps = 0;
+    for (OffloadScheme scheme :
+         {OffloadScheme::M2Func, OffloadScheme::CxlIoRingBuffer,
+          OffloadScheme::CxlIoDirect}) {
+        SCOPED_TRACE(offloadSchemeName(scheme));
+        NdpRuntimeConfig rc;
+        rc.scheme = scheme;
+        auto srt = sys->createRuntime(*proc, rc);
+        KernelResources scalar;
+        scalar.num_int_regs = 8;
+        scalar.scratchpad_bytes = 64;
+        std::int64_t kid = srt->registerKernel(kWildLoad, scalar);
+        ASSERT_GT(kid, 0);
 
-    auto units = sys->device().aggregateUnitStats();
-    EXPECT_EQ(units.traps_unmapped, 1u);
-    EXPECT_EQ(sys->device().controller().stats().instances_faulted, 1u);
-    // Every uthread slot was reclaimed; the device is fully usable.
-    EXPECT_EQ(sys->device().activeContexts(), 0u);
-    Buffers buf = makeBuffers(*sys, *proc, 256);
-    EXPECT_GT(rt->createStream().launch(vecAddLaunch(vecadd_kid, buf))
-                  .wait(),
-              0);
-    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+        NdpEvent ev = srt->createStream().launch(tinyLaunch(kid, *proc));
+        ev.wait();
+        ASSERT_TRUE(ev.done());
+        EXPECT_TRUE(ev.failed());
+        EXPECT_EQ(ev.error(), NdpError::UnmappedAddress);
+        ++traps;
+
+        auto units = sys->device().aggregateUnitStats();
+        EXPECT_EQ(units.traps_unmapped, traps);
+        EXPECT_EQ(sys->device().controller().stats().instances_faulted,
+                  traps);
+        // Every uthread slot was reclaimed; the device is fully usable.
+        EXPECT_EQ(sys->device().activeContexts(), 0u);
+        Buffers buf = makeBuffers(*sys, *proc, 256);
+        EXPECT_GT(rt->createStream().launch(vecAddLaunch(vecadd_kid, buf))
+                      .wait(),
+                  0);
+        EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+    }
 }
 
 TEST_F(FaultTest, ScratchpadOverflowTrapSurfacesTypedError)

@@ -216,6 +216,24 @@ TEST_F(StreamApiTest, EventPollWaitAndHook)
     EXPECT_EQ(rt->pollKernelStatus(iid), KernelStatus::Finished);
 }
 
+TEST_F(StreamApiTest, EmptyPoolLaunchCompletes)
+{
+    // An empty pool region spawns no uthreads, so the instance completes
+    // inside the controller's launch() — before the synchronous M2func
+    // launch has returned its id.
+    Buffers buf = makeBuffers(*sys, *proc, 64);
+    NdpStream &stream = rt->createStream();
+    NdpEvent ev =
+        stream.launch(LaunchDesc(kid, buf.a, buf.a).arg(buf.b).arg(buf.c));
+    std::int64_t iid = ev.wait();
+    ASSERT_GT(iid, 0);
+    EXPECT_FALSE(ev.failed());
+    EXPECT_EQ(rt->pollKernelStatus(iid), KernelStatus::Finished);
+    // The stream stays usable afterwards.
+    EXPECT_GT(stream.launch(vecAddLaunch(kid, buf)).wait(), 0);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+}
+
 TEST_F(StreamApiTest, RejectsUnknownKernelAtSubmit)
 {
     Buffers buf = makeBuffers(*sys, *proc, 64);

@@ -4,11 +4,10 @@
 // named below. check_lint.py asserts both directions.
 //
 // expect-clean
-// expect-suppressed: hotpath-alloc nondeterminism partition-safety capture-budget
+// expect-suppressed: hotpath-alloc nondeterminism partition-safety
 
 #include <cstdlib>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #define M2NDP_HOT_PATH
@@ -19,13 +18,11 @@ struct InlineCallback
     template <typename F> InlineCallback(F &&f) {}
     InlineCallback() = default;
 };
-using TickCallback = InlineCallback<void(long)>;
 using EventCallback = InlineCallback<void()>;
 
 struct EventQueue
 {
     void schedule(long when, EventCallback cb) {}
-    template <typename F> void scheduleAfter(long d, F &&cb) {}
 };
 
 struct HostCxlPort
@@ -38,7 +35,6 @@ struct Fixture
     std::vector<int> ring;
     std::unordered_map<long, int> by_id;
     HostCxlPort *port;
-    EventQueue eq;
 
     M2NDP_HOT_PATH
     void
@@ -65,13 +61,5 @@ struct Fixture
         // Debug-only path, never compiled into the sim loop.
         // ndp-lint: allow(partition-safety)
         port->deviceQueue().schedule(now, [] {});
-    }
-
-    void
-    coldNotify(long now, TickCallback done)
-    {
-        // Fires once per process teardown; heap fallback is fine.
-        // ndp-lint: allow(capture-budget)
-        eq.schedule(now, [t = now, done = std::move(done)]() mutable {});
     }
 };

@@ -3,9 +3,8 @@
 
 Enforces, at build time, the three invariants the runtime nets (the
 counting-new test, the engine checksums, the SimDomain lookahead asserts)
-only catch after a violation executes — plus the inline-callback capture
-budget that previously only failed when someone hand-computed a
-static_assert. Four rule families (docs/static_analysis.md):
+only catch after a violation executes. Three rule families
+(docs/static_analysis.md):
 
   hotpath-alloc     no heap allocation / std::function / std::shared_ptr /
                     container growth inside regions annotated
@@ -17,9 +16,9 @@ static_assert. Four rule families (docs/static_analysis.md):
   partition-safety  cross-partition effects must flow through the SimDomain
                     mailbox API; scheduling directly onto a foreign
                     partition's EventQueue is rejected
-  capture-budget    lambdas built into InlineCallback sinks whose estimated
-                    capture exceeds the 48 B small-buffer bound (silent
-                    heap fallback) are rejected
+
+The 48 B InlineCallback capture budget is not a lint rule: the compiler
+enforces it exactly (a static_assert in src/common/callback.hh).
 
 Driven by compile_commands.json (all TUs under src/ plus every header they
 pull in under src/). Two analysis modes:
@@ -57,7 +56,6 @@ RULES = (
     "hotpath-alloc",
     "nondeterminism",
     "partition-safety",
-    "capture-budget",
 )
 
 # ---------------------------------------------------------------------------
@@ -222,56 +220,7 @@ class SourceFile:
     includes: list = field(default_factory=list)     # resolved abs paths
     unordered_names: set = field(default_factory=set)
     unordered_fns: set = field(default_factory=set)
-    var_sizes: dict = field(default_factory=dict)    # name -> bytes
 
-
-# Known sizes (x86-64) of types commonly captured by value. InlineCallback
-# instantiations are 48 B of storage + the ops pointer.
-_INLINE_CALLBACK_TYPES = (
-    "TickCallback",
-    "EventCallback",
-    "LaunchCallback",
-    "InstanceCompleteFn",
-    "PeerAccessFn",
-)
-_TYPE_SIZES = {t: 56 for t in _INLINE_CALLBACK_TYPES}
-_TYPE_SIZES.update({
-    "M2FuncPayload": 72,
-    "SpawnItem": 32,
-    "std::string": 32,
-})
-
-# Fixed-size scalar types (x86-64). Declarations of these feed the same
-# name -> bytes table so a capture list of plain scalars is estimated at
-# its true packed size instead of 8 B per name; without this, an
-# eight-scalar capture that provably fits the 48 B buffer would be a
-# false positive. Multi-word forms precede their prefixes so the regex
-# alternation matches longest-first.
-_SCALAR_SIZES = {
-    "unsigned long long": 8, "unsigned long": 8, "long long": 8,
-    "unsigned short": 2, "unsigned char": 1, "unsigned int": 4,
-    "std::uint64_t": 8, "std::int64_t": 8, "std::size_t": 8,
-    "std::uint32_t": 4, "std::int32_t": 4,
-    "std::uint16_t": 2, "std::int16_t": 2,
-    "std::uint8_t": 1, "std::int8_t": 1,
-    "uint64_t": 8, "int64_t": 8, "size_t": 8,
-    "uint32_t": 4, "int32_t": 4, "uint16_t": 2, "int16_t": 2,
-    "uint8_t": 1, "int8_t": 1,
-    "double": 8, "float": 4, "unsigned": 4, "int": 4, "long": 8,
-    "short": 2, "bool": 1, "char": 1,
-    # project typedefs / narrow enums
-    "Tick": 8, "Addr": 8, "Asid": 2, "MemOp": 1, "MemSource": 1,
-}
-_SCALAR_DECL_RE = re.compile(
-    r"(?<![\w:])(" +
-    "|".join(sorted((re.escape(t) for t in _SCALAR_SIZES),
-                    key=len, reverse=True)) +
-    r")\s+(\w+)\b(?!\s*\()")
-
-_DECL_TYPE_RE = re.compile(
-    r"\b(" + "|".join(_INLINE_CALLBACK_TYPES) +
-    r"|M2FuncPayload|SpawnItem)\s*&?\s+(\w+)\b(?!\s*\()")
-_INLINE_CB_DECL_RE = re.compile(r"\bInlineCallback\s*<[^;{}]*?>\s*&?\s+(\w+)\b")
 
 _UNORDERED_DECL_RE = re.compile(
     r"std::unordered_(?:map|set)\s*<[^;{}()]*?>\s*&?\s*(\w+)\s*(?:[;={]|$)")
@@ -321,17 +270,11 @@ def load_file(path, root):
                 sf.includes.append(cand)
                 break
 
-    # Declared symbol tables used by the iteration and capture rules.
+    # Declared symbol tables used by the iteration rule.
     for m in _UNORDERED_DECL_RE.finditer(sf.code):
         sf.unordered_names.add(m.group(1))
     for m in _UNORDERED_FN_RE.finditer(sf.code):
         sf.unordered_fns.add(m.group(1))
-    for m in _SCALAR_DECL_RE.finditer(sf.code):
-        sf.var_sizes[m.group(2)] = _SCALAR_SIZES[m.group(1)]
-    for m in _DECL_TYPE_RE.finditer(sf.code):
-        sf.var_sizes[m.group(2)] = _TYPE_SIZES[m.group(1)]
-    for m in _INLINE_CB_DECL_RE.finditer(sf.code):
-        sf.var_sizes[m.group(1)] = 56
     return sf
 
 
@@ -534,109 +477,6 @@ def rule_partition(sf):
 
 
 # ---------------------------------------------------------------------------
-# Rule 4: InlineCallback capture budget
-# ---------------------------------------------------------------------------
-
-_INLINE_BUDGET = 48
-
-# Call sites whose callable argument lands in an InlineCallback.
-_SINK_RE = re.compile(
-    r"\b(?:schedule|scheduleAfter|post|postToDeviceAt|postToHostAt|"
-    r"setPeerAccess|onInstanceComplete|onComplete|addCompletion|"
-    r"respondThrough|makePacket|queueCompletion)\s*\(")
-
-# Assignment of a lambda to a declared-callback variable or member whose
-# name marks it as a callback slot.
-_ASSIGN_RE = re.compile(
-    r"\b(?:" + "|".join(_INLINE_CALLBACK_TYPES) +
-    r"|InlineCallback\s*<[^;{}=]*?>)\s+\w+\s*=\s*\[|"
-    r"[\w.>\-]*(?:on_\w+|\w*callback\w*|\w*_fn\b|\bfn_\w*)\s*=\s*\[")
-
-_LAMBDA_RE = re.compile(
-    r"\[((?:[^\[\]]|\[[^\[\]]*\])*)\]\s*(?:\([^()]*\))?\s*"
-    r"(?:mutable\b)?\s*(?:->\s*[\w:<>&*\s]+?)?\s*\{")
-
-
-def _split_top(s):
-    parts, depth, cur = [], 0, []
-    for c in s:
-        if c in "(<[{":
-            depth += 1
-        elif c in ")>]}":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
-def _estimate_capture(cap, sizes):
-    if cap in ("&", "="):
-        return 0  # default capture: per-variable copies are unestimatable
-    if cap == "this" or cap.startswith("&"):
-        return 8
-    if cap == "*this":
-        return 8  # unknown object size; assume pointer-ish
-    if "..." in cap:
-        return 8
-    if "=" in cap:
-        _, rhs = cap.split("=", 1)
-        rhs = rhs.strip()
-        m = re.match(r"std::move\s*\(\s*([\w.>\-]+)\s*\)", rhs)
-        expr = m.group(1) if m else rhs
-        comp, _ = _trailing_component(expr)
-        return sizes.get(comp, 8)
-    return sizes.get(cap, 8)
-
-
-def _arg_span(code, open_paren):
-    depth = 0
-    for i in range(open_paren, min(open_paren + 6000, len(code))):
-        c = code[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return code[open_paren:i + 1], i + 1
-    return code[open_paren:open_paren + 6000], open_paren + 6000
-
-
-def rule_capture(sf, sizes):
-    findings = []
-    seen = set()
-    spans = []
-    for m in _SINK_RE.finditer(sf.code):
-        open_paren = sf.code.index("(", m.end() - 1)
-        span, _ = _arg_span(sf.code, open_paren)
-        spans.append((open_paren, span))
-    for m in _ASSIGN_RE.finditer(sf.code):
-        start = sf.code.index("[", m.start())
-        spans.append((start, sf.code[start:start + 4000]))
-    for base, span in spans:
-        for lm in _LAMBDA_RE.finditer(span):
-            offset = base + lm.start()
-            if offset in seen:
-                continue
-            seen.add(offset)
-            total = sum(_estimate_capture(c, sizes)
-                        for c in _split_top(lm.group(1)))
-            if total > _INLINE_BUDGET:
-                findings.append(Finding(
-                    sf.rel, offset_line(sf, offset), offset_col(sf, offset),
-                    "capture-budget",
-                    f"estimated lambda capture ~{total} B exceeds the "
-                    f"{_INLINE_BUDGET} B InlineCallback inline buffer; this "
-                    "site will silently heap-allocate (split the capture or "
-                    "ride a pooled carrier)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Optional libclang assist
 # ---------------------------------------------------------------------------
 
@@ -738,16 +578,14 @@ def build_symtabs(sources):
 
     tabs = {}
     for sf in sources:
-        names, fns, sizes = set(), set(), {}
+        names, fns = set(), set()
         for p in closure(sf):
             other = by_path.get(p)
             if not other:
                 continue
             names |= other.unordered_names
             fns |= other.unordered_fns
-            sizes.update(other.var_sizes)
-        sizes.update(sf.var_sizes)  # own declarations win
-        tabs[sf.path] = (names, fns, sizes)
+        tabs[sf.path] = (names, fns)
     return tabs
 
 
@@ -789,7 +627,7 @@ def main(argv=None):
 
     findings = []
     for sf in sources:
-        names, fns, sizes = symtabs[sf.path]
+        names, fns = symtabs[sf.path]
         if "hotpath-alloc" in enabled:
             extra = ()
             if cindex is not None:
@@ -806,8 +644,6 @@ def main(argv=None):
             findings += rule_nondeterminism(sf, (names, fns))
         if "partition-safety" in enabled:
             findings += rule_partition(sf)
-        if "capture-budget" in enabled:
-            findings += rule_capture(sf, sizes)
 
     # Apply suppressions and tally them per rule.
     by_path = {sf.path: sf for sf in sources}
