@@ -10,6 +10,8 @@
  *    NdpEvent instead of aborting the simulator,
  *  - the per-instance watchdog kills runaway kernels and reclaims every
  *    uthread slot, so the device stays usable,
+ *  - register-file pressure caps sub-core occupancy without losing work,
+ *    also when the watchdog kills a pressured instance,
  *  - stream policies (fail-fast, retry-with-backoff, skip-and-continue)
  *    shape what a launch error does to the rest of the stream,
  *  - losing a device mid-run on a 2-device runtime re-routes subsequent
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "system/system.hh"
@@ -299,6 +302,123 @@ TEST_F(WatchdogTest, RetriedWatchdogKillBacksOffAndCountsAttempts)
     Buffers buf = makeBuffers(*sys, *proc, 256);
     EXPECT_GT(stream.launch(vecAddLaunch(vecadd_kid, buf)).wait(), 0);
     EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+}
+
+// -------------------------------------------------------------------------
+// Register-file pressure (Section III-D): a sub-core holds only as many
+// uthreads as its share of the register file fits. Work that does not fit
+// waits for registers to free up; it is never dropped or duplicated.
+// -------------------------------------------------------------------------
+
+/** Register bytes of one sub-core in the default unit (48 KiB / 4). */
+std::uint64_t
+subCoreRegBytes()
+{
+    NdpUnitConfig unit;
+    return unit.regfile_bytes / unit.subcores;
+}
+
+/** The widest legal declaration: all 32 registers of every file (1.5 KiB). */
+KernelResources
+fatResources()
+{
+    KernelResources res;
+    res.num_int_regs = 32;
+    res.num_float_regs = 32;
+    res.num_vector_regs = 32;
+    return res;
+}
+
+TEST_F(FaultTest, RegisterPressureCapsOccupancyAndCompletes)
+{
+    // 8 x 8 B + 24 x 32 B = 832 B per uthread: 14 of 16 slots fit.
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 24;
+    const std::uint64_t fit = subCoreRegBytes() / res.registerBytes();
+    ASSERT_LT(fit, NdpUnitConfig{}.slots_per_subcore);
+    std::int64_t kid = rt->registerKernel(kVecAdd, res);
+    ASSERT_GT(kid, 0);
+
+    constexpr unsigned kUthreads = 8192;
+    Buffers buf = makeBuffers(*sys, *proc, kUthreads * 8);
+    std::uint64_t done0 = sys->device().aggregateUnitStats().uthreads_completed;
+    NdpEvent ev = rt->createStream().launch(vecAddLaunch(kid, buf));
+    unsigned peak = 0;
+    while (!ev.done() && sys->eq().step())
+        peak = std::max(peak, sys->device().activeContexts());
+    ASSERT_TRUE(ev.done());
+    EXPECT_EQ(ev.error(), NdpError::Ok);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+    EXPECT_EQ(sys->device().aggregateUnitStats().uthreads_completed - done0,
+              kUthreads);
+    const SystemConfig cfg;
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, cfg.device.num_units * cfg.device.unit.subcores * fit)
+        << "more uthreads resident than the register file holds";
+    EXPECT_EQ(sys->device().activeContexts(), 0u);
+}
+
+TEST_F(FaultTest, FatAndThinKernelsShareRegisterFile)
+{
+    // Fat uthreads fill a sub-core at 8 per 16 slots; the thin
+    // (4-vector-register) kernel competes for the same register file.
+    std::int64_t fat_kid = rt->registerKernel(kVecAdd, fatResources());
+    ASSERT_GT(fat_kid, 0);
+
+    Buffers fat_buf = makeBuffers(*sys, *proc, 1u << 15);
+    Buffers thin_buf = makeBuffers(*sys, *proc, 1u << 15);
+    NdpEvent ev_fat =
+        rt->createStream().launch(vecAddLaunch(fat_kid, fat_buf));
+    NdpEvent ev_thin =
+        rt->createStream().launch(vecAddLaunch(vecadd_kid, thin_buf));
+    ev_fat.wait();
+    ev_thin.wait();
+    ASSERT_TRUE(ev_fat.done());
+    ASSERT_TRUE(ev_thin.done());
+    EXPECT_EQ(ev_fat.error(), NdpError::Ok);
+    EXPECT_EQ(ev_thin.error(), NdpError::Ok);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, fat_buf));
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, thin_buf));
+    EXPECT_EQ(sys->device().activeContexts(), 0u);
+}
+
+class PressureWatchdogTest : public FaultTest
+{
+  protected:
+    void
+    configure(SystemConfig &cfg) override
+    {
+        cfg.device.controller.watchdog_budget = 5 * kUs;
+    }
+};
+
+TEST_F(PressureWatchdogTest, KillsPressuredInstanceAndDeviceRecovers)
+{
+    // Fat spinners fill half of every sub-core's slots; a pool twice
+    // that size leaves the rest waiting for registers when the watchdog
+    // fires.
+    std::int64_t spin_kid = rt->registerKernel(kSpin, fatResources());
+    ASSERT_GT(spin_kid, 0);
+
+    NdpStream &stream = rt->createStream();
+    const std::uint64_t pool_bytes = 2 * 1024 * 32;
+    Addr pool = proc->allocate(pool_bytes);
+    NdpEvent ev = stream.launch(LaunchDesc(spin_kid, pool, pool + pool_bytes));
+    ev.wait();
+    ASSERT_TRUE(ev.done());
+    EXPECT_EQ(ev.error(), NdpError::WatchdogTimeout);
+    const auto &cstats = sys->device().controller().stats();
+    EXPECT_EQ(cstats.watchdog_kills, 1u);
+    EXPECT_EQ(cstats.instances_faulted, 1u);
+    EXPECT_EQ(sys->device().activeContexts(), 0u)
+        << "watchdog kill under register pressure leaked uthread slots";
+
+    // Every sub-core's registers came back: a full vecadd runs cleanly.
+    Buffers buf = makeBuffers(*sys, *proc, 4096);
+    EXPECT_GT(stream.launch(vecAddLaunch(vecadd_kid, buf)).wait(), 0);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+    EXPECT_EQ(sys->device().activeContexts(), 0u);
 }
 
 // -------------------------------------------------------------------------
