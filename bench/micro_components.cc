@@ -32,8 +32,9 @@ void
 BM_Assembler(benchmark::State &state)
 {
     isa::Assembler as;
+    std::string error;
     for (auto _ : state) {
-        auto k = as.assemble(kKernel);
+        auto k = as.assemble(kKernel, error);
         benchmark::DoNotOptimize(k);
     }
 }
@@ -62,20 +63,21 @@ void
 BM_ExecutorLoop(benchmark::State &state)
 {
     isa::Assembler as;
-    auto k = as.assemble(R"(
+    std::string error;
+    auto k = isa::DecodedKernel::decode(as.assemble(R"(
         li x3, 256
         li x4, 0
     loop:
         addi x4, x4, 3
         addi x3, x3, -1
         bne x3, x0, loop
-    )");
+    )", error));
+    M2_ASSERT(error.empty(), error);
     BenchMem mem;
     std::uint64_t instructions = 0;
     for (auto _ : state) {
         isa::UthreadContext ctx;
-        instructions +=
-            isa::runToCompletion(ctx, k.sections[0].code, mem);
+        instructions += isa::runToCompletion(ctx, k.sections[0], mem);
     }
     state.counters["MIPS"] = benchmark::Counter(
         static_cast<double>(instructions) / 1e6,

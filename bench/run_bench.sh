@@ -4,8 +4,9 @@
 # is tracked across PRs (schema: docs/performance.md).
 #
 # After the run, scripts/check_bench.py gates the result against the
-# last committed BENCH_sim_throughput.json (from git HEAD): a >10% drop
-# in engine speedup or end-to-end sim-instructions/sec fails the script.
+# last committed BENCH_sim_throughput.json (from git HEAD): a changed
+# engine checksum, or a headline metric past its tolerance, fails the
+# script.
 #
 # Usage: bench/run_bench.sh [build_dir]
 #   build_dir defaults to ./build; the benchmark is built if missing.

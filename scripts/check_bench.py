@@ -4,7 +4,9 @@
 Usage: check_bench.py NEW.json BASELINE.json [--tolerance FRAC]
 
 Fails (exit 1) when, relative to the committed baseline,
-  - engine.speedup_vs_legacy drops by more than its tolerance, or
+  - engine.checksum differs (an exact golden value: the order-sensitive
+    checksum of the synthetic actor workload, so any change to the event
+    engine's firing order, FIFO tie-break included, fails), or
   - end_to_end.sim_instructions_per_sec drops by more than its tolerance, or
   - launch_throughput.launches_per_sec drops by more than its tolerance, or
   - end_to_end.events_per_inst RISES by more than its tolerance (this
@@ -21,8 +23,7 @@ Fails (exit 1) when, relative to the committed baseline,
   - parallel.speedup_vs_serial drops by more than the wall-clock
     tolerance, or parallel.checksums_match flips to false (the
     multithreaded partitioned engine must replay the serial schedule
-    bit-exactly), or
-  - engine.checksums_match is false in the new result.
+    bit-exactly).
 
 A gated metric missing from the baseline (e.g. the first run after the
 metric was introduced) is skipped with a note; missing from the NEW result
@@ -31,7 +32,7 @@ it fails — the benchmark must keep reporting every gated headline.
 Tolerances are per metric. Deterministic simulated metrics
 (events_per_inst, launches_per_sec) get the strict 10% bar — any movement
 is a structural change, never noise. Wall-clock metrics
-(speedup_vs_legacy, sim_instructions_per_sec) get a wider 25% bar: on the
+(sim_instructions_per_sec, speedup_vs_serial) get a wider 25% bar: on the
 shared boxes this repo is benched on, an *unchanged* tree swings by more
 than 10% between runs (hypervisor neighbours, frequency steps), so the
 strict bar flakes without catching anything the deterministic gates
@@ -48,7 +49,6 @@ import sys
 # "det" metrics are deterministic (simulated time / event counts); "wall"
 # metrics are host wall-clock and get the wider noise bar.
 GATED_PATHS = {
-    "engine.speedup_vs_legacy": ("higher", "wall"),
     "end_to_end.sim_instructions_per_sec": ("higher", "wall"),
     "launch_throughput.launches_per_sec": ("higher", "det"),
     "end_to_end.events_per_inst": ("lower", "det"),
@@ -85,20 +85,30 @@ GATED_PATHS = {
     "qos.min_progress_ratio": ("higher", "det"),
 }
 
+# Golden values that must match the baseline exactly.
+EXACT_PATHS = ("engine.checksum",)
+
 DETERMINISTIC_TOLERANCE = 0.10
+
+
+def lookup(doc, path):
+    """Value at dotted *path* in *doc*, or None when absent."""
+    node = doc
+    try:
+        for key in path.split("."):
+            node = node[key]
+    except (KeyError, TypeError):
+        return None
+    return node
 
 
 def gated_metrics(doc):
     """Gated headline metrics present in *doc* (dotted path -> value)."""
     out = {}
     for path in GATED_PATHS:
-        node = doc
-        try:
-            for key in path.split("."):
-                node = node[key]
-        except (KeyError, TypeError):
-            continue
-        out[path] = float(node)
+        value = lookup(doc, path)
+        if value is not None:
+            out[path] = float(value)
     return out
 
 
@@ -119,9 +129,18 @@ def main():
 
     failures = []
 
-    if not new["engine"]["checksums_match"]:
-        failures.append("engine.checksums_match is false: the event engine "
-                        "diverged from the reference implementation")
+    for path in EXACT_PATHS:
+        base_v, new_v = lookup(base, path), lookup(new, path)
+        if base_v is None:
+            print(f"[SKIP] {path}: not in baseline (new metric)")
+        elif new_v is None:
+            failures.append(f"{path} missing from the new result")
+        elif new_v != base_v:
+            print(f"[FAIL] {path}: baseline {base_v} -> new {new_v} (exact)")
+            failures.append(f"{path} changed (baseline {base_v}, new "
+                            f"{new_v}; must match exactly)")
+        else:
+            print(f"[OK] {path}: baseline {base_v} -> new {new_v} (exact)")
     # Hard determinism gate, independent of the baseline: a parallel run
     # whose checksum diverges from the serial one is wrong even on the
     # very first run after the metric was introduced.

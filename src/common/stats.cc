@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -57,29 +56,6 @@ Histogram::percentile(double p) const
     auto hi = static_cast<std::size_t>(std::ceil(rank));
     double frac = rank - static_cast<double>(lo);
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double
-StatDump::get(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    M2_ASSERT(it != stats_.end(), "unknown stat: ", name);
-    return it->second;
-}
-
-bool
-StatDump::has(const std::string &name) const
-{
-    return stats_.find(name) != stats_.end();
-}
-
-std::string
-StatDump::toString() const
-{
-    std::ostringstream oss;
-    for (const auto &[name, value] : stats_)
-        oss << name << " " << value << "\n";
-    return oss.str();
 }
 
 } // namespace m2ndp

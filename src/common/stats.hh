@@ -1,16 +1,14 @@
 /**
  * @file
  * Lightweight statistics: counters live as plain integers inside components
- * (hot path); this header provides the aggregation helpers used for
- * reporting — a sample histogram with exact percentiles (for tail-latency
- * studies) and a named stat dump used by benches.
+ * (hot path); this header provides the exact-sample histogram used to
+ * report tail latencies. The bounded, allocation-free alternative is
+ * LatencyHistogram (common/histogram.hh).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/units.hh"
@@ -51,38 +49,6 @@ class Histogram
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * A flat, ordered collection of named scalar statistics that components
- * export at end of simulation. Keys are dotted paths
- * (e.g. "device0.dram.reads").
- */
-class StatDump
-{
-  public:
-    void
-    set(const std::string &name, double value)
-    {
-        stats_[name] = value;
-    }
-
-    void
-    add(const std::string &name, double value)
-    {
-        stats_[name] += value;
-    }
-
-    double get(const std::string &name) const;
-    bool has(const std::string &name) const;
-
-    const std::map<std::string, double> &all() const { return stats_; }
-
-    /** Render as "name value" lines. */
-    std::string toString() const;
-
-  private:
-    std::map<std::string, double> stats_;
 };
 
 } // namespace m2ndp

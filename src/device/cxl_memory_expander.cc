@@ -577,16 +577,11 @@ CxlMemoryExpander::translationPageSize()
     return 2 * kMiB;
 }
 
-std::optional<SpawnItem>
-CxlMemoryExpander::pullWork(unsigned unit)
+PullStatus
+CxlMemoryExpander::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
+                            SpawnItem &out)
 {
-    return controller_->pullWork(unit);
-}
-
-void
-CxlMemoryExpander::requeueWork(unsigned unit, const SpawnItem &item)
-{
-    controller_->requeueWork(unit, item);
+    return controller_->pullWork(unit, free_reg_bytes, out);
 }
 
 void

@@ -217,8 +217,8 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     bool dramTlbWarm(Asid asid, Addr va) override;
     void dramTlbRefill(Asid asid, Addr va) override;
     std::uint64_t translationPageSize() override;
-    std::optional<SpawnItem> pullWork(unsigned unit) override;
-    void requeueWork(unsigned unit, const SpawnItem &item) override;
+    PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
+                        SpawnItem &out) override;
     void uthreadFinished(KernelInstance *inst) override;
     void storeIssued(KernelInstance *inst) override;
     void storeDrained(KernelInstance *inst, Tick when) override;
@@ -233,6 +233,10 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     std::uint64_t unitScratchpadBytes() override
     {
         return cfg_.unit.spad_bytes;
+    }
+    std::uint64_t subcoreRegisterBytes() override
+    {
+        return cfg_.unit.regfile_bytes / cfg_.unit.subcores;
     }
     void wakeAllUnits() override;
     bool readKernelText(Asid asid, Addr va, std::uint32_t size,

@@ -754,10 +754,11 @@ NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
         --dev.m2f_wait_len;
         // Batch probe: when a backlog exists and both the head and the
         // next launch fit the compact half-format, they share one 64 B
-        // store (and one slot). Full-format launches (> 8 B of inline
-        // args) keep the exact single-launch wire timing.
+        // store (and one slot), halving the stores per launch under
+        // load. Full-format launches (> 8 B of inline args) keep the
+        // exact single-launch wire timing.
         LaunchRecord *mate = nullptr;
-        if (cfg_.batch_launches && dev.m2f_wait_head != nullptr &&
+        if (dev.m2f_wait_head != nullptr &&
             rec->desc.argSize() <= kCompactMaxArgBytes &&
             dev.m2f_wait_head->desc.argSize() <= kCompactMaxArgBytes &&
             !deadlineExpired(dev.m2f_wait_head)) {

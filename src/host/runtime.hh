@@ -72,13 +72,6 @@ struct NdpRuntimeConfig
     double rate_limit = 0.0;
     /** Token-bucket depth: burst allowance in launches. */
     unsigned rate_burst = 16;
-    /**
-     * Coalesce two eligible queued launches (inline args <= 8 B each)
-     * into one 64 B M2func store when a backlog exists — halves the
-     * stores per launch under load. On by default; individual launches
-     * with > 8 B of inline args always use the full-format store.
-     */
-    bool batch_launches = true;
 };
 
 /** Per-runtime statistics. */

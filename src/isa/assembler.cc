@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/log.hh"
 #include "mem/page_table.hh"
 
 namespace m2ndp::isa {
@@ -13,9 +12,8 @@ namespace m2ndp::isa {
 namespace {
 
 /**
- * Internal parse-failure signal: thrown by Parser, caught by the
- * assemble() overloads — fatal in the legacy one, reported through the
- * out-parameter in the non-fatal one. Never escapes this TU.
+ * Internal parse-failure signal: thrown by Parser, caught by assemble()
+ * and reported through its out-parameter. Never escapes this TU.
  */
 struct AsmError
 {
@@ -841,28 +839,15 @@ Parser::parse(const std::string &text)
 } // namespace
 
 AssembledKernel
-Assembler::assemble(const std::string &text) const
-{
-    Parser parser(constants_);
-    try {
-        return parser.parse(text);
-    } catch (const AsmError &e) {
-        M2_FATAL(e.message);
-    }
-}
-
-AssembledKernel
-Assembler::assemble(const std::string &text, std::string *error) const
+Assembler::assemble(const std::string &text, std::string &error) const
 {
     Parser parser(constants_);
     try {
         AssembledKernel k = parser.parse(text);
-        if (error != nullptr)
-            error->clear();
+        error.clear();
         return k;
     } catch (const AsmError &e) {
-        if (error != nullptr)
-            *error = e.message;
+        error = e.message;
         return {};
     }
 }

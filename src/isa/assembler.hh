@@ -20,11 +20,10 @@
  * (%spad, %args, ... installed by the runtime; see setConstant()).
  * Masked vector forms take a trailing ", v0.t".
  *
- * Errors include line numbers. The single-argument assemble() reports
- * them with M2_FATAL (legacy behavior); the two-argument overload
- * reports them through an out-parameter instead, so callers — the NDP
- * controller's kernel registration in particular — can reject bad
- * kernel text with a typed error rather than terminating the process.
+ * Errors include line numbers and are reported through an out-parameter,
+ * so callers — the NDP controller's kernel registration in particular —
+ * can reject bad kernel text with a typed error rather than terminating
+ * the process.
  */
 
 #pragma once
@@ -46,16 +45,13 @@ class Assembler
     /** Define or redefine a %symbol usable in immediate fields. */
     void setConstant(const std::string &name, std::int64_t value);
 
-    /** Assemble full kernel text into sections; M2_FATAL on error. */
-    AssembledKernel assemble(const std::string &text) const;
-
     /**
-     * Non-fatal variant: on malformed text, stores the diagnostic in
-     * @p error and returns an empty kernel (no sections). On success
-     * @p error is cleared.
+     * Assemble full kernel text into sections. On malformed text, stores
+     * the diagnostic in @p error and returns an empty kernel (no
+     * sections). On success @p error is cleared.
      */
     AssembledKernel assemble(const std::string &text,
-                             std::string *error) const;
+                             std::string &error) const;
 
   private:
     std::unordered_map<std::string, std::int64_t> constants_;

@@ -2,13 +2,13 @@
  * @file
  * Pre-decoded µop form of the M2NDP ISA.
  *
- * `isa::step()` used to re-derive everything about an instruction on every
- * issue: functional-unit class, result latency, memory width / extension
- * behaviour, AMO opcode. With millions of µthreads in a sweep that decode
- * work dominates the functional path, so each kernel is decoded exactly
- * once at registration into a flat array of `DecodedInst` µops and the
- * executor dispatches on the decoded form. Decoding is pure bookkeeping —
- * architectural semantics are unchanged.
+ * Everything the executor needs to know about an instruction — functional-
+ * unit class, result latency, memory width / extension behaviour, AMO
+ * opcode — is derived once, when `DecodedKernel::decode` turns an
+ * assembled kernel into flat arrays of `DecodedInst` µops at registration.
+ * With millions of µthreads in a sweep, `isa::step()` then dispatches on
+ * the decoded form only; there is no raw-instruction execution path.
+ * Decoding is pure bookkeeping — architectural semantics are unchanged.
  */
 
 #pragma once
@@ -47,9 +47,6 @@ struct DecodedInst
     std::uint32_t line = 0;      ///< source line for diagnostics
 };
 
-/** Decode a single instruction (used by the legacy single-step API). */
-DecodedInst decodeInst(const Instruction &in);
-
 /** One kernel section decoded to µops (same indexing as the source). */
 struct DecodedSection
 {
@@ -65,8 +62,5 @@ struct DecodedKernel
     /** Decode every section of @p kernel (once per registration). */
     static DecodedKernel decode(const AssembledKernel &kernel);
 };
-
-/** Decode one raw instruction sequence (tests, functional drivers). */
-DecodedSection decodeSection(const std::vector<Instruction> &code);
 
 } // namespace m2ndp::isa

@@ -1122,8 +1122,6 @@ execDecoded(UthreadContext &ctx, const DecodedInst &in,
     return res;
 }
 
-} // namespace
-
 // --------------------------------------------------------------------------
 // Decoding
 // --------------------------------------------------------------------------
@@ -1205,15 +1203,7 @@ decodeInst(const Instruction &in)
     return d;
 }
 
-DecodedSection
-decodeSection(const std::vector<Instruction> &code)
-{
-    DecodedSection sec;
-    sec.code.reserve(code.size());
-    for (const Instruction &in : code)
-        sec.code.push_back(decodeInst(in));
-    return sec;
-}
+} // namespace
 
 DecodedKernel
 DecodedKernel::decode(const AssembledKernel &kernel)
@@ -1221,9 +1211,11 @@ DecodedKernel::decode(const AssembledKernel &kernel)
     DecodedKernel d;
     d.sections.reserve(kernel.sections.size());
     for (const KernelSection &sec : kernel.sections) {
-        DecodedSection ds = decodeSection(sec.code);
+        DecodedSection &ds = d.sections.emplace_back();
         ds.kind = sec.kind;
-        d.sections.push_back(std::move(ds));
+        ds.code.reserve(sec.code.size());
+        for (const Instruction &in : sec.code)
+            ds.code.push_back(decodeInst(in));
     }
     return d;
 }
@@ -1240,25 +1232,15 @@ step(UthreadContext &ctx, const DecodedSection &section, MemoryIf &mem)
     return execDecoded(ctx, section.code[ctx.pc], size, mem);
 }
 
-StepResult
-step(UthreadContext &ctx, const std::vector<Instruction> &code, MemoryIf &mem)
-{
-    M2_ASSERT(ctx.pc < code.size(), "PC out of range: ", ctx.pc, " of ",
-              code.size());
-    DecodedInst d = decodeInst(code[ctx.pc]);
-    return execDecoded(ctx, d, static_cast<std::uint32_t>(code.size()), mem);
-}
-
 std::uint64_t
-runToCompletion(UthreadContext &ctx, const std::vector<Instruction> &code,
+runToCompletion(UthreadContext &ctx, const DecodedSection &section,
                 MemoryIf &mem, std::uint64_t max_instructions)
 {
     std::uint64_t executed = 0;
-    if (code.empty())
+    if (section.code.empty())
         return 0;
-    DecodedSection sec = decodeSection(code);
     while (executed < max_instructions) {
-        StepResult r = step(ctx, sec, mem);
+        StepResult r = step(ctx, section, mem);
         ++executed;
         if (r.done)
             return executed;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Functional executor for M2NDP uthreads.
+ * Functional executor for M2NDP uthreads. It runs decoded sections
+ * (isa/decoded.hh) only: kernels are decoded once, at registration.
  *
  * Functional-first execution (see DESIGN.md): an instruction's architectural
  * effects — including memory reads/writes via the MemoryIf — happen when the
@@ -15,7 +16,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "common/log.hh"
 #include "common/units.hh"
@@ -148,9 +148,13 @@ struct StepResult
  */
 struct UthreadContext
 {
-    std::array<std::uint64_t, 32> x{};
-    std::array<std::uint64_t, 32> f{}; ///< raw bits, NaN-boxed for FP32
-    std::array<VecReg, 32> v{};
+    /** Architectural registers per file (x, f and v). */
+    static constexpr unsigned kRegsPerFile = 32;
+
+    std::array<std::uint64_t, kRegsPerFile> x{};
+    /** Raw bits, NaN-boxed for FP32. */
+    std::array<std::uint64_t, kRegsPerFile> f{};
+    std::array<VecReg, kRegsPerFile> v{};
 
     std::uint32_t pc = 0;
     std::uint8_t sew = 4;  ///< current element width (bytes)
@@ -204,22 +208,12 @@ StepResult step(UthreadContext &ctx, const DecodedSection &section,
                 MemoryIf &mem);
 
 /**
- * Legacy single-step API over raw instructions (tests, debugging): decodes
- * the current instruction on the fly, then executes it. Semantically
- * identical to the decoded path; not for hot loops.
- */
-StepResult step(UthreadContext &ctx, const std::vector<Instruction> &code,
-                MemoryIf &mem);
-
-/**
  * Convenience: run one uthread section to completion functionally (no
- * timing), with an instruction budget to catch infinite loops. Decodes
- * the section once up front.
+ * timing), with an instruction budget to catch infinite loops.
  * @return dynamic instruction count.
  */
 std::uint64_t runToCompletion(UthreadContext &ctx,
-                              const std::vector<Instruction> &code,
-                              MemoryIf &mem,
+                              const DecodedSection &section, MemoryIf &mem,
                               std::uint64_t max_instructions = 10'000'000);
 
 } // namespace m2ndp::isa

@@ -7,7 +7,7 @@
 namespace m2ndp {
 
 NdpController::NdpController(NdpControllerEnv &env, Config cfg)
-    : env_(env), cfg_(cfg), requeued_(env.numUnits())
+    : env_(env), cfg_(cfg)
 {
     // Whole per-unit scratchpad data space starts free.
     spad_free_[0] = env_.unitScratchpadBytes();
@@ -221,23 +221,27 @@ std::int64_t
 NdpController::registerKernel(Asid asid, const std::string &text,
                               const KernelResources &res)
 {
-    if (res.registerBytes() == 0 || res.num_int_regs < 3) {
-        M2_WARN("kernel registration needs at least x0-x2");
+    auto reject = [this](const char *why) {
+        M2_WARN("kernel registration rejected: ", why);
         ++stats_.registrations_rejected;
         return static_cast<std::int64_t>(NdpError::RegistrationFailed);
-    }
-    if (res.scratchpad_bytes > env_.unitScratchpadBytes()) {
-        M2_WARN("kernel scratchpad request exceeds unit scratchpad");
-        ++stats_.registrations_rejected;
-        return static_cast<std::int64_t>(NdpError::RegistrationFailed);
-    }
+    };
+    // A uthread larger than one sub-core's registers could never spawn.
+    if (res.registerBytes() > env_.subcoreRegisterBytes())
+        return reject("register request exceeds a sub-core's register file");
+    constexpr unsigned kRegs = isa::UthreadContext::kRegsPerFile;
+    if (res.num_int_regs < 3 || res.num_int_regs > kRegs ||
+        res.num_float_regs > kRegs || res.num_vector_regs > kRegs)
+        return reject("needs x0-x2 and at most 32 registers per file");
+    if (res.scratchpad_bytes > env_.unitScratchpadBytes())
+        return reject("scratchpad request exceeds unit scratchpad");
     auto kernel = std::make_unique<NdpKernel>();
     kernel->id = next_kernel_id_++;
     kernel->asid = asid;
     // Malformed text (bad syntax, unknown uop) rejects the registration
     // with a typed error instead of terminating the simulation.
     std::string asm_error;
-    kernel->code = assembler_.assemble(text, &asm_error);
+    kernel->code = assembler_.assemble(text, asm_error);
     if (!asm_error.empty()) {
         M2_WARN("kernel registration rejected: ", asm_error);
         ++stats_.registrations_rejected;
@@ -386,17 +390,6 @@ NdpController::killInstance(KernelInstance *inst, std::int64_t code)
     if (inst->error == 0)
         inst->error = code;
 
-    // Purge spawn items bounced back by register pressure: they were
-    // counted as spawned but will never run, so credit them as completed
-    // to let the drain condition (completed == spawned) be reached.
-    for (auto &rq : requeued_) {
-        auto it = std::remove_if(
-            rq.begin(), rq.end(),
-            [inst](const SpawnItem &s) { return s.instance == inst; });
-        inst->completed += static_cast<std::uint64_t>(rq.end() - it);
-        rq.erase(it, rq.end());
-    }
-
     // Wake the units so slots parked on a killed instance (e.g. an
     // infinite loop) get culled at their next issue opportunity.
     env_.wakeAllUnits();
@@ -510,17 +503,10 @@ NdpController::completeInstance(KernelInstance *inst, Tick when)
 // uthread generation (Section III-E: interleaved scheduling)
 // --------------------------------------------------------------------------
 
-std::optional<SpawnItem>
-NdpController::pullWork(unsigned unit)
+PullStatus
+NdpController::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
+                        SpawnItem &out)
 {
-    // Requeued items first (register-pressure bounce-backs).
-    auto &rq = requeued_[unit];
-    if (!rq.empty()) {
-        SpawnItem item = rq.back();
-        rq.pop_back();
-        return item;
-    }
-
     // Weighted round robin over active instances: the cursor serves the
     // instance under it `weight` consecutive spawns before advancing, so
     // a wide kernel with near-endless work cannot starve a 1-uthread
@@ -530,7 +516,47 @@ NdpController::pullWork(unsigned unit)
     // every sub-core with an idle slot pulls every cycle of a burst, so
     // the cursor wrap is branch arithmetic rather than an integer divide.
     const std::size_t n = active_.size();
-    auto credit_spawn = [this, n](std::size_t idx, KernelInstance *inst) {
+    std::size_t idx = rr_instance_ < n ? rr_instance_ : 0;
+    for (std::size_t k = 0; k < n; ++k, ++idx) {
+        if (idx >= n)
+            idx = 0;
+        KernelInstance *inst = active_[idx].get();
+        if (!inst->isActive() || inst->phase == InstancePhase::Draining ||
+            inst->error < 0)
+            continue;
+        std::uint64_t next = inst->next_work[unit];
+        switch (inst->phase) {
+          case InstancePhase::Initializer:
+          case InstancePhase::Finalizer:
+            // One uthread per slot, x2 = its unique ID (Section III-G).
+            if (next >= env_.slotsPerUnit())
+                continue;
+            out.x1 = layout::kScratchpadVaBase;
+            out.x2 = static_cast<std::uint64_t>(unit) *
+                         env_.slotsPerUnit() + next;
+            break;
+          case InstancePhase::Body: {
+            // uthreads are interleaved across units at the 32 B mapping
+            // granularity: unit u runs offsets u, u+N, u+2N, ...
+            std::uint64_t widx = next * env_.numUnits() + unit;
+            Addr addr = inst->pool_base + widx * isa::kVlenBytes;
+            if (addr >= inst->pool_bound)
+                continue;
+            out.x1 = addr;
+            out.x2 = widx * isa::kVlenBytes;
+            break;
+          }
+          default:
+            continue;
+        }
+        // The uthread under the cursor waits for registers rather than
+        // letting later work overtake it; nothing is committed yet.
+        if (inst->kernel->resources.registerBytes() > free_reg_bytes)
+            return PullStatus::Blocked;
+        inst->next_work[unit] = next + 1;
+        ++inst->spawned;
+        out.instance = inst;
+        out.section = &inst->kernel->decoded.sections[inst->section_index];
         if (idx == rr_instance_ && rr_credit_ > 0) {
             --rr_credit_;
         } else {
@@ -541,63 +567,9 @@ NdpController::pullWork(unsigned unit)
         }
         if (rr_credit_ == 0)
             rr_instance_ = idx + 1 == n ? 0 : idx + 1;
-    };
-    std::size_t idx = rr_instance_ < n ? rr_instance_ : 0;
-    for (std::size_t k = 0; k < n; ++k, ++idx) {
-        if (idx >= n)
-            idx = 0;
-        KernelInstance *inst = active_[idx].get();
-        if (!inst->isActive() || inst->phase == InstancePhase::Draining ||
-            inst->error < 0)
-            continue;
-        const auto &section =
-            inst->kernel->decoded.sections[inst->section_index];
-        switch (inst->phase) {
-          case InstancePhase::Initializer:
-          case InstancePhase::Finalizer: {
-            std::uint64_t slot = inst->next_work[unit];
-            if (slot >= env_.slotsPerUnit())
-                continue;
-            inst->next_work[unit] = slot + 1;
-            ++inst->spawned;
-            SpawnItem item;
-            item.instance = inst;
-            item.section = &section;
-            item.x1 = layout::kScratchpadVaBase;
-            item.x2 = static_cast<std::uint64_t>(unit) *
-                          env_.slotsPerUnit() + slot;
-            credit_spawn(idx, inst);
-            return item;
-          }
-          case InstancePhase::Body: {
-            // uthreads are interleaved across units at the 32 B mapping
-            // granularity: unit u runs offsets u, u+N, u+2N, ...
-            std::uint64_t widx =
-                inst->next_work[unit] * env_.numUnits() + unit;
-            Addr addr = inst->pool_base + widx * isa::kVlenBytes;
-            if (addr >= inst->pool_bound)
-                continue;
-            inst->next_work[unit] += 1;
-            ++inst->spawned;
-            SpawnItem item;
-            item.instance = inst;
-            item.section = &section;
-            item.x1 = addr;
-            item.x2 = widx * isa::kVlenBytes;
-            credit_spawn(idx, inst);
-            return item;
-          }
-          default:
-            continue;
-        }
+        return PullStatus::Spawn;
     }
-    return std::nullopt;
-}
-
-void
-NdpController::requeueWork(unsigned unit, const SpawnItem &item)
-{
-    requeued_[unit].push_back(item);
+    return PullStatus::Empty;
 }
 
 void

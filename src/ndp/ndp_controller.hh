@@ -125,6 +125,8 @@ class NdpControllerEnv
     virtual unsigned numUnits() = 0;
     virtual unsigned slotsPerUnit() = 0;
     virtual std::uint64_t unitScratchpadBytes() = 0;
+    /** Register-file bytes of one sub-core (a uthread's upper bound). */
+    virtual std::uint64_t subcoreRegisterBytes() = 0;
     /** Wake every NDP unit (new work became available). */
     virtual void wakeAllUnits() = 0;
     /** Read kernel source text from (asid-translated) device memory. */
@@ -198,13 +200,19 @@ class NdpController
                     InlineCallback<void(std::int64_t)> respond);
 
     // ---- uthread generator interface (used by NdpUnitEnv) ----
-    std::optional<SpawnItem> pullWork(unsigned unit);
-    void requeueWork(unsigned unit, const SpawnItem &item);
+    PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
+                        SpawnItem &out);
     void uthreadFinished(KernelInstance *inst);
     void storeIssued(KernelInstance *inst);
     void storeDrained(KernelInstance *inst, Tick when);
 
     // ---- direct (driver-level) API used by tests and host runtime ----
+    /**
+     * Register kernel @p text; returns its id or a negative NdpError.
+     * RegistrationFailed when @p res declares fewer than x0-x2, more
+     * registers than a file has, more register bytes than one sub-core
+     * holds, or more scratchpad than a unit has.
+     */
     std::int64_t registerKernel(Asid asid, const std::string &text,
                                 const KernelResources &res);
     /**
@@ -322,9 +330,6 @@ class NdpController
     std::unordered_map<std::int64_t, KernelInstance *> instances_by_id_;
     /** Ids of instances that completed with an error (status/poll). */
     std::unordered_set<std::int64_t> completed_errors_;
-
-    /** Work requeued by units (register-file pressure). */
-    std::vector<std::vector<SpawnItem>> requeued_;
 
     std::unordered_map<std::uint64_t, ReturnSlot> returns_;
     std::unordered_map<Asid, std::int64_t> last_poll_target_;

@@ -28,6 +28,7 @@ NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
     for (auto &sc : subcores_) {
         sc.slots.resize(cfg_.slots_per_subcore);
         sc.idle_count = cfg_.slots_per_subcore;
+        sc.reg_bytes_free = cfg_.regfile_bytes / cfg_.subcores;
         sc.idle_mask = cfg_.slots_per_subcore == 64
                            ? ~std::uint64_t(0)
                            : (std::uint64_t(1) << cfg_.slots_per_subcore) - 1;
@@ -343,34 +344,30 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
         unsigned idx =
             static_cast<unsigned>(std::countr_zero(sc.idle_mask));
         Slot &slot = sc.slots[idx];
-        // Peek resource needs before pulling: we must not drop work.
-        auto item = env_.pullWork(cfg_.index);
-        if (!item) {
-            work_maybe_available_ = false;
+        // The controller commits a uthread only if it fits this
+        // sub-core's free registers. A blocked sub-core keeps the unit
+        // armed and retries next cycle, when a uthread may have retired.
+        SpawnItem item;
+        PullStatus got = env_.pullWork(cfg_.index, sc.reg_bytes_free, item);
+        if (got != PullStatus::Spawn) {
+            if (got == PullStatus::Empty)
+                work_maybe_available_ = false;
             return spawned;
         }
-        const auto &need = item->instance->kernel->resources;
-        std::uint64_t bytes = need.registerBytes();
-        std::uint64_t budget = cfg_.regfile_bytes / cfg_.subcores;
-        if (sc.reg_bytes_used + bytes > budget) {
-            // Register file full on this sub-core: hand the work back by
-            // trying another sub-core later; conservative requeue.
-            env_.requeueWork(cfg_.index, *item);
-            return spawned;
-        }
-        sc.reg_bytes_used += bytes;
+        const auto &need = item.instance->kernel->resources;
+        sc.reg_bytes_free -= need.registerBytes();
 
         slot.state = SlotState::Ready;
         // Zero only the provisioned registers instead of copying a fresh
         // 1.3 KiB context per spawn (millions of spawns per sweep).
         slot.ctx.resetFor(std::max<std::uint8_t>(need.num_int_regs, 3),
                           need.num_float_regs, need.num_vector_regs);
-        slot.ctx.x[1] = item->x1;
-        slot.ctx.x[2] = item->x2;
-        slot.ctx.mapped_addr = item->x1;
-        slot.ctx.mapped_offset = item->x2;
-        slot.instance = item->instance;
-        slot.section = item->section;
+        slot.ctx.x[1] = item.x1;
+        slot.ctx.x[2] = item.x2;
+        slot.ctx.mapped_addr = item.x1;
+        slot.ctx.mapped_offset = item.x2;
+        slot.instance = item.instance;
+        slot.section = item.section;
         slot.ready_at = now + cfg_.period; // spawn takes one cycle
         slot.outstanding_loads = 0;
         slot.finish_pending = false;
@@ -753,7 +750,7 @@ M2NDP_HOT_PATH
 void
 NdpUnit::finishThread(SubCore &sc, Slot &slot)
 {
-    sc.reg_bytes_used -= slot.instance->kernel->resources.registerBytes();
+    sc.reg_bytes_free += slot.instance->kernel->resources.registerBytes();
     KernelInstance *inst = slot.instance;
     // Flush the uthread's dynamic-instruction count into the instance
     // exactly once, at retirement (see Slot::issued_insts).

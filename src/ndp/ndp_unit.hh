@@ -6,8 +6,10 @@
  * one instruction per cycle (4-way dispatch per unit) with fine-grained
  * multithreading over ready uthreads, and owns scalar ALU/SFU/LSU and
  * 256-bit vector ALU/SFU/LSU pipes. Register-file capacity (48 KiB per
- * unit) is provisioned per uthread according to the kernel's declared
- * register usage, bounding concurrency exactly as in Section III-D.
+ * unit, split evenly over the sub-cores) is provisioned per uthread
+ * according to the kernel's declared register usage, bounding concurrency
+ * exactly as in Section III-D: a sub-core spawns the next uthread only
+ * once enough of its registers are free, and until then keeps asking.
  *
  * Execution is functional-first: the isa::step() call at issue performs the
  * architectural effects; this class models when things happen — FU
@@ -44,6 +46,13 @@ struct SpawnItem
     const isa::DecodedSection *section = nullptr;
     Addr x1 = 0;          ///< mapped address (pool region) or scratchpad base
     std::uint64_t x2 = 0; ///< offset from pool base, or unique ID
+};
+
+/** Outcome of NdpUnitEnv::pullWork. */
+enum class PullStatus : std::uint8_t {
+    Spawn,   ///< the out-parameter holds the next uthread, now committed
+    Empty,   ///< no work for this unit until the next wake
+    Blocked, ///< the next uthread needs more registers than are free
 };
 
 /** Static configuration of one NDP unit (Table IV defaults). */
@@ -191,11 +200,13 @@ class NdpUnitEnv
      */
     virtual void requestUnitTick(unsigned unit, Tick at) = 0;
 
-    /** Pull the next uthread for this unit (nullopt = no work). */
-    virtual std::optional<SpawnItem> pullWork(unsigned unit) = 0;
-
-    /** Hand back work pulled but not spawnable (register file full). */
-    virtual void requeueWork(unsigned unit, const SpawnItem &item) = 0;
+    /**
+     * Pull the next uthread for this unit into @p out if its registers
+     * fit the asking sub-core's @p free_reg_bytes. A Blocked pull
+     * commits nothing: the same uthread is offered again on retry.
+     */
+    virtual PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
+                                SpawnItem &out) = 0;
 
     /** A uthread of @p inst finished (at current tick). */
     virtual void uthreadFinished(KernelInstance *inst) = 0;
@@ -316,7 +327,8 @@ class NdpUnit : public isa::MemoryIf
     struct SubCore
     {
         std::vector<Slot> slots;
-        std::uint64_t reg_bytes_used = 0;
+        /** Unprovisioned bytes of this sub-core's register-file share. */
+        std::uint64_t reg_bytes_free = 0;
         unsigned rr_next = 0;
         /** Idle slots as a bitmask: spawn picks the lowest free slot with
          *  a count-trailing-zeros instead of walking the slot array. */
@@ -370,6 +382,8 @@ class NdpUnit : public isa::MemoryIf
     void drainCompletions(Tick now);
 
     void scheduleTick(Tick at);
+    /** Spawn into an idle slot of @p sc if the next uthread's registers
+     *  fit; returns whether anything spawned. */
     bool trySpawn(SubCore &sc, Tick now);
     /**
      * One ready-ring issue pass over @p sc: round-robin-selects among the

@@ -191,16 +191,6 @@ TEST(LatencyHistogram, MergeMatchesCombinedRecording)
     EXPECT_EQ(empty.percentile(0.5), 0u);
 }
 
-TEST(Stats, StatDump)
-{
-    StatDump d;
-    d.set("a.b", 1.0);
-    d.add("a.b", 2.0);
-    EXPECT_DOUBLE_EQ(d.get("a.b"), 3.0);
-    EXPECT_TRUE(d.has("a.b"));
-    EXPECT_FALSE(d.has("a.c"));
-}
-
 TEST(Log, PanicThrows)
 {
     EXPECT_THROW(M2_PANIC("boom"), std::logic_error);

@@ -11,7 +11,8 @@
  *  - the per-instance watchdog kills runaway kernels and reclaims every
  *    uthread slot, so the device stays usable,
  *  - register-file pressure caps sub-core occupancy without losing work,
- *    also when the watchdog kills a pressured instance,
+ *    also when the watchdog kills a pressured instance, and registration
+ *    rejects a kernel whose uthread no sub-core could hold,
  *  - stream policies (fail-fast, retry-with-backoff, skip-and-continue)
  *    shape what a launch error does to the rest of the stream,
  *  - losing a device mid-run on a 2-device runtime re-routes subsequent
@@ -419,6 +420,77 @@ TEST_F(PressureWatchdogTest, KillsPressuredInstanceAndDeviceRecovers)
     EXPECT_GT(stream.launch(vecAddLaunch(vecadd_kid, buf)).wait(), 0);
     EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
     EXPECT_EQ(sys->device().activeContexts(), 0u);
+}
+
+class NarrowSubCoreTest : public FaultTest
+{
+  protected:
+    void
+    configure(SystemConfig &cfg) override
+    {
+        cfg.device.unit.subcores = 8; // 48 KiB / 8 = 6144 B per sub-core
+    }
+};
+
+TEST_F(NarrowSubCoreTest, RegistrationRejectsKernelNoSubCoreCanHold)
+{
+    // 8 x 8 B + 200 x 32 B = 6464 B per uthread exceeds a 6144 B
+    // sub-core: no uthread could ever spawn, so the registration must
+    // fail rather than the launch hang.
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 200;
+    std::uint64_t rejected0 =
+        sys->device().controller().stats().registrations_rejected;
+    EXPECT_EQ(rt->registerKernel(kVecAdd, res),
+              static_cast<std::int64_t>(NdpError::RegistrationFailed));
+    EXPECT_EQ(sys->device().controller().stats().registrations_rejected,
+              rejected0 + 1);
+}
+
+class TinyRegisterFileTest : public FaultTest
+{
+  protected:
+    void
+    configure(SystemConfig &cfg) override
+    {
+        cfg.device.unit.regfile_bytes = 8 * 1024; // 1 KiB per sub-core
+        cfg.device.unit.subcores = 8;
+    }
+};
+
+TEST_F(TinyRegisterFileTest, RegistrationChecksSubCoreRegisterBudget)
+{
+    // 8 x 8 B + 32 x 32 B = 1088 B: 64 B over the 1 KiB budget.
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 32;
+    EXPECT_EQ(rt->registerKernel(kVecAdd, res),
+              static_cast<std::int64_t>(NdpError::RegistrationFailed));
+
+    // 8 x 8 B + 30 x 32 B = 1024 B fills a sub-core exactly: it
+    // registers and runs one uthread per sub-core at a time.
+    res.num_vector_regs = 30;
+    std::int64_t kid = rt->registerKernel(kVecAdd, res);
+    ASSERT_GT(kid, 0);
+    Buffers buf = makeBuffers(*sys, *proc, 4096);
+    EXPECT_GT(rt->createStream().launch(vecAddLaunch(kid, buf)).wait(), 0);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+}
+
+TEST_F(FaultTest, RegistrationRejectsMoreRegistersThanTheIsaHas)
+{
+    // x/f/v files have 32 registers each; a larger declaration cannot be
+    // provisioned in a uthread context.
+    KernelResources ints, floats, vectors;
+    ints.num_int_regs = 33;
+    floats.num_float_regs = 33;
+    vectors.num_vector_regs = 33;
+    for (const KernelResources &res : {ints, floats, vectors}) {
+        EXPECT_EQ(rt->registerKernel(kVecAdd, res),
+                  static_cast<std::int64_t>(NdpError::RegistrationFailed));
+    }
+    EXPECT_GT(rt->registerKernel(kVecAdd, fatResources()), 0);
 }
 
 // -------------------------------------------------------------------------

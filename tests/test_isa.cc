@@ -39,20 +39,36 @@ class FlatMemory : public MemoryIf
     SparseMemory mem;
 };
 
+/** Assemble @p text with @p as; a diagnostic fails the calling test. */
+AssembledKernel
+assembleOk(const Assembler &as, const std::string &text)
+{
+    std::string error;
+    AssembledKernel k = as.assemble(text, error);
+    EXPECT_EQ(error, "");
+    return k;
+}
+
+/** Assemble and decode a single-section kernel. */
+DecodedSection
+decodeOne(const std::string &text)
+{
+    DecodedKernel k = DecodedKernel::decode(assembleOk(Assembler(), text));
+    EXPECT_EQ(k.sections.size(), 1u);
+    return k.sections.empty() ? DecodedSection{} : k.sections[0];
+}
+
 /** Assemble a single-body kernel and run one uthread to completion. */
 std::uint64_t
 run(const std::string &text, UthreadContext &ctx, FlatMemory &mem)
 {
-    Assembler as;
-    auto kernel = as.assemble(text);
-    EXPECT_EQ(kernel.sections.size(), 1u);
-    return runToCompletion(ctx, kernel.sections[0].code, mem);
+    return runToCompletion(ctx, decodeOne(text), mem);
 }
 
 TEST(Assembler, ParsesSectionsAndName)
 {
     Assembler as;
-    auto k = as.assemble(R"(
+    auto k = assembleOk(as, R"(
         .name reduction
         .init
             li x3, 0x1000
@@ -74,7 +90,7 @@ TEST(Assembler, ParsesSectionsAndName)
 TEST(Assembler, DefaultBodySection)
 {
     Assembler as;
-    auto k = as.assemble("li x1, 5\nexit\n");
+    auto k = assembleOk(as, "li x1, 5\nexit\n");
     ASSERT_EQ(k.sections.size(), 1u);
     EXPECT_EQ(k.sections[0].kind, SectionKind::Body);
     EXPECT_FALSE(k.hasInitializer());
@@ -84,7 +100,7 @@ TEST(Assembler, DefaultBodySection)
 TEST(Assembler, LabelsAndBranches)
 {
     Assembler as;
-    auto k = as.assemble(R"(
+    auto k = assembleOk(as, R"(
         li x3, 3
     loop:
         addi x3, x3, -1
@@ -100,28 +116,39 @@ TEST(Assembler, ConstantsAndExpressions)
 {
     Assembler as;
     as.setConstant("mybase", 0x1000);
-    auto k = as.assemble("li x3, %mybase+16\nli x4, %spad\n");
+    auto k = assembleOk(as, "li x3, %mybase+16\nli x4, %spad\n");
     EXPECT_EQ(k.sections[0].code[0].imm, 0x1010);
     EXPECT_EQ(k.sections[0].code[1].imm,
               static_cast<std::int64_t>(0x10000000));
 }
 
-TEST(Assembler, ErrorsAreFatal)
+TEST(Assembler, ErrorsAreReported)
 {
     Assembler as;
-    EXPECT_THROW(as.assemble("bogus x1, x2\n"), std::runtime_error);
-    EXPECT_THROW(as.assemble("li q1, 5\n"), std::runtime_error);
-    EXPECT_THROW(as.assemble("bne x1, x2, nowhere\n"), std::runtime_error);
-    EXPECT_THROW(as.assemble("vsetvli x0, x0, e32, m2\n"), // LMUL=1 only
-                 std::runtime_error);
-    EXPECT_THROW(as.assemble(".fini\nnop\n"), std::runtime_error); // no body
-    EXPECT_THROW(as.assemble("li x1, %nosuch\n"), std::runtime_error);
+    for (const char *bad : {
+             "bogus x1, x2\n",
+             "li q1, 5\n",
+             "bne x1, x2, nowhere\n",
+             "vsetvli x0, x0, e32, m2\n", // LMUL=1 only
+             ".fini\nnop\n",              // no body
+             "li x1, %nosuch\n",
+         }) {
+        std::string error;
+        AssembledKernel k = as.assemble(bad, error);
+        EXPECT_TRUE(k.sections.empty()) << bad;
+        EXPECT_NE(error, "") << bad;
+    }
+    // A later good kernel clears the previous diagnostic.
+    std::string error = "stale";
+    EXPECT_EQ(as.assemble("li x1, 5\n", error).sections.size(), 1u);
+    EXPECT_EQ(error, "");
 }
 
 TEST(Assembler, MaskSuffix)
 {
     Assembler as;
-    auto k = as.assemble("vadd.vv v3, v2, v1, v0.t\nvadd.vv v3, v2, v1\n");
+    auto k = assembleOk(as, "vadd.vv v3, v2, v1, v0.t\n"
+                            "vadd.vv v3, v2, v1\n");
     EXPECT_TRUE(k.sections[0].code[0].masked);
     EXPECT_FALSE(k.sections[0].code[1].masked);
 }
@@ -406,12 +433,10 @@ TEST(Executor, GatherIndexed)
 TEST(Executor, MemRefCoalescing)
 {
     FlatMemory mem;
-    Assembler as;
     // Unit-stride aligned 32 B load -> exactly one 32 B sector ref.
-    auto k = as.assemble("vsetvli x0, x0, e32, m1\nli x3, 0x4000\n"
-                         "vle32.v v1, (x3)\n");
+    DecodedSection code = decodeOne("vsetvli x0, x0, e32, m1\n"
+                                    "li x3, 0x4000\nvle32.v v1, (x3)\n");
     UthreadContext ctx;
-    const auto &code = k.sections[0].code;
     step(ctx, code, mem); // vsetvli
     step(ctx, code, mem); // li
     auto r = step(ctx, code, mem);
@@ -422,10 +447,9 @@ TEST(Executor, MemRefCoalescing)
     EXPECT_TRUE(r.blocking_mem);
 
     // Misaligned crosses two sectors.
-    auto k2 = as.assemble("vsetvli x0, x0, e32, m1\nli x3, 0x4010\n"
-                          "vle32.v v1, (x3)\n");
+    DecodedSection code2 = decodeOne("vsetvli x0, x0, e32, m1\n"
+                                     "li x3, 0x4010\nvle32.v v1, (x3)\n");
     UthreadContext ctx2;
-    const auto &code2 = k2.sections[0].code;
     step(ctx2, code2, mem);
     step(ctx2, code2, mem);
     auto r2 = step(ctx2, code2, mem);
@@ -435,11 +459,10 @@ TEST(Executor, MemRefCoalescing)
     for (int i = 0; i < 8; ++i)
         mem.mem.write<std::uint32_t>(0x100 + 4 * i,
                                      static_cast<std::uint32_t>(i * 64));
-    auto k3 = as.assemble(
+    DecodedSection code3 = decodeOne(
         "vsetvli x0, x0, e32, m1\nli x3, 0x100\nvle32.v v2, (x3)\n"
         "li x4, 0x8000\nvluxei32.v v1, (x4), v2\n");
     UthreadContext ctx3;
-    const auto &code3 = k3.sections[0].code;
     for (int i = 0; i < 4; ++i)
         step(ctx3, code3, mem);
     auto r3 = step(ctx3, code3, mem);
@@ -451,19 +474,14 @@ TEST(Executor, RegisterProvisioningEnforced)
     FlatMemory mem;
     UthreadContext ctx;
     ctx.num_x = 4; // x0..x3 only
-    Assembler as;
-    auto ok = as.assemble("li x3, 7\n");
-    EXPECT_NO_THROW(runToCompletion(ctx, ok.sections[0].code, mem));
-    auto bad = as.assemble("li x5, 7\n");
+    EXPECT_NO_THROW(run("li x3, 7\n", ctx, mem));
     UthreadContext ctx2;
     ctx2.num_x = 4;
-    EXPECT_THROW(runToCompletion(ctx2, bad.sections[0].code, mem),
-                 std::logic_error);
+    EXPECT_THROW(run("li x5, 7\n", ctx2, mem), std::logic_error);
 
     UthreadContext ctx3;
     ctx3.num_v = 2;
-    auto badv = as.assemble("vsetvli x0, x0, e32, m1\nvmv.v.i v3, 0\n");
-    EXPECT_THROW(runToCompletion(ctx3, badv.sections[0].code, mem),
+    EXPECT_THROW(run("vsetvli x0, x0, e32, m1\nvmv.v.i v3, 0\n", ctx3, mem),
                  std::logic_error);
 }
 
@@ -471,9 +489,7 @@ TEST(Executor, InfiniteLoopCaught)
 {
     FlatMemory mem;
     UthreadContext ctx;
-    Assembler as;
-    auto k = as.assemble("loop:\nj loop\n");
-    EXPECT_THROW(runToCompletion(ctx, k.sections[0].code, mem, 1000),
+    EXPECT_THROW(runToCompletion(ctx, decodeOne("loop:\nj loop\n"), mem, 1000),
                  std::logic_error);
 }
 
@@ -505,7 +521,7 @@ TEST(Executor, OpcodeNames)
 TEST(Executor, MultiBodyKernelSections)
 {
     Assembler as;
-    auto k = as.assemble(R"(
+    auto k = assembleOk(as, R"(
         .body
             li x3, 1
         .body

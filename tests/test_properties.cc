@@ -27,6 +27,17 @@ namespace {
 
 // ------------------------------------------------ differential executor
 
+/** Assemble and decode the body of a generated single-section program. */
+isa::DecodedSection
+decodeBody(const std::string &text)
+{
+    std::string error;
+    auto k =
+        isa::DecodedKernel::decode(isa::Assembler().assemble(text, error));
+    EXPECT_EQ(error, "") << text;
+    return k.sections.empty() ? isa::DecodedSection{} : k.sections[0];
+}
+
 class NullMem : public isa::MemoryIf
 {
   public:
@@ -90,11 +101,9 @@ TEST(PropertyIsa, ScalarAluDifferential)
             regs[rd] = r;
         }
 
-        isa::Assembler as;
-        auto k = as.assemble(text);
         isa::UthreadContext ctx;
         NullMem mem;
-        isa::runToCompletion(ctx, k.sections[0].code, mem);
+        isa::runToCompletion(ctx, decodeBody(text), mem);
         for (int r = 3; r <= 10; ++r) {
             ASSERT_EQ(ctx.x[r], regs[r])
                 << "trial " << trial << " register x" << r << "\nprogram:\n"
@@ -144,10 +153,8 @@ TEST(PropertyIsa, VectorIntDifferential)
                            "vle32.v v1, (x3)\nvle32.v v2, (x4)\n" +
                            std::string(vop) +
                            " v3, v1, v2\nvse32.v v3, (x5)\n";
-        isa::Assembler as;
-        auto k = as.assemble(text);
         isa::UthreadContext ctx;
-        isa::runToCompletion(ctx, k.sections[0].code, mem);
+        isa::runToCompletion(ctx, decodeBody(text), mem);
 
         for (int i = 0; i < 8; ++i) {
             std::uint32_t expect = 0;
