@@ -12,8 +12,11 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +30,7 @@ namespace m2ndp::bench {
  * --threads=<n> is the parallelism knob — sweep drivers use it for
  * concurrent sweep points (sweepParallel below), multi-device drivers
  * pass it to SystemConfig::threads for the partitioned engine.
- * 0 = auto (hardware concurrency / M2NDP_THREADS respectively).
+ * Omitted = auto (hardware concurrency / M2NDP_THREADS respectively).
  */
 struct BenchArgs
 {
@@ -35,19 +38,47 @@ struct BenchArgs
     bool full = false;
     unsigned threads = 0;
 
+    /**
+     * Parse the command line. A --scale that is not a positive number or
+     * a --threads that is not a positive integer prints the usage and
+     * exits with status 2: a zero scale would size workloads to nothing.
+     */
     static BenchArgs
     parse(int argc, char **argv)
     {
         BenchArgs a;
         for (int i = 1; i < argc; ++i) {
-            if (std::strncmp(argv[i], "--scale=", 8) == 0)
-                a.scale = std::atof(argv[i] + 8);
-            else if (std::strcmp(argv[i], "--full") == 0)
+            const char *arg = argv[i];
+            if (std::strncmp(arg, "--scale=", 8) == 0) {
+                char *end = nullptr;
+                a.scale = std::strtod(arg + 8, &end);
+                if (end == arg + 8 || *end != '\0' ||
+                    !std::isfinite(a.scale) || a.scale <= 0.0)
+                    usage(argv[0], arg);
+            } else if (std::strcmp(arg, "--full") == 0) {
                 a.full = true;
-            else if (std::strncmp(argv[i], "--threads=", 10) == 0)
-                a.threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+            } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+                char *end = nullptr;
+                const char *num = arg + 10;
+                unsigned long n = std::strtoul(num, &end, 10);
+                if (*num < '1' || *num > '9' || *end != '\0' ||
+                    n > std::numeric_limits<unsigned>::max())
+                    usage(argv[0], arg);
+                a.threads = static_cast<unsigned>(n);
+            }
         }
         return a;
+    }
+
+    [[noreturn]] static void
+    usage(const char *prog, const char *bad)
+    {
+        std::fprintf(stderr,
+                     "%s: invalid argument '%s'\n"
+                     "usage: %s [--scale=<f>, f > 0] [--full] "
+                     "[--threads=<n>, n >= 1]\n",
+                     prog, bad, prog);
+        std::exit(2);
     }
 
     /** Sweep-point concurrency: --threads, or one per core when 0. */

@@ -33,7 +33,6 @@ struct CxlLinkConfig
     double bandwidth_gbps = 64.0; ///< per direction, GB/s
     Tick oneway_latency = 35000;  ///< stack + wire, one direction (35 ns)
     std::uint32_t req_header_bytes = 16; ///< M2S Req / S2M NDR size
-    std::uint32_t data_bytes = 64;       ///< payload granularity
 };
 
 /** Per-direction traffic statistics. */
@@ -194,14 +193,6 @@ class CxlLink
 struct CxlIoConfig
 {
     Tick oneway_latency = 500 * kNs; ///< y in Fig. 5
-    /**
-     * Extra host-side latency of the ring-buffer scheme on top of link
-     * round trips: user->kernel transition, ring manipulation, doorbell.
-     * Fig. 5b charges 8 one-way trips total for launch + error check.
-     */
-    unsigned ringbuffer_oneways = 8;
-    /** Fig. 5c: direct MMIO doorbell launch costs 3 one-way trips. */
-    unsigned direct_oneways = 3;
     /** Completion-poll cost over PCIe (2-3 us per Section II-C). */
     Tick poll_latency = 2 * kUs;
 };

@@ -8,22 +8,6 @@
 
 namespace m2ndp {
 
-// Temporary path-latency breakdown instrumentation (debug builds of tools).
-thread_local PathDebugCounters g_path_debug;
-
-namespace {
-
-/** Hop frame: DRAM-leg path-debug accounting (a = arrival tick). */
-Tick
-dramDebugHop(MemPacket &, Tick t, void *, std::uint64_t a, std::uint64_t)
-{
-    g_path_debug.dram += t - static_cast<Tick>(a);
-    ++g_path_debug.ndram;
-    return t;
-}
-
-} // namespace
-
 /** MemPort adapter feeding the shared DRAM device from the L2 slices. */
 class CxlMemoryExpander::DramPort : public MemPort
 {
@@ -42,13 +26,6 @@ class CxlMemoryExpander::DramPort : public MemPort
         // Atomics that miss in L2 fetch their sector like reads.
         if (pkt->op == MemOp::Atomic)
             pkt->op = MemOp::Read;
-        g_path_debug.l2 += at - pkt->issued_at;
-        // Posted traffic (writebacks, drained write-through stores)
-        // carries neither frames nor a callback; skipping the debug frame
-        // keeps the DRAM recycle fast path (no parked completion) intact.
-        if (pkt->onComplete || pkt->num_hops > 0)
-            pkt->pushHop(&dramDebugHop, nullptr,
-                         static_cast<std::uint64_t>(at), 0);
         dev_.dram_->receiveAt(std::move(pkt), at);
     }
 
@@ -72,7 +49,6 @@ class CxlMemoryExpander::UnitPort : public MemPort
     void
     receiveAt(MemPacketPtr pkt, Tick at) override
     {
-        g_path_debug.l1 += at - pkt->issued_at;
         // Fused response delivery: the return crossbar hop rides as a
         // hop frame on the packet itself and is booked as a latency term
         // (per-port next-free bookkeeping models arbitration) when the
@@ -83,26 +59,20 @@ class CxlMemoryExpander::UnitPort : public MemPort
         pkt->pushHop(&UnitPort::respHop, &dev_,
                      std::uint64_t(unit_) |
                          (std::uint64_t(pkt->size) << 32),
-                     static_cast<std::uint64_t>(at));
+                     0);
         dev_.localMemPacket(std::move(pkt), at);
     }
 
   private:
     /** Hop frame: response crossbar back to the unit (a = unit |
-     *  bytes<<32, b = the request's crossbar arrival tick, for the
-     *  path-debug split). */
+     *  bytes<<32). */
     static Tick
-    respHop(MemPacket &, Tick t, void *ctx, std::uint64_t a,
-            std::uint64_t b)
+    respHop(MemPacket &, Tick t, void *ctx, std::uint64_t a, std::uint64_t)
     {
         auto *dev = static_cast<CxlMemoryExpander *>(ctx);
         const unsigned unit = static_cast<unsigned>(a & 0xffffffffu);
         const std::uint32_t bytes = static_cast<std::uint32_t>(a >> 32);
-        g_path_debug.device += t - static_cast<Tick>(b);
-        Tick resp = dev->resp_xbar_->send(unit, bytes, t, t ^ unit);
-        g_path_debug.resp += resp - t;
-        ++g_path_debug.n;
-        return resp;
+        return dev->resp_xbar_->send(unit, bytes, t, t ^ unit);
     }
 
     CxlMemoryExpander &dev_;
@@ -173,7 +143,8 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     for (unsigned u = 0; u < cfg_.num_units; ++u) {
         NdpUnitConfig uc = cfg_.unit;
         uc.index = u;
-        units_.push_back(std::make_unique<NdpUnit>(*this, uc));
+        units_.push_back(std::make_unique<NdpUnit>(eq_, *this, *controller_,
+                                                   mem_, uc));
         unit_ports_.push_back(std::make_unique<UnitPort>(*this, u));
         CacheConfig l1;
         l1.name = "l1d_u" + std::to_string(u);
@@ -194,7 +165,8 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     // pages; Section III-H notes 16 B / page overhead).
     Addr tlb_base = paBase() + cfg_.capacity - layout::kM2FuncReserve -
                     32 * kMiB;
-    dram_tlb_ = std::make_unique<DramTlb>(tlb_base, 32 * kMiB, 2 * kMiB);
+    dram_tlb_ = std::make_unique<DramTlb>(tlb_base, 32 * kMiB,
+                                          layout::kPageBytes);
 
     media_link_free_.assign(std::max(1u, cfg_.media_links), 0);
 }
@@ -504,7 +476,7 @@ CxlMemoryExpander::attachProcess(const PageTable *table)
 }
 
 // --------------------------------------------------------------------------
-// NdpUnitEnv / NdpControllerEnv plumbing
+// NDP-unit and controller services
 // --------------------------------------------------------------------------
 
 std::optional<Addr>
@@ -514,39 +486,6 @@ CxlMemoryExpander::translateFunctional(Asid asid, Addr va)
     if (it == processes_.end())
         return std::nullopt;
     return it->second->translate(va);
-}
-
-void
-CxlMemoryExpander::funcRead(Addr pa, void *out, unsigned size)
-{
-    mem_.read(pa, out, size);
-}
-
-void
-CxlMemoryExpander::funcWrite(Addr pa, const void *in, unsigned size)
-{
-    mem_.write(pa, in, size);
-}
-
-void
-CxlMemoryExpander::funcRead(Addr pa, void *out, unsigned size,
-                            SparseMemory::FrameHint &hint)
-{
-    mem_.read(pa, out, size, hint);
-}
-
-void
-CxlMemoryExpander::funcWrite(Addr pa, const void *in, unsigned size,
-                             SparseMemory::FrameHint &hint)
-{
-    mem_.write(pa, in, size, hint);
-}
-
-std::uint64_t
-CxlMemoryExpander::funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                           unsigned width)
-{
-    return amoExecute(mem_, op, pa, operand, width);
 }
 
 M2NDP_HOT_PATH
@@ -571,43 +510,6 @@ CxlMemoryExpander::dramTlbRefill(Asid asid, Addr va)
     dram_tlb_->refill(asid, va);
 }
 
-std::uint64_t
-CxlMemoryExpander::translationPageSize()
-{
-    return 2 * kMiB;
-}
-
-PullStatus
-CxlMemoryExpander::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
-                            SpawnItem &out)
-{
-    return controller_->pullWork(unit, free_reg_bytes, out);
-}
-
-void
-CxlMemoryExpander::uthreadFinished(KernelInstance *inst)
-{
-    controller_->uthreadFinished(inst);
-}
-
-void
-CxlMemoryExpander::storeIssued(KernelInstance *inst)
-{
-    controller_->storeIssued(inst);
-}
-
-void
-CxlMemoryExpander::storeDrained(KernelInstance *inst, Tick when)
-{
-    controller_->storeDrained(inst, when);
-}
-
-void
-CxlMemoryExpander::instanceFaulted(KernelInstance *inst, std::int64_t code)
-{
-    controller_->killInstance(inst, code);
-}
-
 void
 CxlMemoryExpander::wakeAllUnits()
 {
@@ -628,7 +530,7 @@ CxlMemoryExpander::readKernelText(Asid asid, Addr va, std::uint32_t size,
         auto pa = translateFunctional(asid, cursor);
         if (!pa)
             return false;
-        std::uint64_t page = translationPageSize();
+        const std::uint64_t page = layout::kPageBytes;
         std::uint64_t chunk =
             std::min<std::uint64_t>(remaining, page - (cursor % page));
         std::string buf(chunk, '\0');
@@ -638,13 +540,6 @@ CxlMemoryExpander::readKernelText(Asid asid, Addr va, std::uint32_t size,
         remaining -= static_cast<std::uint32_t>(chunk);
     }
     return true;
-}
-
-void
-CxlMemoryExpander::flushInstructionCaches()
-{
-    // Kernel code is tiny and I-cache timing is not modeled (Section III-F
-    // notes the impact is negligible); the flush is a functional no-op.
 }
 
 void

@@ -87,23 +87,6 @@ struct DeviceConfig
     bool dram_tlb_warm = true;
 };
 
-/**
- * Temporary path-latency breakdown (for debugging tools). Thread-local:
- * each device partition's executor accumulates into its own copy, so the
- * hot-path increments stay race-free under partitioned simulation.
- */
-struct PathDebugCounters
-{
-    std::uint64_t n = 0;
-    std::uint64_t l1 = 0;
-    std::uint64_t device = 0;
-    std::uint64_t resp = 0;
-    std::uint64_t l2 = 0;
-    std::uint64_t dram = 0;
-    std::uint64_t ndram = 0;
-};
-extern thread_local PathDebugCounters g_path_debug;
-
 /** Device statistics snapshot. */
 struct DeviceStats
 {
@@ -118,12 +101,12 @@ struct DeviceStats
 };
 
 /** The device. */
-class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
+class CxlMemoryExpander
 {
   public:
     CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
                       DeviceConfig cfg);
-    ~CxlMemoryExpander() override;
+    ~CxlMemoryExpander();
 
     // ---- host-facing CXL.mem entry points (post-link delivery) ----
 
@@ -199,50 +182,48 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     void peerMemAccess(MemOp op, Addr pa, std::uint32_t size,
                        TickCallback done);
 
-    // ---- NdpUnitEnv ----
-    EventQueue &eventQueue() override { return eq_; }
-    void requestUnitTick(unsigned unit, Tick at) override;
-    void unitMemAccess(unsigned unit, MemOp op, Addr pa, std::uint32_t size,
-                       TickCallback done) override;
-    std::optional<Addr> translateFunctional(Asid asid, Addr va) override;
-    void funcRead(Addr pa, void *out, unsigned size) override;
-    void funcWrite(Addr pa, const void *in, unsigned size) override;
-    void funcRead(Addr pa, void *out, unsigned size,
-                  SparseMemory::FrameHint &hint) override;
-    void funcWrite(Addr pa, const void *in, unsigned size,
-                   SparseMemory::FrameHint &hint) override;
-    std::uint64_t funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                          unsigned width) override;
-    Addr dramTlbEntryPa(Asid asid, Addr va) override;
-    bool dramTlbWarm(Asid asid, Addr va) override;
-    void dramTlbRefill(Asid asid, Addr va) override;
-    std::uint64_t translationPageSize() override;
-    PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
-                        SpawnItem &out) override;
-    void uthreadFinished(KernelInstance *inst) override;
-    void storeIssued(KernelInstance *inst) override;
-    void storeDrained(KernelInstance *inst, Tick when) override;
-    void instanceFaulted(KernelInstance *inst, std::int64_t code) override;
+    // ---- NDP-unit and controller services ----
+    EventQueue &eventQueue() { return eq_; }
 
-    // ---- NdpControllerEnv ----
-    unsigned numUnits() override { return cfg_.num_units; }
-    unsigned slotsPerUnit() override
+    /**
+     * Request that unit @p unit's `tick()` runs at cycle edge @p at
+     * (>= now). Requests coalesce earliest-wins. The device owns the
+     * cycle driver: one shared Ticker serves every unit, and the driver
+     * may consume consecutive edges in-place (run-until-stall bursts via
+     * `EventQueue::tryAdvance`) instead of paying one scheduled event per
+     * unit per cycle.
+     */
+    void requestUnitTick(unsigned unit, Tick at);
+
+    /** Timing access from unit @p unit to device-physical address @p pa. */
+    void unitMemAccess(unsigned unit, MemOp op, Addr pa, std::uint32_t size,
+                       TickCallback done);
+
+    /** Functional VA translation (nullopt = unmapped: kernel fault). */
+    std::optional<Addr> translateFunctional(Asid asid, Addr va);
+
+    /** Functional physical-memory access. */
+    void funcRead(Addr pa, void *out, unsigned size)
     {
-        return cfg_.unit.subcores * cfg_.unit.slots_per_subcore;
+        mem_.read(pa, out, size);
     }
-    std::uint64_t unitScratchpadBytes() override
+    void funcWrite(Addr pa, const void *in, unsigned size)
     {
-        return cfg_.unit.spad_bytes;
+        mem_.write(pa, in, size);
     }
-    std::uint64_t subcoreRegisterBytes() override
-    {
-        return cfg_.unit.regfile_bytes / cfg_.unit.subcores;
-    }
-    void wakeAllUnits() override;
+
+    /** DRAM-TLB support (Section III-H). */
+    Addr dramTlbEntryPa(Asid asid, Addr va);
+    bool dramTlbWarm(Asid asid, Addr va);
+    void dramTlbRefill(Asid asid, Addr va);
+
+    /** Wake every NDP unit (new work became available). */
+    void wakeAllUnits();
+    /** Read kernel source text from (asid-translated) device memory. */
     bool readKernelText(Asid asid, Addr va, std::uint32_t size,
-                        std::string &out) override;
-    void flushInstructionCaches() override;
-    void shootdownTlb(Asid asid, Addr va) override;
+                        std::string &out);
+    /** TLB shootdown across units + DRAM-TLB (Table II, privileged). */
+    void shootdownTlb(Asid asid, Addr va);
 
   private:
     /**

@@ -6,7 +6,7 @@ namespace m2ndp {
 
 HostCxlPort::HostCxlPort(EventQueue &eq, CxlLink &link,
                          CxlMemoryExpander &dev, HostPortConfig cfg,
-                         SimDomain *domain, unsigned device_partition)
+                         SimDomain &domain, unsigned device_partition)
     : eq_(eq), dev_eq_(dev.eventQueue()), link_(link), dev_(dev), cfg_(cfg),
       domain_(domain), dev_pid_(device_partition)
 {
@@ -59,42 +59,28 @@ void
 HostCxlPort::postToDevice(Tick when, HostAccess *a,
                           void (HostCxlPort::*stage)(HostAccess *))
 {
-    if (domain_ != nullptr) {
-        domain_->post(SimDomain::kHost, dev_pid_, when,
-                      [a, stage] { (a->port->*stage)(a); });
-    } else {
-        eq_.schedule(when, [a, stage] { (a->port->*stage)(a); });
-    }
+    domain_.post(SimDomain::kHost, dev_pid_, when,
+                 [a, stage] { (a->port->*stage)(a); });
 }
 
 void
 HostCxlPort::postToHost(Tick when, HostAccess *a,
                         void (HostCxlPort::*stage)(HostAccess *))
 {
-    if (domain_ != nullptr) {
-        domain_->post(dev_pid_, SimDomain::kHost, when,
-                      [a, stage] { (a->port->*stage)(a); });
-    } else {
-        eq_.schedule(when, [a, stage] { (a->port->*stage)(a); });
-    }
+    domain_.post(dev_pid_, SimDomain::kHost, when,
+                 [a, stage] { (a->port->*stage)(a); });
 }
 
 void
 HostCxlPort::postToDeviceAt(Tick when, EventCallback cb)
 {
-    if (domain_ != nullptr)
-        domain_->post(SimDomain::kHost, dev_pid_, when, std::move(cb));
-    else
-        eq_.schedule(when, std::move(cb));
+    domain_.post(SimDomain::kHost, dev_pid_, when, std::move(cb));
 }
 
 void
 HostCxlPort::postToHostAt(Tick when, EventCallback cb)
 {
-    if (domain_ != nullptr)
-        domain_->post(dev_pid_, SimDomain::kHost, when, std::move(cb));
-    else
-        eq_.schedule(when, std::move(cb));
+    domain_.post(dev_pid_, SimDomain::kHost, when, std::move(cb));
 }
 
 // --------------------------------------------------------------------------

@@ -59,14 +59,12 @@ class HostCxlPort
      * @param link  the CXL.mem link to the device
      * @param dev   the device (its own queue runs the device-side stages)
      * @param cfg   host-side cost model
-     * @param domain  partition coordinator for cross-partition posts;
-     *                nullptr collapses to single-queue direct scheduling
-     *                (raw benches, unit tests)
+     * @param domain  partition coordinator for cross-partition posts
      * @param device_partition  the device's partition id in @p domain
      */
     HostCxlPort(EventQueue &eq, CxlLink &link, CxlMemoryExpander &dev,
-                HostPortConfig cfg = {}, SimDomain *domain = nullptr,
-                unsigned device_partition = 0);
+                HostPortConfig cfg, SimDomain &domain,
+                unsigned device_partition);
     ~HostCxlPort();
 
     HostCxlPort(const HostCxlPort &) = delete;
@@ -211,11 +209,11 @@ class HostCxlPort
     void finish(HostAccess *a);
 
     EventQueue &eq_;      ///< host partition queue
-    EventQueue &dev_eq_;  ///< device partition queue (== eq_ unsharded)
+    EventQueue &dev_eq_;  ///< device partition queue
     CxlLink &link_;
     CxlMemoryExpander &dev_;
     HostPortConfig cfg_;
-    SimDomain *domain_;
+    SimDomain &domain_;
     unsigned dev_pid_;
     HostPortStats stats_;
 

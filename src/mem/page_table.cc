@@ -4,18 +4,12 @@
 
 namespace m2ndp {
 
-PageTable::PageTable(Asid asid, std::uint64_t page_size)
-    : asid_(asid), page_size_(page_size)
-{
-    M2_ASSERT(isPowerOfTwo(page_size), "page size must be a power of two");
-}
-
 void
 PageTable::map(Addr va, Addr pa)
 {
-    M2_ASSERT(va % page_size_ == 0 && pa % page_size_ == 0,
+    M2_ASSERT(va % layout::kPageBytes == 0 && pa % layout::kPageBytes == 0,
               "unaligned mapping: va=", va, " pa=", pa);
-    std::uint64_t vpn = va / page_size_;
+    std::uint64_t vpn = va / layout::kPageBytes;
     M2_ASSERT(map_.find(vpn) == map_.end(), "double mapping of va ", va);
     map_.emplace(vpn, pa);
 }
@@ -23,16 +17,16 @@ PageTable::map(Addr va, Addr pa)
 bool
 PageTable::unmap(Addr va)
 {
-    return map_.erase(va / page_size_) > 0;
+    return map_.erase(va / layout::kPageBytes) > 0;
 }
 
 std::optional<Addr>
 PageTable::translate(Addr va) const
 {
-    auto it = map_.find(va / page_size_);
+    auto it = map_.find(va / layout::kPageBytes);
     if (it == map_.end())
         return std::nullopt;
-    return it->second + (va % page_size_);
+    return it->second + (va % layout::kPageBytes);
 }
 
 Addr
@@ -49,9 +43,8 @@ PhysAllocator::allocate(std::uint64_t size, std::uint64_t align)
 }
 
 ProcessAddressSpace::ProcessAddressSpace(Asid asid,
-                                         std::vector<PhysAllocator *> devices,
-                                         std::uint64_t page_size)
-    : table_(asid, page_size), devices_(std::move(devices))
+                                         std::vector<PhysAllocator *> devices)
+    : table_(asid), devices_(std::move(devices))
 {
     M2_ASSERT(!devices_.empty(), "address space needs at least one device");
 }

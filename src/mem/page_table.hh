@@ -56,6 +56,13 @@ deviceOf(Addr pa)
     return static_cast<unsigned>(pa >> kDeviceAddrBits);
 }
 
+/**
+ * Page size of every process page table, and of the NDP-unit TLBs and
+ * the DRAM-TLB that cache its translations (2 MiB, the paper's page
+ * placement granularity).
+ */
+inline constexpr std::uint64_t kPageBytes = 2 * kMiB;
+
 /** Reserved M2func area: top 16 MiB of each device's populated capacity. */
 inline constexpr std::uint64_t kM2FuncReserve = 16 * kMiB;
 /** Bytes of M2func region per host process. */
@@ -69,18 +76,14 @@ isScratchpadVa(Addr va)
 
 } // namespace layout
 
-/**
- * Per-process page table. Fixed page size per table (2 MiB default, matching
- * the paper's page placement granularity; 4 KiB selectable for DRAM-TLB
- * overhead studies).
- */
+/** Per-process page table over layout::kPageBytes pages. */
 class PageTable
 {
   public:
-    explicit PageTable(Asid asid, std::uint64_t page_size = 2 * kMiB);
+    explicit PageTable(Asid asid) : asid_(asid) {}
 
     Asid asid() const { return asid_; }
-    std::uint64_t pageSize() const { return page_size_; }
+    static constexpr std::uint64_t pageSize() { return layout::kPageBytes; }
 
     /** Install a VA->PA mapping for one page (addresses page-aligned). */
     void map(Addr va, Addr pa);
@@ -95,7 +98,6 @@ class PageTable
 
   private:
     Asid asid_;
-    std::uint64_t page_size_;
     std::unordered_map<std::uint64_t, Addr> map_; // vpn -> pa of page start
 };
 
@@ -136,8 +138,7 @@ enum class Placement : std::uint8_t {
 class ProcessAddressSpace
 {
   public:
-    ProcessAddressSpace(Asid asid, std::vector<PhysAllocator *> devices,
-                        std::uint64_t page_size = 2 * kMiB);
+    ProcessAddressSpace(Asid asid, std::vector<PhysAllocator *> devices);
 
     /**
      * Allocate @p size bytes of virtual memory backed by physical pages.

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -90,7 +91,8 @@ struct KernelInstance
 
     Addr pool_base = 0;
     Addr pool_bound = 0;
-    std::vector<std::uint8_t> args;
+    /** The whole argument window, zero past the launch's args. */
+    std::array<std::uint8_t, layout::kKernelArgWindow> args{};
 
     InstancePhase phase = InstancePhase::Pending;
     std::size_t section_index = 0; ///< current section in kernel->code

@@ -3,14 +3,21 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "device/cxl_memory_expander.hh"
 
 namespace m2ndp {
 
-NdpController::NdpController(NdpControllerEnv &env, Config cfg)
-    : env_(env), cfg_(cfg)
+NdpController::NdpController(CxlMemoryExpander &dev, Config cfg)
+    : dev_(dev), eq_(dev.eventQueue()), cfg_(cfg),
+      num_units_(dev.config().num_units),
+      slots_per_unit_(dev.config().unit.subcores *
+                      dev.config().unit.slots_per_subcore),
+      unit_spad_bytes_(dev.config().unit.spad_bytes),
+      subcore_reg_bytes_(dev.config().unit.regfile_bytes /
+                         dev.config().unit.subcores)
 {
     // Whole per-unit scratchpad data space starts free.
-    spad_free_[0] = env_.unitScratchpadBytes();
+    spad_free_[0] = unit_spad_bytes_;
 }
 
 // --------------------------------------------------------------------------
@@ -140,7 +147,7 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
         res.num_float_regs = payload.get<std::uint8_t>(17);
         res.num_vector_regs = payload.get<std::uint8_t>(18);
         std::string text;
-        if (!env_.readKernelText(asid, code_loc, code_size, text)) {
+        if (!dev_.readKernelText(asid, code_loc, code_size, text)) {
             ++stats_.registrations_rejected;
             setReturn(asid, static_cast<std::uint64_t>(fn),
                       static_cast<std::int64_t>(NdpError::RegistrationFailed),
@@ -158,8 +165,9 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
             return;
         }
         kernels_.erase(it);
-        // Stale code must not be executed later (Section III-F).
-        env_.flushInstructionCaches();
+        // Stale code must not be executed later (Section III-F). Kernel
+        // code is tiny and I-cache timing is not modeled (the paper notes
+        // the impact is negligible), so the flush is a functional no-op.
         setReturn(asid, static_cast<std::uint64_t>(fn), 0, true);
         return;
       }
@@ -180,7 +188,7 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
       case M2Func::ShootdownTlbEntry: {
         Addr va = payload.get<std::uint64_t>(0);
         Asid target = payload.get<std::uint16_t>(8);
-        env_.shootdownTlb(target, va);
+        dev_.shootdownTlb(target, va);
         setReturn(asid, static_cast<std::uint64_t>(fn), 0, true);
         return;
       }
@@ -227,13 +235,13 @@ NdpController::registerKernel(Asid asid, const std::string &text,
         return static_cast<std::int64_t>(NdpError::RegistrationFailed);
     };
     // A uthread larger than one sub-core's registers could never spawn.
-    if (res.registerBytes() > env_.subcoreRegisterBytes())
+    if (res.registerBytes() > subcore_reg_bytes_)
         return reject("register request exceeds a sub-core's register file");
     constexpr unsigned kRegs = isa::UthreadContext::kRegsPerFile;
     if (res.num_int_regs < 3 || res.num_int_regs > kRegs ||
         res.num_float_regs > kRegs || res.num_vector_regs > kRegs)
         return reject("needs x0-x2 and at most 32 registers per file");
-    if (res.scratchpad_bytes > env_.unitScratchpadBytes())
+    if (res.scratchpad_bytes > unit_spad_bytes_)
         return reject("scratchpad request exceeds unit scratchpad");
     auto kernel = std::make_unique<NdpKernel>();
     kernel->id = next_kernel_id_++;
@@ -290,14 +298,15 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
     inst->synchronous = synchronous;
     inst->pool_base = pool_base;
     inst->pool_bound = pool_bound;
-    inst->args.assign(args, args + args_size);
-    inst->args.resize(layout::kKernelArgWindow, 0);
+    if (args_size > 0)
+        std::memcpy(inst->args.data(), args,
+                    std::min<std::size_t>(args_size, inst->args.size()));
     inst->phase = InstancePhase::Pending;
     inst->weight = static_cast<std::uint8_t>(
         weight == 0 ? 1 : std::min<unsigned>(weight, 255));
-    inst->launched_at = env_.eventQueue().now();
+    inst->launched_at = eq_.now();
     inst->on_complete = std::move(on_complete);
-    inst->next_work.assign(env_.numUnits(), 0);
+    inst->next_work.assign(num_units_, 0);
 
     ++stats_.launches;
     std::int64_t id = inst->id;
@@ -352,7 +361,7 @@ NdpController::activate(std::unique_ptr<KernelInstance> inst)
 {
     KernelInstance *p = inst.get();
     active_.push_back(std::move(inst));
-    p->started_at = env_.eventQueue().now();
+    p->started_at = eq_.now();
 
     const auto &sections = p->kernel->code.sections;
     M2_ASSERT(!sections.empty(), "kernel with no sections");
@@ -362,7 +371,7 @@ NdpController::activate(std::unique_ptr<KernelInstance> inst)
     // check by id is naturally idempotent against that.
     if (cfg_.watchdog_budget > 0) {
         std::int64_t id = p->id;
-        env_.eventQueue().scheduleAfter(cfg_.watchdog_budget, [this, id] {
+        eq_.scheduleAfter(cfg_.watchdog_budget, [this, id] {
             auto it = instances_by_id_.find(id);
             if (it == instances_by_id_.end())
                 return; // already completed
@@ -377,7 +386,7 @@ NdpController::activate(std::unique_ptr<KernelInstance> inst)
         beginPhase(p, InstancePhase::Initializer, 0);
     else
         beginPhase(p, InstancePhase::Body, 0);
-    env_.wakeAllUnits();
+    dev_.wakeAllUnits();
 }
 
 void
@@ -392,7 +401,7 @@ NdpController::killInstance(KernelInstance *inst, std::int64_t code)
 
     // Wake the units so slots parked on a killed instance (e.g. an
     // infinite loop) get culled at their next issue opportunity.
-    env_.wakeAllUnits();
+    dev_.wakeAllUnits();
     maybeAdvancePhase(inst);
 }
 
@@ -403,8 +412,8 @@ NdpController::phaseTarget(const KernelInstance *inst) const
       case InstancePhase::Initializer:
       case InstancePhase::Finalizer:
         // One uthread per slot with a unique ID (Section III-G).
-        return static_cast<std::uint64_t>(env_.numUnits()) *
-               env_.slotsPerUnit();
+        return static_cast<std::uint64_t>(num_units_) *
+               slots_per_unit_;
       case InstancePhase::Body:
         return (inst->pool_bound - inst->pool_base + isa::kVlenBytes - 1) /
                isa::kVlenBytes;
@@ -441,7 +450,7 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
             return;
         inst->phase = InstancePhase::Draining;
         if (inst->outstanding_stores == 0)
-            completeInstance(inst, env_.eventQueue().now());
+            completeInstance(inst, eq_.now());
         return;
     }
 
@@ -456,12 +465,12 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
         if (next < sections.size()) {
             if (sections[next].kind == isa::SectionKind::Body) {
                 beginPhase(inst, InstancePhase::Body, next);
-                env_.wakeAllUnits();
+                dev_.wakeAllUnits();
                 return;
             }
             if (sections[next].kind == isa::SectionKind::Finalizer) {
                 beginPhase(inst, InstancePhase::Finalizer, next);
-                env_.wakeAllUnits();
+                dev_.wakeAllUnits();
                 return;
             }
         }
@@ -469,7 +478,7 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
     // No more sections: drain posted stores, then complete.
     inst->phase = InstancePhase::Draining;
     if (inst->outstanding_stores == 0)
-        completeInstance(inst, env_.eventQueue().now());
+        completeInstance(inst, eq_.now());
 }
 
 void
@@ -529,16 +538,16 @@ NdpController::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
           case InstancePhase::Initializer:
           case InstancePhase::Finalizer:
             // One uthread per slot, x2 = its unique ID (Section III-G).
-            if (next >= env_.slotsPerUnit())
+            if (next >= slots_per_unit_)
                 continue;
             out.x1 = layout::kScratchpadVaBase;
             out.x2 = static_cast<std::uint64_t>(unit) *
-                         env_.slotsPerUnit() + next;
+                         slots_per_unit_ + next;
             break;
           case InstancePhase::Body: {
             // uthreads are interleaved across units at the 32 B mapping
             // granularity: unit u runs offsets u, u+N, u+2N, ...
-            std::uint64_t widx = next * env_.numUnits() + unit;
+            std::uint64_t widx = next * num_units_ + unit;
             Addr addr = inst->pool_base + widx * isa::kVlenBytes;
             if (addr >= inst->pool_bound)
                 continue;

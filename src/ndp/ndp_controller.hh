@@ -30,10 +30,11 @@
 #include "common/units.hh"
 #include "isa/assembler.hh"
 #include "ndp/kernel.hh"
-#include "ndp/ndp_unit.hh"
 #include "sim/event_queue.hh"
 
 namespace m2ndp {
+
+class CxlMemoryExpander;
 
 /** M2func function indices (offset = index << 5, Table II). */
 enum class M2Func : std::uint32_t {
@@ -116,28 +117,6 @@ struct M2FuncPayload
     }
 };
 
-/** Environment provided by the device. */
-class NdpControllerEnv
-{
-  public:
-    virtual ~NdpControllerEnv() = default;
-    virtual EventQueue &eventQueue() = 0;
-    virtual unsigned numUnits() = 0;
-    virtual unsigned slotsPerUnit() = 0;
-    virtual std::uint64_t unitScratchpadBytes() = 0;
-    /** Register-file bytes of one sub-core (a uthread's upper bound). */
-    virtual std::uint64_t subcoreRegisterBytes() = 0;
-    /** Wake every NDP unit (new work became available). */
-    virtual void wakeAllUnits() = 0;
-    /** Read kernel source text from (asid-translated) device memory. */
-    virtual bool readKernelText(Asid asid, Addr va, std::uint32_t size,
-                                std::string &out) = 0;
-    /** Flush NDP-unit instruction caches (on unregister, Section III-F). */
-    virtual void flushInstructionCaches() = 0;
-    /** TLB shootdown across units + DRAM-TLB (Table II, privileged). */
-    virtual void shootdownTlb(Asid asid, Addr va) = 0;
-};
-
 /** Controller statistics. */
 struct NdpControllerStats
 {
@@ -160,7 +139,6 @@ struct NdpControllerConfig
 {
     unsigned max_concurrent_instances = 48;
     unsigned launch_queue_capacity = 4096;
-    std::uint64_t max_payload_bytes = 64;
     /**
      * Per-instance watchdog budget in ticks from activation (0 =
      * disabled, the default — no events are scheduled). An instance
@@ -172,16 +150,33 @@ struct NdpControllerConfig
     Tick watchdog_budget = 0;
 };
 
+/** One uthread of work handed to a unit by the uthread generator. */
+struct SpawnItem
+{
+    KernelInstance *instance = nullptr;
+    const isa::DecodedSection *section = nullptr;
+    Addr x1 = 0;          ///< mapped address (pool region) or scratchpad base
+    std::uint64_t x2 = 0; ///< offset from pool base, or unique ID
+};
+
+/** Outcome of NdpController::pullWork. */
+enum class PullStatus : std::uint8_t {
+    Spawn,   ///< the out-parameter holds the next uthread, now committed
+    Empty,   ///< no work for this unit until the next wake
+    Blocked, ///< the next uthread needs more registers than are free
+};
+
 /**
- * The controller. The device routes filter-matched CXL.mem packets here
- * and implements NdpUnitEnv::pullWork by delegating to this class.
+ * The controller. The device routes filter-matched CXL.mem packets here,
+ * and its NDP units pull uthreads from it directly.
  */
 class NdpController
 {
   public:
     using Config = NdpControllerConfig;
 
-    NdpController(NdpControllerEnv &env, Config cfg = NdpControllerConfig{});
+    /** Caches @p dev's unit geometry; the device must outlive this. */
+    NdpController(CxlMemoryExpander &dev, Config cfg = NdpControllerConfig{});
 
     /**
      * Handle an M2func *write* (function call). @p offset is the byte
@@ -199,10 +194,17 @@ class NdpController
     void handleRead(Asid asid, std::uint64_t offset,
                     InlineCallback<void(std::int64_t)> respond);
 
-    // ---- uthread generator interface (used by NdpUnitEnv) ----
+    // ---- uthread generator interface (used by the NDP units) ----
+    /**
+     * Pull the next uthread for @p unit into @p out if its registers
+     * fit the asking sub-core's @p free_reg_bytes. A Blocked pull
+     * commits nothing: the same uthread is offered again on retry.
+     */
     PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
                         SpawnItem &out);
+    /** A uthread of @p inst finished (at current tick). */
     void uthreadFinished(KernelInstance *inst);
+    /** Posted-store drain accounting for kernel completion. */
     void storeIssued(KernelInstance *inst);
     void storeDrained(KernelInstance *inst, Tick when);
 
@@ -251,7 +253,7 @@ class NdpController
      * NdpError value): no further uthreads spawn, already-running ones
      * retire through the normal path, and the instance completes with
      * the error code once spawned uthreads and posted stores drain.
-     * Used by the watchdog and by the device when a uthread traps.
+     * Used by the watchdog and by a unit when one of its uthreads traps.
      */
     void killInstance(KernelInstance *inst, std::int64_t code);
 
@@ -308,8 +310,15 @@ class NdpController
     std::optional<std::uint64_t> spadAllocate(std::uint64_t size);
     void spadFree(std::uint64_t offset, std::uint64_t size);
 
-    NdpControllerEnv &env_;
+    CxlMemoryExpander &dev_;
+    EventQueue &eq_;
     Config cfg_;
+    /** Device geometry, fixed at construction. */
+    const unsigned num_units_;
+    const unsigned slots_per_unit_;
+    const std::uint64_t unit_spad_bytes_;
+    /** Register-file bytes of one sub-core (a uthread's upper bound). */
+    const std::uint64_t subcore_reg_bytes_;
     isa::Assembler assembler_;
 
     std::int64_t next_kernel_id_ = 1;

@@ -7,6 +7,8 @@
 
 #include "common/hotpath_timer.hh"
 #include "common/log.hh"
+#include "device/cxl_memory_expander.hh"
+#include "ndp/ndp_controller.hh"
 
 namespace m2ndp {
 
@@ -16,12 +18,16 @@ fuIndex(isa::FuType fu)
 {
     return static_cast<unsigned>(fu);
 }
+
+constexpr std::uint64_t kPageMask = layout::kPageBytes - 1;
+constexpr unsigned kPageShift = std::countr_zero(layout::kPageBytes);
 } // namespace
 
-NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
-    : env_(env), cfg_(cfg), subcores_(cfg.subcores),
-      spad_(cfg.spad_bytes, 0),
-      dtlb_(cfg.dtlb_entries, cfg.dtlb_assoc, env.translationPageSize())
+NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
+                 SparseMemory &mem, NdpUnitConfig cfg)
+    : eq_(eq), dev_(dev), ctl_(ctl), mem_(mem), cfg_(cfg),
+      subcores_(cfg.subcores), spad_(cfg.spad_bytes, 0),
+      dtlb_(cfg.dtlb_entries, cfg.dtlb_assoc, layout::kPageBytes)
 {
     M2_ASSERT(cfg_.slots_per_subcore <= ReadySched::kMaxSlots,
               "sub-core slot count exceeds the ready ring width");
@@ -43,10 +49,6 @@ NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
     // any observed peak so the steady state never grows the vector.
     pending_.reserve(16 * static_cast<std::size_t>(cfg_.subcores) *
                      cfg_.slots_per_subcore);
-    std::uint64_t page = env.translationPageSize();
-    M2_ASSERT(isPowerOfTwo(page), "translation page size must be pow2");
-    page_mask_ = page - 1;
-    page_shift_ = floorLog2(page);
 
     // Reciprocal for the edge math: ceil(2^64 / period). Exact for
     // t < 2^64 / period because the rounding error e = inv*period - 2^64
@@ -60,14 +62,14 @@ M2NDP_HOT_PATH
 Addr
 NdpUnit::translateCached(Asid asid, Addr va)
 {
-    std::uint64_t vpn = va & ~page_mask_;
+    std::uint64_t vpn = va & ~kPageMask;
     // Direct-mapped by low page-number bits: streaming kernels touch a
     // handful of distinct buffers whose pages land in distinct slots.
     FuncTcacheEntry &e =
-        func_tcache_[(va >> page_shift_) & (kFuncTcacheEntries - 1)];
+        func_tcache_[(va >> kPageShift) & (kFuncTcacheEntries - 1)];
     if (e.valid && e.vpn == vpn && e.asid == asid)
-        return e.pa_page + (va & page_mask_);
-    auto pa = env_.translateFunctional(asid, va);
+        return e.pa_page + (va & kPageMask);
+    auto pa = dev_.translateFunctional(asid, va);
     if (!pa) [[unlikely]] {
         // Kernel fault: surfaced as a trap at the issue stage, which
         // kills the owning instance with a typed error. (On the timing
@@ -81,7 +83,7 @@ NdpUnit::translateCached(Asid asid, Addr va)
     e.vpn = vpn;
     // PA of the page start, reconstructed from the in-page offset so we
     // do not rely on physical pages being size-aligned.
-    e.pa_page = *pa - (va & page_mask_);
+    e.pa_page = *pa - (va & kPageMask);
     return *pa;
 }
 
@@ -99,14 +101,7 @@ NdpUnit::spadPointer(Addr va, unsigned size)
     if (va >= layout::kKernelArgVa &&
         va + size <= layout::kKernelArgVa + layout::kKernelArgWindow) {
         // Argument window: per-instance buffer (top 256 B of the window).
-        std::uint64_t off = va - layout::kKernelArgVa;
-        M2_ASSERT(off + size <= inst->args.size() || true,
-                  "arg window access past declared args");
-        // Arg buffer grows to the <= 256 B window once per instance on
-        // first touch, then stays.
-        if (inst->args.size() < off + size)
-            inst->args.resize(off + size, 0); // ndp-lint: allow(hotpath-alloc)
-        return inst->args.data() + off;
+        return inst->args.data() + (va - layout::kKernelArgVa);
     }
 
     std::uint64_t off = va - layout::kScratchpadVaBase;
@@ -132,10 +127,9 @@ NdpUnit::read(Addr va, void *out, unsigned size)
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
     const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (page_mask_ + 1) - (va & page_mask_);
+    std::uint64_t in_page = (kPageMask + 1) - (va & kPageMask);
     if (size <= in_page) {
-        env_.funcRead(translateCached(asid, va), out, size,
-                      frame_hint_);
+        mem_.read(translateCached(asid, va), out, size, frame_hint_);
         return;
     }
     // Page-straddling bulk access (vector fast path): split per page.
@@ -143,11 +137,11 @@ NdpUnit::read(Addr va, void *out, unsigned size)
     while (size > 0) {
         unsigned chunk = static_cast<unsigned>(
             std::min<std::uint64_t>(size, in_page));
-        env_.funcRead(translateCached(asid, va), dst, chunk, frame_hint_);
+        mem_.read(translateCached(asid, va), dst, chunk, frame_hint_);
         va += chunk;
         dst += chunk;
         size -= chunk;
-        in_page = page_mask_ + 1;
+        in_page = kPageMask + 1;
     }
 }
 
@@ -161,22 +155,20 @@ NdpUnit::write(Addr va, const void *in, unsigned size)
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
     const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (page_mask_ + 1) - (va & page_mask_);
+    std::uint64_t in_page = (kPageMask + 1) - (va & kPageMask);
     if (size <= in_page) {
-        env_.funcWrite(translateCached(asid, va), in, size,
-                       frame_hint_);
+        mem_.write(translateCached(asid, va), in, size, frame_hint_);
         return;
     }
     auto *src = static_cast<const std::uint8_t *>(in);
     while (size > 0) {
         unsigned chunk = static_cast<unsigned>(
             std::min<std::uint64_t>(size, in_page));
-        env_.funcWrite(translateCached(asid, va), src, chunk,
-                       frame_hint_);
+        mem_.write(translateCached(asid, va), src, chunk, frame_hint_);
         va += chunk;
         src += chunk;
         size -= chunk;
-        in_page = page_mask_ + 1;
+        in_page = kPageMask + 1;
     }
 }
 
@@ -190,9 +182,9 @@ NdpUnit::amo(AmoOp op, Addr va, std::uint64_t operand, unsigned width)
         return amoApply(spadPointer(va, width), op, operand, width);
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
-    return env_.funcAmo(
-        op, translateCached(current_slot_->instance->asid, va), operand,
-        width);
+    return amoExecute(mem_, op,
+                      translateCached(current_slot_->instance->asid, va),
+                      operand, width);
 }
 
 // --------------------------------------------------------------------------
@@ -210,10 +202,10 @@ M2NDP_HOT_PATH
 void
 NdpUnit::scheduleTick(Tick at)
 {
-    // The environment's shared cycle driver coalesces requests
-    // earliest-wins across all units (one Ticker per device, not one per
-    // unit) and may consume consecutive edges in place (run-until-stall).
-    env_.requestUnitTick(cfg_.index, at);
+    // The device's shared cycle driver coalesces requests earliest-wins
+    // across all units (one Ticker per device, not one per unit) and may
+    // consume consecutive edges in place (run-until-stall).
+    dev_.requestUnitTick(cfg_.index, at);
 }
 
 M2NDP_HOT_PATH
@@ -291,7 +283,7 @@ NdpUnit::queueCompletion(Slot *slot, KernelInstance *inst, MemOp op,
 {
     // Clamp: peer/host chains may deliver exactly at now; fused device
     // stages always stamp the future.
-    when = std::max(when, env_.eventQueue().now());
+    when = std::max(when, eq_.now());
     // Capacity reserved in the constructor for the all-slots-outstanding
     // worst case; never reallocates. ndp-lint: allow(hotpath-alloc)
     pending_.push_back(PendingCompletion{slot, inst, when, pending_seq_++,
@@ -319,7 +311,7 @@ NdpUnit::drainCompletions(Tick now)
         PendingCompletion e = pending_.back();
         pending_.pop_back();
         if (e.op != MemOp::Read)
-            env_.storeDrained(e.inst, e.when);
+            ctl_.storeDrained(e.inst, e.when);
         if (e.blocking)
             completeBlockingAccess(e.slot, e.when);
     }
@@ -348,7 +340,7 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
         // sub-core's free registers. A blocked sub-core keeps the unit
         // armed and retries next cycle, when a uthread may have retired.
         SpawnItem item;
-        PullStatus got = env_.pullWork(cfg_.index, sc.reg_bytes_free, item);
+        PullStatus got = ctl_.pullWork(cfg_.index, sc.reg_bytes_free, item);
         if (got != PullStatus::Spawn) {
             if (got == PullStatus::Empty)
                 work_maybe_available_ = false;
@@ -465,7 +457,7 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
 
         // Execute functionally. A kernel trap (unmapped VA, scratchpad
         // overflow) aborts the instruction: the trapping uthread retires
-        // here and the owning instance is killed via the environment —
+        // here and the owning instance is killed by the controller —
         // zero-cost on the non-trapping path (table-driven unwinding).
         current_slot_ = &slot;
         isa::StepResult res;
@@ -489,7 +481,7 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
             // Kill first (stops further spawns), then retire: the
             // retirement's uthreadFinished may complete the instance
             // if this was its last running uthread.
-            env_.instanceFaulted(inst, trap_code);
+            ctl_.killInstance(inst, trap_code);
             finishThread(sc, slot);
             issued = true;
             break;
@@ -650,9 +642,9 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     bool need_dram_tlb = false;
     if (!dtlb_.lookup(asid, ref.va)) {
         need_dram_tlb = true;
-        if (!env_.dramTlbWarm(asid, ref.va)) {
+        if (!dev_.dramTlbWarm(asid, ref.va)) {
             ats_delay = cfg_.ats_latency;
-            env_.dramTlbRefill(asid, ref.va);
+            dev_.dramTlbRefill(asid, ref.va);
         }
     }
 
@@ -660,7 +652,7 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     if (need_dram_tlb) {
         // Fixed-geometry TLB fill, no allocation.
         // ndp-lint: allow(hotpath-alloc)
-        dtlb_.insert(asid, ref.va, pa & ~page_mask_);
+        dtlb_.insert(asid, ref.va, pa & ~kPageMask);
     }
 
     // Classify: within a blocking instruction, a store ref is an atomic
@@ -687,7 +679,7 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     // issue time (not after the TLB fill): the instance must not be able
     // to complete while a store is still waiting on translation.
     if (op != MemOp::Read)
-        env_.storeIssued(inst);
+        ctl_.storeIssued(inst);
 
     std::uint32_t size = ref.size;
     if (!need_dram_tlb) {
@@ -703,16 +695,16 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     // only (<= 48 B inline, see launchGlobalAccess).
     const bool cold = ats_delay != 0;
     KernelInstance *inst_p = inst;
-    Addr entry_pa = env_.dramTlbEntryPa(asid, ref.va);
-    env_.unitMemAccess(
+    Addr entry_pa = dev_.dramTlbEntryPa(asid, ref.va);
+    dev_.unitMemAccess(
         cfg_.index, MemOp::Read, entry_pa, DramTlb::kEntryBytes,
         [this, s, inst_p, pa, now, size, op, blocking, cold](Tick t) {
             Tick fire = cold ? t + cfg_.ats_latency : t;
-            if (fire <= env_.eventQueue().now()) {
+            if (fire <= eq_.now()) {
                 launchGlobalAccess(s, inst_p, op, blocking, pa, size, now);
                 return;
             }
-            env_.eventQueue().schedule(
+            eq_.schedule(
                 fire, [this, s, inst_p, pa, now, size, op, blocking] {
                     launchGlobalAccess(s, inst_p, op, blocking, pa, size,
                                        now);
@@ -732,12 +724,12 @@ NdpUnit::launchGlobalAccess(Slot *s, KernelInstance *inst, MemOp op,
     // timing effect is parked on the unit and applied by the tick at the
     // cycle edge >= t.
     if (op == MemOp::Write) {
-        env_.unitMemAccess(cfg_.index, op, pa, size, [this, inst](Tick t) {
+        dev_.unitMemAccess(cfg_.index, op, pa, size, [this, inst](Tick t) {
             queueCompletion(nullptr, inst, MemOp::Write, false, t);
         });
         return;
     }
-    env_.unitMemAccess(cfg_.index, op, pa, size,
+    dev_.unitMemAccess(cfg_.index, op, pa, size,
                        [this, s, blocking, op, inst, issued_at](Tick t) {
         stats_.load_latency_ticks += t - issued_at;
         ++stats_.load_samples;
@@ -765,7 +757,7 @@ NdpUnit::finishThread(SubCore &sc, Slot &slot)
     sc.idle_mask |= std::uint64_t(1) << slot.index;
     ++stats_.uthreads_completed;
     work_maybe_available_ = true; // a slot freed: maybe new spawn possible
-    env_.uthreadFinished(inst);
+    ctl_.uthreadFinished(inst);
 }
 
 M2NDP_HOT_PATH
@@ -781,7 +773,7 @@ M2NDP_HOT_PATH
 Tick
 NdpUnit::eqNextEdge() const
 {
-    return edgeAtOrAfter(env_.eventQueue().now());
+    return edgeAtOrAfter(eq_.now());
 }
 
 } // namespace m2ndp

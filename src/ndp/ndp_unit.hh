@@ -15,6 +15,12 @@
  * architectural effects; this class models when things happen — FU
  * occupancy, FGMT scheduling, scratchpad vs L1D vs global-memory latency,
  * TLB/DRAM-TLB translation delay, and posted-store draining.
+ *
+ * The unit sits on the device die next to its uthread generator and
+ * calls both directly: the CxlMemoryExpander for timing accesses, tick
+ * requests, translation and the DRAM-TLB; the NdpController for work,
+ * retirement, store drains and kills; and the SparseMemory for the
+ * functional reads, writes and atomics behind each issued instruction.
  */
 
 #pragma once
@@ -23,8 +29,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/error.hh"
@@ -39,21 +43,8 @@
 
 namespace m2ndp {
 
-/** One uthread of work handed to a unit by the uthread generator. */
-struct SpawnItem
-{
-    KernelInstance *instance = nullptr;
-    const isa::DecodedSection *section = nullptr;
-    Addr x1 = 0;          ///< mapped address (pool region) or scratchpad base
-    std::uint64_t x2 = 0; ///< offset from pool base, or unique ID
-};
-
-/** Outcome of NdpUnitEnv::pullWork. */
-enum class PullStatus : std::uint8_t {
-    Spawn,   ///< the out-parameter holds the next uthread, now committed
-    Empty,   ///< no work for this unit until the next wake
-    Blocked, ///< the next uthread needs more registers than are free
-};
+class CxlMemoryExpander;
+class NdpController;
 
 /** Static configuration of one NDP unit (Table IV defaults). */
 struct NdpUnitConfig
@@ -142,98 +133,12 @@ struct NdpUnitStats
     }
 };
 
-/**
- * Environment the unit lives in: implemented by the M2NDP device. Provides
- * the timing path to memory, functional access, translation, and work.
- */
-class NdpUnitEnv
-{
-  public:
-    virtual ~NdpUnitEnv() = default;
-
-    virtual EventQueue &eventQueue() = 0;
-
-    /** Timing access from unit @p unit to device-physical address @p pa. */
-    virtual void unitMemAccess(unsigned unit, MemOp op, Addr pa,
-                               std::uint32_t size, TickCallback done) = 0;
-
-    /** Functional VA translation (nullopt = unmapped: kernel fault). */
-    virtual std::optional<Addr> translateFunctional(Asid asid, Addr va) = 0;
-
-    /** Functional physical-memory access (routes P2P if needed). */
-    virtual void funcRead(Addr pa, void *out, unsigned size) = 0;
-    virtual void funcWrite(Addr pa, const void *in, unsigned size) = 0;
-
-    /**
-     * Hinted variants for per-unit access streams: @p hint is a caller-
-     * owned frame-lookup cache consulted before the shared one (wide
-     * sweeps thrash the shared cache across 32 units). Defaults forward
-     * to the unhinted path.
-     */
-    virtual void
-    funcRead(Addr pa, void *out, unsigned size, SparseMemory::FrameHint &)
-    {
-        funcRead(pa, out, size);
-    }
-    virtual void
-    funcWrite(Addr pa, const void *in, unsigned size,
-              SparseMemory::FrameHint &)
-    {
-        funcWrite(pa, in, size);
-    }
-    virtual std::uint64_t funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                                  unsigned width) = 0;
-
-    /** DRAM-TLB support (Section III-H). */
-    virtual Addr dramTlbEntryPa(Asid asid, Addr va) = 0;
-    virtual bool dramTlbWarm(Asid asid, Addr va) = 0;
-    virtual void dramTlbRefill(Asid asid, Addr va) = 0;
-    virtual std::uint64_t translationPageSize() = 0;
-
-    /**
-     * Request that this unit's `tick()` runs at cycle edge @p at (>= now).
-     * Requests coalesce earliest-wins. The environment owns the cycle
-     * driver: one shared Ticker serves every unit, and the driver may
-     * consume consecutive edges in-place (run-until-stall bursts via
-     * `EventQueue::tryAdvance`) instead of paying one scheduled event per
-     * unit per cycle.
-     */
-    virtual void requestUnitTick(unsigned unit, Tick at) = 0;
-
-    /**
-     * Pull the next uthread for this unit into @p out if its registers
-     * fit the asking sub-core's @p free_reg_bytes. A Blocked pull
-     * commits nothing: the same uthread is offered again on retry.
-     */
-    virtual PullStatus pullWork(unsigned unit, std::uint64_t free_reg_bytes,
-                                SpawnItem &out) = 0;
-
-    /** A uthread of @p inst finished (at current tick). */
-    virtual void uthreadFinished(KernelInstance *inst) = 0;
-
-    /**
-     * A uthread of @p inst trapped with @p code (a negative NdpError
-     * value). The unit already recorded the error on the instance; the
-     * environment should kill the instance (stop spawning, reclaim).
-     * Default no-op keeps bare-unit tests working.
-     */
-    virtual void
-    instanceFaulted(KernelInstance *inst, std::int64_t code)
-    {
-        (void)inst;
-        (void)code;
-    }
-
-    /** Posted-store drain accounting for kernel completion. */
-    virtual void storeIssued(KernelInstance *inst) = 0;
-    virtual void storeDrained(KernelInstance *inst, Tick when) = 0;
-};
-
 /** The NDP unit proper. */
 class NdpUnit : public isa::MemoryIf
 {
   public:
-    NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg);
+    NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
+            SparseMemory &mem, NdpUnitConfig cfg);
 
     /** Kick the unit: new work may be available (spawn + issue). */
     void wake();
@@ -242,7 +147,7 @@ class NdpUnit : public isa::MemoryIf
      * Run one cycle at edge @p now: drain due memory completions, spawn,
      * issue per sub-core. Returns the next edge this unit wants service
      * at (kTickMax = stalled until a completion or wake), which the
-     * environment's cycle driver records directly — the return value
+     * device's cycle driver records directly — the return value
      * replaces a per-tick `requestUnitTick` upcall. Called only by that
      * driver (and by `wake()` indirectly through a tick request).
      */
@@ -462,7 +367,10 @@ class NdpUnit : public isa::MemoryIf
      */
     Addr translateCached(Asid asid, Addr va);
 
-    NdpUnitEnv &env_;
+    EventQueue &eq_;
+    CxlMemoryExpander &dev_;
+    NdpController &ctl_;
+    SparseMemory &mem_;
     NdpUnitConfig cfg_;
     std::vector<SubCore> subcores_;
     std::vector<std::uint8_t> spad_;
@@ -485,8 +393,6 @@ class NdpUnit : public isa::MemoryIf
     std::array<FuncTcacheEntry, kFuncTcacheEntries> func_tcache_;
     /** Per-unit frame-lookup hint for the functional memory path. */
     SparseMemory::FrameHint frame_hint_;
-    std::uint64_t page_mask_ = 0; ///< translationPageSize() - 1
-    unsigned page_shift_ = 0;     ///< log2(translationPageSize())
     /** ceil(2^64 / period) and the tick bound below which the reciprocal
      *  multiply computes t / period exactly (see edgeAtOrAfter). */
     std::uint64_t period_inv_ = 0;

@@ -71,7 +71,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
 
     for (unsigned d = 0; d < cfg_.num_devices; ++d) {
         host_ports_.push_back(std::make_unique<HostCxlPort>(
-            eq_, *links_[d], *devices_[d], cfg_.host, domain_.get(),
+            eq_, *links_[d], *devices_[d], cfg_.host, *domain_,
             SimDomain::deviceId(d)));
     }
 

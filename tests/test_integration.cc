@@ -418,11 +418,49 @@ TEST_F(IntegrationTest, UnregisterAndErrors)
     EXPECT_LT(runtime->unregisterKernel(kid), 0);
 }
 
+// Remapping a page and shooting its translation down (Table II) must make
+// the next kernel read the new frame: the M2func call travels controller
+// -> device -> every unit's TLB and translation cache.
 TEST_F(IntegrationTest, TlbShootdownPath)
 {
-    EXPECT_EQ(runtime->shootdownTlbEntry(process->asid(),
-                                         layout::kHeapVaBase),
-              0);
+    constexpr unsigned kN = 4096;
+    Addr a = process->allocate(kN * 4);
+    Addr b = process->allocate(kN * 4);
+    Addr c = process->allocate(kN * 4);
+    Addr spare = process->allocate(kN * 4);
+    std::vector<std::uint32_t> va(kN), vb(kN), vspare(kN);
+    for (unsigned i = 0; i < kN; ++i) {
+        va[i] = i;
+        vb[i] = 1000 + i;
+        vspare[i] = 7000000 + 3 * i;
+    }
+    sys->writeVirtual(*process, a, va.data(), kN * 4);
+    sys->writeVirtual(*process, b, vb.data(), kN * 4);
+    sys->writeVirtual(*process, spare, vspare.data(), kN * 4);
+
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(kVecAddKernel, res);
+    ASSERT_GT(kid, 0);
+    auto run_and_check = [&](const std::vector<std::uint32_t> &expect_b) {
+        ASSERT_GT(runtime->launchKernelSync(
+                      launchWith(kid, a, a + kN * 4, {b, c})),
+                  0);
+        std::vector<std::uint32_t> vc(kN);
+        sys->readVirtual(*process, c, vc.data(), kN * 4);
+        for (unsigned i = 0; i < kN; ++i)
+            ASSERT_EQ(vc[i], va[i] + expect_b[i]) << "at index " << i;
+    };
+    run_and_check(vb); // warms every unit's translations of B's page
+
+    // Point B's page at the spare frame, then shoot the stale entry down.
+    PageTable &pt = process->pageTable();
+    Addr spare_frame = *pt.translate(spare);
+    ASSERT_TRUE(pt.unmap(b));
+    pt.map(b, spare_frame);
+    ASSERT_EQ(runtime->shootdownTlbEntry(process->asid(), b), 0);
+    run_and_check(vspare);
 }
 
 // ---------------------------------------------------------------------

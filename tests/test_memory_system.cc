@@ -66,7 +66,7 @@ TEST(SparseMemory, AmoOps)
 
 TEST(PageTable, MapTranslateUnmap)
 {
-    PageTable pt(7, 2 * kMiB);
+    PageTable pt(7);
     pt.map(layout::kHeapVaBase, layout::deviceBase(0));
     auto pa = pt.translate(layout::kHeapVaBase + 12345);
     ASSERT_TRUE(pa.has_value());
@@ -78,7 +78,7 @@ TEST(PageTable, MapTranslateUnmap)
 
 TEST(PageTable, DoubleMapPanics)
 {
-    PageTable pt(1, 2 * kMiB);
+    PageTable pt(1);
     pt.map(layout::kHeapVaBase, layout::deviceBase(0));
     EXPECT_THROW(pt.map(layout::kHeapVaBase, layout::deviceBase(0) + 2 * kMiB),
                  std::logic_error);
