@@ -255,6 +255,43 @@ TEST(SteadyStateAllocation, SecondRunAllocatesOnlyLaunchOverhead)
         << "warm run should not allocate more than the cold run";
 }
 
+TEST(SteadyStateAllocation, WarmLaunchWindowIsAllocationFree)
+{
+    // The window here includes the controller's launch() calls: kernel
+    // instances come from a pool and are found without an id map, so a
+    // warm round of queued launches (more than may run at once) plus
+    // their execution must not touch the heap.
+    VecAddSetup s(1024); // 128 uthreads per launch
+    auto &ctrl = s.sys.device().controller();
+    constexpr int kLaunches = 64; // > 48 concurrent: some wait queued
+
+    auto round = [&] {
+        std::int64_t first = -1;
+        for (int i = 0; i < kLaunches; ++i) {
+            std::int64_t iid =
+                ctrl.launch(s.proc->asid(), s.kid, false, s.a,
+                            s.a + s.elems * 4, s.args.data(),
+                            static_cast<std::uint32_t>(s.args.size()));
+            ASSERT_GT(iid, 0);
+            if (first < 0)
+                first = iid;
+        }
+        s.sys.eq().run();
+        EXPECT_EQ(ctrl.status(first), KernelStatus::Finished);
+        EXPECT_EQ(ctrl.activeInstances(), 0u);
+    };
+
+    round(); // cold: grows every pool and capacity
+    round(); // warm-up with the final pool sizes
+
+    std::uint64_t before = allocationCount();
+    round();
+    std::uint64_t after = allocationCount();
+    EXPECT_EQ(after - before, 0u)
+        << "a warm round of " << kLaunches
+        << " controller launches touched the heap";
+}
+
 // ------------------------------------------------- single-packet miss path
 
 /** Sum the miss-path counters over every cache level of one device. */

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <deque>
+
 #include "common/stats.hh"
 #include "system/system.hh"
 
@@ -647,6 +651,301 @@ TEST_F(IntegrationTest, DramBandwidthUtilizationHigh)
     // streaming kernels (e.g. OLAP Evaluate) reach substantially higher.
     EXPECT_GT(achieved / peak, 0.30)
         << "streaming utilization too low: " << achieved / 1e9 << " GB/s";
+}
+
+// -------------------------------------------------------------------------
+// Controller: instance status lifecycle and the M2func launch wire format,
+// driven at the controller's own entry points.
+// -------------------------------------------------------------------------
+
+/** Copies the first 32 B of the argument window to the pool base. */
+const char *kArgDumpKernel = R"(
+    .name argdump
+    li  x3, %args
+    ld  x4, 0(x3)
+    sd  x4, 0(x1)
+    ld  x4, 8(x3)
+    sd  x4, 8(x1)
+    ld  x4, 16(x3)
+    sd  x4, 16(x1)
+    ld  x4, 24(x3)
+    sd  x4, 24(x1)
+)";
+
+class ControllerTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        SystemConfig cfg;
+        cfg.device.controller.max_concurrent_instances = 2;
+        sys = std::make_unique<System>(cfg);
+        proc = &sys->createProcess();
+        KernelResources res;
+        res.num_int_regs = 8;
+        touch = ctrl().registerKernel(proc->asid(),
+                                      ".name touch\n ld x4, 0(x1)\n", res);
+        argdump = ctrl().registerKernel(proc->asid(), kArgDumpKernel, res);
+        wild = ctrl().registerKernel(
+            proc->asid(), ".name wildload\n ld x4, 0(x0)\n", res);
+        ASSERT_GT(touch, 0);
+        ASSERT_GT(argdump, 0);
+        ASSERT_GT(wild, 0);
+    }
+
+    NdpController &ctrl() { return sys->device().controller(); }
+    /** The device partition's queue: stepping it advances the controller
+     *  one event at a time (the host queue would run it in windows). */
+    EventQueue &dev_eq() { return sys->deviceQueue(); }
+
+    /** Byte offset of M2func launch slot @p k in the region. */
+    static std::uint64_t
+    slotOffset(unsigned k)
+    {
+        return (kM2FuncLaunchSlotBase + k * kM2FuncLaunchSlotStride) *
+               kM2FuncStride;
+    }
+
+    /** The value a return-value read at @p offset delivers (or -999
+     *  while the read is still deferred). */
+    std::int64_t *
+    readReturn(std::uint64_t offset)
+    {
+        auto *out = &reads_.emplace_back(-999);
+        ctrl().handleRead(proc->asid(), offset,
+                          [out](std::int64_t v) { *out = v; });
+        return out;
+    }
+
+    std::array<std::uint8_t, 32>
+    dumped(Addr pool)
+    {
+        std::array<std::uint8_t, 32> out{};
+        sys->readVirtual(*proc, pool, out.data(), out.size());
+        return out;
+    }
+
+    std::unique_ptr<System> sys;
+    ProcessAddressSpace *proc = nullptr;
+    std::int64_t touch = 0, argdump = 0, wild = 0;
+    std::deque<std::int64_t> reads_;
+};
+
+/** Full-format launch payload, laid out by hand from the wire format:
+ *  [0] flags, [1] arg size, [2] weight, i64 kernel @8, base @16,
+ *  bound @24, args @32. */
+M2FuncPayload
+fullLaunch(std::uint8_t flags, std::uint8_t argsize, std::uint8_t weight,
+           std::int64_t kernel, Addr base, Addr bound,
+           const std::vector<std::uint8_t> &args)
+{
+    M2FuncPayload p;
+    p.bytes[0] = flags;
+    p.bytes[1] = argsize;
+    p.bytes[2] = weight;
+    std::memcpy(&p.bytes[8], &kernel, 8);
+    std::memcpy(&p.bytes[16], &base, 8);
+    std::memcpy(&p.bytes[24], &bound, 8);
+    std::memcpy(&p.bytes[32], args.data(), args.size());
+    p.size = static_cast<std::uint8_t>(32 + args.size());
+    return p;
+}
+
+/** One compact launch at byte @p at: [0] flags, [1] arg size,
+ *  [2] weight, u32 kernel @4, base @8, bound @16, args @24. */
+void
+putCompact(M2FuncPayload &p, unsigned at, std::uint8_t argsize,
+           std::uint32_t kernel, Addr base, Addr bound,
+           const std::vector<std::uint8_t> &args)
+{
+    p.bytes[at] = kLaunchFlagSync | kLaunchFlagCompact;
+    p.bytes[at + 1] = argsize;
+    std::memcpy(&p.bytes[at + 4], &kernel, 4);
+    std::memcpy(&p.bytes[at + 8], &base, 8);
+    std::memcpy(&p.bytes[at + 16], &bound, 8);
+    std::memcpy(&p.bytes[at + 24], args.data(), args.size());
+    p.size = static_cast<std::uint8_t>(at + 24 + args.size());
+}
+
+std::vector<std::uint8_t>
+pattern(unsigned n, std::uint8_t first)
+{
+    std::vector<std::uint8_t> v(n);
+    for (unsigned i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(first + i);
+    return v;
+}
+
+TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
+{
+    // A backlog of long launches behind a 2-instance limit: the first two
+    // run, the rest wait in the launch queue.
+    // The first is 16x shorter than the rest, so it finishes alone.
+    const Addr pool = proc->allocate(1u << 20);
+    std::vector<std::int64_t> ids;
+    for (int i = 0; i < 5; ++i) {
+        const Addr bound = pool + (i == 0 ? 1u << 16 : 1u << 20);
+        ids.push_back(ctrl().launch(proc->asid(), touch, false, pool, bound,
+                                    nullptr, 0));
+        ASSERT_GT(ids.back(), 0);
+    }
+    EXPECT_EQ(ctrl().activeInstances(), 2u);
+    EXPECT_EQ(ctrl().queuedLaunches(), 3u);
+    EXPECT_EQ(ctrl().status(ids[0]), KernelStatus::Running);
+    EXPECT_EQ(ctrl().status(ids[1]), KernelStatus::Running);
+    for (int i = 2; i < 5; ++i)
+        EXPECT_EQ(ctrl().status(ids[i]), KernelStatus::Pending) << i;
+
+    // Spawn progress is visible for running ids only.
+    while (ctrl().instanceSpawned(ids[0]) == 0 && dev_eq().step()) {
+    }
+    EXPECT_GT(ctrl().instanceSpawned(ids[0]), 0u);
+    EXPECT_EQ(ctrl().instanceSpawned(ids[2]), 0u);
+
+    // The first completion admits the head of the queue.
+    while (ctrl().stats().instances_completed == 0 && dev_eq().step()) {
+    }
+    ASSERT_EQ(ctrl().stats().instances_completed, 1u);
+    EXPECT_EQ(ctrl().status(ids[0]), KernelStatus::Finished);
+    EXPECT_EQ(ctrl().status(ids[1]), KernelStatus::Running);
+    EXPECT_EQ(ctrl().status(ids[2]), KernelStatus::Running);
+    EXPECT_EQ(ctrl().status(ids[3]), KernelStatus::Pending);
+    EXPECT_EQ(ctrl().status(ids[4]), KernelStatus::Pending);
+    EXPECT_EQ(ctrl().instanceSpawned(ids[0]), 0u);
+
+    sys->eq().run();
+    for (std::int64_t id : ids)
+        EXPECT_EQ(ctrl().status(id), KernelStatus::Finished) << id;
+
+    // A trapping kernel completes Faulted; its neighbours stay Finished.
+    std::int64_t bad = ctrl().launch(proc->asid(), wild, false, pool,
+                                     pool + 32, nullptr, 0);
+    ASSERT_GT(bad, 0);
+    sys->eq().run();
+    EXPECT_EQ(ctrl().status(bad), KernelStatus::Faulted);
+    EXPECT_EQ(ctrl().status(ids[4]), KernelStatus::Finished);
+
+    // Ids never issued are errors.
+    const auto err = static_cast<KernelStatus>(kNdpErr);
+    EXPECT_EQ(ctrl().status(0), err);
+    EXPECT_EQ(ctrl().status(-1), err);
+    EXPECT_EQ(ctrl().status(bad + 1), err);
+    EXPECT_EQ(ctrl().status(1000000), err);
+}
+
+TEST_F(ControllerTest, FullLaunchArgsClampToPayloadAndArgSize)
+{
+    Addr p1 = proc->allocate(4096);
+    Addr p2 = proc->allocate(4096);
+    // Arg size 32, but the payload carries only 16 B: min(argsize,
+    // size - 32) bytes reach the instance, the rest of its window is 0.
+    ctrl().handleWrite(proc->asid(), slotOffset(0),
+                       fullLaunch(kLaunchFlagSync, 32, 1, argdump, p1,
+                                  p1 + 32, pattern(16, 0x10)));
+    // Arg size 8 with 24 B in the payload: only 8 bytes count.
+    ctrl().handleWrite(proc->asid(), slotOffset(1),
+                       fullLaunch(kLaunchFlagSync, 8, 1, argdump, p2,
+                                  p2 + 32, pattern(24, 0x40)));
+    std::int64_t *r1 = readReturn(slotOffset(0));
+    std::int64_t *r2 = readReturn(slotOffset(1));
+    EXPECT_EQ(*r1, -999) << "a synchronous launch returned before it ran";
+    sys->eq().run();
+    EXPECT_GT(*r1, 0);
+    EXPECT_GT(*r2, *r1);
+
+    auto d1 = dumped(p1);
+    auto d2 = dumped(p2);
+    for (unsigned i = 0; i < 32; ++i) {
+        EXPECT_EQ(d1[i], i < 16 ? 0x10 + i : 0) << "full/16 B byte " << i;
+        EXPECT_EQ(d2[i], i < 8 ? 0x40 + i : 0) << "full/8 B byte " << i;
+    }
+}
+
+TEST_F(ControllerTest, CompactStoreCarriesTwoLaunchesWithEightByteArgs)
+{
+    Addr p1 = proc->allocate(4096);
+    Addr p2 = proc->allocate(4096);
+    // Both halves claim 16 B of args; a compact launch holds 8, so the
+    // first half must not read the second half's header as arguments.
+    M2FuncPayload p;
+    putCompact(p, 0, 16, static_cast<std::uint32_t>(argdump), p1, p1 + 32,
+               pattern(8, 0x20));
+    putCompact(p, 32, 16, static_cast<std::uint32_t>(argdump), p2, p2 + 32,
+               pattern(8, 0x60));
+    ASSERT_EQ(p.size, 64u);
+    const auto before = ctrl().stats();
+    ctrl().handleWrite(proc->asid(), slotOffset(2), p);
+    EXPECT_EQ(ctrl().stats().launches, before.launches + 2);
+    EXPECT_EQ(ctrl().stats().launches_batched, before.launches_batched + 2);
+    std::int64_t *r1 = readReturn(slotOffset(2));
+    std::int64_t *r2 = readReturn(slotOffset(2) + kM2FuncStride);
+    sys->eq().run();
+    EXPECT_GT(*r1, 0);
+    EXPECT_EQ(*r2, *r1 + 1);
+
+    auto d1 = dumped(p1);
+    auto d2 = dumped(p2);
+    for (unsigned i = 0; i < 32; ++i) {
+        EXPECT_EQ(d1[i], i < 8 ? 0x20 + i : 0) << "first half byte " << i;
+        EXPECT_EQ(d2[i], i < 8 ? 0x60 + i : 0) << "second half byte " << i;
+    }
+}
+
+TEST_F(ControllerTest, ShortCompactStoreCarriesOneLaunch)
+{
+    Addr p1 = proc->allocate(4096);
+    // 28 B: one compact launch whose 8 B of args are cut to the 4 B the
+    // store carries; nothing is launched for the second return offset.
+    M2FuncPayload p;
+    putCompact(p, 0, 8, static_cast<std::uint32_t>(argdump), p1, p1 + 32,
+               pattern(4, 0x30));
+    ASSERT_EQ(p.size, 28u);
+    const auto before = ctrl().stats();
+    ctrl().handleWrite(proc->asid(), slotOffset(3), p);
+    EXPECT_EQ(ctrl().stats().launches, before.launches + 1);
+    EXPECT_EQ(ctrl().stats().launches_batched, before.launches_batched + 1);
+    std::int64_t *r1 = readReturn(slotOffset(3));
+    std::int64_t *r2 = readReturn(slotOffset(3) + kM2FuncStride);
+    sys->eq().run();
+    EXPECT_GT(*r1, 0);
+    EXPECT_EQ(*r2, kNdpErr) << "a 28 B compact store launched twice";
+
+    auto d1 = dumped(p1);
+    for (unsigned i = 0; i < 32; ++i)
+        EXPECT_EQ(d1[i], i < 4 ? 0x30 + i : 0) << "byte " << i;
+}
+
+TEST_F(ControllerTest, WireWeightZeroReadsAsOne)
+{
+    // Two equally wide instances share the pullWork cursor by weight.
+    // Weight byte 0 must act as 1 (an even split); a 3:1 control shows
+    // the weight byte is honoured at all.
+    auto share = [&](std::uint8_t wa, std::uint8_t wb) {
+        const Addr pool = proc->allocate(1u << 20);
+        const Addr bound = pool + (1u << 20);
+        std::uint64_t off_a = slotOffset(4), off_b = slotOffset(5);
+        ctrl().handleWrite(proc->asid(), off_a,
+                           fullLaunch(0, 0, wa, touch, pool, bound, {}));
+        ctrl().handleWrite(proc->asid(), off_b,
+                           fullLaunch(0, 0, wb, touch, pool, bound, {}));
+        std::int64_t a = *readReturn(off_a);
+        std::int64_t b = *readReturn(off_b);
+        EXPECT_GT(a, 0);
+        EXPECT_GT(b, 0);
+        while (ctrl().instanceSpawned(a) + ctrl().instanceSpawned(b) <
+                   4096 &&
+               dev_eq().step()) {
+        }
+        double s = static_cast<double>(ctrl().instanceSpawned(a)) /
+                   static_cast<double>(ctrl().instanceSpawned(b));
+        sys->eq().run();
+        return s;
+    };
+    double even = share(0, 1);
+    EXPECT_GT(even, 0.8);
+    EXPECT_LT(even, 1.25);
+    EXPECT_GT(share(3, 1), 2.0);
 }
 
 } // namespace
