@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -79,6 +80,17 @@ struct BenchArgs
                      "[--threads=<n>, n >= 1]\n",
                      prog, bad, prog);
         std::exit(2);
+    }
+
+    /**
+     * @p base scaled by --scale, but at least 1: a tiny scale shrinks a
+     * workload to its smallest size instead of to nothing.
+     */
+    std::uint64_t
+    scaled(double base) const
+    {
+        return std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(base * scale));
     }
 
     /** Sweep-point concurrency: --threads, or one per core when 0. */

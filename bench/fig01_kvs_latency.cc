@@ -20,9 +20,8 @@ p95ForLtu(Tick ltu, const BenchArgs &args)
     System sys(tableIvSystem(ltu));
     auto &proc = sys.createProcess();
     KvstoreConfig kc;
-    kc.num_items =
-        static_cast<std::uint64_t>((args.full ? 10e6 : 100e3) * args.scale);
-    kc.num_buckets = kc.num_items / 4;
+    kc.num_items = args.scaled(args.full ? 10e6 : 100e3);
+    kc.num_buckets = std::max<std::uint64_t>(1, kc.num_items / 4);
     kc.num_requests = args.full ? 10000 : 2000;
     KvstoreWorkload kvs(sys, proc, kc);
     kvs.setup();

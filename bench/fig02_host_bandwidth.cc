@@ -78,8 +78,7 @@ main(int argc, char **argv)
     Addr va = proc.allocate(256 * kMiB);
     Addr pa = *proc.translate(va);
 
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(20000 * (args.full ? 4 : 1) * args.scale);
+    const std::uint64_t total = args.scaled(args.full ? 80000 : 20000);
     // Payload ceilings from the 64 GB/s-per-direction link: 64 B of
     // payload ride an 80 B flit one way (the other direction carries only
     // 16 B headers); mixed traffic loads both directions — 128 B payload

@@ -63,9 +63,7 @@ main(int argc, char **argv)
     System sys(tableIvSystem());
     auto &proc = sys.createProcess();
     auto rt = sys.createRuntime(proc);
-    HistoWorkload histo(sys, proc, 4096,
-                        static_cast<std::uint64_t>(
-                            (args.full ? 16e6 : 1e6) * args.scale));
+    HistoWorkload histo(sys, proc, 4096, args.scaled(args.full ? 16e6 : 1e6));
     histo.setup();
     auto r = histo.runNdp(*rt);
 

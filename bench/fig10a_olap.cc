@@ -24,9 +24,7 @@ main(int argc, char **argv)
     System sys(tableIvSystem());
     auto &proc = sys.createProcess();
     auto rt = sys.createRuntime(proc);
-    OlapWorkload olap(sys, proc,
-                      static_cast<std::uint64_t>(
-                          (args.full ? 16e6 : 2e6) * args.scale));
+    OlapWorkload olap(sys, proc, args.scaled(args.full ? 16e6 : 2e6));
     olap.setup();
 
     // Paper reference speedups (Evaluate): {CPU-NDP, M2NDP, Ideal}.

@@ -24,9 +24,8 @@ main(int argc, char **argv)
         System sys(tableIvSystem());
         auto &proc = sys.createProcess();
         KvstoreConfig kc;
-        kc.num_items = static_cast<std::uint64_t>(
-            (args.full ? 10e6 : 200e3) * args.scale);
-        kc.num_buckets = kc.num_items / 5;
+        kc.num_items = args.scaled(args.full ? 10e6 : 200e3);
+        kc.num_buckets = std::max<std::uint64_t>(1, kc.num_items / 5);
         kc.num_requests = args.full ? 10000 : 2500;
         kc.get_fraction = get_frac;
         KvstoreWorkload kvs(sys, proc, kc);

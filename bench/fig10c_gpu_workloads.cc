@@ -52,9 +52,12 @@ main(int argc, char **argv)
         return fn(sys, proc, *rt);
     };
 
-    double scale = args.scale * (args.full ? 8.0 : 1.0);
-    std::uint64_t histo_elems = static_cast<std::uint64_t>(2e6 * scale);
-    std::uint32_t gnodes = static_cast<std::uint32_t>(16000 * scale);
+    // --full is 8x the default sizes.
+    const double full = args.full ? 8.0 : 1.0;
+    std::uint64_t histo_elems = args.scaled(2e6 * full);
+    // A graph needs at least two nodes.
+    auto gnodes = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(2, args.scaled(16000 * full)));
 
     entries.push_back(run_in_fresh_system([&](System &sys,
                                               ProcessAddressSpace &proc,
@@ -101,7 +104,7 @@ main(int argc, char **argv)
             [&](System &sys, ProcessAddressSpace &proc, NdpRuntime &rt) {
                 DlrmConfig dc;
                 dc.batch = batch;
-                dc.table_rows = static_cast<std::uint64_t>(50e3 * scale);
+                dc.table_rows = args.scaled(50e3 * full);
                 DlrmWorkload w(sys, proc, dc);
                 w.setup();
                 auto r = w.runNdp(rt);

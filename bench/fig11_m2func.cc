@@ -35,8 +35,8 @@ main(int argc, char **argv)
             System sys(tableIvSystem());
             auto &proc = sys.createProcess();
             KvstoreConfig kc;
-            kc.num_items = static_cast<std::uint64_t>(100e3 * args.scale);
-            kc.num_buckets = kc.num_items / 5;
+            kc.num_items = args.scaled(100e3);
+            kc.num_buckets = std::max<std::uint64_t>(1, kc.num_items / 5);
             kc.num_requests = args.full ? 4000 : 1200;
             kc.arrival_rate = rate;
             KvstoreWorkload kvs(sys, proc, kc);
@@ -63,8 +63,8 @@ main(int argc, char **argv)
         System sys(tableIvSystem(600 * kNs));
         auto &proc = sys.createProcess();
         KvstoreConfig kc;
-        kc.num_items = static_cast<std::uint64_t>(100e3 * args.scale);
-        kc.num_buckets = kc.num_items / 5;
+        kc.num_items = args.scaled(100e3);
+        kc.num_buckets = std::max<std::uint64_t>(1, kc.num_items / 5);
         kc.num_requests = 1200;
         kc.arrival_rate = 1e6;
         KvstoreWorkload kvs(sys, proc, kc);

@@ -96,9 +96,10 @@ main(int argc, char **argv)
         {"w/o scalar addr opt", true, false, OffloadScheme::M2Func, 1.02},
     };
 
-    std::uint64_t histo_elems =
-        static_cast<std::uint64_t>(1e6 * args.scale);
-    std::uint32_t nodes = static_cast<std::uint32_t>(12000 * args.scale);
+    std::uint64_t histo_elems = args.scaled(1e6);
+    // A graph needs at least two nodes.
+    auto nodes = static_cast<std::uint32_t>(
+        std::max<std::uint64_t>(2, args.scaled(12000)));
 
     std::printf("  %-26s %10s %10s %10s %10s (paper gmean)\n", "variant",
                 "HISTO4096", "SPMV", "DLRM-B4", "gmean");

@@ -36,8 +36,7 @@ main(int argc, char **argv)
             auto rt = sys.createRuntime(proc);
             DlrmConfig dc;
             dc.batch = args.full ? 256 : 64;
-            dc.table_rows =
-                static_cast<std::uint64_t>(40e3 * args.scale) * d;
+            dc.table_rows = args.scaled(40e3) * d;
             dc.devices = d;
             DlrmWorkload w(sys, proc, dc);
             w.setup();

@@ -54,8 +54,8 @@ int
 main(int argc, char **argv)
 {
     auto args = BenchArgs::parse(argc, argv);
-    std::uint64_t elems = static_cast<std::uint64_t>(1e6 * args.scale);
-    std::uint64_t rows = static_cast<std::uint64_t>(1e6 * args.scale);
+    std::uint64_t elems = args.scaled(1e6);
+    std::uint64_t rows = args.scaled(1e6);
 
     // All sweep points are independent single-device simulations; run
     // them one per core (results identical to the serial sweep).

@@ -43,7 +43,7 @@ main(int argc, char **argv)
         auto rt = sys.createRuntime(proc);
         DlrmConfig dc;
         dc.batch = 32;
-        dc.table_rows = static_cast<std::uint64_t>(40e3 * args.scale);
+        dc.table_rows = args.scaled(40e3);
         DlrmWorkload w(sys, proc, dc);
         w.setup();
         auto r = w.runNdp(*rt);
@@ -55,8 +55,7 @@ main(int argc, char **argv)
         System sys(tableIvSystem());
         auto &proc = sys.createProcess();
         auto rt = sys.createRuntime(proc);
-        HistoWorkload w(sys, proc, 256,
-                        static_cast<std::uint64_t>(1e6 * args.scale));
+        HistoWorkload w(sys, proc, 256, args.scaled(1e6));
         w.setup();
         auto r = w.runNdp(*rt);
         scan_util = r.achieved_gbps / 409.6;
@@ -89,8 +88,7 @@ main(int argc, char **argv)
         System sys(sc);
         auto &proc = sys.createProcess();
         auto rt = sys.createRuntime(proc);
-        HistoWorkload w(sys, proc, 4096,
-                        static_cast<std::uint64_t>(1e6 * args.scale));
+        HistoWorkload w(sys, proc, 4096, args.scaled(1e6));
         w.setup();
         auto r = w.runNdp(*rt);
         double thpt = r.dram_bytes / ticksToSeconds(r.runtime);

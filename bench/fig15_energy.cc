@@ -28,8 +28,7 @@ main(int argc, char **argv)
         System sys(tableIvSystem());
         auto &proc = sys.createProcess();
         auto rt = sys.createRuntime(proc);
-        OlapWorkload olap(sys, proc,
-                          static_cast<std::uint64_t>(2e6 * args.scale));
+        OlapWorkload olap(sys, proc, args.scaled(2e6));
         olap.setup();
         auto q = OlapQuery::tpchQ6();
         auto b = olap.runNdp(*rt, q);
@@ -69,8 +68,7 @@ main(int argc, char **argv)
         System sys(tableIvSystem());
         auto &proc = sys.createProcess();
         auto rt = sys.createRuntime(proc);
-        HistoWorkload histo(sys, proc, 4096,
-                            static_cast<std::uint64_t>(1e6 * args.scale));
+        HistoWorkload histo(sys, proc, 4096, args.scaled(1e6));
         histo.setup();
         auto r = histo.runNdp(*rt);
         auto est = gpuEstimate(GpuConfig::baselineOverCxl(),

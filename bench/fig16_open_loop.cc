@@ -68,7 +68,7 @@ main(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     const unsigned requests =
-        static_cast<unsigned>(2000 * (args.full ? 4.0 : args.scale));
+        args.full ? 8000u : static_cast<unsigned>(args.scaled(2000));
 
     header("Fig. 16a", "open-loop throughput vs offered load (knee)");
     std::printf("  %-12s %-12s %-8s %-8s %-10s %-10s %-10s\n",

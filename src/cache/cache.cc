@@ -39,7 +39,7 @@ Cache::Cache(EventQueue &eq, CacheConfig cfg, MemPort &downstream)
     // re-enters the cache while the freed node is mid-release still finds
     // a node. The index table is power-of-two capacity at <= 50% load so
     // linear probes stay short.
-    mshr_nodes_.assign(cfg_.mshrs + 1, Mshr{});
+    mshr_nodes_ = std::vector<Mshr>(cfg_.mshrs + 1);
     for (Mshr &m : mshr_nodes_) {
         m.free_next = mshr_free_;
         mshr_free_ = &m;
@@ -53,19 +53,15 @@ Cache::Cache(EventQueue &eq, CacheConfig cfg, MemPort &downstream)
 
 Cache::~Cache()
 {
-    auto release_chain = [](MemPacket *p) {
-        while (p != nullptr) {
-            MemPacket *next = p->link;
-            p->link = nullptr;
-            MemPacketPool::release(p);
-            p = next;
-        }
+    auto release_all = [](PacketFifo &q) {
+        while (!q.empty())
+            MemPacketPool::release(q.pop());
     };
     for (Mshr *m : mshr_index_) {
         if (m != nullptr)
-            release_chain(m->waiters_head);
+            release_all(m->waiters);
     }
-    release_chain(stalled_head_);
+    release_all(stalled_);
 }
 
 M2NDP_HOT_PATH
@@ -169,8 +165,6 @@ Cache::mshrInsert(Addr line)
     m->free_next = nullptr;
     m->line = line;
     m->sectors_pending = 0;
-    m->waiters_head = nullptr;
-    m->waiters_tail = nullptr;
     m->way = kNoWay;
     std::size_t i = mshrSlot(line);
     while (mshr_index_[i] != nullptr)
@@ -284,25 +278,13 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick)
         if (m != nullptr && (m->sectors_pending & sbit) != 0) {
             // The sector's fill is already in flight: pure merge.
             ++stats_.mshr_merges;
-            MemPacket *raw = pkt.release();
-            raw->link = nullptr;
-            raw->wait_sector = static_cast<std::uint8_t>(sector);
-            if (m->waiters_tail != nullptr)
-                m->waiters_tail->link = raw;
-            else
-                m->waiters_head = raw;
-            m->waiters_tail = raw;
+            pkt->wait_sector = static_cast<std::uint8_t>(sector);
+            m->waiters.push(pkt.release());
             return;
         }
         if (mshr_count_ >= cfg_.mshrs) {
             ++stats_.mshr_stalls;
-            MemPacket *raw = pkt.release();
-            raw->link = nullptr;
-            if (stalled_tail_ != nullptr)
-                stalled_tail_->link = raw;
-            else
-                stalled_head_ = raw;
-            stalled_tail_ = raw;
+            stalled_.push(pkt.release());
             return;
         }
         if (m == nullptr)
@@ -420,35 +402,17 @@ Cache::handleRiderFill(MemPacket &rider, Mshr *m, unsigned sector,
     // keeps other sectors' waiters chained in FIFO order. The emptied
     // node is released *first*: completions below may re-enter the cache
     // and take a fresh node.
-    MemPacket *settle = nullptr;
+    PacketFifo settle;
     if (m->sectors_pending == 0) {
-        settle = m->waiters_head;
-        m->waiters_head = nullptr;
-        m->waiters_tail = nullptr;
+        settle = std::move(m->waiters);
         mshrErase(m);
     } else {
-        MemPacket *w = m->waiters_head;
-        MemPacket *settle_tail = nullptr;
-        m->waiters_head = nullptr;
-        m->waiters_tail = nullptr;
-        while (w != nullptr) {
-            MemPacket *next = w->link;
-            w->link = nullptr;
-            if (w->wait_sector == sector) {
-                if (settle_tail != nullptr)
-                    settle_tail->link = w;
-                else
-                    settle = w;
-                settle_tail = w;
-            } else {
-                if (m->waiters_tail != nullptr)
-                    m->waiters_tail->link = w;
-                else
-                    m->waiters_head = w;
-                m->waiters_tail = w;
-            }
-            w = next;
+        PacketFifo keep;
+        while (!m->waiters.empty()) {
+            MemPacket *w = m->waiters.pop();
+            (w->wait_sector == sector ? settle : keep).push(w);
         }
+        m->waiters = std::move(keep);
     }
 
     // Continue the rider FIRST: popping its remaining hop frames
@@ -458,29 +422,20 @@ Cache::handleRiderFill(MemPacket &rider, Mshr *m, unsigned sector,
     // carrier-packet chain produced.
     rider.complete(when);
 
-    while (settle != nullptr) {
-        MemPacket *next = settle->link;
-        settle->link = nullptr;
-        M2_ASSERT(settle->wait_sector == sector,
+    while (!settle.empty()) {
+        MemPacketPtr waiter(settle.pop()); // recycled after completion
+        M2_ASSERT(waiter->wait_sector == sector,
                   "stranded waiter on a filled sector");
-        if (settle->op == MemOp::Atomic)
+        if (waiter->op == MemOp::Atomic)
             line->dirty = true;
-        MemPacketPtr holder(settle); // recycled after completion
-        holder->complete(when);
-        settle = next;
+        waiter->complete(when);
     }
 
     // Admit one stalled request per freed sector fill. The retry
     // re-looks-up at the fill tick (no second port booking, as before
     // the fusion).
-    if (stalled_head_ != nullptr) {
-        MemPacket *retry = stalled_head_;
-        stalled_head_ = retry->link;
-        if (stalled_head_ == nullptr)
-            stalled_tail_ = nullptr;
-        retry->link = nullptr;
-        lookupAt(MemPacketPtr(retry), when);
-    }
+    if (!stalled_.empty())
+        lookupAt(MemPacketPtr(stalled_.pop()), when);
 }
 
 void

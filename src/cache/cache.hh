@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/intrusive_fifo.hh"
 #include "common/units.hh"
 #include "mem/packet.hh"
 #include "sim/event_queue.hh"
@@ -128,6 +129,8 @@ class Cache : public MemPort
         std::uint64_t sector_valid = 0; ///< bitmask of valid sectors
     };
 
+    using PacketFifo = IntrusiveFifo<MemPacket, &MemPacket::link>;
+
     /**
      * One line with outstanding sector misses. Waiters for every sector
      * of the line share one intrusive FIFO chain through
@@ -150,8 +153,7 @@ class Cache : public MemPort
     {
         Addr line = 0;
         std::uint64_t sectors_pending = 0; ///< downstream fills in flight
-        MemPacket *waiters_head = nullptr;
-        MemPacket *waiters_tail = nullptr;
+        PacketFifo waiters;
         std::uint32_t way = kNoWay; ///< cached lines_ index for the fill
         Mshr *free_next = nullptr;  ///< node-pool free list
     };
@@ -260,9 +262,8 @@ class Cache : public MemPort
     std::uint64_t mshr_mask_ = 0;
     std::size_t mshr_count_ = 0; ///< outstanding sector fills (stall gate)
 
-    /** Requests waiting for a free MSHR (intrusive FIFO via pkt->link). */
-    MemPacket *stalled_head_ = nullptr;
-    MemPacket *stalled_tail_ = nullptr;
+    /** Requests waiting for a free MSHR. */
+    PacketFifo stalled_;
 
     Tick port_free_ = 0;
     std::uint64_t lru_clock_ = 0;

@@ -386,10 +386,6 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
         node->payload.size = static_cast<std::uint8_t>(
             std::min<std::uint32_t>(size, M2FuncPayload::kMaxBytes));
         std::memcpy(node->payload.bytes.data(), data, node->payload.size);
-        if (offset / kM2FuncStride >= kM2FuncLaunchSlotBase &&
-            (node->payload.bytes[0] & kLaunchFlagCompact) &&
-            node->payload.size > kCompactLaunchBytes)
-            ++dstats_.m2func_batched_stores;
         eq_.scheduleAfter(cfg_.m2func_latency,
                           [this, asid, offset, node] {
                               controller_->handleWrite(asid, offset,

@@ -93,9 +93,6 @@ struct DeviceStats
     std::uint64_t host_reads = 0;
     std::uint64_t host_writes = 0;
     std::uint64_t m2func_calls = 0;
-    /** M2func stores carrying two compact launches (one store, two
-     *  kernels — the batched-launch lever under offered-load pressure). */
-    std::uint64_t m2func_batched_stores = 0;
     std::uint64_t back_invalidations = 0;
     std::uint64_t p2p_accesses = 0;
 };

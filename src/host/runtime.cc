@@ -100,7 +100,7 @@ NdpEvent::release()
 NdpEvent
 NdpStream::launch(const LaunchDesc &desc)
 {
-    LaunchRecord *rec = rt_.makeRecord(desc, device_, false);
+    LaunchRecord *rec = rt_.makeRecord(desc, device_);
     ++launched_;
     if (rec->done) {
         // Rejected at submit time (bad kernel handle): the event carries
@@ -113,7 +113,7 @@ NdpStream::launch(const LaunchDesc &desc)
     if (rec->deadline == 0 && default_deadline_ != 0)
         rec->deadline = rt_.eq_.now() + default_deadline_;
     rec->weight = priority_;
-    if (queue_limit_ != 0 && queued_ >= queue_limit_) [[unlikely]] {
+    if (queue_limit_ != 0 && queue_.size() >= queue_limit_) [[unlikely]] {
         // Admission control: a full bounded stream queue rejects the
         // launch immediately with a typed error instead of growing
         // without bound. The rejection is not a stream fault — fail-fast
@@ -127,13 +127,7 @@ NdpStream::launch(const LaunchDesc &desc)
         return NdpEvent(&rt_, rec);
     }
     rec->stream = this;
-    rec->next = nullptr;
-    if (queue_tail_ != nullptr)
-        queue_tail_->next = rec;
-    else
-        queue_head_ = rec;
-    queue_tail_ = rec;
-    ++queued_;
+    queue_.push(rec);
     pump();
     return NdpEvent(&rt_, rec);
 }
@@ -141,16 +135,10 @@ NdpStream::launch(const LaunchDesc &desc)
 void
 NdpStream::pump()
 {
-    if (in_flight_ || queue_head_ == nullptr)
+    if (in_flight_ || queue_.empty())
         return;
-    LaunchRecord *rec = queue_head_;
-    queue_head_ = rec->next;
-    if (queue_head_ == nullptr)
-        queue_tail_ = nullptr;
-    rec->next = nullptr;
-    --queued_;
     in_flight_ = true;
-    rt_.issueRecord(rec);
+    rt_.issueRecord(queue_.pop());
 }
 
 void
@@ -169,10 +157,8 @@ NdpStream::abortQueued(Tick now)
 {
     // Queued records never reached issueRecord, so they are not counted
     // in flight: complete them here instead of via completeRecord.
-    while (queue_head_ != nullptr) {
-        LaunchRecord *rec = queue_head_;
-        queue_head_ = rec->next;
-        rec->next = nullptr;
+    while (!queue_.empty()) {
+        LaunchRecord *rec = queue_.pop();
         rec->done = true;
         rec->instance_id = static_cast<std::int64_t>(NdpError::Aborted);
         rec->completed_at = now;
@@ -184,8 +170,6 @@ NdpStream::abortQueued(Tick now)
         }
         rt_.releaseRecordRef(rec); // the runtime's reference
     }
-    queue_tail_ = nullptr;
-    queued_ = 0;
 }
 
 void
@@ -316,7 +300,6 @@ NdpStream &
 NdpRuntime::createStream(unsigned device)
 {
     M2_ASSERT(device < devs_.size(), "stream bound to nonexistent device");
-    ++stats_.streams_created;
     streams_.push_back(
         std::unique_ptr<NdpStream>(new NdpStream(*this, device)));
     return *streams_.back();
@@ -325,7 +308,6 @@ NdpRuntime::createStream(unsigned device)
 KernelStatus
 NdpRuntime::pollKernelStatus(std::int64_t instance_id, unsigned device)
 {
-    ++stats_.polls;
     DeviceState &dev = devs_.at(device);
     if (cfg_.scheme == OffloadScheme::M2Func) {
         Addr addr = funcAddr(dev, M2Func::PollKernelStatus);
@@ -377,27 +359,6 @@ NdpRuntime::deviceKernelId(const DeviceState &dev,
 // Launch-record pool
 // --------------------------------------------------------------------------
 
-LaunchRecord *
-NdpRuntime::allocRecord()
-{
-    LaunchRecord *rec = record_pool_.acquire();
-    rec->stream = nullptr;
-    rec->rt = this;
-    rec->device = 0;
-    rec->slot = 0;
-    rec->refs = 0;
-    rec->attempts = 0;
-    rec->done = false;
-    rec->sync = false;
-    rec->instance_id = kNdpErr;
-    rec->issued_at = 0;
-    rec->completed_at = 0;
-    rec->deadline = 0;
-    rec->weight = 1;
-    rec->on_complete.reset();
-    return rec;
-}
-
 void
 NdpRuntime::releaseRecordRef(LaunchRecord *rec)
 {
@@ -409,13 +370,14 @@ NdpRuntime::releaseRecordRef(LaunchRecord *rec)
 }
 
 LaunchRecord *
-NdpRuntime::makeRecord(const LaunchDesc &desc, unsigned device, bool sync)
+NdpRuntime::makeRecord(const LaunchDesc &desc, unsigned device)
 {
     M2_ASSERT(device < devs_.size(), "launch to nonexistent device");
-    LaunchRecord *rec = allocRecord();
+    LaunchRecord *rec = record_pool_.acquire();
+    *rec = LaunchRecord{}; // a recycled record starts from scratch
+    rec->rt = this;
     rec->desc = desc;
     rec->device = device;
-    rec->sync = sync;
     rec->deadline = desc.deadlineTick();
     rec->refs = 2; // runtime (until completion) + event handle
     if (deviceKernelId(devs_[device], desc.kernel()) < 0) {
@@ -453,27 +415,17 @@ NdpRuntime::issueRecord(LaunchRecord *rec)
     ++stats_.in_flight;
     stats_.peak_in_flight = std::max(stats_.peak_in_flight,
                                      stats_.in_flight);
-    rec->issued_at = eq_.now();
     // Deadline-aware shedding at the door: an expired launch never costs
-    // device time. Sheds are typed terminal completions — never retried,
-    // since an absolute deadline cannot be met by re-issuing.
-    if (deadlineExpired(rec)) [[unlikely]] {
-        ++stats_.deadline_shed;
-        failRecordAsync(rec, NdpError::DeadlineExceeded);
+    // device time.
+    if (shedIfExpired(rec)) [[unlikely]]
         return;
-    }
     // Per-tenant rate limiter. Retries re-enter here too, so a backoff
     // burst cannot stampede past the tenant's configured rate.
     if (tb_period_ != 0) {
         refillTokens();
         if (tb_tokens_ == 0) {
             ++stats_.throttled_launches;
-            rec->next = nullptr;
-            if (tb_wait_tail_ != nullptr)
-                tb_wait_tail_->next = rec;
-            else
-                tb_wait_head_ = rec;
-            tb_wait_tail_ = rec;
+            tb_wait_.push(rec);
             scheduleRateLimiterPump();
             return;
         }
@@ -517,6 +469,18 @@ NdpRuntime::deadlineExpired(const LaunchRecord *rec) const
     return rec->deadline != 0 && eq_.now() > rec->deadline;
 }
 
+bool
+NdpRuntime::shedIfExpired(LaunchRecord *rec)
+{
+    // An absolute deadline cannot be met by re-issuing, so a shed is
+    // terminal (see completeRecord).
+    if (!deadlineExpired(rec)) [[likely]]
+        return false;
+    ++stats_.deadline_shed;
+    failRecordAsync(rec, NdpError::DeadlineExceeded);
+    return true;
+}
+
 void
 NdpRuntime::refillTokens()
 {
@@ -553,29 +517,19 @@ NdpRuntime::pumpRateLimiter()
 {
     tb_pump_scheduled_ = false;
     refillTokens();
-    while (tb_wait_head_ != nullptr) {
-        LaunchRecord *rec = tb_wait_head_;
-        if (deadlineExpired(rec)) [[unlikely]] {
-            // Shedding needs no token; waiting for one would only make
-            // the launch later still.
-            tb_wait_head_ = rec->next;
-            if (tb_wait_head_ == nullptr)
-                tb_wait_tail_ = nullptr;
-            rec->next = nullptr;
-            ++stats_.deadline_shed;
-            failRecordAsync(rec, NdpError::DeadlineExceeded);
+    while (!tb_wait_.empty()) {
+        // Shedding needs no token; waiting for one would only make the
+        // launch later still.
+        if (shedIfExpired(tb_wait_.front())) [[unlikely]] {
+            tb_wait_.pop();
             continue;
         }
         if (tb_tokens_ == 0)
             break;
-        tb_wait_head_ = rec->next;
-        if (tb_wait_head_ == nullptr)
-            tb_wait_tail_ = nullptr;
-        rec->next = nullptr;
         --tb_tokens_;
-        issueAdmitted(rec);
+        issueAdmitted(tb_wait_.pop());
     }
-    if (tb_wait_head_ != nullptr)
+    if (!tb_wait_.empty())
         scheduleRateLimiterPump();
 }
 
@@ -653,19 +607,10 @@ NdpRuntime::markDeviceLost(unsigned device)
     std::int64_t code = static_cast<std::int64_t>(NdpError::DeviceLost);
     // Fail everything queued on this device. Completion may pump the
     // owning streams, whose next launches then re-route via issueRecord.
-    auto drain = [&](LaunchRecord *&head, LaunchRecord *&tail) {
-        while (head != nullptr) {
-            LaunchRecord *rec = head;
-            head = rec->next;
-            if (head == nullptr)
-                tail = nullptr;
-            rec->next = nullptr;
-            completeRecord(rec, code, eq_.now());
-        }
-    };
-    drain(dev.m2f_wait_head, dev.m2f_wait_tail);
-    dev.m2f_wait_len = 0;
-    drain(dev.direct_head, dev.direct_tail);
+    for (IntrusiveFifo<LaunchRecord> *q : {&dev.m2f_wait, &dev.direct_wait}) {
+        while (!q->empty())
+            completeRecord(q->pop(), code, eq_.now());
+    }
 }
 
 int
@@ -680,13 +625,9 @@ NdpRuntime::findHealthyDevice()
 std::int64_t
 NdpRuntime::launchKernelSync(const LaunchDesc &desc, unsigned device)
 {
-    LaunchRecord *rec = makeRecord(desc, device, true);
-    if (!rec->done) {
-        // Submit-time rejections count in neither launches nor
-        // sync_launches, keeping sync_launches <= launches == issued.
-        ++stats_.sync_launches;
+    LaunchRecord *rec = makeRecord(desc, device);
+    if (!rec->done)
         issueRecord(rec);
-    }
     NdpEvent ev(this, rec);
     return ev.wait();
 }
@@ -698,7 +639,7 @@ NdpRuntime::issueM2Func(LaunchRecord *rec)
 {
     DeviceState &dev = devs_[rec->device];
     if (cfg_.device_queue_limit != 0 &&
-        dev.m2f_wait_len >= cfg_.device_queue_limit) [[unlikely]] {
+        dev.m2f_wait.size() >= cfg_.device_queue_limit) [[unlikely]] {
         // Bounded device queue: overflow is a typed rejection, never
         // silent unbounded growth. Failovers land here too, so a
         // surviving device's admission limit holds when its peers die.
@@ -709,32 +650,18 @@ NdpRuntime::issueM2Func(LaunchRecord *rec)
     // Queue, then drain: the pump owns the free-slot scan, so launches
     // that find a slot immediately and launches that waited share one
     // assignment path.
-    rec->next = nullptr;
-    if (dev.m2f_wait_tail != nullptr)
-        dev.m2f_wait_tail->next = rec;
-    else
-        dev.m2f_wait_head = rec;
-    dev.m2f_wait_tail = rec;
-    ++dev.m2f_wait_len;
+    dev.m2f_wait.push(rec);
     pumpM2FuncQueue(dev);
 }
 
 void
 NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
 {
-    while (dev.m2f_wait_head != nullptr) {
-        LaunchRecord *rec = dev.m2f_wait_head;
-        if (deadlineExpired(rec)) [[unlikely]] {
-            // A launch whose deadline passed while it waited is shed
-            // before it can consume a slot the live launches behind it
-            // need.
-            dev.m2f_wait_head = rec->next;
-            if (dev.m2f_wait_head == nullptr)
-                dev.m2f_wait_tail = nullptr;
-            rec->next = nullptr;
-            --dev.m2f_wait_len;
-            ++stats_.deadline_shed;
-            failRecordAsync(rec, NdpError::DeadlineExceeded);
+    while (!dev.m2f_wait.empty()) {
+        // A launch whose deadline passed while it waited is shed before
+        // it can consume a slot the live launches behind it need.
+        if (shedIfExpired(dev.m2f_wait.front())) [[unlikely]] {
+            dev.m2f_wait.pop();
             continue;
         }
         unsigned slot = kM2FuncLaunchSlots;
@@ -747,55 +674,39 @@ NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
         }
         if (slot == kM2FuncLaunchSlots)
             return;
-        dev.m2f_wait_head = rec->next;
-        if (dev.m2f_wait_head == nullptr)
-            dev.m2f_wait_tail = nullptr;
-        rec->next = nullptr;
-        --dev.m2f_wait_len;
+        LaunchRecord *rec = dev.m2f_wait.pop();
         // Batch probe: when a backlog exists and both the head and the
         // next launch fit the compact half-format, they share one 64 B
         // store (and one slot), halving the stores per launch under
         // load. Full-format launches (> 8 B of inline args) keep the
         // exact single-launch wire timing.
         LaunchRecord *mate = nullptr;
-        if (dev.m2f_wait_head != nullptr &&
+        if (!dev.m2f_wait.empty() &&
             rec->desc.argSize() <= kCompactMaxArgBytes &&
-            dev.m2f_wait_head->desc.argSize() <= kCompactMaxArgBytes &&
-            !deadlineExpired(dev.m2f_wait_head)) {
-            mate = dev.m2f_wait_head;
-            dev.m2f_wait_head = mate->next;
-            if (dev.m2f_wait_head == nullptr)
-                dev.m2f_wait_tail = nullptr;
-            mate->next = nullptr;
-            --dev.m2f_wait_len;
-        }
+            dev.m2f_wait.front()->desc.argSize() <= kCompactMaxArgBytes &&
+            !deadlineExpired(dev.m2f_wait.front()))
+            mate = dev.m2f_wait.pop();
         dev.rr_slot = (slot + 1) % kM2FuncLaunchSlots;
         dev.slot_pending[slot] = mate != nullptr ? 2 : 1;
         m2funcLaunchOn(dev, slot, rec, mate);
     }
 }
 
-namespace {
-
-/** Pack one compact (32 B) launch half of a batched M2func store. */
-void
-packCompactHalf(std::uint8_t *out, std::int64_t device_kernel_id,
-                const LaunchDesc &desc, std::uint8_t weight)
+LaunchWire
+NdpRuntime::wireOf(const DeviceState &dev, const LaunchRecord *rec) const
 {
-    std::memset(out, 0, kCompactLaunchBytes);
-    out[0] = kLaunchFlagSync | kLaunchFlagCompact;
-    out[1] = static_cast<std::uint8_t>(desc.argSize());
-    out[2] = weight;
-    auto kid = static_cast<std::uint32_t>(device_kernel_id);
-    std::memcpy(out + 4, &kid, 4);
-    Addr base = desc.poolBase();
-    Addr bound = desc.poolBound();
-    std::memcpy(out + 8, &base, 8);
-    std::memcpy(out + 16, &bound, 8);
-    std::memcpy(out + 24, desc.argData(), desc.argSize());
+    static_assert(LaunchDesc::kMaxArgBytes == LaunchWire::kMaxArgBytes,
+                  "LaunchDesc's inline args must fit the full layout");
+    LaunchWire w;
+    w.sync = true;
+    w.weight = rec->weight;
+    w.kernel = deviceKernelId(dev, rec->desc.kernel());
+    w.base = rec->desc.poolBase();
+    w.bound = rec->desc.poolBound();
+    w.args = rec->desc.argData();
+    w.args_size = rec->desc.argSize();
+    return w;
 }
-
-} // namespace
 
 void
 NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
@@ -806,49 +717,37 @@ NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
     // device until the kernel terminates* — so its arrival doubles as the
     // completion notification, with no extra poll round trip.
     rec->slot = slot;
-    static_assert(LaunchDesc::kPayloadBytes <=
-                      kM2FuncLaunchSlotStride * kM2FuncStride,
-                  "launch payload must fit the launch-slot stride");
     Addr addr = dev.m2func_pa +
                 (kM2FuncLaunchSlotBase +
                  slot * kM2FuncLaunchSlotStride) * kM2FuncStride;
-    if (mate != nullptr) [[unlikely]] {
+    M2FuncPayload payload;
+    if (mate == nullptr) {
+        wireOf(dev, rec).encode(payload, 0, LaunchWire::Layout::Full);
+    } else [[unlikely]] {
         // Batched launch: two compact halves share the 64 B store; each
         // half resolves through its own return offset, so completions
         // stay independent even though the launches travelled together.
         mate->slot = slot;
-        std::uint8_t payload[2 * kCompactLaunchBytes];
-        packCompactHalf(payload, deviceKernelId(dev, rec->desc.kernel()),
-                        rec->desc, rec->weight);
-        packCompactHalf(payload + kCompactLaunchBytes,
-                        deviceKernelId(dev, mate->desc.kernel()),
-                        mate->desc, mate->weight);
+        wireOf(dev, rec).encode(payload, 0, LaunchWire::Layout::Compact);
+        wireOf(dev, mate).encode(payload, kCompactLaunchBytes,
+                                 LaunchWire::Layout::Compact);
         ++stats_.batched_stores;
-        stats_.batched_launches += 2;
-        dev.port->writeAsync(addr, payload, sizeof(payload), {});
-        rec->m2f_ret = kNdpErr;
-        dev.port->readAsync(addr, 8, &rec->m2f_ret, [rec](Tick t) {
-            rec->rt->m2funcReturned(rec, t);
-        });
-        mate->m2f_ret = kNdpErr;
-        dev.port->readAsync(addr + kM2FuncStride, 8, &mate->m2f_ret,
-                            [mate](Tick t) {
-                                mate->rt->m2funcReturned(mate, t);
-                            });
-        return;
     }
-    std::uint8_t payload[LaunchDesc::kPayloadBytes];
-    unsigned len = rec->desc.pack(
-        payload, true, deviceKernelId(dev, rec->desc.kernel()),
-        rec->weight);
-    dev.port->writeAsync(addr, payload, len, {});
+    dev.port->writeAsync(addr, payload.bytes.data(), payload.size, {});
     // The deferred return-value read carries the instance id in its DRS:
-    // the device fills rec->m2f_ret at response formation, after the
+    // the device fills m2f_ret at response formation, after the
     // controller wrote the return slot.
     rec->m2f_ret = kNdpErr;
     dev.port->readAsync(addr, 8, &rec->m2f_ret, [rec](Tick t) {
         rec->rt->m2funcReturned(rec, t);
     });
+    if (mate != nullptr) {
+        mate->m2f_ret = kNdpErr;
+        dev.port->readAsync(addr + kM2FuncStride, 8, &mate->m2f_ret,
+                            [mate](Tick t) {
+                                mate->rt->m2funcReturned(mate, t);
+                            });
+    }
 }
 
 void
@@ -883,32 +782,9 @@ NdpRuntime::issueRingBuffer(LaunchRecord *rec)
     // (5y >> the link lookahead); the completion crosses back.
     Tick y = cfg_.io.oneway_latency;
     DeviceState &dev = devs_[rec->device];
-    dev.port->postToDeviceAt(eq_.now() + 5 * y,
-                             [rec] { rec->rt->ringBufferArrived(rec); });
-}
-
-void
-NdpRuntime::ringBufferArrived(LaunchRecord *rec)
-{
-    // Runs on the device partition: controller state is device-owned;
-    // runtime/stream state is only touched back on the host side. A
-    // rejected launch pays the same 3y completion path as a finished one.
-    auto complete_on_host = [](LaunchRecord *r, std::int64_t ret) {
-        HostCxlPort *port = r->rt->devs_[r->device].port;
-        port->postToHostAt(
-            port->deviceQueue().now() + 3 * r->rt->cfg_.io.oneway_latency,
-            [r, ret] { r->rt->completeRecord(r, ret, r->rt->eq_.now()); });
-    };
-    DeviceState &dev = devs_[rec->device];
-    std::int64_t iid = dev.port->device().controller().launch(
-        process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
-        rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
-        rec->desc.argSize(),
-        [rec, complete_on_host](const KernelInstance &inst) {
-            complete_on_host(rec, inst.returnValue());
-        });
-    if (iid < 0)
-        complete_on_host(rec, iid);
+    dev.port->postToDeviceAt(eq_.now() + 5 * y, [rec, y] {
+        rec->rt->cxlIoArrived(rec, 3 * y);
+    });
 }
 
 // ---- CXL.io direct MMIO (Fig. 5c): device-wide serialization ----
@@ -917,62 +793,55 @@ void
 NdpRuntime::issueDirect(LaunchRecord *rec)
 {
     DeviceState &dev = devs_[rec->device];
-    rec->next = nullptr;
-    if (dev.direct_tail != nullptr)
-        dev.direct_tail->next = rec;
-    else
-        dev.direct_head = rec;
-    dev.direct_tail = rec;
+    dev.direct_wait.push(rec);
     pumpDirectQueue(dev);
 }
 
 void
 NdpRuntime::pumpDirectQueue(DeviceState &dev)
 {
-    if (dev.direct_busy || dev.direct_head == nullptr)
+    if (dev.direct_busy || dev.direct_wait.empty())
         return;
     dev.direct_busy = true;
-    LaunchRecord *rec = dev.direct_head;
-    dev.direct_head = rec->next;
-    if (dev.direct_head == nullptr)
-        dev.direct_tail = nullptr;
-    rec->next = nullptr;
+    LaunchRecord *rec = dev.direct_wait.pop();
     // Fig. 5c: MMIO doorbell: kernel starts 2y after initiation; the
     // result register read costs another y after kernel end.
     Tick y = cfg_.io.oneway_latency;
     dev.port->postToDeviceAt(eq_.now() + 2 * y,
-                             [rec] { rec->rt->directArrived(rec); });
+                             [rec, y] { rec->rt->cxlIoArrived(rec, y); });
 }
 
 void
-NdpRuntime::directArrived(LaunchRecord *rec)
+NdpRuntime::cxlIoArrived(LaunchRecord *rec, Tick return_latency)
 {
-    // Runs on the device partition; `direct_busy`, completion and pumping
-    // are host state and travel back across the boundary. The result
-    // register read costs y after kernel end; the failure path pays the
-    // same y.
-    auto complete_on_host = [](LaunchRecord *r, std::int64_t ret) {
-        HostCxlPort *port = r->rt->devs_[r->device].port;
+    // Runs on the device partition: controller state is device-owned;
+    // runtime/stream state (and the direct scheme's busy flag and queue)
+    // is only touched back on the host side. A rejected launch pays the
+    // same return latency as a finished one.
+    auto complete_on_host = [rec, return_latency](std::int64_t ret) {
+        HostCxlPort *port = rec->rt->devs_[rec->device].port;
         port->postToHostAt(
-            port->deviceQueue().now() + r->rt->cfg_.io.oneway_latency,
-            [r, ret] {
-                NdpRuntime *rt = r->rt;
-                DeviceState &d = rt->devs_[r->device];
-                d.direct_busy = false;
-                rt->completeRecord(r, ret, rt->eq_.now());
-                rt->pumpDirectQueue(d);
+            port->deviceQueue().now() + return_latency, [rec, ret] {
+                NdpRuntime *rt = rec->rt;
+                DeviceState &d = rt->devs_[rec->device];
+                bool direct = rt->cfg_.scheme == OffloadScheme::CxlIoDirect;
+                if (direct)
+                    d.direct_busy = false;
+                rt->completeRecord(rec, ret, rt->eq_.now());
+                if (direct)
+                    rt->pumpDirectQueue(d);
             });
     };
     DeviceState &dev = devs_[rec->device];
     std::int64_t iid = dev.port->device().controller().launch(
-        process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
+        process_.asid(), deviceKernelId(dev, rec->desc.kernel()),
         rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
         rec->desc.argSize(),
-        [rec, complete_on_host](const KernelInstance &inst) {
-            complete_on_host(rec, inst.returnValue());
+        [complete_on_host](const KernelInstance &inst) {
+            complete_on_host(inst.returnValue());
         });
     if (iid < 0)
-        complete_on_host(rec, iid);
+        complete_on_host(iid);
 }
 
 } // namespace m2ndp

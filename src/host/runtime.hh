@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/intrusive_fifo.hh"
 #include "common/slab_pool.hh"
 #include "host/host.hh"
 #include "host/stream.hh"
@@ -78,10 +79,7 @@ struct NdpRuntimeConfig
 struct NdpRuntimeStats
 {
     std::uint64_t launches = 0;
-    std::uint64_t sync_launches = 0;
     std::uint64_t completions = 0;
-    std::uint64_t polls = 0;
-    std::uint64_t streams_created = 0;
     /** Launches in flight right now / high-water mark. */
     std::uint64_t in_flight = 0;
     std::uint64_t peak_in_flight = 0;
@@ -103,8 +101,6 @@ struct NdpRuntimeStats
     std::uint64_t throttled_launches = 0;
     /** 64 B M2func stores that carried two compact launches. */
     std::uint64_t batched_stores = 0;
-    /** Launches that rode a shared (batched) store. */
-    std::uint64_t batched_launches = 0;
 };
 
 /**
@@ -198,32 +194,29 @@ class NdpRuntime
          */
         std::vector<std::uint8_t> slot_pending;
         unsigned rr_slot = 0;
-        /** Records waiting for a free M2func slot (intrusive FIFO). */
-        LaunchRecord *m2f_wait_head = nullptr;
-        LaunchRecord *m2f_wait_tail = nullptr;
-        /** Length of the m2f_wait FIFO (admission-control bound). */
-        unsigned m2f_wait_len = 0;
+        /** Records waiting for a free M2func slot; its size is the
+         *  admission-control bound's measure. */
+        IntrusiveFifo<LaunchRecord> m2f_wait;
         /** CXL.io direct scheme: one kernel at a time (Section III-C). */
         bool direct_busy = false;
-        LaunchRecord *direct_head = nullptr;
-        LaunchRecord *direct_tail = nullptr;
+        IntrusiveFifo<LaunchRecord> direct_wait;
         /** Link went down for good; launches re-route to survivors. */
         bool lost = false;
     };
 
     // ---- launch-record pool ----
-    LaunchRecord *allocRecord();
     void releaseRecordRef(LaunchRecord *rec);
 
     /** Create a record for @p desc on @p device (refs = 2). */
-    LaunchRecord *makeRecord(const LaunchDesc &desc, unsigned device,
-                             bool sync);
+    LaunchRecord *makeRecord(const LaunchDesc &desc, unsigned device);
 
     // ---- issue path (called by streams and sync launches) ----
     void issueRecord(LaunchRecord *rec);
     /** issueRecord past the deadline/rate-limit gates. */
     void issueAdmitted(LaunchRecord *rec);
     void issueM2Func(LaunchRecord *rec);
+    /** @p rec's launch as the M2func codec encodes it for @p dev. */
+    LaunchWire wireOf(const DeviceState &dev, const LaunchRecord *rec) const;
     void m2funcLaunchOn(DeviceState &dev, unsigned slot, LaunchRecord *rec,
                         LaunchRecord *mate = nullptr);
     void m2funcReturned(LaunchRecord *rec, Tick t);
@@ -237,16 +230,25 @@ class NdpRuntime
     void failRecordAsync(LaunchRecord *rec, NdpError err);
     /** True when @p rec's sim-time deadline has already expired. */
     bool deadlineExpired(const LaunchRecord *rec) const;
+    /**
+     * Shed @p rec with DeadlineExceeded if its deadline expired (a typed
+     * terminal completion, never retried). @return true when shed.
+     */
+    bool shedIfExpired(LaunchRecord *rec);
     /** Accrue tokens since the last refill (integer tick arithmetic). */
     void refillTokens();
     /** Re-issue throttled launches as tokens accrue. */
     void pumpRateLimiter();
     void scheduleRateLimiterPump();
     void issueRingBuffer(LaunchRecord *rec);
-    void ringBufferArrived(LaunchRecord *rec);
     void issueDirect(LaunchRecord *rec);
     void pumpDirectQueue(DeviceState &dev);
-    void directArrived(LaunchRecord *rec);
+    /**
+     * A CXL.io launch reached the device (device partition): launch it
+     * and report its result to the host @p return_latency after the
+     * kernel ends or is rejected.
+     */
+    void cxlIoArrived(LaunchRecord *rec, Tick return_latency);
 
     /** Mark @p rec complete, notify event/stream, release runtime ref. */
     void completeRecord(LaunchRecord *rec, std::int64_t iid, Tick t);
@@ -290,9 +292,8 @@ class NdpRuntime
     std::uint64_t tb_tokens_ = 0;
     Tick tb_last_refill_ = 0;
     bool tb_pump_scheduled_ = false;
-    /** Launches parked waiting for a token (intrusive FIFO). */
-    LaunchRecord *tb_wait_head_ = nullptr;
-    LaunchRecord *tb_wait_tail_ = nullptr;
+    /** Launches parked waiting for a token. */
+    IntrusiveFifo<LaunchRecord> tb_wait_;
 
     /** Slab-pooled launch records (retained for the runtime lifetime). */
     SlabPool<LaunchRecord> record_pool_;

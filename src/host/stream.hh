@@ -8,9 +8,10 @@
  * bottleneck if it allocates or round-trips per launch. This layer keeps
  * the host side allocation-free in steady state:
  *
- *  - `LaunchDesc` packs kernel id, pool region and up to 32 B of arguments
- *    directly into the 64 B M2func payload format — no intermediate
- *    std::vector, no copies beyond the final payload store.
+ *  - `LaunchDesc` holds kernel id, pool region and up to 32 B of
+ *    arguments inline — no intermediate std::vector. The runtime
+ *    serializes it with the M2func launch codec (`LaunchWire`,
+ *    ndp/ndp_controller.hh) straight into the payload it stores.
  *  - `NdpStream` is an in-order launch queue bound to (runtime, device).
  *    A stream issues one launch at a time; the next queued launch is
  *    released when the previous kernel instance completes. Concurrency
@@ -31,6 +32,7 @@
 
 #include "common/callback.hh"
 #include "common/error.hh"
+#include "common/intrusive_fifo.hh"
 #include "common/log.hh"
 #include "common/units.hh"
 
@@ -63,17 +65,16 @@ enum class StreamPolicy : std::uint8_t {
 };
 
 /**
- * Typed builder for the 64 B launch payload (Section III-B wire format:
- * [0] sync flag, [1] arg size, [8] kernel id, [16] pool base,
- * [24] pool bound, [32..63] inline arguments).
+ * Typed launch descriptor: kernel handle, pool region and the inline
+ * arguments of one launch (Section III-B). Host-side only; the runtime
+ * encodes it into the M2func wire format.
  */
 class LaunchDesc
 {
   public:
-    /** Arguments beyond 32 B must travel through memory (Section III-C). */
+    /** Arguments beyond 32 B must travel through memory (Section III-C);
+     *  equal to LaunchWire::kMaxArgBytes, the full layout's capacity. */
     static constexpr unsigned kMaxArgBytes = 32;
-    /** Total payload size: 32 B header + inline arguments. */
-    static constexpr unsigned kPayloadBytes = 64;
 
     LaunchDesc() = default;
 
@@ -121,27 +122,6 @@ class LaunchDesc
     std::uint8_t argSize() const { return nargs_; }
     Tick deadlineTick() const { return deadline_; }
 
-    /**
-     * Serialize into the M2func wire format. @p out must hold
-     * kPayloadBytes. @p device_kernel_id is the id the target device knows
-     * the kernel by; @p weight is the stream's WRR priority (byte 2 of
-     * the header; 0 reads as 1 on the device). @return payload length.
-     */
-    unsigned
-    pack(std::uint8_t *out, bool sync, std::int64_t device_kernel_id,
-         std::uint8_t weight = 0) const
-    {
-        std::memset(out, 0, 32);
-        out[0] = sync ? 1 : 0;
-        out[1] = nargs_;
-        out[2] = weight;
-        std::memcpy(out + 8, &device_kernel_id, 8);
-        std::memcpy(out + 16, &base_, 8);
-        std::memcpy(out + 24, &bound_, 8);
-        std::memcpy(out + 32, arg_bytes_.data(), nargs_);
-        return 32 + nargs_;
-    }
-
   private:
     std::int64_t kernel_ = -1;
     Addr base_ = 0;
@@ -176,7 +156,6 @@ struct LaunchRecord
     /** WRR priority inherited from the owning stream at submit. */
     std::uint8_t weight = 1;
     bool done = false;
-    bool sync = false;
     std::int64_t instance_id = -1;
     /**
      * M2func return value, carried by the deferred return-value read's
@@ -184,7 +163,6 @@ struct LaunchRecord
      * quiescent until the read's completion callback fires on the host).
      */
     std::int64_t m2f_ret = -1;
-    Tick issued_at = 0;
     Tick completed_at = 0;
     /** Optional completion hook (fires once, at completion tick). */
     LaunchCallback on_complete;
@@ -343,7 +321,7 @@ class NdpStream
     unsigned queueLimit() const { return queue_limit_; }
 
     /** Launches currently queued behind the in-flight one. */
-    unsigned queued() const { return queued_; }
+    unsigned queued() const { return static_cast<unsigned>(queue_.size()); }
 
     /** Drive the simulation until every launch on this stream completed. */
     void synchronize();
@@ -376,12 +354,10 @@ class NdpStream
 
     NdpRuntime &rt_;
     unsigned device_;
-    LaunchRecord *queue_head_ = nullptr; ///< not yet issued
-    LaunchRecord *queue_tail_ = nullptr;
+    IntrusiveFifo<LaunchRecord> queue_; ///< not yet issued
     bool in_flight_ = false;
     std::uint64_t launched_ = 0;
     std::uint64_t completed_ = 0;
-    unsigned queued_ = 0; ///< records sitting in the queue (admission)
     unsigned queue_limit_ = kDefaultQueueLimit;
     Tick default_deadline_ = 0; ///< relative; 0 = none
     StreamPolicy policy_ = StreamPolicy::FailFast;

@@ -27,9 +27,8 @@ struct KernelInstance;
 
 /**
  * Completion hook given to a kernel launch; invoked once with the
- * finished instance (its id, error and finish tick). Inline (48 B,
- * move-only) so the per-launch completion plumbing never touches the
- * heap.
+ * finished instance (its id and error). Inline (48 B, move-only) so the
+ * per-launch completion plumbing never touches the heap.
  */
 using InstanceCompleteFn = InlineCallback<void(const KernelInstance &)>;
 
@@ -81,13 +80,17 @@ enum class KernelStatus : std::int64_t {
     Faulted = 3,
 };
 
-/** One running (or queued) kernel launch. */
+/**
+ * One running (or queued) kernel launch. Slab-pooled by the controller;
+ * a launch starts from a default-constructed instance.
+ */
 struct KernelInstance
 {
+    /** Launch-queue link while Pending; pool freelist link while free. */
+    KernelInstance *next = nullptr;
     std::int64_t id = -1;
     const NdpKernel *kernel = nullptr;
     Asid asid = 0;
-    bool synchronous = false;
 
     Addr pool_base = 0;
     Addr pool_bound = 0;
@@ -124,14 +127,6 @@ struct KernelInstance
      * instead of its instance id.
      */
     std::int64_t error = 0;
-
-    /** Launch/finish ticks for stats. */
-    Tick launched_at = 0;
-    Tick started_at = 0;
-    Tick finished_at = 0;
-
-    /** Total dynamic instructions executed by this instance's uthreads. */
-    std::uint64_t instructions = 0;
 
     /** Launch-time hook, invoked exactly once when the instance is Done. */
     InstanceCompleteFn on_complete;

@@ -21,6 +21,66 @@ NdpController::NdpController(CxlMemoryExpander &dev, Config cfg)
 }
 
 // --------------------------------------------------------------------------
+// Launch wire format (the one codec; see LaunchWire)
+// --------------------------------------------------------------------------
+
+namespace {
+
+/** Where a layout puts the fields that move: kernel id, pool base and
+ *  bound, arguments, and its inline-argument capacity. */
+struct LaunchOffsets
+{
+    unsigned kernel, base, bound, args, max_args;
+};
+
+constexpr LaunchOffsets kLaunchOffsets[] = {
+    {8, 16, 24, 32, LaunchWire::kMaxArgBytes}, // Layout::Full
+    {4, 8, 16, 24, kCompactMaxArgBytes},       // Layout::Compact
+};
+
+} // namespace
+
+void
+LaunchWire::encode(M2FuncPayload &p, unsigned at, Layout layout) const
+{
+    const LaunchOffsets &o = kLaunchOffsets[static_cast<unsigned>(layout)];
+    const bool compact = layout == Layout::Compact;
+    M2_ASSERT(args_size <= o.max_args, "kernel args exceed the layout");
+    std::uint8_t *out = p.bytes.data() + at;
+    out[0] = static_cast<std::uint8_t>((sync ? kLaunchFlagSync : 0) |
+                                       (compact ? kLaunchFlagCompact : 0));
+    out[1] = static_cast<std::uint8_t>(args_size);
+    out[2] = weight;
+    // Little-endian like every payload field: a compact launch keeps the
+    // low 32 bits of the kernel id.
+    std::memcpy(out + o.kernel, &kernel, compact ? 4 : 8);
+    std::memcpy(out + o.base, &base, 8);
+    std::memcpy(out + o.bound, &bound, 8);
+    if (args_size > 0)
+        std::memcpy(out + o.args, args, args_size);
+    p.size = static_cast<std::uint8_t>(
+        at + (compact ? kCompactLaunchBytes : o.args + args_size));
+}
+
+LaunchWire
+LaunchWire::decode(const M2FuncPayload &p, unsigned at, Layout layout)
+{
+    const LaunchOffsets &o = kLaunchOffsets[static_cast<unsigned>(layout)];
+    LaunchWire w;
+    w.sync = (p.get<std::uint8_t>(at) & kLaunchFlagSync) != 0;
+    w.weight = std::max<std::uint8_t>(p.get<std::uint8_t>(at + 2), 1);
+    w.kernel = layout == Layout::Compact ? p.get<std::uint32_t>(at + o.kernel)
+                                         : p.get<std::int64_t>(at + o.kernel);
+    w.base = p.get<std::uint64_t>(at + o.base);
+    w.bound = p.get<std::uint64_t>(at + o.bound);
+    const unsigned args_at = at + o.args;
+    w.args = p.bytes.data() + args_at;
+    w.args_size = std::min({unsigned{p.get<std::uint8_t>(at + 1)}, o.max_args,
+                            p.size > args_at ? p.size - args_at : 0u});
+    return w;
+}
+
+// --------------------------------------------------------------------------
 // M2func entry points
 // --------------------------------------------------------------------------
 
@@ -47,80 +107,44 @@ NdpController::resolveReturn(Asid asid, std::uint64_t fn_index,
 }
 
 void
-NdpController::handleLaunchWrite(Asid asid, std::uint64_t fn_index,
-                                 const M2FuncPayload &payload)
+NdpController::launchStore(Asid asid, std::uint64_t fn_index,
+                           const M2FuncPayload &payload)
 {
-    std::uint8_t flags = payload.get<std::uint8_t>(0);
-    if (flags & kLaunchFlagCompact) {
-        // Batched store: two compact 32 B launches sharing one 64 B slot
-        // pair. Each half resolves through its own return offset.
-        ++stats_.launches_batched;
-        handleCompactLaunch(asid, fn_index, payload, 0);
-        if (payload.size > kCompactLaunchBytes) {
-            ++stats_.launches_batched;
-            handleCompactLaunch(asid, fn_index + 1, payload,
-                                kCompactLaunchBytes);
-        }
+    if ((payload.get<std::uint8_t>(0) & kLaunchFlagCompact) == 0) {
+        launchFromWire(asid, fn_index,
+                       LaunchWire::decode(payload, 0,
+                                          LaunchWire::Layout::Full));
         return;
     }
-    bool sync = (flags & kLaunchFlagSync) != 0;
-    std::uint8_t argsize = payload.get<std::uint8_t>(1);
-    std::uint8_t weight = payload.get<std::uint8_t>(2);
-    auto kernel_id = payload.get<std::int64_t>(8);
-    Addr base = payload.get<std::uint64_t>(16);
-    Addr bound = payload.get<std::uint64_t>(24);
-    std::uint32_t avail =
-        payload.size > 32 ? static_cast<std::uint32_t>(payload.size) - 32
-                          : 0;
-    std::uint32_t args_size = std::min<std::uint32_t>(argsize, avail);
-    launchParsed(asid, fn_index, sync, kernel_id, base, bound,
-                 payload.bytes.data() + 32, args_size,
-                 weight == 0 ? 1u : weight);
+    // Batched store: each compact half resolves through its own return
+    // offset; a store of 32 B or less carries just one.
+    for (unsigned at = 0; at < payload.size; at += kCompactLaunchBytes) {
+        ++stats_.launches_batched;
+        launchFromWire(asid, fn_index++,
+                       LaunchWire::decode(payload, at,
+                                          LaunchWire::Layout::Compact));
+    }
 }
 
 void
-NdpController::handleCompactLaunch(Asid asid, std::uint64_t fn_index,
-                                   const M2FuncPayload &payload,
-                                   unsigned offset)
-{
-    std::uint8_t flags = payload.get<std::uint8_t>(offset);
-    bool sync = (flags & kLaunchFlagSync) != 0;
-    std::uint32_t argsize = std::min<std::uint32_t>(
-        payload.get<std::uint8_t>(offset + 1), kCompactMaxArgBytes);
-    std::uint8_t weight = payload.get<std::uint8_t>(offset + 2);
-    std::int64_t kernel_id = payload.get<std::uint32_t>(offset + 4);
-    Addr base = payload.get<std::uint64_t>(offset + 8);
-    Addr bound = payload.get<std::uint64_t>(offset + 16);
-    std::uint32_t avail =
-        payload.size > offset + 24
-            ? static_cast<std::uint32_t>(payload.size) - offset - 24
-            : 0;
-    launchParsed(asid, fn_index, sync, kernel_id, base, bound,
-                 payload.bytes.data() + offset + 24,
-                 std::min(argsize, avail), weight == 0 ? 1u : weight);
-}
-
-void
-NdpController::launchParsed(Asid asid, std::uint64_t fn_index, bool sync,
-                            std::int64_t kernel_id, Addr base, Addr bound,
-                            const std::uint8_t *args,
-                            std::uint32_t args_size, unsigned weight)
+NdpController::launchFromWire(Asid asid, std::uint64_t fn_index,
+                              const LaunchWire &w)
 {
     // The *write* returns promptly; the launch return value is fetched by
     // the subsequent read to the same offset (deferred if synchronous).
     // A synchronous launch resolves it when the instance completes, which
     // can already happen inside launch() (an empty pool region).
-    setReturn(asid, fn_index, kNdpErr, !sync);
+    setReturn(asid, fn_index, kNdpErr, !w.sync);
     InstanceCompleteFn resolve;
-    if (sync) {
+    if (w.sync) {
         resolve = [this, asid, fn_index](const KernelInstance &inst) {
             resolveReturn(asid, fn_index, inst.returnValue());
         };
     }
-    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
-                              args_size, std::move(resolve), weight);
+    std::int64_t iid = launch(asid, w.kernel, w.base, w.bound, w.args,
+                              w.args_size, std::move(resolve), w.weight);
     // Typed rejection codes travel back through the return slot too.
-    if (iid < 0 || !sync)
+    if (iid < 0 || !w.sync)
         resolveReturn(asid, fn_index, iid);
 }
 
@@ -133,7 +157,7 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
     // already <= the 64 B wire maximum.
     std::uint64_t fn_index = offset / kM2FuncStride;
     if (fn_index >= kM2FuncLaunchSlotBase) {
-        handleLaunchWrite(asid, fn_index, payload);
+        launchStore(asid, fn_index, payload);
         return;
     }
     auto fn = static_cast<M2Func>(fn_index);
@@ -172,12 +196,9 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
         return;
       }
       case M2Func::LaunchKernel:
-        handleLaunchWrite(asid,
-                          static_cast<std::uint64_t>(M2Func::LaunchKernel),
-                          payload);
+        launchStore(asid, fn_index, payload);
         return;
       case M2Func::PollKernelStatus: {
-        ++stats_.polls;
         last_poll_target_[asid] = payload.get<std::int64_t>(0);
         setReturn(asid, static_cast<std::uint64_t>(fn),
                   static_cast<std::int64_t>(
@@ -257,7 +278,6 @@ NdpController::registerKernel(Asid asid, const std::string &text,
     }
     kernel->decoded = isa::DecodedKernel::decode(kernel->code);
     kernel->resources = res;
-    ++stats_.kernels_registered;
     std::int64_t id = kernel->id;
     kernels_.emplace(id, std::move(kernel));
     return id;
@@ -271,9 +291,9 @@ NdpController::kernelById(std::int64_t id) const
 }
 
 std::int64_t
-NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
-                      Addr pool_base, Addr pool_bound,
-                      const std::uint8_t *args, std::uint32_t args_size,
+NdpController::launch(Asid asid, std::int64_t kernel_id, Addr pool_base,
+                      Addr pool_bound, const std::uint8_t *args,
+                      std::uint32_t args_size,
                       InstanceCompleteFn on_complete, unsigned weight)
 {
     auto kit = kernels_.find(kernel_id);
@@ -291,40 +311,52 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
         return static_cast<std::int64_t>(NdpError::BadPoolRegion);
     }
 
-    auto inst = std::make_unique<KernelInstance>();
+    // A recycled instance starts from a default-constructed one; only its
+    // next_work capacity carries over, so a warm launch allocates nothing.
+    KernelInstance *inst = instance_pool_.acquire();
+    std::vector<std::uint64_t> next_work = std::move(inst->next_work);
+    *inst = KernelInstance{};
+    inst->next_work = std::move(next_work);
+    inst->next_work.assign(num_units_, 0);
+
     inst->id = next_instance_id_++;
     inst->kernel = kit->second.get();
     inst->asid = asid;
-    inst->synchronous = synchronous;
     inst->pool_base = pool_base;
     inst->pool_bound = pool_bound;
     if (args_size > 0)
         std::memcpy(inst->args.data(), args,
                     std::min<std::size_t>(args_size, inst->args.size()));
-    inst->phase = InstancePhase::Pending;
     inst->weight = static_cast<std::uint8_t>(
         weight == 0 ? 1 : std::min<unsigned>(weight, 255));
-    inst->launched_at = eq_.now();
     inst->on_complete = std::move(on_complete);
-    inst->next_work.assign(num_units_, 0);
 
     ++stats_.launches;
     std::int64_t id = inst->id;
-    instances_by_id_.emplace(id, inst.get());
-    pending_.push_back(std::move(inst));
+    pending_.push(inst);
     admitPending();
     return id;
+}
+
+KernelInstance *
+NdpController::activeById(std::int64_t id) const
+{
+    for (KernelInstance *inst : active_) {
+        if (inst->id == id)
+            return inst;
+    }
+    return nullptr;
 }
 
 KernelStatus
 NdpController::status(std::int64_t instance_id) const
 {
-    auto it = instances_by_id_.find(instance_id);
-    if (it != instances_by_id_.end()) {
-        return it->second->phase == InstancePhase::Pending
-                   ? KernelStatus::Pending
-                   : KernelStatus::Running;
-    }
+    // The launch queue holds exactly the ids from its front's on.
+    if (!pending_.empty() && instance_id >= pending_.front()->id &&
+        instance_id < next_instance_id_)
+        return KernelStatus::Pending;
+    if (activeById(instance_id) != nullptr)
+        return KernelStatus::Running;
     // Ids are handed out in order and an instance is live until it
     // completes, so an issued id that is no longer live has finished.
     if (instance_id <= 0 || instance_id >= next_instance_id_)
@@ -336,8 +368,8 @@ NdpController::status(std::int64_t instance_id) const
 std::uint64_t
 NdpController::instanceSpawned(std::int64_t instance_id) const
 {
-    auto live = instances_by_id_.find(instance_id);
-    return live != instances_by_id_.end() ? live->second->spawned : 0;
+    const KernelInstance *inst = activeById(instance_id);
+    return inst != nullptr ? inst->spawned : 0;
 }
 
 void
@@ -349,19 +381,16 @@ NdpController::admitPending()
             spadAllocate(pending_.front()->kernel->resources.scratchpad_bytes);
         if (!spad)
             return; // wait for scratchpad space to free up
-        auto inst = std::move(pending_.front());
-        pending_.pop_front();
+        KernelInstance *inst = pending_.pop();
         inst->spad_offset = *spad;
-        activate(std::move(inst));
+        activate(inst);
     }
 }
 
 void
-NdpController::activate(std::unique_ptr<KernelInstance> inst)
+NdpController::activate(KernelInstance *p)
 {
-    KernelInstance *p = inst.get();
-    active_.push_back(std::move(inst));
-    p->started_at = eq_.now();
+    active_.push_back(p);
 
     const auto &sections = p->kernel->code.sections;
     M2_ASSERT(!sections.empty(), "kernel with no sections");
@@ -372,13 +401,12 @@ NdpController::activate(std::unique_ptr<KernelInstance> inst)
     if (cfg_.watchdog_budget > 0) {
         std::int64_t id = p->id;
         eq_.scheduleAfter(cfg_.watchdog_budget, [this, id] {
-            auto it = instances_by_id_.find(id);
-            if (it == instances_by_id_.end())
+            KernelInstance *inst = activeById(id);
+            if (inst == nullptr)
                 return; // already completed
             ++stats_.watchdog_kills;
-            killInstance(it->second,
-                         static_cast<std::int64_t>(
-                             NdpError::WatchdogTimeout));
+            killInstance(inst, static_cast<std::int64_t>(
+                                   NdpError::WatchdogTimeout));
         });
     }
 
@@ -450,7 +478,7 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
             return;
         inst->phase = InstancePhase::Draining;
         if (inst->outstanding_stores == 0)
-            completeInstance(inst, eq_.now());
+            completeInstance(inst);
         return;
     }
 
@@ -478,34 +506,31 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
     // No more sections: drain posted stores, then complete.
     inst->phase = InstancePhase::Draining;
     if (inst->outstanding_stores == 0)
-        completeInstance(inst, eq_.now());
+        completeInstance(inst);
 }
 
 void
-NdpController::completeInstance(KernelInstance *inst, Tick when)
+NdpController::completeInstance(KernelInstance *inst)
 {
     inst->phase = InstancePhase::Done;
-    inst->finished_at = when;
     ++stats_.instances_completed;
     if (inst->error < 0) [[unlikely]] {
         ++stats_.instances_faulted;
         completed_errors_.insert(inst->id);
     }
-    instances_by_id_.erase(inst->id);
     spadFree(inst->spad_offset, inst->kernel->resources.scratchpad_bytes);
 
     auto cb = std::move(inst->on_complete);
 
-    auto it = std::find_if(active_.begin(), active_.end(),
-                           [inst](const auto &p) { return p.get() == inst; });
+    auto it = std::find(active_.begin(), active_.end(), inst);
     M2_ASSERT(it != active_.end(), "completing unknown instance");
-    // Keep the instance alive through the callbacks.
-    auto holder = std::move(*it);
     active_.erase(it);
 
     admitPending();
     if (cb)
         cb(*inst);
+    // Recycled only after the hook, which reads the instance.
+    instance_pool_.release(inst);
 }
 
 // --------------------------------------------------------------------------
@@ -529,7 +554,7 @@ NdpController::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
     for (std::size_t k = 0; k < n; ++k, ++idx) {
         if (idx >= n)
             idx = 0;
-        KernelInstance *inst = active_[idx].get();
+        KernelInstance *inst = active_[idx];
         if (!inst->isActive() || inst->phase == InstancePhase::Draining ||
             inst->error < 0)
             continue;
@@ -595,12 +620,12 @@ NdpController::storeIssued(KernelInstance *inst)
 }
 
 void
-NdpController::storeDrained(KernelInstance *inst, Tick when)
+NdpController::storeDrained(KernelInstance *inst)
 {
     M2_ASSERT(inst->outstanding_stores > 0, "store drain underflow");
     if (--inst->outstanding_stores == 0 &&
         inst->phase == InstancePhase::Draining) {
-        completeInstance(inst, when);
+        completeInstance(inst);
     }
 }
 

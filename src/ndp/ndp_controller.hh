@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,6 +26,8 @@
 #include <vector>
 
 #include "common/error.hh"
+#include "common/intrusive_fifo.hh"
+#include "common/slab_pool.hh"
 #include "common/units.hh"
 #include "isa/assembler.hh"
 #include "ndp/kernel.hh"
@@ -84,9 +85,6 @@ inline constexpr std::uint8_t kLaunchFlagSync = 0x1;
  * launches, amortizing the CXL.mem store per launch under load. Each half
  * owns one return offset of the 64 B slot pair (fn_index and fn_index+1),
  * so the deferred-read completion protocol is unchanged per launch.
- * Compact half layout: [0] flags, [1] arg size (<= 8), [2] WRR weight,
- * [4..7] kernel id (u32), [8..15] pool base, [16..23] pool bound,
- * [24..31] inline args.
  */
 inline constexpr std::uint8_t kLaunchFlagCompact = 0x2;
 /** Bytes per compact descriptor; two fill one launch-slot stride. */
@@ -117,16 +115,54 @@ struct M2FuncPayload
     }
 };
 
+static_assert(M2FuncPayload::kMaxBytes <=
+                  kM2FuncLaunchSlotStride * kM2FuncStride,
+              "a launch payload must fit the launch-slot stride");
+
+/**
+ * One kernel launch as an M2func store carries it: the one codec of the
+ * launch wire format, encoded by the host runtime and decoded by the
+ * controller. Both layouts start with [0] flags, [1] argument size and
+ * [2] WRR weight (0 reads as 1); then
+ *  - Full, one launch per store: i64 kernel @8, pool base @16, pool
+ *    bound @24, up to 32 B of arguments @32;
+ *  - Compact, either half of a batched 64 B store: u32 kernel @4, pool
+ *    base @8, pool bound @16, up to 8 B of arguments @24.
+ */
+struct LaunchWire
+{
+    enum class Layout : std::uint8_t { Full, Compact };
+
+    /** Inline-argument capacity of the full layout. */
+    static constexpr unsigned kMaxArgBytes = 32;
+
+    bool sync = false;
+    std::uint8_t weight = 1;
+    std::int64_t kernel = -1;
+    Addr base = 0;
+    Addr bound = 0;
+    /** Argument bytes: the caller's on encode, the payload's on decode. */
+    const std::uint8_t *args = nullptr;
+    std::uint32_t args_size = 0;
+
+    /** Write this launch at byte @p at of the zeroed @p p and extend
+     *  p.size over it (a compact launch always fills its 32 B half). */
+    void encode(M2FuncPayload &p, unsigned at, Layout layout) const;
+
+    /** Read the launch at byte @p at of @p p; the argument size is
+     *  clamped to the layout's capacity and the bytes @p p carries. */
+    static LaunchWire decode(const M2FuncPayload &p, unsigned at,
+                             Layout layout);
+};
+
 /** Controller statistics. */
 struct NdpControllerStats
 {
-    std::uint64_t kernels_registered = 0;
     std::uint64_t registrations_rejected = 0;
     std::uint64_t launches = 0;
     std::uint64_t launches_rejected = 0;
     /** Launches that arrived as compact halves of a batched 64 B store. */
     std::uint64_t launches_batched = 0;
-    std::uint64_t polls = 0;
     std::uint64_t instances_completed = 0;
     /** Instances that completed with an error (traps + watchdog). */
     std::uint64_t instances_faulted = 0;
@@ -206,7 +242,7 @@ class NdpController
     void uthreadFinished(KernelInstance *inst);
     /** Posted-store drain accounting for kernel completion. */
     void storeIssued(KernelInstance *inst);
-    void storeDrained(KernelInstance *inst, Tick when);
+    void storeDrained(KernelInstance *inst);
 
     // ---- direct (driver-level) API used by tests and host runtime ----
     /**
@@ -222,21 +258,20 @@ class NdpController
      * @p on_complete runs once when the instance is Done, which for a
      * degenerate launch (empty pool region) is before launch() returns.
      */
-    std::int64_t launch(Asid asid, std::int64_t kernel_id, bool synchronous,
-                        Addr pool_base, Addr pool_bound,
-                        const std::uint8_t *args, std::uint32_t args_size,
+    std::int64_t launch(Asid asid, std::int64_t kernel_id, Addr pool_base,
+                        Addr pool_bound, const std::uint8_t *args,
+                        std::uint32_t args_size,
                         InstanceCompleteFn on_complete = {},
                         unsigned weight = 1);
 
     /** Convenience overload for tests/drivers holding args in a vector. */
     std::int64_t
-    launch(Asid asid, std::int64_t kernel_id, bool synchronous,
-           Addr pool_base, Addr pool_bound,
-           const std::vector<std::uint8_t> &args,
+    launch(Asid asid, std::int64_t kernel_id, Addr pool_base,
+           Addr pool_bound, const std::vector<std::uint8_t> &args,
            InstanceCompleteFn on_complete = {})
     {
-        return launch(asid, kernel_id, synchronous, pool_base, pool_bound,
-                      args.data(), static_cast<std::uint32_t>(args.size()),
+        return launch(asid, kernel_id, pool_base, pool_bound, args.data(),
+                      static_cast<std::uint32_t>(args.size()),
                       std::move(on_complete));
     }
     KernelStatus status(std::int64_t instance_id) const;
@@ -285,25 +320,24 @@ class NdpController
                    bool ready);
     void resolveReturn(Asid asid, std::uint64_t fn_index,
                        std::int64_t value);
-    /** Launch entry point shared by the base offset and the extra slots. */
-    void handleLaunchWrite(Asid asid, std::uint64_t fn_index,
-                           const M2FuncPayload &payload);
-    /** One compact 32 B half of a batched launch store. */
-    void handleCompactLaunch(Asid asid, std::uint64_t fn_index,
-                             const M2FuncPayload &payload, unsigned offset);
-    /** Common tail of the launch-write paths: launch + return plumbing. */
-    void launchParsed(Asid asid, std::uint64_t fn_index, bool sync,
-                      std::int64_t kernel_id, Addr base, Addr bound,
-                      const std::uint8_t *args, std::uint32_t args_size,
-                      unsigned weight);
+    /** A launch store (base offset or extra slot): one full-format
+     *  launch, or one or two compact ones on consecutive offsets. */
+    void launchStore(Asid asid, std::uint64_t fn_index,
+                     const M2FuncPayload &payload);
+    /** One decoded launch: launch + return-value plumbing. */
+    void launchFromWire(Asid asid, std::uint64_t fn_index,
+                        const LaunchWire &w);
+
+    /** The active instance with id @p id, or nullptr. */
+    KernelInstance *activeById(std::int64_t id) const;
 
     /** Try to move pending launches into the active set. */
     void admitPending();
-    void activate(std::unique_ptr<KernelInstance> inst);
+    void activate(KernelInstance *inst);
     void beginPhase(KernelInstance *inst, InstancePhase phase,
                     std::size_t section_index);
     void maybeAdvancePhase(KernelInstance *inst);
-    void completeInstance(KernelInstance *inst, Tick when);
+    void completeInstance(KernelInstance *inst);
     std::uint64_t phaseTarget(const KernelInstance *inst) const;
 
     /** Per-unit scratchpad data allocator (identical layout on all units). */
@@ -325,8 +359,15 @@ class NdpController
     std::int64_t next_instance_id_ = 1;
     std::unordered_map<std::int64_t, std::unique_ptr<NdpKernel>> kernels_;
 
-    std::deque<std::unique_ptr<KernelInstance>> pending_;
-    std::vector<std::unique_ptr<KernelInstance>> active_;
+    SlabPool<KernelInstance> instance_pool_;
+    /**
+     * Queued launches. Ids are issued in launch order and only the front
+     * is ever admitted, so the queue holds exactly the ids from its
+     * front's to next_instance_id_ - 1.
+     */
+    IntrusiveFifo<KernelInstance> pending_;
+    /** Admitted instances in activation order (the WRR cursor's order). */
+    std::vector<KernelInstance *> active_;
     /** Round-robin cursor over active_ for pullWork fairness. */
     std::size_t rr_instance_ = 0;
     /**
@@ -336,7 +377,6 @@ class NdpController
      * strict RR — existing workloads stay bit-exact.
      */
     unsigned rr_credit_ = 0;
-    std::unordered_map<std::int64_t, KernelInstance *> instances_by_id_;
     /** Ids of instances that completed with an error (status/poll). */
     std::unordered_set<std::int64_t> completed_errors_;
 

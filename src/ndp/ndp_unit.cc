@@ -311,7 +311,7 @@ NdpUnit::drainCompletions(Tick now)
         PendingCompletion e = pending_.back();
         pending_.pop_back();
         if (e.op != MemOp::Read)
-            ctl_.storeDrained(e.inst, e.when);
+            ctl_.storeDrained(e.inst);
         if (e.blocking)
             completeBlockingAccess(e.slot, e.when);
     }
@@ -363,7 +363,6 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
         slot.ready_at = now + cfg_.period; // spawn takes one cycle
         slot.outstanding_loads = 0;
         slot.finish_pending = false;
-        slot.issued_insts = 0;
         ++live_slots_;
         --sc.idle_count;
         sc.idle_mask &= ~(std::uint64_t(1) << idx);
@@ -488,11 +487,8 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
         }
 
         // Per-issue stat writes hoisted into per-burst accumulators (see
-        // flushIssueStats) and a per-slot counter flushed at retirement:
-        // two unit-local increments on the issue path instead of four
-        // spread over stats_ and the shared KernelInstance.
+        // flushIssueStats).
         ++acc_instructions_;
-        ++slot.issued_insts;
         if (next_inst.is_vector)
             ++acc_vector_instructions_;
 
@@ -744,10 +740,6 @@ NdpUnit::finishThread(SubCore &sc, Slot &slot)
 {
     sc.reg_bytes_free += slot.instance->kernel->resources.registerBytes();
     KernelInstance *inst = slot.instance;
-    // Flush the uthread's dynamic-instruction count into the instance
-    // exactly once, at retirement (see Slot::issued_insts).
-    inst->instructions += slot.issued_insts;
-    slot.issued_insts = 0;
     sc.sched.remove(slot.index); // idempotent; no-op for WaitMem finishes
     slot.state = SlotState::Idle;
     slot.instance = nullptr;

@@ -222,11 +222,6 @@ class NdpUnit : public isa::MemoryIf
         Tick ready_at = 0;
         unsigned outstanding_loads = 0;
         bool finish_pending = false;
-        /** Instructions issued by the current uthread; flushed into
-         *  `instance->instructions` once at retirement (finishThread)
-         *  instead of a per-issue read-modify-write of a foreign
-         *  cache line shared by every unit running the instance. */
-        std::uint64_t issued_insts = 0;
     };
 
     struct SubCore

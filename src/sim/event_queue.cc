@@ -7,32 +7,11 @@ namespace m2ndp {
 EventQueue::~EventQueue() = default;
 
 M2NDP_HOT_PATH
-EventQueue::Event *
-EventQueue::allocEvent()
-{
-    if (free_head_ == nullptr) {
-        // Slab growth happens only until the live-event high-water mark;
-        // steady state always hits the freelist (the counting-new test
-        // pins this). ndp-lint: allow(hotpath-alloc)
-        slabs_.push_back(std::make_unique<Event[]>(kSlabEvents));
-        Event *slab = slabs_.back().get();
-        for (unsigned i = 0; i < kSlabEvents; ++i) {
-            slab[i].next = free_head_;
-            free_head_ = &slab[i];
-        }
-    }
-    Event *ev = free_head_;
-    free_head_ = ev->next;
-    return ev;
-}
-
-M2NDP_HOT_PATH
 void
 EventQueue::recycle(Event *ev)
 {
     ev->cb.reset();
-    ev->next = free_head_;
-    free_head_ = ev;
+    event_pool_.release(ev);
 }
 
 M2NDP_HOT_PATH
@@ -83,7 +62,7 @@ EventQueue::Event *
 EventQueue::scheduleNode(Tick when)
 {
     M2_ASSERT(when >= now_, "scheduling in the past: ", when, " < ", now_);
-    Event *ev = allocEvent();
+    Event *ev = event_pool_.acquire();
     ev->when = when;
     ev->seq = seq_++;
     ++scheduled_total_;

@@ -10,7 +10,7 @@
  *
  *  - Callbacks are `EventCallback` (InlineCallback<void()>): captures up to
  *    48 B live inline in the event node, never on the heap.
- *  - Event nodes come from a slab-backed freelist and are recycled as soon
+ *  - Event nodes come from a SlabPool freelist and are recycled as soon
  *    as they execute or are cancelled.
  *  - Pending events live in one 4-ary min-heap of node pointers ordered
  *    by (tick, sequence), so the deterministic FIFO tie-break is the
@@ -33,6 +33,7 @@
 
 #include "common/callback.hh"
 #include "common/log.hh"
+#include "common/slab_pool.hh"
 #include "common/units.hh"
 
 namespace m2ndp {
@@ -225,7 +226,6 @@ class EventQueue
         return a->when != b->when ? a->when < b->when : a->seq < b->seq;
     }
 
-    Event *allocEvent();
     void recycle(Event *ev);
 
     /** Allocate, stamp (when, seq) and insert a node; cb assigned after. */
@@ -292,8 +292,10 @@ class EventQueue
      */
     std::vector<Event *> heap_;
 
-    Event *free_head_ = nullptr;
-    std::vector<std::unique_ptr<Event[]>> slabs_;
+    /** Slab growth happens only until the live-event high-water mark;
+     *  steady state always hits the freelist (the counting-new test
+     *  pins this). */
+    SlabPool<Event, &Event::next, kSlabEvents> event_pool_;
 
     /** Routes run()/step()/empty() through a partition coordinator. */
     SimDriver *driver_ = nullptr;

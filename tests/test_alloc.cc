@@ -10,9 +10,10 @@
  *  1. Mid-kernel window: after a warm-up prefix of a launch, a window
  *     covering thousands of instructions must allocate NOTHING.
  *  2. Second run of the same kernel: only the per-launch bookkeeping
- *     (instance object, completion plumbing) may allocate; the total must
- *     not scale with the instruction count and must be far below the
- *     first (cold) run.
+ *     may allocate; the total must not scale with the instruction count
+ *     and must be far below the first (cold) run.
+ *  3. Warm launch window: a round of controller launches (pooled kernel
+ *     instances, no id map) plus their execution allocates NOTHING.
  */
 
 #include <gtest/gtest.h>
@@ -100,9 +101,8 @@ TEST(SteadyStateAllocation, WarmKernelRunIsAllocationFree)
     // TLBs. Two runs, because the first run's cold D-TLB gives it a
     // slightly different event-population profile than warm executions.
     for (int r = 0; r < 2; ++r) {
-        std::int64_t warm =
-            ctrl.launch(s.proc->asid(), s.kid, false, s.a,
-                        s.a + s.elems * 4, s.args);
+        std::int64_t warm = ctrl.launch(s.proc->asid(), s.kid, s.a,
+                                        s.a + s.elems * 4, s.args);
         ASSERT_GE(warm, 0);
         eq.run();
         ASSERT_EQ(ctrl.status(warm), KernelStatus::Finished);
@@ -113,7 +113,7 @@ TEST(SteadyStateAllocation, WarmKernelRunIsAllocationFree)
     // instructions (excluding the launch call itself, which may allocate
     // per-launch bookkeeping) must not touch the heap at all.
     std::int64_t iid =
-        ctrl.launch(s.proc->asid(), s.kid, false, s.a, s.a + s.elems * 4,
+        ctrl.launch(s.proc->asid(), s.kid, s.a, s.a + s.elems * 4,
                     s.args);
     ASSERT_GE(iid, 0);
 
@@ -226,7 +226,7 @@ TEST(SteadyStateAllocation, SecondRunAllocatesOnlyLaunchOverhead)
     auto &ctrl = s.sys.device().controller();
 
     auto run_once = [&] {
-        std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, false, s.a,
+        std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, s.a,
                                        s.a + s.elems * 4, s.args);
         EXPECT_GE(iid, 0);
         s.sys.eq().run();
@@ -242,12 +242,12 @@ TEST(SteadyStateAllocation, SecondRunAllocatesOnlyLaunchOverhead)
     std::uint64_t second = allocationCount() - a1;
 
     // The second run executes ~5k instructions and thousands of memory
-    // accesses. Per-launch bookkeeping (instance, id maps, completion
-    // slot) is allowed; anything scaling with instructions is a
-    // regression on the zero-allocation path. (No cold/warm ratio bound
-    // any more: fused response delivery cut the cold run's event/packet
-    // slab growth so far that per-launch bookkeeping dominates both runs
-    // — the absolute bound is the meaningful invariant now.)
+    // accesses. Per-launch bookkeeping is allowed; anything scaling with
+    // instructions is a regression on the zero-allocation path. (No
+    // cold/warm ratio bound any more: fused response delivery cut the
+    // cold run's event/packet slab growth so far that per-launch
+    // bookkeeping dominates both runs — the absolute bound is the
+    // meaningful invariant now.)
     EXPECT_LT(second, 64u)
         << "second-run allocations should be launch overhead only "
         << "(first run: " << first << ")";
@@ -269,7 +269,7 @@ TEST(SteadyStateAllocation, WarmLaunchWindowIsAllocationFree)
         std::int64_t first = -1;
         for (int i = 0; i < kLaunches; ++i) {
             std::int64_t iid =
-                ctrl.launch(s.proc->asid(), s.kid, false, s.a,
+                ctrl.launch(s.proc->asid(), s.kid, s.a,
                             s.a + s.elems * 4, s.args.data(),
                             static_cast<std::uint32_t>(s.args.size()));
             ASSERT_GT(iid, 0);
@@ -327,7 +327,7 @@ TEST(SinglePacketMissPath, EveryMissAcquiresExactlyOnePooledPacket)
     // any extra acquisition means a carrier or interposer crept back in.
     VecAddSetup s(1u << 14);
     auto &ctrl = s.sys.device().controller();
-    std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, false, s.a,
+    std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, s.a,
                                    s.a + s.elems * 4, s.args);
     ASSERT_GE(iid, 0);
     s.sys.eq().run();
@@ -350,7 +350,7 @@ TEST(SinglePacketMissPath, PoolReturnsToBaselineAfterMissStorm)
 
     std::size_t baseline = MemPacketPool::outstanding();
     for (int r = 0; r < 3; ++r) {
-        std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, false, s.a,
+        std::int64_t iid = ctrl.launch(s.proc->asid(), s.kid, s.a,
                                        s.a + s.elems * 4, s.args);
         ASSERT_GE(iid, 0);
         s.sys.eq().run();

@@ -519,6 +519,29 @@ TEST_F(FaultTest, FailFastAbortsQueuedLaunches)
     EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
 }
 
+TEST_F(FaultTest, LaunchFromAnAbortHookRuns)
+{
+    // The hook of the last launch a fail-fast abort drains may submit to
+    // the same stream again. That launch must run: lost with the drained
+    // queue, it would keep the stream from ever going idle.
+    Buffers buf = makeBuffers(*sys, *proc, 256);
+    NdpStream &stream = rt->createStream();
+    NdpEvent bad = stream.launch(tinyLaunch(wild_kid, *proc));
+    NdpEvent queued = stream.launch(vecAddLaunch(vecadd_kid, buf));
+    NdpEvent follow_up;
+    queued.onComplete([this, &stream, &buf, &follow_up](std::int64_t, Tick) {
+        follow_up = stream.launch(vecAddLaunch(vecadd_kid, buf));
+    });
+    stream.synchronize();
+
+    EXPECT_EQ(bad.error(), NdpError::UnmappedAddress);
+    EXPECT_EQ(queued.error(), NdpError::Aborted);
+    ASSERT_TRUE(follow_up.valid());
+    EXPECT_GT(follow_up.instanceId(), 0);
+    EXPECT_TRUE(stream.idle());
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
+}
+
 TEST_F(FaultTest, SkipAndContinueRunsQueuedLaunches)
 {
     Buffers buf = makeBuffers(*sys, *proc, 256);

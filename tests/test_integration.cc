@@ -747,7 +747,8 @@ fullLaunch(std::uint8_t flags, std::uint8_t argsize, std::uint8_t weight,
     std::memcpy(&p.bytes[8], &kernel, 8);
     std::memcpy(&p.bytes[16], &base, 8);
     std::memcpy(&p.bytes[24], &bound, 8);
-    std::memcpy(&p.bytes[32], args.data(), args.size());
+    if (!args.empty())
+        std::memcpy(&p.bytes[32], args.data(), args.size());
     p.size = static_cast<std::uint8_t>(32 + args.size());
     return p;
 }
@@ -786,7 +787,7 @@ TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
     std::vector<std::int64_t> ids;
     for (int i = 0; i < 5; ++i) {
         const Addr bound = pool + (i == 0 ? 1u << 16 : 1u << 20);
-        ids.push_back(ctrl().launch(proc->asid(), touch, false, pool, bound,
+        ids.push_back(ctrl().launch(proc->asid(), touch, pool, bound,
                                     nullptr, 0));
         ASSERT_GT(ids.back(), 0);
     }
@@ -819,7 +820,7 @@ TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
         EXPECT_EQ(ctrl().status(id), KernelStatus::Finished) << id;
 
     // A trapping kernel completes Faulted; its neighbours stay Finished.
-    std::int64_t bad = ctrl().launch(proc->asid(), wild, false, pool,
+    std::int64_t bad = ctrl().launch(proc->asid(), wild, pool,
                                      pool + 32, nullptr, 0);
     ASSERT_GT(bad, 0);
     sys->eq().run();
