@@ -655,6 +655,49 @@ TEST(FaultDeterminism, SameSeedIsBitExact)
     EXPECT_EQ(a.result, b.result);
 }
 
+TEST(FaultDeterminism, NopBurstAtBer1e4ReplaysWithoutRelaunchGolden)
+{
+    // 256 near-empty launches on 16 retry-policy streams with the link
+    // at a 1e-4 bit-error rate and the default seed. Every CRC hit is
+    // resolved by CXL replay, which costs latency but loses no data, so
+    // every launch completes and no stream relaunches.
+    SystemConfig cfg;
+    cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+    cfg.fault.enabled = true;
+    cfg.fault.bit_error_rate = 1e-4;
+    System sys(cfg);
+    auto &proc = sys.createProcess();
+    auto rt = sys.createRuntime(proc);
+    KernelResources res;
+    res.num_int_regs = 4;
+    std::int64_t kid = rt->registerKernel("nop\n", res);
+    ASSERT_GT(kid, 0);
+    Addr pool = proc.allocate(4096);
+
+    constexpr unsigned kStreams = 16;
+    constexpr unsigned kLaunches = 256;
+    std::vector<NdpStream *> streams;
+    for (unsigned s = 0; s < kStreams; ++s) {
+        streams.push_back(&rt->createStream());
+        streams.back()->setPolicy(StreamPolicy::Retry);
+    }
+    Tick t0 = sys.eq().now();
+    std::vector<NdpEvent> events;
+    for (unsigned i = 0; i < kLaunches; ++i) {
+        events.push_back(
+            streams[i % kStreams]->launch(LaunchDesc(kid, pool, pool + 32)));
+    }
+    rt->synchronize();
+
+    unsigned completed = 0;
+    for (const auto &ev : events)
+        completed += ev.done() && !ev.failed() ? 1 : 0;
+    EXPECT_EQ(completed, kLaunches);
+    EXPECT_EQ(sys.link(0).faultStats().crc_replays, 19u);
+    EXPECT_EQ(rt->stats().relaunches, 0u);
+    EXPECT_EQ(sys.eq().now() - t0, 3'035'953u);
+}
+
 TEST(FaultDeterminism, InjectionOnlyAddsLatency)
 {
     // The same workload without injection finishes strictly earlier and

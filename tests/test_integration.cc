@@ -13,6 +13,7 @@
 
 #include "common/stats.hh"
 #include "system/system.hh"
+#include "workloads/opt.hh"
 
 namespace m2ndp {
 namespace {
@@ -186,6 +187,76 @@ TEST_F(IntegrationTest, EventsPerInstructionWithinBudget)
     EXPECT_LT(events_per_inst, 0.5)
         << "access-path event fusion / run-until-stall ticking regressed: "
         << events << " events for " << insts << " instructions";
+}
+
+TEST_F(IntegrationTest, VecAdd256KiMissPathAndTlbCountsGolden)
+{
+    // Fig. 4's vecadd over 2^18 floats on the Table IV system: exact event,
+    // miss-path and D-TLB counts of the fused access path. They read
+    // 0.1372 events/inst, 1 pooled packet per forwarded miss (fills ride
+    // the original packet) and a 0.672257 D-TLB fast-hit rate.
+    constexpr unsigned kN = 1u << 18;
+    Addr a = process->allocate(kN * 4), b = process->allocate(kN * 4),
+         c = process->allocate(kN * 4);
+    std::vector<float> va(kN), vb(kN);
+    for (unsigned i = 0; i < kN; ++i) {
+        va[i] = 0.25f * static_cast<float>(i);
+        vb[i] = 2.0f * static_cast<float>(i);
+    }
+    sys->writeVirtual(*process, a, va.data(), kN * 4);
+    sys->writeVirtual(*process, b, vb.data(), kN * 4);
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(R"(
+        .name vecadd
+        vsetvli x0, x0, e32, m1
+        li  x3, %args
+        ld  x4, 0(x3)
+        ld  x5, 8(x3)
+        vle32.v v1, (x1)
+        add x6, x4, x2
+        vle32.v v2, (x6)
+        vfadd.vv v3, v1, v2
+        add x7, x5, x2
+        vse32.v v3, (x7)
+    )",
+                                               res);
+    ASSERT_GT(kid, 0);
+
+    Tick t0 = sys->eq().now();
+    std::uint64_t events0 = sys->totalEventsScheduled();
+    ASSERT_GT(runtime->launchKernelSync(launchWith(kid, a, a + kN * 4,
+                                                   {b, c})),
+              0);
+    CxlMemoryExpander &dev = sys->device();
+    NdpUnitStats units = dev.aggregateUnitStats();
+    TlbStats dtlb;
+    std::uint64_t miss_forwards = 0, miss_path_packets = 0;
+    for (unsigned u = 0; u < dev.config().num_units; ++u) {
+        const TlbStats &s = dev.unit(u).dtlbStats();
+        dtlb.hits += s.hits;
+        dtlb.misses += s.misses;
+        dtlb.fast_hits += s.fast_hits;
+        dtlb.evictions += s.evictions;
+        miss_forwards += dev.l1dCache(u).stats().miss_forwards;
+        miss_path_packets += dev.l1dCache(u).stats().miss_path_packets;
+    }
+    for (unsigned i = 0; i < dev.numL2Slices(); ++i) {
+        miss_forwards += dev.l2Slice(i).stats().miss_forwards;
+        miss_path_packets += dev.l2Slice(i).stats().miss_path_packets;
+    }
+
+    EXPECT_EQ(units.instructions, 327'680u);
+    EXPECT_EQ(units.uthreads_completed, 32'768u);
+    EXPECT_EQ(sys->totalEventsScheduled() - events0, 44'957u);
+    EXPECT_EQ(sys->eq().now() - t0, 13'893'953u);
+    EXPECT_EQ(miss_forwards, 131'171u);
+    EXPECT_EQ(miss_path_packets, 131'171u);
+    EXPECT_EQ(dtlb.hits, 98'208u);
+    EXPECT_EQ(dtlb.misses, 96u);
+    EXPECT_EQ(dtlb.fast_hits, 66'021u);
+    EXPECT_EQ(dtlb.evictions, 0u);
 }
 
 TEST_F(IntegrationTest, SchedulerStatsAndDeterminism)
@@ -550,6 +621,40 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
         EXPECT_EQ(serial.bytes, parallel.bytes)
             << "result bytes diverged at threads=" << threads;
     }
+}
+
+// Fig. 12b's 8-device OPT-30B shard (sim_hidden 256, one layer): every
+// device runs its slice and the shards meet in host-side all-reduce
+// traffic, so the cross-partition paths carry real load.
+TEST(ParallelEngineTest, Opt30bEightDeviceShardIsBitExact)
+{
+    constexpr unsigned kDevices = 8;
+    auto run_once = [](unsigned threads, Tick &final_now) {
+        SystemConfig cfg;
+        cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+        cfg.num_devices = kDevices;
+        cfg.threads = threads;
+        System sys(cfg);
+        auto &proc = sys.createProcess();
+        auto rt = sys.createRuntime(proc);
+        workloads::OptConfig oc;
+        oc.model = workloads::OptModel::opt30b();
+        oc.sim_hidden = 256;
+        oc.sim_layers = 1;
+        oc.devices = kDevices;
+        workloads::OptWorkload w(sys, proc, oc);
+        w.setup();
+        EXPECT_TRUE(w.runNdp(*rt).verified);
+        final_now = sys.eq().now();
+        return sys.engineChecksum();
+    };
+
+    Tick serial_now = 0, parallel_now = 0;
+    std::uint64_t serial = run_once(1, serial_now);
+    std::uint64_t parallel = run_once(4, parallel_now);
+    EXPECT_EQ(serial, parallel) << "engine checksum diverged at threads=4";
+    EXPECT_EQ(serial_now, parallel_now)
+        << "final sim time diverged at threads=4";
 }
 
 // Cross-partition mailboxes are per-direction FIFO: messages posted on

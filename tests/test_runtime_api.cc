@@ -387,6 +387,45 @@ TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFreeOnHostPath)
     }
 }
 
+TEST(LaunchThroughput, WarmSixteenStreamBurstSimTicksGolden)
+{
+    // Sustained M2func launch rate (Fig. 11a's M2func curve): 256
+    // launches of a near-empty kernel over one 32 B mapping, round-robin
+    // on 16 in-order streams, so the offload path alone sets the time.
+    // The burst is measured warm, after a full-size burst filled the
+    // launch-record, host-access and event pools.
+    SystemConfig cfg;
+    cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+    System sys(cfg);
+    auto &proc = sys.createProcess();
+    auto rt = sys.createRuntime(proc);
+    KernelResources res;
+    res.num_int_regs = 4;
+    std::int64_t kid = rt->registerKernel("nop\n", res);
+    ASSERT_GT(kid, 0);
+    Addr pool = proc.allocate(4096);
+
+    constexpr unsigned kStreams = 16;
+    constexpr unsigned kLaunches = 256;
+    std::vector<NdpStream *> streams;
+    for (unsigned s = 0; s < kStreams; ++s)
+        streams.push_back(&rt->createStream());
+    auto submit = [&] {
+        for (unsigned i = 0; i < kLaunches; ++i)
+            streams[i % kStreams]->launch(LaunchDesc(kid, pool, pool + 32));
+    };
+    submit();
+    rt->synchronize();
+
+    Tick t0 = sys.eq().now();
+    std::uint64_t allocs0 = allocationCount();
+    submit();
+    EXPECT_EQ(allocationCount() - allocs0, 0u);
+    rt->synchronize();
+    // 2.047 us for 256 launches: 125.06 M launches/s.
+    EXPECT_EQ(sys.eq().now() - t0, 2'047'000u);
+}
+
 // ---------------------------------------------------------------------
 // Overload protection and QoS (docs/robustness.md "Overload protection").
 // ---------------------------------------------------------------------

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "host/cpu_model.hh"
 #include "host/gpu_model.hh"
 #include "workloads/dlrm.hh"
@@ -259,6 +263,92 @@ TEST(Traffic, OpenLoopHarnessTypedAccountingAndThreadBitExact)
         << "traffic run diverged between 1 and 2 engine threads";
     EXPECT_EQ(r1.checksum(), r4.checksum())
         << "traffic run diverged between 1 and 4 engine threads";
+}
+
+// QoS operating points on one device, fixed at round fractions of the
+// ~128 Mreq/s knee that fig16's sweep finds (fixed rates keep the
+// goldens continuous in the capacity instead of jumping grid steps).
+constexpr double kQosKnee = 128e6;
+
+TrafficTenantConfig
+qosTenant(double rate)
+{
+    TrafficTenantConfig t;
+    t.streams = 64;
+    t.requests = 2000;
+    t.arrival_rate = rate;
+    t.queue_limit = 16;
+    t.policy = StreamPolicy::SkipAndContinue;
+    return t;
+}
+
+TrafficResult
+runQosPoint(std::vector<TrafficTenantConfig> tenants, bool faults)
+{
+    SystemConfig cfg;
+    cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+    if (faults) {
+        cfg.fault.enabled = true;
+        cfg.fault.bit_error_rate = 1e-4;
+    }
+    System sys(cfg);
+    TrafficConfig tc;
+    tc.tenants = std::move(tenants);
+    TrafficHarness h(sys, tc);
+    return h.run();
+}
+
+TEST(Traffic, QosKneeGoodputGolden)
+{
+    // Driven at 3x the knee, an open-loop system's goodput plateau is its
+    // service capacity.
+    TrafficResult r = runQosPoint({qosTenant(3.0 * kQosKnee)}, false);
+    EXPECT_EQ(r.offered, 2000u);
+    EXPECT_EQ(r.completed, 2000u);
+    EXPECT_EQ(r.end_tick, 9'870'375u);
+    EXPECT_EQ(std::llround(r.goodput_rps), 225'614'283);
+}
+
+TEST(Traffic, QosP99AtSeventyPercentOfKneeGolden)
+{
+    TrafficResult r = runQosPoint({qosTenant(90e6)}, false);
+    EXPECT_EQ(r.completed, 2000u);
+    EXPECT_EQ(r.latency.p99(), 607u);
+}
+
+TEST(Traffic, QosOverloadShedsTypedAndKeepsProgressGolden)
+{
+    // A latency tenant plus a bursty batch tenant at ~2x the knee with
+    // link faults on. Shallow queues and a tight deadline force the
+    // degradation through typed rejections and sheds.
+    TrafficTenantConfig hi = qosTenant(kQosKnee / 8.0);
+    hi.streams = 16;
+    hi.requests = 500;
+    hi.weight = 4;
+    hi.deadline = 100 * kUs;
+    TrafficTenantConfig lo = qosTenant(2.0 * kQosKnee);
+    lo.queue_limit = 8;
+    lo.deadline = 4 * kUs;
+    lo.burst_prob = 0.05;
+    lo.burst_size = 16;
+    lo.policy = StreamPolicy::Retry;
+    lo.retry_backoff = 2 * kUs;
+    lo.rate_limit = 3.0 * kQosKnee;
+    lo.rate_burst = 64;
+    TrafficResult r = runQosPoint({hi, lo}, true);
+
+    EXPECT_EQ(r.offered, 2500u);
+    EXPECT_EQ(r.completed, 1423u);
+    EXPECT_EQ(r.rejected, 935u);
+    EXPECT_EQ(r.shed, 142u);
+    EXPECT_EQ(r.faulted, 0u);
+    EXPECT_EQ(r.completed + r.rejected + r.shed + r.faulted, r.offered);
+    ASSERT_EQ(r.tenants.size(), 2u);
+    EXPECT_EQ(r.tenants[0].completed, 500u);
+    EXPECT_EQ(r.tenants[0].offered, 500u);
+    EXPECT_EQ(r.tenants[1].completed, 923u);
+    EXPECT_EQ(r.tenants[1].offered, 2000u);
+    EXPECT_EQ(r.checksum(), 0x2a147600ceffe5b5ull);
 }
 
 TEST(HostModels, GpuEstimateShapes)
