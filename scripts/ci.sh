@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-command CI gate: configure + build (warnings are errors, including
 # -Wextra/-Wshadow), the ndp-lint static-analysis pass (tools/ndp_lint,
-# driven by the exported compile_commands.json), ctest, the
-# benchmark-regression gate, then a sanitizer smoke pass
+# driven by the exported compile_commands.json), ctest (which holds the
+# exact deterministic perf goldens), the repository benchmark's
+# self-test, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined) over the
 # stream-API tests and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
@@ -11,8 +12,7 @@
 #
 # Usage: scripts/ci.sh [--no-sanitize] [--no-bench]
 #   --no-sanitize  skip the sanitizer smoke trees (ASan/UBSan and TSan)
-#   --no-bench     skip the bench/run_bench.sh perf gate and the
-#                  benchmark/run.py self-test
+#   --no-bench     skip the benchmark/run.py self-test
 #
 # Environment:
 #   BUILD_DIR           main build tree     (default: <repo>/build)
@@ -26,11 +26,11 @@ san_dir="${SANITIZE_BUILD_DIR:-$repo_root/build-sanitize}"
 tsan_dir="${TSAN_BUILD_DIR:-$repo_root/build-tsan}"
 
 run_sanitize=1
-run_bench=1
+run_selftest=1
 for arg in "$@"; do
     case "$arg" in
       --no-sanitize) run_sanitize=0 ;;
-      --no-bench) run_bench=0 ;;
+      --no-bench) run_selftest=0 ;;
       *) echo "unknown option: $arg" >&2; exit 2 ;;
     esac
 done
@@ -49,10 +49,7 @@ python3 "$repo_root/tools/ndp_lint/check_lint.py" src \
 echo "==> ctest"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
-if [[ "$run_bench" == 1 ]]; then
-    echo "==> benchmark regression gate"
-    "$repo_root/bench/run_bench.sh" "$build_dir"
-
+if [[ "$run_selftest" == 1 ]]; then
     # Quick-scale run of the repository benchmark's three workloads:
     # checks every workload's outputs, that each declared metric is
     # emitted with its unit, and the cross-workload sanity checks.

@@ -2,7 +2,7 @@
  * @file
  * Counting global operator new/delete replacements, shared by the
  * binaries that track heap allocations on the simulation hot path
- * (tests/test_alloc.cc, bench/micro_sim_throughput.cc).
+ * (tests/test_alloc.cc, tests/test_runtime_api.cc, the benchmark ledger).
  *
  * Include this header from exactly ONE translation unit per binary:
  * replaceable allocation functions may not be inline, so a second

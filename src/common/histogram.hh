@@ -14,7 +14,7 @@
  * Percentile extraction walks the cumulative counts and reports the
  * bucket's upper bound (clamped to the observed max), so percentiles are
  * deterministic, monotone in p, and never under-report a tail value —
- * the property the QoS gates in scripts/check_bench.py rely on.
+ * the property the exact QoS goldens in tests/test_workloads.cc rely on.
  * Histograms merge by element-wise addition, which is how per-tenant
  * traffic results roll up into the aggregate distribution.
  */

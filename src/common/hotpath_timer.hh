@@ -2,11 +2,10 @@
  * @file
  * Opt-in wall-clock attribution for the simulator's hot paths.
  *
- * `bench/micro_sim_throughput --breakdown` (and the always-on breakdown
- * pass of the default run) enables these counters for one instrumented
- * end-to-end run and reports the issue / fill / functional wall-clock
- * split, so the hot-path balance can be tracked across PRs without a
- * profiler (bench/run_bench.sh prints the one-line summary).
+ * The repository benchmark (`benchmark/run.py --trace 1`) enables these
+ * counters around each measured span and reports the issue / fill /
+ * functional wall-clock split from their deltas, so the hot-path balance
+ * can be tracked without a profiler.
  *
  * Disabled (the default), a scope costs one predictable branch — cheap
  * enough to leave compiled into the hot paths. Timed scopes may nest
@@ -14,9 +13,9 @@
  * subtracts inner from outer.
  *
  * The TSC / steady_clock reads below are host-side instrumentation that
- * never feeds simulated state: the counters are reported as wall-clock
- * ratios and are excluded from the gated bench medians, so same-seed
- * bit-exactness is unaffected. ndp-lint: allow-file(nondeterminism)
+ * never feeds simulated state, so same-seed bit-exactness is unaffected;
+ * the benchmark's end-to-end numbers come from untraced runs.
+ * ndp-lint: allow-file(nondeterminism)
  */
 
 #pragma once
@@ -32,8 +31,8 @@ namespace m2ndp::hotpath {
 
 /**
  * All counters are in timebase "ticks" (TSC on x86-64, steady_clock
- * nanoseconds elsewhere). Consumers report *ratios* against a total
- * scope they open around the instrumented region, so no frequency
+ * nanoseconds elsewhere). Consumers report *ratios* of counter deltas
+ * against nowTicks() deltas over the same region, so no frequency
  * calibration is needed and the unit never leaks into reports.
  */
 struct Counters
@@ -42,16 +41,6 @@ struct Counters
     std::uint64_t issue = 0;      ///< NdpUnit::issueOne (incl. functional)
     std::uint64_t fill = 0;       ///< Cache::handleLineFill
     std::uint64_t functional = 0; ///< isa::step inside the issue stage
-    std::uint64_t total = 0;      ///< whole instrumented region
-
-    void
-    resetCounters()
-    {
-        issue = 0;
-        fill = 0;
-        functional = 0;
-        total = 0;
-    }
 };
 
 extern Counters g;

@@ -290,7 +290,6 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
 {
     // Cross-device P2P access (Section III-I).
     if (!ownsPa(pa)) {
-        ++dstats_.p2p_accesses;
         M2_ASSERT(peer_access_, "P2P access with no peer route installed");
         peer_access_(cfg_.index, op, pa, size, std::move(done));
         return;
@@ -300,10 +299,8 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     // require back-invalidating the host's cache over CXL first.
     Tick bi_delay = 0;
     if (op == MemOp::Read && cfg_.dirty_cache_ratio > 0.0 &&
-        bi_rng_.nextDouble() < cfg_.dirty_cache_ratio) {
-        ++dstats_.back_invalidations;
+        bi_rng_.nextDouble() < cfg_.dirty_cache_ratio)
         bi_delay = cfg_.back_invalidation_latency;
-    }
 
     // Through the unit's L1D; misses route over the NoC to the L2 slices
     // (the UnitPort adapter books the response crossbar). A delayed
@@ -495,8 +492,6 @@ M2NDP_HOT_PATH
 bool
 CxlMemoryExpander::dramTlbWarm(Asid asid, Addr va)
 {
-    if (!cfg_.dram_tlb_warm)
-        return false;
     return dram_tlb_->contains(asid, va);
 }
 

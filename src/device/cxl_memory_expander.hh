@@ -82,9 +82,6 @@ struct DeviceConfig
     unsigned media_links = 1;
     double media_link_gbps = 64.0;
     Tick media_link_latency = 35 * kNs;
-
-    // DRAM-TLB steady-state warmth (Section III-H).
-    bool dram_tlb_warm = true;
 };
 
 /** Device statistics snapshot. */
@@ -93,8 +90,6 @@ struct DeviceStats
     std::uint64_t host_reads = 0;
     std::uint64_t host_writes = 0;
     std::uint64_t m2func_calls = 0;
-    std::uint64_t back_invalidations = 0;
-    std::uint64_t p2p_accesses = 0;
 };
 
 /** The device. */

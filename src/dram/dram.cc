@@ -150,16 +150,6 @@ DramChannel::book(const MemPacket &pkt, unsigned bank_idx, std::uint64_t row,
     Tick slot = std::max(next_col_, at);
     Tick col_at = std::max(ready, slot);
 
-    // Diagnostics: which constraint produced a far-future booking.
-    if (col_at > at + 400 * kNs) {
-        if (slot >= ready)
-            ++stats_.diag_colbound;
-        else if (hit)
-            ++stats_.diag_hitbound;
-        else
-            ++stats_.diag_missbound;
-    }
-
     // tCCD (>= burst occupancy) is the data-bus rate constraint.
     Tick data_start = col_at + cycles(timing_.n_cl);
     Tick done = data_start + cycles(timing_.burst_cycles);
@@ -265,9 +255,6 @@ DramDevice::totalStats() const
         total.row_misses += s.row_misses;
         total.bytes += s.bytes;
         total.busy_ticks += s.busy_ticks;
-        total.diag_colbound += s.diag_colbound;
-        total.diag_hitbound += s.diag_hitbound;
-        total.diag_missbound += s.diag_missbound;
     }
     return total;
 }

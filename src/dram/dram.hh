@@ -60,9 +60,6 @@ struct DramStats
     std::uint64_t row_misses = 0;
     std::uint64_t bytes = 0;
     Tick busy_ticks = 0; ///< data-bus occupancy (for utilization)
-    std::uint64_t diag_colbound = 0;
-    std::uint64_t diag_hitbound = 0;
-    std::uint64_t diag_missbound = 0;
 
     double
     rowHitRate() const

@@ -541,8 +541,10 @@ TEST_F(IntegrationTest, TlbShootdownPath)
 // ---------------------------------------------------------------------
 // Partitioned parallel engine (sim/partition.hh): the same seed and
 // workload must produce bit-identical simulations for every thread
-// count. Fault injection stays on so the per-direction RNG schedules are
-// part of what must not drift.
+// count. Two inputs: a 4-device vecadd with fault injection on, so the
+// per-direction RNG schedules are part of what must not drift, and
+// Fig. 12b's 8-device OPT-30B shard, whose all-reduce traffic loads the
+// cross-partition paths.
 // ---------------------------------------------------------------------
 TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
 {
@@ -607,32 +609,11 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
         return r;
     };
 
-    RunResult serial = run_once(1);
-    // The kernels actually computed something before we compare runs.
-    for (unsigned i = 0; i < kN; ++i)
-        ASSERT_EQ(serial.bytes[i], i * 3 + 7 + i) << "at index " << i;
-
-    for (unsigned threads : {2u, 4u}) {
-        RunResult parallel = run_once(threads);
-        EXPECT_EQ(serial.checksum, parallel.checksum)
-            << "engine checksum diverged at threads=" << threads;
-        EXPECT_EQ(serial.final_now, parallel.final_now)
-            << "final sim time diverged at threads=" << threads;
-        EXPECT_EQ(serial.bytes, parallel.bytes)
-            << "result bytes diverged at threads=" << threads;
-    }
-}
-
-// Fig. 12b's 8-device OPT-30B shard (sim_hidden 256, one layer): every
-// device runs its slice and the shards meet in host-side all-reduce
-// traffic, so the cross-partition paths carry real load.
-TEST(ParallelEngineTest, Opt30bEightDeviceShardIsBitExact)
-{
-    constexpr unsigned kDevices = 8;
-    auto run_once = [](unsigned threads, Tick &final_now) {
+    auto run_opt30b = [](unsigned threads) {
+        constexpr unsigned kOptDevices = 8;
         SystemConfig cfg;
         cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
-        cfg.num_devices = kDevices;
+        cfg.num_devices = kOptDevices;
         cfg.threads = threads;
         System sys(cfg);
         auto &proc = sys.createProcess();
@@ -641,20 +622,35 @@ TEST(ParallelEngineTest, Opt30bEightDeviceShardIsBitExact)
         oc.model = workloads::OptModel::opt30b();
         oc.sim_hidden = 256;
         oc.sim_layers = 1;
-        oc.devices = kDevices;
+        oc.devices = kOptDevices;
         workloads::OptWorkload w(sys, proc, oc);
         w.setup();
         EXPECT_TRUE(w.runNdp(*rt).verified);
-        final_now = sys.eq().now();
-        return sys.engineChecksum();
+        RunResult r;
+        r.checksum = sys.engineChecksum();
+        r.final_now = sys.eq().now();
+        return r;
     };
 
-    Tick serial_now = 0, parallel_now = 0;
-    std::uint64_t serial = run_once(1, serial_now);
-    std::uint64_t parallel = run_once(4, parallel_now);
-    EXPECT_EQ(serial, parallel) << "engine checksum diverged at threads=4";
-    EXPECT_EQ(serial_now, parallel_now)
-        << "final sim time diverged at threads=4";
+    auto expect_bit_exact = [](auto run) {
+        RunResult serial = run(1);
+        for (unsigned threads : {2u, 4u}) {
+            RunResult parallel = run(threads);
+            EXPECT_EQ(serial.checksum, parallel.checksum)
+                << "engine checksum diverged at threads=" << threads;
+            EXPECT_EQ(serial.final_now, parallel.final_now)
+                << "final sim time diverged at threads=" << threads;
+            EXPECT_EQ(serial.bytes, parallel.bytes)
+                << "result bytes diverged at threads=" << threads;
+        }
+        return serial;
+    };
+
+    RunResult vecadd = expect_bit_exact(run_once);
+    // The kernels actually computed something.
+    for (unsigned i = 0; i < kN; ++i)
+        ASSERT_EQ(vecadd.bytes[i], i * 3 + 7 + i) << "at index " << i;
+    expect_bit_exact(run_opt30b);
 }
 
 // Cross-partition mailboxes are per-direction FIFO: messages posted on
