@@ -78,6 +78,7 @@ main(int argc, char **argv)
                             192e6, 256e6, 384e6};
     double knee = rates[0];
     double knee_goodput = 0.0;
+    bool knee_found = false;
     for (double rate : rates) {
         TrafficConfig tc;
         TrafficTenantConfig t = baseTenant(requests);
@@ -102,8 +103,14 @@ main(int argc, char **argv)
             break;
         knee = rate;
         knee_goodput = r.goodput_rps;
+        knee_found = true;
     }
-    row("knee offered load", knee / 1e6, "Mreq/s");
+    if (knee_found)
+        row("knee offered load", knee / 1e6, "Mreq/s");
+    else
+        note("no sweep point kept up (>= 95% of offered, no shed or "
+             "reject): knee not measured; 16b/16c fall back to the first "
+             "sweep rate");
 
     header("Fig. 16b", "multi-tenant QoS under contention");
     // Uncontended reference: the latency tenant alone at its own rate.
@@ -166,10 +173,9 @@ main(int argc, char **argv)
                               r_over.shed + r_over.faulted;
     row("offered", r_over.offered_rps / 1e6, "Mreq/s");
     row("goodput", r_over.goodput_rps / 1e6, "Mreq/s");
-    row("goodput vs knee",
-        knee_goodput > 0.0 ? 100.0 * r_over.goodput_rps / knee_goodput
-                           : 0.0,
-        "%");
+    if (knee_found)
+        row("goodput vs knee", 100.0 * r_over.goodput_rps / knee_goodput,
+            "%");
     row("shed (deadline)", static_cast<double>(r_over.shed), "req");
     row("rejected (overload)", static_cast<double>(r_over.rejected),
         "req");

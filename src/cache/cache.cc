@@ -229,8 +229,7 @@ Cache::receiveAt(MemPacketPtr pkt, Tick at)
     // Serialize lookups through the port, then charge the lookup latency.
     // The lookup itself runs now (fused): its effects carry the logical
     // lookup tick, so no event is needed to make sim-time catch up first.
-    Tick start = std::max(at, port_free_);
-    port_free_ = start + cfg_.port_cycle;
+    Tick start = port_.book(eq_, at, cfg_.port_cycle);
     lookupAt(std::move(pkt), start + cfg_.latency);
 }
 

@@ -24,6 +24,7 @@
 #include "common/units.hh"
 #include "mem/packet.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 
@@ -72,15 +73,6 @@ struct CacheStats
     {
         return read_hits + read_misses + write_hits + write_misses + atomics;
     }
-
-    double
-    missRate() const
-    {
-        std::uint64_t a = read_hits + read_misses + write_hits + write_misses;
-        return a == 0 ? 0.0
-                      : static_cast<double>(read_misses + write_misses) /
-                            static_cast<double>(a);
-    }
 };
 
 /**
@@ -102,9 +94,9 @@ class Cache : public MemPort
      * Fused entry point: the lookup runs immediately, with the port
      * booked from the logical arrival tick @p at and every timing effect
      * (hit completion, downstream miss traffic) stamped with the lookup
-     * tick `max(at, port_free) + latency`. No lookup event is scheduled;
-     * completions are delivered early with a future tick per the MemPort
-     * fused-delivery convention.
+     * tick (the port booking's start + latency). No lookup event is
+     * scheduled; completions are delivered early with a future tick per
+     * the MemPort fused-delivery convention.
      */
     void receiveAt(MemPacketPtr pkt, Tick at) override;
 
@@ -113,9 +105,6 @@ class Cache : public MemPort
 
     /** Invalidate everything (e.g. I-cache flush on kernel unregister). */
     void invalidateAll();
-
-    /** Outstanding misses (for quiesce checks). */
-    std::size_t outstandingMisses() const { return mshr_count_; }
 
   private:
     /** Line metadata. The LRU stamp lives in the parallel compact
@@ -265,7 +254,7 @@ class Cache : public MemPort
     /** Requests waiting for a free MSHR. */
     PacketFifo stalled_;
 
-    Tick port_free_ = 0;
+    Reservation port_; ///< lookup port, one port_cycle per access
     std::uint64_t lru_clock_ = 0;
     unsigned sector_shift_ = 0; ///< log2(sector_bytes)
     CacheStats stats_;

@@ -14,10 +14,11 @@
  *  - **Dropped flits**: with probability `drop_rate` the flit train is
  *    lost outright and recovered by an ack-timeout replay
  *    (`drop_replay_penalty`) — delivered late, counted separately.
- *  - **Link down**: at `link_down_at` (one-shot schedule, 0 = never)
- *    the link fails permanently. This is the only *unrecoverable* fault:
+ *  - **Link down**: `CxlLink::forceLinkDown(t)` fails the link
+ *    permanently from tick t on. This is the only *unrecoverable* fault:
  *    the host port aborts in-flight accesses with a typed error and the
- *    runtime marks the device lost.
+ *    runtime marks the device lost. It is not drawn from the injector,
+ *    so it needs no `FaultConfig` field.
  *
  * Replay-resolution (rather than silent message loss) keeps fault runs
  * hang-free: the deferred M2func return read always completes, so no
@@ -58,8 +59,6 @@ struct FaultConfig
     Tick crc_replay_penalty = 100 * kNs;
     /** Latency cost of an ack-timeout replay after a dropped flit. */
     Tick drop_replay_penalty = 500 * kNs;
-    /** One-shot permanent link failure at this tick (0 = never). */
-    Tick link_down_at = 0;
 };
 
 /** Fault counters, bit-exact across same-seed runs. */
@@ -87,21 +86,11 @@ class FaultInjector
     armed() const
     {
         return cfg_.enabled &&
-               (cfg_.bit_error_rate > 0.0 || cfg_.drop_rate > 0.0 ||
-                cfg_.link_down_at != 0);
+               (cfg_.bit_error_rate > 0.0 || cfg_.drop_rate > 0.0);
     }
 
     const FaultConfig &config() const { return cfg_; }
     const FaultStats &stats() const { return stats_; }
-
-    /** Has the one-shot link-down schedule come due? */
-    bool
-    shouldGoDown(Tick now) const
-    {
-        return cfg_.link_down_at != 0 && now >= cfg_.link_down_at;
-    }
-
-    void noteLinkDown() { ++stats_.link_down_events; }
 
     /**
      * Roll the dice for one message of @p bytes. Returns the extra

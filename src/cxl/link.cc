@@ -1,7 +1,5 @@
 #include "cxl/link.hh"
 
-#include <algorithm>
-
 #include "common/rng.hh"
 
 namespace m2ndp {
@@ -13,14 +11,13 @@ CxlDirection::send(std::uint32_t bytes)
     if (faults_armed_) [[unlikely]]
         penalty = injector_.onMessage(bytes);
     Tick ser = serializationTicks(bytes, cfg_.bandwidth_gbps);
-    Tick start = std::max(eq_.now(), link_free_);
     // A link-layer replay (LRSM) blocks the direction until the flit
     // retransmits, so the penalty occupies the link: later messages queue
     // behind it and per-direction FIFO ordering is preserved. Protocol
     // correctness depends on this — e.g. the deferred M2func return read
     // must never overtake the launch write it follows.
+    Tick start = link_.book(eq_, eq_.now(), ser + penalty);
     Tick done = start + ser + penalty;
-    link_free_ = done;
     stats_.messages += 1;
     stats_.bytes += bytes;
     stats_.queueing += start - eq_.now();
@@ -50,7 +47,7 @@ CxlLink::faultStats() const
     s.crc_replays = d.crc_replays + u.crc_replays;
     s.dropped_flits = d.dropped_flits + u.dropped_flits;
     s.replay_ticks = d.replay_ticks + u.replay_ticks;
-    s.link_down_events = forced_ || fault_cfg_.link_down_at != 0 ? 1 : 0;
+    s.link_down_events = forced_ ? 1 : 0;
     return s;
 }
 

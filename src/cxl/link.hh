@@ -16,12 +16,12 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/units.hh"
 #include "cxl/fault.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 
@@ -73,7 +73,7 @@ class CxlDirection
     const CxlLinkConfig &cfg_;
     FaultInjector injector_;
     bool faults_armed_ = false;
-    Tick link_free_ = 0;
+    Reservation link_;
     CxlDirStats stats_;
 };
 
@@ -89,8 +89,7 @@ class CxlLink
     CxlLink(EventQueue &host_eq, EventQueue &dev_eq, CxlLinkConfig cfg = {},
             FaultConfig fault = {})
         : cfg_(cfg), down_(host_eq, cfg_, deriveFault(fault, 0xD0F7u)),
-          up_(dev_eq, cfg_, deriveFault(fault, 0x09B1u)),
-          fault_cfg_(fault)
+          up_(dev_eq, cfg_, deriveFault(fault, 0x09B1u))
     {
     }
 
@@ -116,25 +115,7 @@ class CxlLink
      * host- and device-side observers at different partition clocks agree
      * on exactly when the link died, independent of thread count.
      */
-    bool
-    isDownAt(Tick t) const
-    {
-        return (fault_cfg_.link_down_at != 0 &&
-                t >= fault_cfg_.link_down_at) ||
-               (forced_ && t >= forced_at_);
-    }
-
-    /** Tick the link went (or will go) down; kTickMax when healthy. */
-    Tick
-    downAt() const
-    {
-        Tick at = kTickMax;
-        if (fault_cfg_.link_down_at != 0)
-            at = fault_cfg_.link_down_at;
-        if (forced_)
-            at = std::min(at, forced_at_);
-        return at;
-    }
+    bool isDownAt(Tick t) const { return forced_ && t >= forced_at_; }
 
     /**
      * Force the link down at @p at (tests, external supervision). Called
@@ -154,7 +135,6 @@ class CxlLink
 
     /** Merged both-direction fault counters (bit-exact per seed). */
     FaultStats faultStats() const;
-    const FaultConfig &faultConfig() const { return fault_cfg_; }
 
     /** Bytes on the wire for a read request (header only). */
     std::uint32_t readReqBytes() const { return cfg_.req_header_bytes; }
@@ -180,7 +160,6 @@ class CxlLink
     CxlLinkConfig cfg_;
     CxlDirection down_;
     CxlDirection up_;
-    FaultConfig fault_cfg_;
     bool forced_ = false;  ///< forceLinkDown called
     Tick forced_at_ = 0;   ///< tick of the forced failure
 };

@@ -56,8 +56,6 @@ class PacketFilter
     /** Check an incoming request address. */
     std::optional<PacketFilterMatch> match(Addr addr) const;
 
-    std::size_t numEntries() const { return entries_.size(); }
-
     /** Modeled SRAM cost in bytes (18 B per entry). */
     std::uint64_t
     storageBytes() const

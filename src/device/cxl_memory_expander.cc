@@ -168,7 +168,7 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     dram_tlb_ = std::make_unique<DramTlb>(tlb_base, 32 * kMiB,
                                           layout::kPageBytes);
 
-    media_link_free_.assign(std::max(1u, cfg_.media_links), 0);
+    media_links_.resize(std::max(1u, cfg_.media_links));
 }
 
 CxlMemoryExpander::~CxlMemoryExpander() = default;
@@ -204,8 +204,7 @@ CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
     if (cfg_.media_over_cxl) {
         unsigned link = channel % cfg_.media_links;
         Tick ser = serializationTicks(size + 16, cfg_.media_link_gbps) * 2;
-        Tick start = std::max(at, media_link_free_[link]);
-        media_link_free_[link] = start + ser;
+        Tick start = media_links_[link].book(eq_, at, ser);
         media_delay = (start - at) + ser + 2 * cfg_.media_link_latency;
     }
 
@@ -218,9 +217,10 @@ CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
     // threaded through as the timing floor — the request path schedules
     // no event at all. The slice books its lookup port in *issue* order
     // rather than strict arrival order (hash-selected crossbar planes can
-    // reorder in flight); the per-port next-free clamp keeps the booking
-    // conservative, and per-slice load is low enough (hashed channel
-    // interleaving) that the approximation does not move contention.
+    // reorder in flight), so a request booked at a far-future arrival
+    // tick holds up every later-issued request behind it. How far ahead
+    // of now() any port was booked is System::maxBookingLookahead()
+    // (docs/performance.md, "One booking primitive").
     pkt->addr = local;
     l2_slices_[channel]->receiveAt(std::move(pkt), arrival);
 }

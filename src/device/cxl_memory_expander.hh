@@ -36,6 +36,7 @@
 #include "ndp/ndp_unit.hh"
 #include "noc/crossbar.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 
@@ -136,7 +137,6 @@ class CxlMemoryExpander
     {
         return static_cast<unsigned>(l2_slices_.size());
     }
-    const PacketFilter &packetFilter() const { return filter_; }
     const DeviceConfig &config() const { return cfg_; }
     const DeviceStats &deviceStats() const { return dstats_; }
     const Crossbar &requestNoc() const { return *req_xbar_; }
@@ -305,8 +305,8 @@ class CxlMemoryExpander
     Tick driver_now_ = 0;
     bool driver_rescan_ = false;
 
-    /** Media-over-CXL serialization state (Section III-J). */
-    std::vector<Tick> media_link_free_;
+    /** Media-over-CXL link per memory (Section III-J). */
+    std::vector<Reservation> media_links_;
 
     std::unordered_map<Asid, const PageTable *> processes_;
     std::unordered_map<Asid, Addr> m2func_regions_;

@@ -143,17 +143,16 @@ DramChannel::book(const MemPacket &pkt, unsigned bank_idx, std::uint64_t row,
     }
 
     // The command/data bus is modeled as a token clock: each booking
-    // consumes one tCCD slot counted from the arrival, so a far-future
-    // row miss cannot ratchet the bus ahead for requests that could issue
-    // earlier (bandwidth stays conserved on average; transiently
-    // overlapping bursts are an accepted approximation).
-    Tick slot = std::max(next_col_, at);
+    // consumes one tCCD slot (tCCD >= burst occupancy is the data-bus
+    // rate constraint) counted from the arrival, so a far-future row miss
+    // cannot ratchet the bus ahead for requests that could issue earlier
+    // (bandwidth stays conserved on average; transiently overlapping
+    // bursts are an accepted approximation).
+    Tick slot = bus_.book(eq_, at, cycles(timing_.n_ccd));
     Tick col_at = std::max(ready, slot);
 
-    // tCCD (>= burst occupancy) is the data-bus rate constraint.
     Tick data_start = col_at + cycles(timing_.n_cl);
     Tick done = data_start + cycles(timing_.burst_cycles);
-    next_col_ = slot + cycles(timing_.n_ccd);
     bank.col_ready = col_at + cycles(timing_.n_ccd);
     stats_.busy_ticks += cycles(timing_.burst_cycles);
 

@@ -25,6 +25,7 @@
 #include "common/units.hh"
 #include "mem/packet.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 
@@ -133,7 +134,7 @@ class DramChannel
     DramTiming timing_;
     unsigned index_;
     std::vector<BankState> banks_;
-    Tick next_col_ = 0; ///< tCCD spacing between column commands
+    Reservation bus_; ///< tCCD token clock for column commands
     DramStats stats_;
 };
 
@@ -172,9 +173,6 @@ class DramDevice : public MemPort
     DramStats totalStats() const;
     const DramChannel &channel(unsigned i) const { return *channels_[i]; }
     unsigned numChannels() const { return static_cast<unsigned>(channels_.size()); }
-
-    /** Accesses booked but not yet completed (across all channels). */
-    std::size_t pendingCompletions() const { return ready_.size(); }
 
     /** Peak bandwidth in bytes/second across all channels. */
     double peakBandwidth() const;

@@ -318,7 +318,6 @@ class NdpStream
 
     /** Cap on queued (not yet issued) launches; 0 = unbounded. */
     void setQueueLimit(unsigned depth) { queue_limit_ = depth; }
-    unsigned queueLimit() const { return queue_limit_; }
 
     /** Launches currently queued behind the in-flight one. */
     unsigned queued() const { return static_cast<unsigned>(queue_.size()); }

@@ -94,8 +94,6 @@ class PageTable
     /** Translate a virtual address; nullopt if unmapped. */
     std::optional<Addr> translate(Addr va) const;
 
-    std::size_t numMappings() const { return map_.size(); }
-
   private:
     Asid asid_;
     std::unordered_map<std::uint64_t, Addr> map_; // vpn -> pa of page start
@@ -113,7 +111,6 @@ class PhysAllocator
     /** Allocate @p size bytes aligned to @p align (power of two). */
     Addr allocate(std::uint64_t size, std::uint64_t align = 64);
 
-    std::uint64_t bytesAllocated() const { return next_ - base_; }
     std::uint64_t capacity() const { return capacity_; }
     Addr base() const { return base_; }
 

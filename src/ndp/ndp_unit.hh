@@ -155,10 +155,6 @@ class NdpUnit : public isa::MemoryIf
 
     /** Number of currently live (non-idle) uthread slots. */
     unsigned activeSlots() const { return live_slots_; }
-    unsigned totalSlots() const
-    {
-        return cfg_.subcores * cfg_.slots_per_subcore;
-    }
 
     const NdpUnitStats &stats() const { return stats_; }
 

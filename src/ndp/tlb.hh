@@ -35,15 +35,6 @@ struct TlbStats
     std::uint64_t fast_hits = 0;
     /** Valid entries displaced by insert() (capacity/conflict evictions). */
     std::uint64_t evictions = 0;
-
-    double
-    hitRate() const
-    {
-        std::uint64_t total = hits + misses;
-        return total == 0 ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(total);
-    }
 };
 
 /**

@@ -9,7 +9,7 @@ namespace m2ndp {
 
 Crossbar::Crossbar(EventQueue &eq, CrossbarConfig cfg)
     : eq_(eq), cfg_(cfg),
-      port_free_(static_cast<std::size_t>(cfg.planes) * cfg.ports, 0)
+      ports_(static_cast<std::size_t>(cfg.planes) * cfg.ports)
 {
     M2_ASSERT(cfg_.planes > 0 && cfg_.ports > 0, "empty crossbar");
 }
@@ -22,28 +22,21 @@ Crossbar::send(unsigned dst_port, std::uint32_t bytes, Tick at,
     M2_ASSERT(at + eq_.deliverySlack() >= eq_.now(),
               "crossbar injection in the past");
     unsigned plane = static_cast<unsigned>(mixHash64(route_hash) % cfg_.planes);
-    Tick &free = port_free_[static_cast<std::size_t>(plane) * cfg_.ports +
-                            dst_port];
+    Reservation &port =
+        ports_[static_cast<std::size_t>(plane) * cfg_.ports + dst_port];
 
     unsigned flits = (bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
     flits = std::max(flits, 1u);
 
     Tick ready = at + cfg_.hop_latency;
-    Tick start = std::max(ready, free);
-    Tick done = start + static_cast<Tick>(flits) * cfg_.cycle;
-    free = done;
+    Tick occupancy = static_cast<Tick>(flits) * cfg_.cycle;
+    Tick start = port.book(eq_, ready, occupancy);
+    Tick done = start + occupancy;
 
     stats_.flits += flits;
     stats_.bytes += bytes;
     stats_.total_queueing += start - ready;
     return done;
-}
-
-Tick
-Crossbar::send(unsigned dst_port, std::uint32_t bytes,
-               std::uint64_t route_hash)
-{
-    return send(dst_port, bytes, eq_.now(), route_hash);
 }
 
 } // namespace m2ndp

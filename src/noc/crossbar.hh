@@ -16,6 +16,7 @@
 
 #include "common/units.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 
@@ -53,14 +54,10 @@ class Crossbar
      * @p at is the logical injection tick (>= now): fused completion
      * paths book the hop from the producing stage's completion tick
      * instead of scheduling an event just to reach "now == at" first —
-     * arbitration conflicts are still modeled through the per-port
-     * next-free bookkeeping, with no event.
+     * arbitration conflicts are still modeled through each port's
+     * Reservation, with no event.
      */
     Tick send(unsigned dst_port, std::uint32_t bytes, Tick at,
-              std::uint64_t route_hash);
-
-    /** Convenience overload injecting at the current tick. */
-    Tick send(unsigned dst_port, std::uint32_t bytes,
               std::uint64_t route_hash);
 
     const CrossbarStats &stats() const { return stats_; }
@@ -69,7 +66,7 @@ class Crossbar
   private:
     EventQueue &eq_;
     CrossbarConfig cfg_;
-    std::vector<Tick> port_free_; ///< [plane * ports + dst]
+    std::vector<Reservation> ports_; ///< [plane * ports + dst]
     CrossbarStats stats_;
 };
 

@@ -134,11 +134,10 @@ class EventQueue
     void setDriver(SimDriver *driver) { driver_ = driver; }
 
     /**
-     * Events scheduled over this queue's lifetime (including later
-     * cancelled ones). The events-per-instruction cost model in
-     * docs/performance.md and the bench gate are built on this counter.
+     * Largest `start - now()` any Reservation on this queue has booked:
+     * how far ahead of the simulated present a resource was committed.
      */
-    std::uint64_t scheduledTotal() const { return scheduled_total_; }
+    Tick maxBookingLookahead() const { return max_booking_lookahead_; }
 
     /** Tick of the next pending event (kTickMax if none). */
     Tick
@@ -207,6 +206,7 @@ class EventQueue
   private:
     friend class Ticker;
     friend class SimDomain;
+    friend class Reservation;
 
     static constexpr unsigned kSlabEvents = 256;
 
@@ -238,6 +238,15 @@ class EventQueue
         Event *ev = scheduleNode(when);
         ev->cb = std::forward<F>(cb);
         return ev;
+    }
+
+    /** Record a Reservation booking that starts at @p start. */
+    void
+    noteBooking(Tick start)
+    {
+        if (start > now_)
+            max_booking_lookahead_ =
+                std::max(max_booking_lookahead_, start - now_);
     }
 
     /** Remove a pending event scheduled by this queue (Ticker support). */
@@ -284,6 +293,7 @@ class EventQueue
     Tick delivery_slack_ = 0; ///< see deliverySlack()
     std::uint64_t seq_ = 0;
     std::uint64_t scheduled_total_ = 0;
+    Tick max_booking_lookahead_ = 0; ///< see maxBookingLookahead()
 
     /**
      * 4-ary min-heap on (when, seq): children of slot i are 4i+1..4i+4.
@@ -381,7 +391,6 @@ class ClockDomain
     }
 
     static ClockDomain fromGHz(double ghz) { return ClockDomain(periodFromGHz(ghz)); }
-    static ClockDomain fromMHz(double mhz) { return ClockDomain(periodFromMHz(mhz)); }
 
     Tick period() const { return period_; }
 

@@ -235,4 +235,13 @@ SimDomain::totalEventsScheduled() const
     return total;
 }
 
+Tick
+SimDomain::maxBookingLookahead() const
+{
+    Tick max = 0;
+    for (const EventQueue *q : queues_)
+        max = std::max(max, q->maxBookingLookahead());
+    return max;
+}
+
 } // namespace m2ndp

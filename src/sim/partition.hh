@@ -159,6 +159,9 @@ class SimDomain : public SimDriver
     /** Events scheduled across every partition (cost-model counter). */
     std::uint64_t totalEventsScheduled() const;
 
+    /** Largest Reservation lookahead over every partition queue. */
+    Tick maxBookingLookahead() const;
+
   private:
     /**
      * Drain every mailbox into its receiver queue. Barrier-only (all

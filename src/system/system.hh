@@ -74,8 +74,6 @@ class System
     SimDomain &domain() { return *domain_; }
     /** Device partition @p i's queue. */
     EventQueue &deviceQueue(unsigned i = 0) { return *device_queues_[i]; }
-    /** Executor threads actually advancing device partitions. */
-    unsigned simThreads() const { return domain_->executors(); }
 
     /**
      * Thread-count-invariant digest of the whole engine's state: identical
@@ -88,6 +86,8 @@ class System
     {
         return domain_->totalEventsScheduled();
     }
+    /** Largest Reservation lookahead over every partition queue. */
+    Tick maxBookingLookahead() const { return domain_->maxBookingLookahead(); }
 
     unsigned numDevices() const { return static_cast<unsigned>(devices_.size()); }
     CxlMemoryExpander &device(unsigned i = 0) { return *devices_[i]; }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for common utilities: logging, units, bit utilities, RNG, stats,
- * the event queue, and clock domains.
+ * the event queue, resource reservations, and clock domains.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "sim/event_queue.hh"
+#include "sim/reservation.hh"
 
 namespace m2ndp {
 namespace {
@@ -246,6 +247,33 @@ TEST(EventQueue, SchedulingInPastPanics)
     eq.schedule(100, [] {});
     eq.run();
     EXPECT_THROW(eq.schedule(50, [] {}), std::logic_error);
+}
+
+TEST(Reservation, NextFreeBookingRecordsLookahead)
+{
+    EventQueue eq;
+    eq.schedule(100, [] {});
+    eq.run();
+    Reservation port;
+
+    // In order: a free resource starts the booking at its requested tick.
+    EXPECT_EQ(port.book(eq, 100, 10), 100u);
+    EXPECT_EQ(eq.maxBookingLookahead(), 0u);
+    // Queued: a second booking for the same tick waits for the watermark.
+    EXPECT_EQ(port.book(eq, 100, 10), 110u);
+    EXPECT_EQ(eq.maxBookingLookahead(), 10u);
+    // Future: a booking past the watermark starts at its own tick and
+    // raises the lookahead to exactly start - now.
+    EXPECT_EQ(port.book(eq, 400, 10), 400u);
+    EXPECT_EQ(eq.maxBookingLookahead(), 300u);
+
+    // A booking that starts in the bounded past (delivery slack) does
+    // not wrap the unsigned difference, and the maximum never falls.
+    eq.schedule(1000, [] {});
+    eq.run();
+    EXPECT_EQ(port.book(eq, 990, 5), 990u);
+    EXPECT_EQ(port.book(eq, 1000, 5), 1000u);
+    EXPECT_EQ(eq.maxBookingLookahead(), 300u);
 }
 
 TEST(ClockDomain, Conversions)

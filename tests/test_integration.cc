@@ -194,7 +194,8 @@ TEST_F(IntegrationTest, VecAdd256KiMissPathAndTlbCountsGolden)
     // Fig. 4's vecadd over 2^18 floats on the Table IV system: exact event,
     // miss-path and D-TLB counts of the fused access path. They read
     // 0.1372 events/inst, 1 pooled packet per forwarded miss (fills ride
-    // the original packet) and a 0.672257 D-TLB fast-hit rate.
+    // the original packet) and a 0.672257 D-TLB fast-hit rate. No
+    // resource is booked more than 372.5 ns ahead of now().
     constexpr unsigned kN = 1u << 18;
     Addr a = process->allocate(kN * 4), b = process->allocate(kN * 4),
          c = process->allocate(kN * 4);
@@ -257,6 +258,7 @@ TEST_F(IntegrationTest, VecAdd256KiMissPathAndTlbCountsGolden)
     EXPECT_EQ(dtlb.misses, 96u);
     EXPECT_EQ(dtlb.fast_hits, 66'021u);
     EXPECT_EQ(dtlb.evictions, 0u);
+    EXPECT_EQ(sys->maxBookingLookahead(), 372'500u);
 }
 
 TEST_F(IntegrationTest, SchedulerStatsAndDeterminism)
@@ -555,6 +557,7 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
     {
         std::uint64_t checksum = 0;
         Tick final_now = 0;
+        Tick lookahead = 0;
         std::vector<std::uint32_t> bytes;
     };
 
@@ -606,6 +609,7 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
                             kN * 4);
         r.checksum = sys.engineChecksum();
         r.final_now = sys.eq().now();
+        r.lookahead = sys.maxBookingLookahead();
         return r;
     };
 
@@ -629,6 +633,7 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
         RunResult r;
         r.checksum = sys.engineChecksum();
         r.final_now = sys.eq().now();
+        r.lookahead = sys.maxBookingLookahead();
         return r;
     };
 
@@ -640,6 +645,8 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
                 << "engine checksum diverged at threads=" << threads;
             EXPECT_EQ(serial.final_now, parallel.final_now)
                 << "final sim time diverged at threads=" << threads;
+            EXPECT_EQ(serial.lookahead, parallel.lookahead)
+                << "booking lookahead diverged at threads=" << threads;
             EXPECT_EQ(serial.bytes, parallel.bytes)
                 << "result bytes diverged at threads=" << threads;
         }

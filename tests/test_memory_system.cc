@@ -391,9 +391,9 @@ TEST(Crossbar, BandwidthSerializationPerPort)
     Crossbar xbar(eq, cfg);
 
     // Two 32 B sends to the same port serialize; to different ports do not.
-    Tick a = xbar.send(0, 32, 1);
-    Tick b = xbar.send(0, 32, 2);
-    Tick c = xbar.send(1, 32, 3);
+    Tick a = xbar.send(0, 32, eq.now(), 1);
+    Tick b = xbar.send(0, 32, eq.now(), 2);
+    Tick c = xbar.send(1, 32, eq.now(), 3);
     EXPECT_EQ(a, 2000u + 500u);
     EXPECT_EQ(b, a + 500);
     EXPECT_EQ(c, a); // different port: no contention
@@ -410,7 +410,7 @@ TEST(Crossbar, PlanesMultiplyBandwidth)
     // With 4 planes, sends hashed across planes rarely all collide.
     std::vector<Tick> times;
     for (unsigned i = 0; i < 8; ++i)
-        times.push_back(xbar.send(0, 32, i * 977));
+        times.push_back(xbar.send(0, 32, eq.now(), i * 977));
     Tick max_time = *std::max_element(times.begin(), times.end());
     // If it were a single plane, the last delivery would be >= 8 slots out.
     EXPECT_LT(max_time, cfg.hop_latency + 8 * cfg.cycle);
