@@ -179,6 +179,40 @@ TEST_F(WorkloadTest, KvstoreCxlIoSchemesHurtLatency)
               2.0 * res_m2.latency_ns.percentile(95));
 }
 
+TEST_F(WorkloadTest, KvstorePlacementAndHostWalkGolden)
+{
+    // 3000 nodes fill neither a whole staging buffer multiple nor a whole
+    // page, so every boundary case of the table build is covered.
+    KvstoreConfig kc;
+    kc.num_items = 3000;
+    kc.num_buckets = 1024;
+    kc.num_requests = 200;
+    KvstoreWorkload kvs(*sys, *proc, kc);
+    kvs.setup();
+
+    // FNV-1a over every mapped heap page: the runtime's code staging
+    // page, then the bucket heads, the nodes with their zero pad and the
+    // (still empty) response slots, one page each.
+    const std::uint64_t page = proc->pageTable().pageSize();
+    std::vector<std::uint8_t> bytes(page);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    unsigned pages = 0;
+    for (Addr va = layout::kHeapVaBase; proc->translate(va); va += page) {
+        sys->readVirtual(*proc, va, bytes.data(), page);
+        for (std::uint8_t b : bytes)
+            hash = (hash ^ b) * 0x100000001b3ull;
+        ++pages;
+    }
+    EXPECT_EQ(pages, 4u);
+    EXPECT_EQ(hash, 0x531173d9b257a1f5ull);
+
+    // The host walk reads chain_depth_ for its hop count.
+    auto base = kvs.runHostBaseline(sys->host());
+    EXPECT_EQ(base.completed, kc.num_requests);
+    EXPECT_EQ(base.latency_ns.percentile(50), 711.5);
+    EXPECT_EQ(base.latency_ns.percentile(99), 1096.33);
+}
+
 TEST_F(WorkloadTest, DlrmSlsCorrect)
 {
     DlrmConfig dc;
