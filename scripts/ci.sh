@@ -5,7 +5,8 @@
 # exact deterministic perf goldens), the repository benchmark's
 # self-test, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined) over the
-# stream-API tests and the full-stack quickstart example, and a
+# stream-API and fault tests, the KVS workload tests (the staged table
+# build) and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
 # tests plus the open-loop overload harness (-DSANITIZE=thread,
 # M2NDP_THREADS=2).
@@ -72,6 +73,10 @@ if [[ "$run_sanitize" == 1 ]]; then
         # kernel traps, watchdog kills, device loss) under ASan/UBSan
         # shakes out lifetime bugs on the error paths.
         cmake --build "$san_dir" -j "$jobs" --target test_faults
+        # KVS smoke: the hash-table build copies nodes through a host
+        # staging buffer; run the KVS workload tests under ASan/UBSan.
+        cmake --build "$san_dir" -j "$jobs" --target test_workloads
+        "$san_dir/test_workloads" --gtest_filter='WorkloadTest.Kvstore*'
         smoke_filter='test_runtime_api|test_faults|smoke_quickstart'
     else
         echo "note: GTest unavailable; sanitizer smoke covers quickstart only"

@@ -235,7 +235,7 @@ Cache::receiveAt(MemPacketPtr pkt, Tick at)
 
 M2NDP_HOT_PATH
 void
-Cache::lookupAt(MemPacketPtr pkt, Tick done_tick)
+Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
 {
     const Tick now = done_tick;
     const Addr line_addr = lineAddr(pkt->addr);
@@ -256,10 +256,11 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick)
 
     switch (pkt->op) {
       case MemOp::Atomic:
-        ++stats_.atomics;
+        if (!retry)
+            ++stats_.atomics;
         [[fallthrough]];
       case MemOp::Read: {
-        if (pkt->op == MemOp::Read) {
+        if (pkt->op == MemOp::Read && !retry) {
             sector_hit ? ++stats_.read_hits : ++stats_.read_misses;
         }
         if (sector_hit) {
@@ -432,9 +433,9 @@ Cache::handleRiderFill(MemPacket &rider, Mshr *m, unsigned sector,
 
     // Admit one stalled request per freed sector fill. The retry
     // re-looks-up at the fill tick (no second port booking, as before
-    // the fusion).
+    // the fusion) and is not counted as a second access.
     if (!stalled_.empty())
-        lookupAt(MemPacketPtr(stalled_.pop()), when);
+        lookupAt(MemPacketPtr(stalled_.pop()), when, true);
 }
 
 void

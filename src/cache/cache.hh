@@ -154,8 +154,12 @@ class Cache : public MemPort
     void mshrErase(Mshr *m);
     std::size_t mshrSlot(Addr line) const;
 
-    /** Perform the lookup with all effects stamped at @p done_tick. */
-    void lookupAt(MemPacketPtr pkt, Tick done_tick);
+    /**
+     * Perform the lookup with all effects stamped at @p done_tick.
+     * @p retry marks a stalled request re-looked-up after a fill: it was
+     * already counted as an access (hit/miss, atomic) when it stalled.
+     */
+    void lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry = false);
 
     /** Hop-frame payload bit: the rider was an Atomic before it was
      *  re-stamped to a Read fill (sets the line dirty on fill). */

@@ -233,7 +233,7 @@ CxlMemoryExpander::requestUnitTick(unsigned unit, Tick at)
     // Inside the driver the request is observed by its own loop; arming
     // here would plant a queue event that blocks run-until-stall bursts.
     // A request for the edge being processed can land on a unit the loop
-    // already passed (wakeAllUnits out of a later unit's uthread finish):
+    // already passed (a phase wake out of a later unit's uthread finish):
     // flag it so the driver revisits the edge.
     if (!in_cycle_driver_)
         unit_ticker_.armAt(at);
@@ -504,8 +504,14 @@ CxlMemoryExpander::dramTlbRefill(Asid asid, Addr va)
 void
 CxlMemoryExpander::wakeAllUnits()
 {
-    for (auto &u : units_)
-        u->wake();
+    wakeUnits(static_cast<unsigned>(units_.size()));
+}
+
+void
+CxlMemoryExpander::wakeUnits(unsigned count)
+{
+    for (unsigned i = 0; i < count; ++i)
+        units_[i]->wake();
 }
 
 bool

@@ -211,6 +211,8 @@ class CxlMemoryExpander
 
     /** Wake every NDP unit (new work became available). */
     void wakeAllUnits();
+    /** Wake NDP units [0, @p count) (new work for those units only). */
+    void wakeUnits(unsigned count);
     /** Read kernel source text from (asid-translated) device memory. */
     bool readKernelText(Asid asid, Addr va, std::uint32_t size,
                         std::string &out);

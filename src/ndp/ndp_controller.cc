@@ -414,7 +414,6 @@ NdpController::activate(KernelInstance *p)
         beginPhase(p, InstancePhase::Initializer, 0);
     else
         beginPhase(p, InstancePhase::Body, 0);
-    dev_.wakeAllUnits();
 }
 
 void
@@ -463,7 +462,21 @@ NdpController::beginPhase(KernelInstance *inst, InstancePhase phase,
     if (inst->phase_target == 0) {
         // Degenerate phase (e.g. empty pool region): skip forward.
         maybeAdvancePhase(inst);
+        return;
     }
+    wakeUnitsFor(inst);
+}
+
+void
+NdpController::wakeUnitsFor(const KernelInstance *inst)
+{
+    // Body work is statically partitioned (unit u only gets offsets u,
+    // u+N, ...), so a pool of k uthreads can feed units [0, k) only.
+    // Initializer/Finalizer run one uthread per slot on every unit.
+    std::uint64_t units = num_units_;
+    if (inst->phase == InstancePhase::Body)
+        units = std::min(units, inst->phase_target);
+    dev_.wakeUnits(static_cast<unsigned>(units));
 }
 
 void
@@ -493,12 +506,10 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
         if (next < sections.size()) {
             if (sections[next].kind == isa::SectionKind::Body) {
                 beginPhase(inst, InstancePhase::Body, next);
-                dev_.wakeAllUnits();
                 return;
             }
             if (sections[next].kind == isa::SectionKind::Finalizer) {
                 beginPhase(inst, InstancePhase::Finalizer, next);
-                dev_.wakeAllUnits();
                 return;
             }
         }
@@ -603,6 +614,7 @@ NdpController::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
             rr_instance_ = idx + 1 == n ? 0 : idx + 1;
         return PullStatus::Spawn;
     }
+    ++stats_.pulls_empty;
     return PullStatus::Empty;
 }
 

@@ -168,6 +168,8 @@ struct NdpControllerStats
     std::uint64_t instances_faulted = 0;
     /** Instances killed by the watchdog budget specifically. */
     std::uint64_t watchdog_kills = 0;
+    /** pullWork calls that found no work for the asking unit. */
+    std::uint64_t pulls_empty = 0;
 };
 
 /** Controller limits (Table IV: max 48 concurrent kernels). */
@@ -337,6 +339,8 @@ class NdpController
     void beginPhase(KernelInstance *inst, InstancePhase phase,
                     std::size_t section_index);
     void maybeAdvancePhase(KernelInstance *inst);
+    /** Wake the units that can spawn @p inst's current phase. */
+    void wakeUnitsFor(const KernelInstance *inst);
     void completeInstance(KernelInstance *inst);
     std::uint64_t phaseTarget(const KernelInstance *inst) const;
 

@@ -1,6 +1,7 @@
 #include "workloads/kvstore.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
@@ -15,6 +16,8 @@ constexpr std::uint64_t kNodeBytes = 128;
 constexpr std::uint64_t kKeyOff = 0;
 constexpr std::uint64_t kNextOff = 24;
 constexpr std::uint64_t kValueOff = 32;
+/** Nodes per host staging buffer in setup(): 64 KiB per writeVirtual. */
+constexpr std::uint64_t kStageNodes = 512;
 /** Response slot: value[64] | status[8] @96 -> 128 B. */
 constexpr std::uint64_t kSlotBytes = 128;
 constexpr std::uint64_t kStatusOff = 96;
@@ -133,38 +136,42 @@ KvstoreWorkload::setup()
     resp_va_ = proc_.allocate(
         static_cast<std::uint64_t>(cfg_.num_requests) * kSlotBytes + 64);
 
-    // Chain heads: last inserted item becomes the head.
+    // Chain heads: last inserted item becomes the head. Nodes are built
+    // in a reused host buffer and placed one full buffer per
+    // writeVirtual; the pad bytes are never written, so they stay zero.
     std::vector<std::uint64_t> heads(cfg_.num_buckets, 0);
-    chain_depth_.assign(cfg_.num_items, 0);
-    std::vector<std::uint64_t> bucket_len(cfg_.num_buckets, 0);
-
+    std::vector<std::uint8_t> stage(kStageNodes * kNodeBytes, 0);
+    std::uint64_t staged = 0;
     for (std::uint64_t rank = 0; rank < cfg_.num_items; ++rank) {
         std::uint64_t h = keyHash(rank);
-        Addr node = nodes_va_ + rank * kNodeBytes;
+        std::uint8_t *node = stage.data() + staged * kNodeBytes;
         auto key = keyParts(rank);
-        sys_.writeVirtual(proc_, node + kKeyOff, key.data(), 24);
-        sys_.writeVirtual<std::uint64_t>(proc_, node + kNextOff, heads[h]);
+        std::memcpy(node + kKeyOff, key.data(), 24);
+        std::memcpy(node + kNextOff, &heads[h], 8);
         std::uint64_t v0 = valuePattern(rank, 0);
         for (unsigned w = 0; w < 8; ++w) {
-            sys_.writeVirtual<std::uint64_t>(
-                proc_, node + kValueOff + w * 8, v0 + w);
+            std::uint64_t word = v0 + w;
+            std::memcpy(node + kValueOff + w * 8, &word, 8);
         }
-        // This node becomes the head; everything already in the chain is
-        // one hop deeper -> this key has depth 0 now, older keys deeper.
-        chain_depth_[rank] = 0;
-        heads[h] = node;
-        ++bucket_len[h];
-    }
-    // Depth of rank r = items inserted after it in the same bucket (the
-    // chain head is the last-inserted item).
-    std::vector<std::uint64_t> seen(cfg_.num_buckets, 0);
-    for (std::uint64_t rank = cfg_.num_items; rank-- > 0;) {
-        std::uint64_t h = keyHash(rank);
-        chain_depth_[rank] = seen[h];
-        ++seen[h];
+        heads[h] = nodes_va_ + rank * kNodeBytes;
+        if (++staged == kStageNodes || rank + 1 == cfg_.num_items) {
+            sys_.writeVirtual(proc_,
+                              nodes_va_ + (rank + 1 - staged) * kNodeBytes,
+                              stage.data(), staged * kNodeBytes);
+            staged = 0;
+        }
     }
     sys_.writeVirtual(proc_, buckets_va_, heads.data(),
                       cfg_.num_buckets * 8);
+
+    // Depth of rank r = items inserted after it in the same bucket (the
+    // chain head is the last-inserted item). The placed head vector is
+    // reused as the per-bucket counter.
+    std::vector<std::uint64_t> &seen = heads;
+    std::fill(seen.begin(), seen.end(), 0);
+    chain_depth_.resize(cfg_.num_items);
+    for (std::uint64_t rank = cfg_.num_items; rank-- > 0;)
+        chain_depth_[rank] = seen[keyHash(rank)]++;
 }
 
 std::vector<KvstoreWorkload::Request>

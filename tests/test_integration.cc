@@ -1025,6 +1025,29 @@ TEST_F(ControllerTest, ShortCompactStoreCarriesOneLaunch)
         EXPECT_EQ(d1[i], i < 4 ? 0x30 + i : 0) << "byte " << i;
 }
 
+TEST_F(ControllerTest, OneUthreadLaunchesWakeOnlyUnitZero)
+{
+    // A 32 B pool is one Body uthread, which only unit 0 can spawn (unit
+    // u gets offsets u, u+N, ...). Waking all N units would cost each of
+    // units 1..N-1 at least one empty pull per launch; only unit 0's own
+    // sub-cores may find nothing.
+    const unsigned units = sys->device().config().num_units;
+    ASSERT_GT(units, 1u);
+    const Addr pool = proc->allocate(4096);
+    constexpr unsigned kLaunches = 16;
+    const auto before = ctrl().stats();
+    for (unsigned i = 0; i < kLaunches; ++i) {
+        ASSERT_GT(ctrl().launch(proc->asid(), touch, pool, pool + 32,
+                                nullptr, 0),
+                  0);
+        sys->eq().run();
+    }
+    EXPECT_EQ(ctrl().stats().instances_completed,
+              before.instances_completed + kLaunches);
+    EXPECT_LT(ctrl().stats().pulls_empty - before.pulls_empty,
+              std::uint64_t{kLaunches} * (units - 1));
+}
+
 TEST_F(ControllerTest, WireWeightZeroReadsAsOne)
 {
     // Two equally wide instances share the pullWork cursor by weight.

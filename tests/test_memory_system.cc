@@ -312,6 +312,33 @@ TEST(Cache, MshrMergesDuplicateSectorMisses)
     EXPECT_EQ(cache.stats().mshr_merges, 3u);
 }
 
+TEST(Cache, StalledReadCountsAsOneMiss)
+{
+    EventQueue eq;
+    FixedLatencyMem mem(eq, 50000);
+    auto cfg = testCacheConfig();
+    cfg.mshrs = 1;
+    Cache cache(eq, cfg, mem);
+
+    // The second read finds the only MSHR busy, stalls, and is retried
+    // when the first fill frees it: one stall, two misses, not three.
+    int completed = 0;
+    for (Addr addr : {Addr{0x1000}, Addr{0x2000}}) {
+        auto pkt = MemPacketPtr(MemPacketPool::alloc());
+        pkt->op = MemOp::Read;
+        pkt->addr = addr;
+        pkt->size = 32;
+        pkt->onComplete = [&](Tick) { ++completed; };
+        cache.receive(std::move(pkt));
+    }
+    eq.run();
+    EXPECT_EQ(completed, 2);
+    EXPECT_EQ(mem.accesses, 2u);
+    EXPECT_EQ(cache.stats().mshr_stalls, 1u);
+    EXPECT_EQ(cache.stats().read_misses, 2u);
+    EXPECT_EQ(cache.stats().read_hits, 0u);
+}
+
 TEST(Cache, WriteThroughForwardsWrites)
 {
     EventQueue eq;
