@@ -540,6 +540,51 @@ TEST_F(IntegrationTest, TlbShootdownPath)
     run_and_check(vspare);
 }
 
+/** dst[i] = src[i], one uthread per 32 B of src; args: [0]=dst base. */
+const char *kCopyKernel = R"(
+    .name copy
+    vsetvli x0, x0, e32, m1
+    li  x3, %args
+    ld  x4, 0(x3)
+    vle32.v v1, (x1)
+    add x5, x4, x2
+    vse32.v v1, (x5)
+)";
+
+// A frame the NDP units found absent must not be remembered as absent:
+// after the host writes it, the same kernel has to copy the new bytes.
+TEST_F(IntegrationTest, HostWriteAfterKernelReadOfUnwrittenBuffer)
+{
+    constexpr unsigned kN = 1024; // one 4 KiB frame
+    Addr src = process->allocate(kN * 4);
+    // The copy lands one frame into its buffer, so the source and
+    // destination frames of each uthread differ in their low frame-number
+    // bits and a small direct-mapped frame cache keeps both.
+    Addr dst = process->allocate(2 * kN * 4) + kN * 4;
+    std::vector<std::uint32_t> poison(kN, 0xdeadbeefu), fresh(kN);
+    for (unsigned i = 0; i < kN; ++i)
+        fresh[i] = 5000000 + 7 * i;
+    sys->writeVirtual(*process, dst, poison.data(), kN * 4);
+
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(kCopyKernel, res);
+    ASSERT_GT(kid, 0);
+    auto copy_and_check = [&](const std::vector<std::uint32_t> &expect) {
+        ASSERT_GT(runtime->launchKernelSync(
+                      launchWith(kid, src, src + kN * 4, {dst})),
+                  0);
+        std::vector<std::uint32_t> out(kN);
+        sys->readVirtual(*process, dst, out.data(), kN * 4);
+        for (unsigned i = 0; i < kN; ++i)
+            ASSERT_EQ(out[i], expect[i]) << "at index " << i;
+    };
+    copy_and_check(std::vector<std::uint32_t>(kN, 0)); // src never written
+    sys->writeVirtual(*process, src, fresh.data(), kN * 4);
+    copy_and_check(fresh);
+}
+
 // ---------------------------------------------------------------------
 // Partitioned parallel engine (sim/partition.hh): the same seed and
 // workload must produce bit-identical simulations for every thread
