@@ -97,7 +97,7 @@ BM_DramStream(benchmark::State &state)
             pkt->op = MemOp::Read;
             pkt->addr = static_cast<Addr>(i) * 32;
             pkt->size = 32;
-            dram.receive(std::move(pkt));
+            dram.receive(std::move(pkt), eq.now());
         }
         eq.run();
         benchmark::DoNotOptimize(dram.totalStats().reads);

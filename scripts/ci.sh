@@ -6,7 +6,10 @@
 # self-test, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined) over the
 # stream-API and fault tests, the KVS workload tests (the staged table
-# build) and the full-stack quickstart example, and a
+# build), the sparse-memory page/frame table and the NDP units'
+# translation cache (SparseMemory.*, the TLB-shootdown and
+# host-write-after-kernel-read integration tests) and the full-stack
+# quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
 # tests plus the open-loop overload harness (-DSANITIZE=thread,
 # M2NDP_THREADS=2).
@@ -77,6 +80,14 @@ if [[ "$run_sanitize" == 1 ]]; then
         # staging buffer; run the KVS workload tests under ASan/UBSan.
         cmake --build "$san_dir" -j "$jobs" --target test_workloads
         "$san_dir/test_workloads" --gtest_filter='WorkloadTest.Kvstore*'
+        # Functional memory smoke: the page/frame table and the units'
+        # one translation cache, including its shootdown flush and a
+        # host write to a frame a kernel first read unwritten.
+        cmake --build "$san_dir" -j "$jobs" --target test_memory_system
+        cmake --build "$san_dir" -j "$jobs" --target test_integration
+        "$san_dir/test_memory_system" --gtest_filter='SparseMemory.*'
+        "$san_dir/test_integration" --gtest_filter=\
+'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*'
         smoke_filter='test_runtime_api|test_faults|smoke_quickstart'
     else
         echo "note: GTest unavailable; sanitizer smoke covers quickstart only"

@@ -209,20 +209,13 @@ Cache::sendDownstream(MemOp op, Addr addr, std::uint32_t size,
                       MemSource source, Tick at, TickCallback cb)
 {
     stats_.bytes_downstream += size;
-    downstream_.receiveAt(
+    downstream_.receive(
         makePacket(op, addr, size, source, at, std::move(cb)), at);
 }
 
 M2NDP_HOT_PATH
 void
-Cache::receive(MemPacketPtr pkt)
-{
-    receiveAt(std::move(pkt), eq_.now());
-}
-
-M2NDP_HOT_PATH
-void
-Cache::receiveAt(MemPacketPtr pkt, Tick at)
+Cache::receive(MemPacketPtr pkt, Tick at)
 {
     M2_ASSERT(at + eq_.deliverySlack() >= eq_.now(),
               "cache delivery in the past");
@@ -250,7 +243,7 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         // passes straight through — the port below pushes the
         // response-crossbar hop frame, so no carrier wrap is needed.
         stats_.bytes_downstream += pkt->size;
-        downstream_.receiveAt(std::move(pkt), now);
+        downstream_.receive(std::move(pkt), now);
         return;
     }
 
@@ -309,7 +302,7 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
                      reinterpret_cast<std::uint64_t>(m),
                      sector | (was_atomic ? kHopWasAtomic : 0u));
         stats_.bytes_downstream += cfg_.sector_bytes;
-        downstream_.receiveAt(std::move(pkt), now);
+        downstream_.receive(std::move(pkt), now);
         stats_.miss_path_packets +=
             1 + (MemPacketPool::allocCount() - allocs_before);
         return;
@@ -347,7 +340,7 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
             pkt->size = cfg_.sector_bytes;
             pkt->issued_at = now;
             stats_.bytes_downstream += cfg_.sector_bytes;
-            downstream_.receiveAt(std::move(pkt), now);
+            downstream_.receive(std::move(pkt), now);
         }
         return;
       }

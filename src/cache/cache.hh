@@ -88,17 +88,15 @@ class Cache : public MemPort
      *  tearing a system down mid-flight does not strand pool nodes. */
     ~Cache() override;
 
-    void receive(MemPacketPtr pkt) override;
-
     /**
-     * Fused entry point: the lookup runs immediately, with the port
+     * MemPort: the lookup runs immediately (fused), with the port
      * booked from the logical arrival tick @p at and every timing effect
      * (hit completion, downstream miss traffic) stamped with the lookup
      * tick (the port booking's start + latency). No lookup event is
      * scheduled; completions are delivered early with a future tick per
      * the MemPort fused-delivery convention.
      */
-    void receiveAt(MemPacketPtr pkt, Tick at) override;
+    void receive(MemPacketPtr pkt, Tick at) override;
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return cfg_; }

@@ -15,18 +15,12 @@ class CxlMemoryExpander::DramPort : public MemPort
     explicit DramPort(CxlMemoryExpander &dev) : dev_(dev) {}
 
     void
-    receive(MemPacketPtr pkt) override
-    {
-        receiveAt(std::move(pkt), dev_.eq_.now());
-    }
-
-    void
-    receiveAt(MemPacketPtr pkt, Tick at) override
+    receive(MemPacketPtr pkt, Tick at) override
     {
         // Atomics that miss in L2 fetch their sector like reads.
         if (pkt->op == MemOp::Atomic)
             pkt->op = MemOp::Read;
-        dev_.dram_->receiveAt(std::move(pkt), at);
+        dev_.dram_->receive(std::move(pkt), at);
     }
 
   private:
@@ -41,13 +35,7 @@ class CxlMemoryExpander::UnitPort : public MemPort
     UnitPort(CxlMemoryExpander &dev, unsigned unit) : dev_(dev), unit_(unit) {}
 
     void
-    receive(MemPacketPtr pkt) override
-    {
-        receiveAt(std::move(pkt), dev_.eq_.now());
-    }
-
-    void
-    receiveAt(MemPacketPtr pkt, Tick at) override
+    receive(MemPacketPtr pkt, Tick at) override
     {
         // Fused response delivery: the return crossbar hop rides as a
         // hop frame on the packet itself and is booked as a latency term
@@ -222,7 +210,7 @@ CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
     // of now() any port was booked is System::maxBookingLookahead()
     // (docs/performance.md, "One booking primitive").
     pkt->addr = local;
-    l2_slices_[channel]->receiveAt(std::move(pkt), arrival);
+    l2_slices_[channel]->receive(std::move(pkt), arrival);
 }
 
 void
@@ -311,10 +299,10 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     if (bi_delay > 0) {
         eq_.scheduleAfter(bi_delay,
                           [this, unit, pkt = std::move(pkt)]() mutable {
-                              l1d_[unit]->receive(std::move(pkt));
+                              l1d_[unit]->receive(std::move(pkt), eq_.now());
                           });
     } else {
-        l1d_[unit]->receive(std::move(pkt));
+        l1d_[unit]->receive(std::move(pkt), eq_.now());
     }
 }
 
@@ -559,15 +547,11 @@ CxlMemoryExpander::aggregateUnitStats() const
         total.scalar_instructions += s.scalar_instructions;
         total.vector_instructions += s.vector_instructions;
         total.uthreads_completed += s.uthreads_completed;
-        total.global_loads += s.global_loads;
-        total.global_stores += s.global_stores;
         total.global_atomics += s.global_atomics;
         total.spad_accesses += s.spad_accesses;
         total.spad_bytes += s.spad_bytes;
         total.global_bytes += s.global_bytes;
-        total.issue_cycles += s.issue_cycles;
         total.active_cycles += s.active_cycles;
-        total.occupancy_integral += s.occupancy_integral;
         total.load_latency_ticks += s.load_latency_ticks;
         total.load_samples += s.load_samples;
         total.ready_occupancy_integral += s.ready_occupancy_integral;

@@ -190,13 +190,7 @@ DramDevice::~DramDevice()
 }
 
 void
-DramDevice::receive(MemPacketPtr pkt)
-{
-    receiveAt(std::move(pkt), eq_.now());
-}
-
-void
-DramDevice::receiveAt(MemPacketPtr pkt, Tick at)
+DramDevice::receive(MemPacketPtr pkt, Tick at)
 {
     auto coords = map_.decode(pkt->addr);
     Tick done = channels_[coords.channel]->book(*pkt, coords.bank,
@@ -223,7 +217,7 @@ DramDevice::completeReady()
 {
     const Tick now = eq_.now();
     // Pop due entries in (when, seq) order: deterministic, time-ordered.
-    // Completion callbacks can re-enter receiveAt() (upstream fill ->
+    // Completion callbacks can re-enter receive() (upstream fill ->
     // retry -> new booking), so re-check the heap top each iteration.
     while (!ready_.empty() && ready_.front().when <= now) {
         std::pop_heap(ready_.begin(), ready_.end(), readyAfter);

@@ -161,11 +161,8 @@ class DramDevice : public MemPort
     /** Releases packets still parked in the completion ready-heap. */
     ~DramDevice();
 
-    /** MemPort: route the packet to its channel. */
-    void receive(MemPacketPtr pkt) override;
-
-    /** Fused delivery: logical arrival at @p at (>= now). */
-    void receiveAt(MemPacketPtr pkt, Tick at) override;
+    /** MemPort: route the packet to its channel, arriving at @p at. */
+    void receive(MemPacketPtr pkt, Tick at) override;
 
     /** Which channel an address maps to (for L2-slice placement). */
     unsigned channelOf(Addr local_addr) const;

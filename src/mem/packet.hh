@@ -231,15 +231,12 @@ class MemPort
     virtual ~MemPort() = default;
 
     /**
-     * Hand a packet to this component. Ownership transfers; the component
-     * must eventually invoke complete() (directly or through a peer) and
-     * release the packet.
-     */
-    virtual void receive(MemPacketPtr pkt) = 0;
-
-    /**
-     * Fused delivery: hand over a packet whose logical arrival tick is
-     * @p at (>= now). The producing stage already knows when the packet
+     * Hand a packet to this component; it logically arrives at tick
+     * @p at (>= now; callers outside a fused stage pass `eq.now()`).
+     * Ownership transfers; the component must eventually invoke
+     * complete() (directly or through a peer) and release the packet.
+     *
+     * Fused delivery: the producing stage already knows when the packet
      * reaches this port (crossbar hop, cache lookup latency), so instead
      * of scheduling an event to make sim-time catch up first, the packet
      * is pushed immediately and the port accounts from @p at.
@@ -249,17 +246,8 @@ class MemPort
      * Consumers on fused paths must treat `t` as "payload is ready at t",
      * not "now == t" (the NDP units park such completions on their cycle
      * ticker; the host port re-schedules at max(now, t)).
-     *
-     * The default discards @p at, i.e. a port that models its own arrival
-     * queueing from now() sees the packet slightly early. Every port on
-     * the device access path overrides this.
      */
-    virtual void
-    receiveAt(MemPacketPtr pkt, Tick at)
-    {
-        (void)at;
-        receive(std::move(pkt));
-    }
+    virtual void receive(MemPacketPtr pkt, Tick at) = 0;
 };
 
 } // namespace m2ndp

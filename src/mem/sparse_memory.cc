@@ -4,15 +4,55 @@
 
 namespace m2ndp {
 
+SparseMemory::Page::~Page()
+{
+    for (auto &frame : frames_)
+        delete[] frame.load(std::memory_order_relaxed);
+}
+
+SparseMemory::Page &
+SparseMemory::pageFor(Addr addr)
+{
+    Shard &s = shardFor(addr);
+    std::lock_guard<std::mutex> lk(s.mu);
+    std::unique_ptr<Page> &page = s.pages[addr / kPageBytes];
+    if (!page)
+        page = std::make_unique<Page>();
+    return *page;
+}
+
+const SparseMemory::Page *
+SparseMemory::findPage(Addr addr) const
+{
+    Shard &s = shardFor(addr);
+    std::lock_guard<std::mutex> lk(s.mu);
+    auto it = s.pages.find(addr / kPageBytes);
+    return it == s.pages.end() ? nullptr : it->second.get();
+}
+
+std::uint8_t *
+SparseMemory::allocFrame(Page &page, Addr addr)
+{
+    Shard &s = shardFor(addr);
+    std::lock_guard<std::mutex> lk(s.mu);
+    std::atomic<std::uint8_t *> &slot = page.frames_[Page::index(addr)];
+    // Another partition may have published the frame since find().
+    if (std::uint8_t *frame = slot.load(std::memory_order_relaxed))
+        return frame;
+    auto *frame = new std::uint8_t[kFrameSize](); // zero-filled
+    slot.store(frame, std::memory_order_release);
+    ++s.frames;
+    return frame;
+}
+
 void
-SparseMemory::readSlow(Addr addr, void *out, std::uint64_t size) const
+SparseMemory::read(Addr addr, void *out, std::uint64_t size) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (size > 0) {
-        std::uint64_t offset = addr & kFrameMask;
-        std::uint64_t chunk = std::min(size, kFrameSize - offset);
-        if (const Frame *frame = findFrame(addr >> kFrameShift))
-            std::memcpy(dst, frame->data() + offset, chunk);
+        std::uint64_t chunk = std::min(size, kPageBytes - (addr & kPageMask));
+        if (const Page *page = findPage(addr))
+            read(*page, addr, dst, chunk);
         else
             std::memset(dst, 0, chunk);
         addr += chunk;
@@ -22,14 +62,12 @@ SparseMemory::readSlow(Addr addr, void *out, std::uint64_t size) const
 }
 
 void
-SparseMemory::writeSlow(Addr addr, const void *in, std::uint64_t size)
+SparseMemory::write(Addr addr, const void *in, std::uint64_t size)
 {
     const auto *src = static_cast<const std::uint8_t *>(in);
     while (size > 0) {
-        std::uint64_t offset = addr & kFrameMask;
-        std::uint64_t chunk = std::min(size, kFrameSize - offset);
-        std::memcpy(frameFor(addr >> kFrameShift).data() + offset, src,
-                    chunk);
+        std::uint64_t chunk = std::min(size, kPageBytes - (addr & kPageMask));
+        write(pageFor(addr), addr, src, chunk);
         addr += chunk;
         src += chunk;
         size -= chunk;

@@ -2,34 +2,37 @@
  * @file
  * Sparse functional memory backend.
  *
- * Stores simulated memory contents in 4 KiB frames allocated on first touch,
- * so a 256 GiB CXL expander costs host memory proportional to the bytes a
- * workload actually touches. This is the *functional* half of the memory
- * model; timing lives in dram/ and cache/.
+ * Stores simulated memory contents in 4 KiB frames allocated on first
+ * write, so a 256 GiB CXL expander costs host memory proportional to the
+ * bytes a workload actually writes. This is the *functional* half of the
+ * memory model; timing lives in dram/ and cache/.
  *
- * Hot-path design: the frame size is a static-asserted power of two so
- * offset/frame-number math is mask/shift; accesses that do not cross a
- * frame boundary (virtually all of them — scalar and 32 B vector accesses)
- * take an inline fast path; and a small direct-mapped cache of recently
- * touched frames short-circuits the hash probe for the streaming access
- * patterns NDP kernels generate.
+ * The table has two levels: a hash of 2 MiB pages (the page-table
+ * granularity, layout::kPageBytes), each a flat array of 512 frame
+ * pointers. Pages and frames are never freed or moved while the memory
+ * lives, so a caller may hold on to a Page (each NDP unit keeps one per
+ * cached translation, ndp/ndp_unit.hh) and reach any of its frames with
+ * one array load. Sizes are static-asserted powers of two, so all
+ * offset/index math is mask/shift.
  *
- * Thread safety (partitioned engine, sim/partition.hh): the frame table
- * is sharded by device window — shard = bits [41:38] of the physical
+ * Thread safety (partitioned engine, sim/partition.hh): the page hash is
+ * sharded by device window — shard = bits [41:38] of the physical
  * address — so each device partition's executor locks a different shard
- * mutex and the lock is effectively uncontended. The per-stream FrameHint
- * fast path stays entirely lock-free: frames are unique_ptr-held (stable
- * addresses) and only clear() invalidates them, which bumps the atomic
- * generation the hint checks. Ordering of accesses to the *bytes* of a
- * shared frame is the simulation's own responsibility (cross-partition
- * messages synchronize through mailbox mutexes / the round barrier), the
- * same contract as any other cross-partition state.
+ * mutex and the lock is effectively uncontended. A frame is zero-filled
+ * under its shard's lock and published with a release store; finding an
+ * existing frame is one acquire load and takes no lock. Ordering of
+ * accesses to the *bytes* of a shared frame is the simulation's own
+ * responsibility (cross-partition messages synchronize through mailbox
+ * mutexes / the round barrier), the same contract as any other
+ * cross-partition state.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -42,140 +45,103 @@
 
 namespace m2ndp {
 
-/** Byte-addressable sparse memory. Zero-filled on first touch. */
+/** Byte-addressable sparse memory. Unwritten bytes read as zero. */
 class SparseMemory
 {
   public:
     static constexpr std::uint64_t kFrameSize = 4096;
-    static constexpr std::uint64_t kFrameShift = 12;
     static constexpr std::uint64_t kFrameMask = kFrameSize - 1;
-    static_assert((kFrameSize & (kFrameSize - 1)) == 0,
-                  "frame size must be a power of two (mask/shift math)");
-    static_assert(kFrameSize == std::uint64_t(1) << kFrameShift,
-                  "frame shift inconsistent with frame size");
+    static constexpr std::uint64_t kPageBytes = 2 * kMiB;
+    static constexpr std::uint64_t kPageMask = kPageBytes - 1;
+    static_assert(std::has_single_bit(kFrameSize) &&
+                      std::has_single_bit(kPageBytes),
+                  "frame and page sizes must be powers of two");
 
-    /**
-     * Caller-owned frame-lookup hint: a tiny direct-mapped cache of frame
-     * pointers held *per access stream* (one per NDP unit), consulted
-     * before the shared 8-way cache. Wide sweeps run 32 units' streams
-     * concurrently, which thrash the shared cache (~0.1 miss/instruction);
-     * a private hint keeps each unit's few active frames resident.
-     * Generation-checked so clear() invalidates outstanding hints.
-     *
-     * `last` is a most-recently-used entry checked ahead of the way
-     * array: NDP reference streams are strongly frame-local (a 32 B
-     * vector access stream touches the same 4 KiB frame ~128 times in a
-     * row), so the common case is one compare + one memcpy with no way
-     * indexing at all.
-     */
-    struct FrameHint
+    /** One 2 MiB page: a frame pointer per 4 KiB, null until written. */
+    class Page
     {
-        static constexpr std::size_t kWays = 4;
+      public:
+        Page() = default;
+        Page(const Page &) = delete;
+        Page &operator=(const Page &) = delete;
+        ~Page(); ///< frees the frames
 
-        struct Entry
+        /** The frame holding @p addr (any address in this page), or
+         *  nullptr while that frame has never been written. */
+        std::uint8_t *
+        find(Addr addr) const
         {
-            std::uint64_t frame_no = ~std::uint64_t(0);
-            std::uint8_t *data = nullptr;
-        };
+            return frames_[index(addr)].load(std::memory_order_acquire);
+        }
 
-        Entry last; ///< MRU, consulted before the ways
-        std::array<Entry, kWays> ways{};
-        std::uint64_t generation = ~std::uint64_t(0);
+      private:
+        friend class SparseMemory;
+
+        static std::size_t
+        index(Addr addr)
+        {
+            return (addr & kPageMask) >> std::countr_zero(kFrameSize);
+        }
+
+        std::array<std::atomic<std::uint8_t *>, kPageBytes / kFrameSize>
+            frames_{};
     };
 
-    void
-    read(Addr addr, void *out, std::uint64_t size) const
+    /** The page holding @p addr, created without frames on first use. */
+    Page &pageFor(Addr addr);
+
+    /** The frame of @p page holding @p addr, zero-filled on first use.
+     *  Takes no lock once the frame exists. */
+    std::uint8_t *
+    frameFor(Page &page, Addr addr)
     {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            // Single-frame fast path: one (usually cached) lookup.
-            if (const Frame *frame = findFrame(addr >> kFrameShift))
-                std::memcpy(out, frame->data() + offset, size);
+        if (std::uint8_t *frame = page.find(addr))
+            return frame;
+        return allocFrame(page, addr);
+    }
+
+    /** Copy [addr, addr + size), which lies in @p page, out of it. An
+     *  unwritten frame reads as zeros and is looked up again next time,
+     *  so a later write to it is seen. */
+    M2NDP_HOT_PATH
+    static void
+    read(const Page &page, Addr addr, void *out, std::uint64_t size)
+    {
+        auto *dst = static_cast<std::uint8_t *>(out);
+        while (size > 0) {
+            std::uint64_t offset = addr & kFrameMask;
+            std::uint64_t chunk = std::min(size, kFrameSize - offset);
+            if (const std::uint8_t *frame = page.find(addr))
+                std::memcpy(dst, frame + offset, chunk);
             else
-                std::memset(out, 0, size);
-            return;
+                std::memset(dst, 0, chunk);
+            addr += chunk;
+            dst += chunk;
+            size -= chunk;
         }
-        readSlow(addr, out, size);
     }
 
+    /** Copy into [addr, addr + size), which lies in @p page. */
     M2NDP_HOT_PATH
     void
-    read(Addr addr, void *out, std::uint64_t size, FrameHint &hint) const
+    write(Page &page, Addr addr, const void *in, std::uint64_t size)
     {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            std::uint64_t frame_no = addr >> kFrameShift;
-            // Last-frame fast path: the generation check rides along so a
-            // stale hint (clear()) can never satisfy the compare with a
-            // dangling frame pointer.
-            if (hint.last.frame_no == frame_no &&
-                hint.generation == generation()) {
-                std::memcpy(out, hint.last.data + offset, size);
-                return;
-            }
-            auto &way = hintWay(hint, frame_no);
-            if (way.frame_no == frame_no) {
-                hint.last = way;
-                std::memcpy(out, way.data + offset, size);
-                return;
-            }
-            if (Frame *frame = findFrame(frame_no)) {
-                way.frame_no = frame_no;
-                way.data = frame->data();
-                hint.last = way;
-                std::memcpy(out, frame->data() + offset, size);
-            } else {
-                // Absent frames are not cached: a later write may allocate
-                // one, which the hint would never observe.
-                std::memset(out, 0, size);
-            }
-            return;
+        const auto *src = static_cast<const std::uint8_t *>(in);
+        while (size > 0) {
+            std::uint64_t offset = addr & kFrameMask;
+            std::uint64_t chunk = std::min(size, kFrameSize - offset);
+            std::memcpy(frameFor(page, addr) + offset, src, chunk);
+            addr += chunk;
+            src += chunk;
+            size -= chunk;
         }
-        readSlow(addr, out, size);
     }
 
-    void
-    write(Addr addr, const void *in, std::uint64_t size)
-    {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            std::memcpy(frameFor(addr >> kFrameShift).data() + offset, in,
-                        size);
-            return;
-        }
-        writeSlow(addr, in, size);
-    }
+    /** Copy out of any range; allocates nothing. */
+    void read(Addr addr, void *out, std::uint64_t size) const;
+    /** Copy into any range. */
+    void write(Addr addr, const void *in, std::uint64_t size);
 
-    M2NDP_HOT_PATH
-    void
-    write(Addr addr, const void *in, std::uint64_t size, FrameHint &hint)
-    {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            std::uint64_t frame_no = addr >> kFrameShift;
-            if (hint.last.frame_no == frame_no &&
-                hint.generation == generation()) {
-                std::memcpy(hint.last.data + offset, in, size);
-                return;
-            }
-            auto &way = hintWay(hint, frame_no);
-            if (way.frame_no == frame_no) {
-                hint.last = way;
-                std::memcpy(way.data + offset, in, size);
-                return;
-            }
-            Frame &frame = frameFor(frame_no);
-            way.frame_no = frame_no;
-            way.data = frame.data();
-            hint.last = way;
-            std::memcpy(frame.data() + offset, in, size);
-            return;
-        }
-        writeSlow(addr, in, size);
-    }
-
-    /** Typed scalar helpers (never cross a frame: size divides alignment
-     *  only for aligned use, so they still route through the size check). */
     template <typename T>
     T
     read(Addr addr) const
@@ -199,116 +165,34 @@ class SparseMemory
         std::size_t n = 0;
         for (const Shard &s : shards_) {
             std::lock_guard<std::mutex> lk(s.mu);
-            n += s.frames.size();
+            n += s.frames;
         }
         return n;
     }
 
-    /** Drop all contents. Outstanding FrameHints self-invalidate via the
-     *  generation check on their next use. */
-    void
-    clear()
-    {
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lk(s.mu);
-            s.frames.clear();
-            s.cache.fill(CacheEntry{});
-        }
-        generation_.fetch_add(1, std::memory_order_relaxed);
-    }
-
   private:
-    using Frame = std::array<std::uint8_t, kFrameSize>;
-
-    /** Direct-mapped cache of recent frame lookups (per access stream:
-     *  concurrent sequential streams index different ways as they advance,
-     *  so host setup, NDP units, and verification rarely thrash). */
-    static constexpr std::size_t kCacheWays = 8;
-
-    /** Frame-table shards, one per 256 GiB device window (mod 16). */
+    /** Page-hash shards, one per 256 GiB device window (mod 16). */
     static constexpr std::size_t kShards = 16;
-    static constexpr std::uint64_t kShardShift = 26; ///< frame_no bits
-
-    struct CacheEntry
-    {
-        std::uint64_t frame_no = ~std::uint64_t(0);
-        Frame *frame = nullptr; ///< stable: frames are unique_ptr-held
-    };
+    static constexpr unsigned kShardShift = 38;
 
     struct Shard
     {
-        std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames;
-        std::array<CacheEntry, kCacheWays> cache{};
+        std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
+        std::size_t frames = 0;
         mutable std::mutex mu;
     };
 
     Shard &
-    shardFor(std::uint64_t frame_no) const
+    shardFor(Addr addr) const
     {
-        return shards_[(frame_no >> kShardShift) & (kShards - 1)];
+        return shards_[(addr >> kShardShift) & (kShards - 1)];
     }
 
-    std::uint64_t
-    generation() const
-    {
-        return generation_.load(std::memory_order_relaxed);
-    }
-
-    /** Lookup without allocating; nullptr if the frame does not exist. */
-    Frame *
-    findFrame(std::uint64_t frame_no) const
-    {
-        Shard &s = shardFor(frame_no);
-        std::lock_guard<std::mutex> lk(s.mu);
-        CacheEntry &e = s.cache[frame_no & (kCacheWays - 1)];
-        if (e.frame_no == frame_no)
-            return e.frame;
-        auto it = s.frames.find(frame_no);
-        if (it == s.frames.end())
-            return nullptr;
-        e.frame_no = frame_no;
-        e.frame = it->second.get();
-        return e.frame;
-    }
-
-    /** Lookup, allocating a zero-filled frame on first touch. */
-    Frame &
-    frameFor(std::uint64_t frame_no)
-    {
-        Shard &s = shardFor(frame_no);
-        std::lock_guard<std::mutex> lk(s.mu);
-        CacheEntry &e = s.cache[frame_no & (kCacheWays - 1)];
-        if (e.frame_no == frame_no)
-            return *e.frame;
-        auto it = s.frames.find(frame_no);
-        if (it == s.frames.end()) {
-            auto frame = std::make_unique<Frame>();
-            frame->fill(0);
-            it = s.frames.emplace(frame_no, std::move(frame)).first;
-        }
-        e.frame_no = frame_no;
-        e.frame = it->second.get();
-        return *e.frame;
-    }
-
-    /** Select (and lazily re-validate) the hint way for @p frame_no. */
-    FrameHint::Entry &
-    hintWay(FrameHint &hint, std::uint64_t frame_no) const
-    {
-        std::uint64_t gen = generation();
-        if (hint.generation != gen) {
-            hint.last = FrameHint::Entry{};
-            hint.ways.fill(FrameHint::Entry{});
-            hint.generation = gen;
-        }
-        return hint.ways[frame_no & (FrameHint::kWays - 1)];
-    }
-
-    void readSlow(Addr addr, void *out, std::uint64_t size) const;
-    void writeSlow(Addr addr, const void *in, std::uint64_t size);
+    /** Lookup without creating; nullptr if the page does not exist. */
+    const Page *findPage(Addr addr) const;
+    std::uint8_t *allocFrame(Page &page, Addr addr);
 
     mutable std::array<Shard, kShards> shards_;
-    std::atomic<std::uint64_t> generation_{0};
 };
 
 /** Atomic memory operations executed at the memory-side L2 / scratchpad. */
@@ -333,7 +217,8 @@ std::uint64_t amoExecute(SparseMemory &mem, AmoOp op, Addr addr,
 
 /**
  * Same AMO semantics applied to raw bytes at @p p (used for scratchpad
- * atomics, which bypass the sparse backend entirely).
+ * atomics, which bypass the sparse backend entirely, and for in-frame
+ * atomics on a frame the caller already holds).
  * @return the original value (zero-extended to 64 bits).
  */
 std::uint64_t amoApply(void *p, AmoOp op, std::uint64_t operand,

@@ -21,6 +21,8 @@ fuIndex(isa::FuType fu)
 
 constexpr std::uint64_t kPageMask = layout::kPageBytes - 1;
 constexpr unsigned kPageShift = std::countr_zero(layout::kPageBytes);
+static_assert(SparseMemory::kPageBytes == layout::kPageBytes,
+              "a cached translation must map onto one SparseMemory page");
 } // namespace
 
 NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
@@ -59,16 +61,15 @@ NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
 }
 
 M2NDP_HOT_PATH
-Addr
+const NdpUnit::Translation &
 NdpUnit::translateCached(Asid asid, Addr va)
 {
-    std::uint64_t vpn = va & ~kPageMask;
+    const Addr va_page = va & ~kPageMask;
     // Direct-mapped by low page-number bits: streaming kernels touch a
     // handful of distinct buffers whose pages land in distinct slots.
-    FuncTcacheEntry &e =
-        func_tcache_[(va >> kPageShift) & (kFuncTcacheEntries - 1)];
-    if (e.valid && e.vpn == vpn && e.asid == asid)
-        return e.pa_page + (va & kPageMask);
+    Translation &e = tcache_[(va >> kPageShift) & (kTcacheEntries - 1)];
+    if (e.page != nullptr && e.va_page == va_page && e.asid == asid)
+        return e;
     auto pa = dev_.translateFunctional(asid, va);
     if (!pa) [[unlikely]] {
         // Kernel fault: surfaced as a trap at the issue stage, which
@@ -78,13 +79,11 @@ NdpUnit::translateCached(Asid asid, Addr va)
         ++stats_.traps_unmapped;
         throw KernelTrap{NdpError::UnmappedAddress, va};
     }
-    e.valid = true;
     e.asid = asid;
-    e.vpn = vpn;
-    // PA of the page start, reconstructed from the in-page offset so we
-    // do not rely on physical pages being size-aligned.
+    e.va_page = va_page;
     e.pa_page = *pa - (va & kPageMask);
-    return *pa;
+    e.page = &mem_.pageFor(e.pa_page);
+    return e;
 }
 
 // --------------------------------------------------------------------------
@@ -127,21 +126,17 @@ NdpUnit::read(Addr va, void *out, unsigned size)
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
     const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (kPageMask + 1) - (va & kPageMask);
-    if (size <= in_page) {
-        mem_.read(translateCached(asid, va), out, size, frame_hint_);
-        return;
-    }
-    // Page-straddling bulk access (vector fast path): split per page.
+    // A page-straddling bulk access (vector fast path) splits per page.
     auto *dst = static_cast<std::uint8_t *>(out);
     while (size > 0) {
-        unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size, in_page));
-        mem_.read(translateCached(asid, va), dst, chunk, frame_hint_);
+        const Addr in_page = va & kPageMask;
+        const unsigned chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(size, layout::kPageBytes - in_page));
+        const Translation &t = translateCached(asid, va);
+        SparseMemory::read(*t.page, t.pa_page + in_page, dst, chunk);
         va += chunk;
         dst += chunk;
         size -= chunk;
-        in_page = kPageMask + 1;
     }
 }
 
@@ -155,20 +150,16 @@ NdpUnit::write(Addr va, const void *in, unsigned size)
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
     const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (kPageMask + 1) - (va & kPageMask);
-    if (size <= in_page) {
-        mem_.write(translateCached(asid, va), in, size, frame_hint_);
-        return;
-    }
     auto *src = static_cast<const std::uint8_t *>(in);
     while (size > 0) {
-        unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size, in_page));
-        mem_.write(translateCached(asid, va), src, chunk, frame_hint_);
+        const Addr in_page = va & kPageMask;
+        const unsigned chunk = static_cast<unsigned>(
+            std::min<std::uint64_t>(size, layout::kPageBytes - in_page));
+        const Translation &t = translateCached(asid, va);
+        mem_.write(*t.page, t.pa_page + in_page, src, chunk);
         va += chunk;
         src += chunk;
         size -= chunk;
-        in_page = kPageMask + 1;
     }
 }
 
@@ -182,9 +173,14 @@ NdpUnit::amo(AmoOp op, Addr va, std::uint64_t operand, unsigned width)
         return amoApply(spadPointer(va, width), op, operand, width);
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
-    return amoExecute(mem_, op,
-                      translateCached(current_slot_->instance->asid, va),
-                      operand, width);
+    const Translation &t = translateCached(current_slot_->instance->asid, va);
+    const Addr pa = t.pa_page + (va & kPageMask);
+    const std::uint64_t in_frame = pa & SparseMemory::kFrameMask;
+    if (in_frame + width <= SparseMemory::kFrameSize) {
+        return amoApply(mem_.frameFor(*t.page, pa) + in_frame, op, operand,
+                        width);
+    }
+    return amoExecute(mem_, op, pa, operand, width); // straddles frames
 }
 
 // --------------------------------------------------------------------------
@@ -234,7 +230,6 @@ NdpUnit::tick(Tick now)
     // cycle (fused delivery: the response event no longer exists).
     if (pending_min_ <= now)
         drainCompletions(now);
-    bool issued_any = false;
     Tick next = kTickMax;
 
     for (unsigned i = 0; i < subcores_.size(); ++i) {
@@ -251,17 +246,11 @@ NdpUnit::tick(Tick now)
                 ++stats_.stall_mem_wait;
             continue;
         }
-        bool issued = false;
-        next = std::min(next, issueOne(i, sc, now, new_cycle, issued));
-        issued_any |= issued;
+        next = std::min(next, issueOne(i, sc, now, new_cycle));
     }
 
-    if (live_slots_ > 0) {
+    if (live_slots_ > 0)
         ++stats_.active_cycles;
-        stats_.occupancy_integral += live_slots_;
-    }
-    if (issued_any)
-        ++stats_.issue_cycles;
 
     // Decide when to tick again: the earliest of the next interesting
     // issue tick, a parked completion, or next cycle when spawnable work
@@ -379,11 +368,9 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
 
 M2NDP_HOT_PATH
 Tick
-NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
-                  bool &issued)
+NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
 {
     hotpath::Scope issue_timer(hotpath::g.issue);
-    issued = false;
     // Surface due sleepers (FU latency, spawn delay) into the ready ring.
     sc.sched.advance(now);
     const std::uint64_t ring = sc.sched.readyMask();
@@ -423,7 +410,6 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
             sc.rr_next = uidx + 1 == n ? 0 : uidx + 1;
             sc.sched.removeReady(uidx);
             finishThread(sc, slot);
-            issued = true;
             break;
         }
         if (slot.section->code.empty()) {
@@ -431,7 +417,6 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
             sc.rr_next = uidx + 1 == n ? 0 : uidx + 1;
             sc.sched.removeReady(uidx);
             finishThread(sc, slot);
-            issued = true;
             break;
         }
 
@@ -482,7 +467,6 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
             // if this was its last running uthread.
             ctl_.killInstance(inst, trap_code);
             finishThread(sc, slot);
-            issued = true;
             break;
         }
 
@@ -547,10 +531,9 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
         }
 
         sc.rr_next = uidx + 1 == n ? 0 : uidx + 1;
-        issued = true;
         break;
     }
-    if (!issued && new_cycle)
+    if (idx < 0 && new_cycle)
         ++stats_.stall_fu_busy; // every candidate lost its FU this cycle
 
     // Next interesting tick: next cycle while issuable slots remain,
@@ -644,11 +627,12 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
         }
     }
 
-    Addr pa = translateCached(asid, ref.va);
+    const Addr pa_page = translateCached(asid, ref.va).pa_page;
+    const Addr pa = pa_page + (ref.va & kPageMask);
     if (need_dram_tlb) {
         // Fixed-geometry TLB fill, no allocation.
         // ndp-lint: allow(hotpath-alloc)
-        dtlb_.insert(asid, ref.va, pa & ~kPageMask);
+        dtlb_.insert(asid, ref.va, pa_page);
     }
 
     // Classify: within a blocking instruction, a store ref is an atomic
@@ -657,12 +641,8 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     if (ref.is_store && blocking) {
         op = MemOp::Atomic;
         ++stats_.global_atomics;
-    } else if (ref.is_store) {
-        op = MemOp::Write;
-        ++stats_.global_stores;
     } else {
-        op = MemOp::Read;
-        ++stats_.global_loads;
+        op = ref.is_store ? MemOp::Write : MemOp::Read;
     }
     stats_.global_bytes += ref.size;
 

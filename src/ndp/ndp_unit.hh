@@ -85,15 +85,11 @@ struct NdpUnitStats
     /** Ready uthreads retired without executing because their instance
      *  was killed (trap elsewhere, watchdog, abort). */
     std::uint64_t uthreads_killed = 0;
-    std::uint64_t global_loads = 0;
-    std::uint64_t global_stores = 0;
     std::uint64_t global_atomics = 0;
     std::uint64_t spad_accesses = 0;
     std::uint64_t spad_bytes = 0;
     std::uint64_t global_bytes = 0;
-    std::uint64_t issue_cycles = 0; ///< cycles with >=1 issue
     std::uint64_t active_cycles = 0; ///< cycles unit had live uthreads
-    std::uint64_t occupancy_integral = 0; ///< sum of live slots per cycle
     std::uint64_t load_latency_ticks = 0; ///< sum of blocking-access latency
     std::uint64_t load_samples = 0;
 
@@ -185,8 +181,7 @@ class NdpUnit : public isa::MemoryIf
     shootdownTlb(Asid asid, Addr va)
     {
         dtlb_.shootdown(asid, va);
-        for (auto &e : func_tcache_)
-            e.valid = false;
+        tcache_.fill(Translation{});
     }
 
     /** Scratchpad backing store (per unit; shared by all uthreads, A3). */
@@ -293,8 +288,7 @@ class NdpUnit : public isa::MemoryIf
      * @p new_cycle gates the per-cycle scheduler stats so same-edge
      * re-ticks do not double-count an already-counted edge.
      */
-    Tick issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
-                  bool &issued);
+    Tick issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle);
     void finishThread(SubCore &sc, Slot &slot);
     /**
      * Issue the timing side of one instruction's memory references.
@@ -349,14 +343,27 @@ class NdpUnit : public isa::MemoryIf
     std::uint8_t *spadPointer(Addr va, unsigned size);
 
     /**
-     * Functional VA->PA translation with a one-entry last-page cache:
-     * translation runs per element on the functional path *and* per sector
-     * on the timing path, and both are strongly page-local. Invalidated on
-     * TLB shootdown (page unmap must be accompanied by a shootdown,
-     * Table II). Throws KernelTrap on unmapped VAs (caught at the issue
-     * stage; the instance is killed with NdpError::UnmappedAddress).
+     * One cached VA page: its PA page and the SparseMemory page holding
+     * the bytes behind it (physical pages are page-aligned, so one
+     * backs the whole VA page). page == nullptr marks an empty entry.
      */
-    Addr translateCached(Asid asid, Addr va);
+    struct Translation
+    {
+        Asid asid = 0;
+        Addr va_page = 0;
+        Addr pa_page = 0;
+        SparseMemory::Page *page = nullptr;
+    };
+
+    /**
+     * The unit's one translation cache, read by the functional path per
+     * element and by the timing path per sector, both strongly
+     * page-local. Flushed on TLB shootdown (page unmap must be
+     * accompanied by a shootdown, Table II). Throws KernelTrap on
+     * unmapped VAs (caught at the issue stage; the instance is killed
+     * with NdpError::UnmappedAddress).
+     */
+    const Translation &translateCached(Asid asid, Addr va);
 
     EventQueue &eq_;
     CxlMemoryExpander &dev_;
@@ -368,22 +375,13 @@ class NdpUnit : public isa::MemoryIf
     Tlb dtlb_;
 
     /**
-     * Small direct-mapped functional translation cache (see
-     * translateCached). A few entries instead of one: kernels commonly
-     * stream from 2-3 distinct buffers (distinct pages) per iteration,
-     * which would thrash a single entry every access.
+     * Direct-mapped by low VA-page bits (see translateCached). A few
+     * entries instead of one: kernels commonly stream from 2-3 distinct
+     * buffers (distinct pages) per iteration, which would thrash a
+     * single entry every access.
      */
-    struct FuncTcacheEntry
-    {
-        bool valid = false;
-        Asid asid = 0;
-        std::uint64_t vpn = 0;
-        Addr pa_page = 0;
-    };
-    static constexpr unsigned kFuncTcacheEntries = 8;
-    std::array<FuncTcacheEntry, kFuncTcacheEntries> func_tcache_;
-    /** Per-unit frame-lookup hint for the functional memory path. */
-    SparseMemory::FrameHint frame_hint_;
+    static constexpr unsigned kTcacheEntries = 8;
+    std::array<Translation, kTcacheEntries> tcache_{};
     /** ceil(2^64 / period) and the tick bound below which the reciprocal
      *  multiply computes t / period exactly (see edgeAtOrAfter). */
     std::uint64_t period_inv_ = 0;

@@ -31,6 +31,30 @@ TEST(SparseMemory, ZeroFilledAndSparse)
     mem.write<std::uint32_t>(0x1000, 42);
     EXPECT_EQ(mem.read<std::uint32_t>(0x1000), 42u);
     EXPECT_EQ(mem.framesAllocated(), 1u);
+
+    // The page/frame table: a page is created frameless, a frame only on
+    // its first write, and neither moves once created.
+    constexpr Addr kBase = 7 * SparseMemory::kPageBytes;
+    SparseMemory::Page &page = mem.pageFor(kBase + 0x10);
+    EXPECT_EQ(&mem.pageFor(kBase + SparseMemory::kPageBytes - 1), &page);
+    EXPECT_EQ(page.find(kBase + 0x2000), nullptr);
+    std::uint8_t buf[16] = {1, 2, 3};
+    SparseMemory::read(page, kBase + 0x2000 - 8, buf, sizeof(buf));
+    EXPECT_EQ(buf[0], 0u);
+    EXPECT_EQ(mem.framesAllocated(), 1u); // reads allocate no frame
+    std::uint8_t *frame = mem.frameFor(page, kBase + 0x2008);
+    ASSERT_NE(frame, nullptr);
+    EXPECT_EQ(mem.framesAllocated(), 2u);
+    EXPECT_EQ(page.find(kBase + 0x2fff), frame);
+    EXPECT_EQ(page.find(kBase + 0x3000), nullptr);
+    frame[8] = 0x5a;
+    EXPECT_EQ(mem.read<std::uint8_t>(kBase + 0x2008), 0x5au);
+    for (Addr i = 1; i <= 1000; ++i)
+        mem.pageFor(kBase + i * SparseMemory::kPageBytes);
+    EXPECT_EQ(&mem.pageFor(kBase), &page);
+    EXPECT_EQ(mem.frameFor(page, kBase + 0x2000), frame);
+    EXPECT_EQ(frame[8], 0x5au);
+    EXPECT_EQ(mem.framesAllocated(), 2u);
 }
 
 TEST(SparseMemory, CrossFrameAccess)
@@ -129,7 +153,7 @@ streamBandwidth(const DramTiming &timing, unsigned channels, unsigned n,
             ++completed;
             last = std::max(last, t);
         };
-        dram.receive(std::move(pkt));
+        dram.receive(std::move(pkt), eq.now());
     }
     eq.run();
     EXPECT_EQ(completed, n);
@@ -161,7 +185,7 @@ TEST(Dram, SingleChannelRowHitVsMissLatency)
         pkt->addr = addr;
         pkt->size = 32;
         pkt->onComplete = [out](Tick t) { *out = t; };
-        dram.receive(std::move(pkt));
+        dram.receive(std::move(pkt), eq.now());
         eq.run();
     };
     send(0, &first);            // row miss (empty bank)
@@ -211,7 +235,7 @@ class FixedLatencyMem : public MemPort
     FixedLatencyMem(EventQueue &eq, Tick latency) : eq_(eq), latency_(latency) {}
 
     void
-    receive(MemPacketPtr pkt) override
+    receive(MemPacketPtr pkt, Tick /*at*/) override
     {
         ++accesses;
         bytes += pkt->size;
@@ -255,7 +279,7 @@ accessCache(EventQueue &eq, Cache &cache, MemOp op, Addr addr)
     pkt->addr = addr;
     pkt->size = 32;
     pkt->onComplete = [&](Tick t) { done = t; };
-    cache.receive(std::move(pkt));
+    cache.receive(std::move(pkt), eq.now());
     eq.run();
     return done;
 }
@@ -304,7 +328,7 @@ TEST(Cache, MshrMergesDuplicateSectorMisses)
         pkt->addr = 0x2000;
         pkt->size = 32;
         pkt->onComplete = [&](Tick) { ++completed; };
-        cache.receive(std::move(pkt));
+        cache.receive(std::move(pkt), eq.now());
     }
     eq.run();
     EXPECT_EQ(completed, 4);
@@ -329,7 +353,7 @@ TEST(Cache, StalledReadCountsAsOneMiss)
         pkt->addr = addr;
         pkt->size = 32;
         pkt->onComplete = [&](Tick) { ++completed; };
-        cache.receive(std::move(pkt));
+        cache.receive(std::move(pkt), eq.now());
     }
     eq.run();
     EXPECT_EQ(completed, 2);

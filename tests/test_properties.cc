@@ -204,7 +204,7 @@ TEST_P(DramPresetTest, StreamApproachesPeakAndNeverExceeds)
         pkt->addr = static_cast<Addr>(i) * p.timing.access_bytes;
         pkt->size = p.timing.access_bytes;
         pkt->onComplete = [&](Tick t) { last = std::max(last, t); };
-        dram.receive(std::move(pkt));
+        dram.receive(std::move(pkt), eq.now());
     }
     eq.run();
     auto stats = dram.totalStats();
@@ -238,7 +238,7 @@ TEST_P(CacheSweepTest, FillThenHitInvariant)
     {
         EventQueue &eq;
         explicit Term(EventQueue &e) : eq(e) {}
-        void receive(MemPacketPtr pkt) override
+        void receive(MemPacketPtr pkt, Tick /*at*/) override
         {
             auto *raw = pkt.release();
             eq.scheduleAfter(50000, [raw, this] {
@@ -268,7 +268,7 @@ TEST_P(CacheSweepTest, FillThenHitInvariant)
         pkt->op = MemOp::Read;
         pkt->addr = a;
         pkt->size = 32;
-        cache.receive(std::move(pkt));
+        cache.receive(std::move(pkt), eq.now());
         eq.run();
     }
     // Immediately re-reading a just-filled sector must be fast (a hit),
@@ -279,7 +279,7 @@ TEST_P(CacheSweepTest, FillThenHitInvariant)
         pkt->op = MemOp::Read;
         pkt->addr = addrs[addrs.size() - 1 - i];
         pkt->size = 32;
-        cache.receive(std::move(pkt));
+        cache.receive(std::move(pkt), eq.now());
         eq.run();
     }
     EXPECT_GE(cache.stats().read_hits, hits_before + 3);
