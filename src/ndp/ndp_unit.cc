@@ -175,12 +175,12 @@ NdpUnit::amo(AmoOp op, Addr va, std::uint64_t operand, unsigned width)
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
     const Translation &t = translateCached(current_slot_->instance->asid, va);
     const Addr pa = t.pa_page + (va & kPageMask);
+    // The executor rejects misaligned AMOs and PA pages are page-aligned,
+    // so a 4- or 8-byte AMO never straddles a frame.
     const std::uint64_t in_frame = pa & SparseMemory::kFrameMask;
-    if (in_frame + width <= SparseMemory::kFrameSize) {
-        return amoApply(mem_.frameFor(*t.page, pa) + in_frame, op, operand,
-                        width);
-    }
-    return amoExecute(mem_, op, pa, operand, width); // straddles frames
+    M2_ASSERT(in_frame + width <= SparseMemory::kFrameSize,
+              "AMO straddles a frame at pa ", pa);
+    return amoApply(mem_.frameFor(*t.page, pa) + in_frame, op, operand, width);
 }
 
 // --------------------------------------------------------------------------
