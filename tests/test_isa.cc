@@ -87,6 +87,120 @@ TEST(Assembler, ParsesSectionsAndName)
     EXPECT_EQ(k.staticInstructionCount(), 5u);
 }
 
+/** Fold the eight little-endian bytes of @p v into 64-bit FNV-1a @p h. */
+void
+fnvFold(std::uint64_t &h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 0x100000001b3ull;
+    }
+}
+
+TEST(Assembler, OpcodeTraitsGolden)
+{
+    // Every mnemonic of the assembler once, grouped by operand format:
+    // {operands, mnemonics}. The hash pins the opcode-derived traits of
+    // every µop the units run.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        groups = {
+        {"", {"nop", "fence", "exit"}},
+        {"x1, x2, x3",
+         {"add", "addw", "sub", "subw", "and", "or", "xor", "sll", "srl",
+          "sra", "slt", "sltu", "mul", "mulw", "mulh", "div", "divu", "rem",
+          "remu"}},
+        {"x1, x2, 3",
+         {"addi", "addiw", "andi", "ori", "xori", "slli", "srli", "srai",
+          "slti", "sltiu"}},
+        {"x1, 5", {"lui", "li"}},
+        {"x1, x2", {"mv"}},
+        {"x1, 8(x2)", {"lb", "lbu", "lh", "lhu", "lw", "lwu", "ld"}},
+        {"f1, 8(x2)", {"flw", "fld"}},
+        {"x1, 8(x2)", {"sb", "sh", "sw", "sd"}},
+        {"f1, 8(x2)", {"fsw", "fsd"}},
+        {"x1, x2, top", {"beq", "bne", "blt", "bge", "bltu", "bgeu"}},
+        {"top", {"j"}},
+        {"x1, x2, (x3)",
+         {"amoadd.w", "amoadd.d", "amoswap.w", "amoswap.d", "amomin.w",
+          "amomin.d", "amomax.w", "amomax.d", "amominu.w", "amominu.d",
+          "amomaxu.w", "amomaxu.d", "amoand.w", "amoand.d", "amoor.w",
+          "amoor.d", "amoxor.w", "amoxor.d"}},
+        {"f1, f2, f3",
+         {"fadd.s", "fadd.d", "fsub.s", "fsub.d", "fmul.s", "fmul.d",
+          "fdiv.s", "fdiv.d", "fmin.s", "fmin.d", "fmax.s", "fmax.d"}},
+        {"f1, f2, f3, f4", {"fmadd.s", "fmadd.d"}},
+        {"f1, f2",
+         {"fsqrt.s", "fsqrt.d", "fmv.s", "fmv.d", "fcvt.d.s", "fcvt.s.d"}},
+        {"x1, f2",
+         {"fmv.x.w", "fmv.x.d", "fcvt.w.s", "fcvt.l.s", "fcvt.w.d",
+          "fcvt.l.d"}},
+        {"f1, x2",
+         {"fmv.w.x", "fmv.d.x", "fcvt.s.w", "fcvt.s.l", "fcvt.d.w",
+          "fcvt.d.l"}},
+        {"x1, f2, f3", {"feq.s", "feq.d", "flt.s", "flt.d", "fle.s", "fle.d"}},
+        {"x0, x0, e32, m1", {"vsetvli"}},
+        {"v1, (x2)", {"vle8.v", "vle16.v", "vle32.v", "vle64.v"}},
+        {"v1, (x2), x3", {"vlse32.v", "vlse64.v"}},
+        {"v1, (x2), v3", {"vluxei32.v", "vluxei64.v"}},
+        {"v1, (x2)", {"vse8.v", "vse16.v", "vse32.v", "vse64.v"}},
+        {"v1, (x2), v3", {"vsuxei32.v", "vsuxei64.v"}},
+        {"v1, v2, v3",
+         {"vadd.vv", "vsub.vv", "vmul.vv", "vand.vv", "vor.vv", "vxor.vv",
+          "vmin.vv", "vmax.vv", "vminu.vv", "vmaxu.vv", "vfadd.vv",
+          "vfsub.vv", "vfmul.vv", "vfdiv.vv", "vfmacc.vv", "vfmin.vv",
+          "vfmax.vv", "vredsum.vs", "vredmax.vs", "vredmin.vs", "vredand.vs",
+          "vredor.vs", "vfredusum.vs", "vfredsum.vs", "vfredmax.vs",
+          "vfredmin.vs", "vmseq.vv", "vmsne.vv", "vmslt.vv", "vmsle.vv",
+          "vmsltu.vv", "vmand.mm", "vmor.mm", "vmxor.mm", "vmnand.mm"}},
+        {"v1, v2, x3",
+         {"vadd.vx", "vsub.vx", "vmul.vx", "vand.vx", "vor.vx", "vxor.vx",
+          "vsll.vx", "vsrl.vx", "vmseq.vx", "vmsne.vx", "vmslt.vx",
+          "vmsle.vx", "vmsgt.vx", "vmsge.vx", "vmsltu.vx", "vmsgtu.vx"}},
+        {"v1, v2, 3",
+         {"vadd.vi", "vand.vi", "vor.vi", "vxor.vi", "vsll.vi", "vsrl.vi",
+          "vsra.vi", "vmseq.vi", "vmsne.vi", "vmsle.vi", "vmsgt.vi"}},
+        {"v1, v2, f3",
+         {"vfadd.vf", "vfsub.vf", "vfmul.vf", "vfdiv.vf", "vfmacc.vf",
+          "vmflt.vf", "vmfle.vf", "vmfgt.vf", "vmfge.vf", "vmfeq.vf",
+          "vmfne.vf"}},
+        {"v1, v2", {"vmv.v.v", "vmnot.m"}},
+        {"v1, x2", {"vmv.v.x", "vmv.s.x"}},
+        {"v1, 3", {"vmv.v.i"}},
+        {"x1, v2", {"vmv.x.s", "vcpop.m", "vfirst.m"}},
+        {"f1, v2", {"vfmv.f.s"}},
+        {"v1, f2", {"vfmv.v.f", "vfmv.s.f"}},
+        {"v1", {"vid.v"}},
+        {"v1, v2, v3, v0", {"vmerge.vvm"}},
+        {"v1, v2, x3, v0", {"vmerge.vxm"}},
+        {"v1, v2, 3, v0", {"vmerge.vim"}},
+    };
+    std::string text = "top:\n";
+    for (const auto &[operands, mnemonics] : groups) {
+        for (const std::string &mnemonic : mnemonics)
+            text += mnemonic + " " + operands + "\n";
+    }
+
+    auto k = DecodedKernel::decode(assembleOk(Assembler(), text));
+    ASSERT_EQ(k.sections.size(), 1u);
+    const auto &code = k.sections[0].code;
+    ASSERT_EQ(code.size(), 216u);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto &u : code) {
+        fnvFold(h, static_cast<std::uint64_t>(u.op));
+        fnvFold(h, static_cast<std::uint64_t>(u.fu));
+        fnvFold(h, u.latency);
+        fnvFold(h, u.mem_width);
+        fnvFold(h, u.mem_sign);
+        fnvFold(h, u.mem_fp);
+        fnvFold(h, static_cast<std::uint64_t>(u.amo_op));
+        fnvFold(h, u.is_vector);
+        fnvFold(h, u.touches_mem);
+        fnvFold(h, u.sew);
+        fnvFold(h, static_cast<std::uint64_t>(std::int64_t{u.target}));
+    }
+    EXPECT_EQ(h, 0x188a92ce7e675da3ull);
+}
+
 TEST(Assembler, DefaultBodySection)
 {
     Assembler as;
@@ -495,20 +609,35 @@ TEST(Executor, InfiniteLoopCaught)
 
 TEST(Executor, FuTypesAndLatencies)
 {
-    EXPECT_EQ(fuTypeOf(Opcode::ADD), FuType::ScalarAlu);
-    EXPECT_EQ(fuTypeOf(Opcode::DIV), FuType::ScalarSfu);
-    EXPECT_EQ(fuTypeOf(Opcode::LD), FuType::ScalarLsu);
-    EXPECT_EQ(fuTypeOf(Opcode::AMOADD_D), FuType::ScalarLsu);
-    EXPECT_EQ(fuTypeOf(Opcode::VLE32), FuType::VectorLsu);
-    EXPECT_EQ(fuTypeOf(Opcode::VADD_VV), FuType::VectorAlu);
-    EXPECT_EQ(fuTypeOf(Opcode::VFDIV_VV), FuType::VectorSfu);
-    EXPECT_EQ(fuTypeOf(Opcode::VFMACC_VV), FuType::VectorAlu);
-    EXPECT_GT(latencyOf(Opcode::DIV), latencyOf(Opcode::ADD));
-    EXPECT_GT(latencyOf(Opcode::VFMACC_VV), latencyOf(Opcode::VADD_VV));
-    EXPECT_TRUE(isMemory(Opcode::VLUXEI32));
-    EXPECT_FALSE(isMemory(Opcode::VADD_VV));
-    EXPECT_TRUE(isVector(Opcode::VSETVLI));
-    EXPECT_FALSE(isVector(Opcode::ADD));
+    auto sec = decodeOne("add x1, x2, x3\n"
+                         "div x1, x2, x3\n"
+                         "ld x1, (x2)\n"
+                         "amoadd.d x1, x2, (x3)\n"
+                         "vle32.v v1, (x2)\n"
+                         "vadd.vv v1, v2, v3\n"
+                         "vfdiv.vv v1, v2, v3\n"
+                         "vfmacc.vv v1, v2, v3\n"
+                         "vluxei32.v v1, (x2), v3\n"
+                         "vsetvli x0, x0, e32, m1\n");
+    ASSERT_EQ(sec.code.size(), 10u);
+    const auto &add = sec.code[0], &div = sec.code[1], &ld = sec.code[2],
+               &amo = sec.code[3], &vle = sec.code[4], &vadd = sec.code[5],
+               &vfdiv = sec.code[6], &vfmacc = sec.code[7],
+               &vlux = sec.code[8], &vset = sec.code[9];
+    EXPECT_EQ(add.fu, FuType::ScalarAlu);
+    EXPECT_EQ(div.fu, FuType::ScalarSfu);
+    EXPECT_EQ(ld.fu, FuType::ScalarLsu);
+    EXPECT_EQ(amo.fu, FuType::ScalarLsu);
+    EXPECT_EQ(vle.fu, FuType::VectorLsu);
+    EXPECT_EQ(vadd.fu, FuType::VectorAlu);
+    EXPECT_EQ(vfdiv.fu, FuType::VectorSfu);
+    EXPECT_EQ(vfmacc.fu, FuType::VectorAlu);
+    EXPECT_GT(div.latency, add.latency);
+    EXPECT_GT(vfmacc.latency, vadd.latency);
+    EXPECT_TRUE(vlux.touches_mem);
+    EXPECT_FALSE(vadd.touches_mem);
+    EXPECT_TRUE(vset.is_vector);
+    EXPECT_FALSE(add.is_vector);
 }
 
 TEST(Executor, OpcodeNames)
