@@ -64,14 +64,14 @@ BM_ExecutorLoop(benchmark::State &state)
 {
     isa::Assembler as;
     std::string error;
-    auto k = isa::DecodedKernel::decode(as.assemble(R"(
+    auto k = as.assemble(R"(
         li x3, 256
         li x4, 0
     loop:
         addi x4, x4, 3
         addi x3, x3, -1
         bne x3, x0, loop
-    )", error));
+    )", error);
     M2_ASSERT(error.empty(), error);
     BenchMem mem;
     std::uint64_t instructions = 0;

@@ -84,10 +84,11 @@ main()
                      ndpErrorName(ndpErrorOf(kid)));
         return 1;
     }
+    // vecadd is a single body section.
     std::printf("registered kernel id=%lld (%zu static instructions)\n",
                 static_cast<long long>(kid),
-                sys.device().controller().kernelById(kid)->code
-                    .staticInstructionCount());
+                sys.device().controller().kernelById(kid)->code.sections[0]
+                    .code.size());
 
     // 5. Launch on the stream: uthread pool region = array A, two 64-bit
     //    arguments packed straight into the 64 B M2func payload.

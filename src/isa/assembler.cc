@@ -478,6 +478,7 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
     Instruction inst;
     inst.op = info.op;
     inst.line = line_no_;
+    fillOpcodeTraits(inst);
 
     // Peel a trailing ", v0.t" mask suffix for vector forms.
     if (!ops.empty() && toLower(ops.back()) == "v0.t") {
@@ -850,53 +851,6 @@ Assembler::assemble(const std::string &text, std::string &error) const
         error = e.message;
         return {};
     }
-}
-
-std::vector<std::size_t>
-AssembledKernel::bodySections() const
-{
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-        if (sections[i].kind == SectionKind::Body)
-            out.push_back(i);
-    }
-    return out;
-}
-
-std::size_t
-AssembledKernel::staticInstructionCount() const
-{
-    std::size_t n = 0;
-    for (const auto &s : sections)
-        n += s.code.size();
-    return n;
-}
-
-const char *
-opcodeName(Opcode op)
-{
-    // Reverse map built from the mnemonic table. Several mnemonics can
-    // alias one opcode, so the walk is materialized and sorted before
-    // insertion: the lexicographically smallest mnemonic wins on every
-    // toolchain, not whichever hash bucket drains first. Keys live in the
-    // node-based unordered_map, so the c_str() pointers remain valid.
-    static const std::unordered_map<Opcode, const char *> names = [] {
-        std::vector<std::pair<const std::string *, Opcode>> entries;
-        entries.reserve(mnemonicTable().size());
-        // Order-insensitive: sorted below. ndp-lint: allow(nondeterminism)
-        for (const auto &[mnemonic, info] : mnemonicTable())
-            entries.emplace_back(&mnemonic, info.op);
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto &a, const auto &b) {
-                      return *a.first < *b.first;
-                  });
-        std::unordered_map<Opcode, const char *> m;
-        for (const auto &[name, opc] : entries)
-            m.emplace(opc, name->c_str());
-        return m;
-    }();
-    auto it = names.find(op);
-    return it == names.end() ? "<unknown-op>" : it->second;
 }
 
 } // namespace m2ndp::isa

@@ -138,12 +138,12 @@ coalesce(MemRefList &out, bool is_store, const AddrList &addrs,
 }
 
 /**
- * Execute one decoded µop against @p ctx, advancing ctx.pc. @p code_size
+ * Execute one instruction against @p ctx, advancing ctx.pc. @p code_size
  * is the section length (end-of-section detection).
  */
 StepResult
-execDecoded(UthreadContext &ctx, const DecodedInst &in,
-            std::uint32_t code_size, MemoryIf &mem)
+execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
+        MemoryIf &mem)
 {
     ++ctx.instret;
 
@@ -191,7 +191,7 @@ execDecoded(UthreadContext &ctx, const DecodedInst &in,
         ctx.pc = taken ? static_cast<std::uint32_t>(in.target) : ctx.pc + 1;
     };
 
-    // Scalar loads/stores: width and extension behaviour were pre-decoded.
+    // Scalar loads/stores: width and extension behaviour are opcode traits.
     auto scalarLoad = [&] {
         const unsigned width = in.mem_width;
         Addr va = rx(in.rs1) + static_cast<std::uint64_t>(in.imm);
@@ -1122,118 +1122,22 @@ execDecoded(UthreadContext &ctx, const DecodedInst &in,
     return res;
 }
 
-// --------------------------------------------------------------------------
-// Decoding
-// --------------------------------------------------------------------------
-
-DecodedInst
-decodeInst(const Instruction &in)
-{
-    DecodedInst d;
-    d.op = in.op;
-    d.fu = fuTypeOf(in.op);
-    unsigned lat = latencyOf(in.op);
-    M2_ASSERT(lat <= 0xFF, "latency overflows decoded field");
-    d.latency = static_cast<std::uint8_t>(lat);
-    d.rd = in.rd;
-    d.rs1 = in.rs1;
-    d.rs2 = in.rs2;
-    d.rs3 = in.rs3;
-    d.masked = in.masked;
-    d.is_vector = isVector(in.op);
-    d.sew = in.sew;
-    d.target = in.target;
-    d.imm = in.imm;
-    d.line = in.line;
-
-    switch (in.op) {
-      // Scalar loads: width, extension, destination file.
-      case Opcode::LB: d.mem_width = 1; d.mem_sign = true; break;
-      case Opcode::LBU: d.mem_width = 1; break;
-      case Opcode::LH: d.mem_width = 2; d.mem_sign = true; break;
-      case Opcode::LHU: d.mem_width = 2; break;
-      case Opcode::LW: d.mem_width = 4; d.mem_sign = true; break;
-      case Opcode::LWU: d.mem_width = 4; break;
-      case Opcode::LD: d.mem_width = 8; break;
-      case Opcode::FLW: d.mem_width = 4; d.mem_fp = true; break;
-      case Opcode::FLD: d.mem_width = 8; d.mem_fp = true; break;
-      // Scalar stores.
-      case Opcode::SB: d.mem_width = 1; break;
-      case Opcode::SH: d.mem_width = 2; break;
-      case Opcode::SW: d.mem_width = 4; break;
-      case Opcode::SD: d.mem_width = 8; break;
-      case Opcode::FSW: d.mem_width = 4; d.mem_fp = true; break;
-      case Opcode::FSD: d.mem_width = 8; d.mem_fp = true; break;
-      // Atomics: op + width.
-      case Opcode::AMOADD_W: d.amo_op = AmoOp::Add; d.mem_width = 4; break;
-      case Opcode::AMOADD_D: d.amo_op = AmoOp::Add; d.mem_width = 8; break;
-      case Opcode::AMOSWAP_W: d.amo_op = AmoOp::Swap; d.mem_width = 4; break;
-      case Opcode::AMOSWAP_D: d.amo_op = AmoOp::Swap; d.mem_width = 8; break;
-      case Opcode::AMOMIN_W: d.amo_op = AmoOp::Min; d.mem_width = 4; break;
-      case Opcode::AMOMIN_D: d.amo_op = AmoOp::Min; d.mem_width = 8; break;
-      case Opcode::AMOMAX_W: d.amo_op = AmoOp::Max; d.mem_width = 4; break;
-      case Opcode::AMOMAX_D: d.amo_op = AmoOp::Max; d.mem_width = 8; break;
-      case Opcode::AMOMINU_W: d.amo_op = AmoOp::MinU; d.mem_width = 4; break;
-      case Opcode::AMOMINU_D: d.amo_op = AmoOp::MinU; d.mem_width = 8; break;
-      case Opcode::AMOMAXU_W: d.amo_op = AmoOp::MaxU; d.mem_width = 4; break;
-      case Opcode::AMOMAXU_D: d.amo_op = AmoOp::MaxU; d.mem_width = 8; break;
-      case Opcode::AMOAND_W: d.amo_op = AmoOp::And; d.mem_width = 4; break;
-      case Opcode::AMOAND_D: d.amo_op = AmoOp::And; d.mem_width = 8; break;
-      case Opcode::AMOOR_W: d.amo_op = AmoOp::Or; d.mem_width = 4; break;
-      case Opcode::AMOOR_D: d.amo_op = AmoOp::Or; d.mem_width = 8; break;
-      case Opcode::AMOXOR_W: d.amo_op = AmoOp::Xor; d.mem_width = 4; break;
-      case Opcode::AMOXOR_D: d.amo_op = AmoOp::Xor; d.mem_width = 8; break;
-      // Vector memory: EEW (or index EEW for indexed forms).
-      case Opcode::VLE8: case Opcode::VSE8: d.mem_width = 1; break;
-      case Opcode::VLE16: case Opcode::VSE16: d.mem_width = 2; break;
-      case Opcode::VLE32: case Opcode::VSE32: case Opcode::VLSE32:
-      case Opcode::VLUXEI32: case Opcode::VSUXEI32:
-        d.mem_width = 4;
-        break;
-      case Opcode::VLE64: case Opcode::VSE64: case Opcode::VLSE64:
-      case Opcode::VLUXEI64: case Opcode::VSUXEI64:
-        d.mem_width = 8;
-        break;
-      default:
-        break;
-    }
-    // Exactly the opcodes above (each sets mem_width) can push MemRefs;
-    // everything else is provably mem-free at decode time.
-    d.touches_mem = d.mem_width != 0;
-    return d;
-}
-
 } // namespace
-
-DecodedKernel
-DecodedKernel::decode(const AssembledKernel &kernel)
-{
-    DecodedKernel d;
-    d.sections.reserve(kernel.sections.size());
-    for (const KernelSection &sec : kernel.sections) {
-        DecodedSection &ds = d.sections.emplace_back();
-        ds.kind = sec.kind;
-        ds.code.reserve(sec.code.size());
-        for (const Instruction &in : sec.code)
-            ds.code.push_back(decodeInst(in));
-    }
-    return d;
-}
 
 // --------------------------------------------------------------------------
 // Execution entry points
 // --------------------------------------------------------------------------
 
 StepResult
-step(UthreadContext &ctx, const DecodedSection &section, MemoryIf &mem)
+step(UthreadContext &ctx, const KernelSection &section, MemoryIf &mem)
 {
     const auto size = static_cast<std::uint32_t>(section.code.size());
     M2_ASSERT(ctx.pc < size, "PC out of range: ", ctx.pc, " of ", size);
-    return execDecoded(ctx, section.code[ctx.pc], size, mem);
+    return execute(ctx, section.code[ctx.pc], size, mem);
 }
 
 std::uint64_t
-runToCompletion(UthreadContext &ctx, const DecodedSection &section,
+runToCompletion(UthreadContext &ctx, const KernelSection &section,
                 MemoryIf &mem, std::uint64_t max_instructions)
 {
     std::uint64_t executed = 0;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Functional executor for M2NDP uthreads. It runs decoded sections
- * (isa/decoded.hh) only: kernels are decoded once, at registration.
+ * Functional executor for M2NDP uthreads. It runs assembled sections
+ * directly: each instruction carries its opcode traits (isa/inst.hh).
  *
- * Functional-first execution (see DESIGN.md): an instruction's architectural
- * effects — including memory reads/writes via the MemoryIf — happen when the
- * timing model issues it; the returned StepResult tells the timing layer
- * which functional unit was used, the result latency, and which memory
- * sectors were touched so it can model stalls and traffic.
+ * Functional-first execution, so that data values never depend on timing:
+ * an instruction's architectural effects — including memory reads/writes
+ * via the MemoryIf — happen when the timing model issues it; the returned
+ * StepResult tells the timing layer which functional unit was used, the
+ * result latency, and which memory sectors were touched so it can model
+ * stalls and traffic.
  */
 
 #pragma once
@@ -19,7 +20,6 @@
 
 #include "common/log.hh"
 #include "common/units.hh"
-#include "isa/decoded.hh"
 #include "isa/inst.hh"
 #include "mem/sparse_memory.hh"
 
@@ -198,13 +198,13 @@ struct UthreadContext
 };
 
 /**
- * Execute the µop at ctx.pc of @p section, advancing ctx.pc. This is the
- * timing-layer hot path: the section was decoded once at kernel
- * registration and execution performs no per-issue operand parsing and no
- * heap allocation. Panics on malformed kernels (bad register indices,
+ * Execute the instruction at ctx.pc of @p section, advancing ctx.pc. This
+ * is the timing-layer hot path: the assembler filled every opcode trait,
+ * so execution performs no per-issue operand parsing and no heap
+ * allocation. Panics on malformed kernels (bad register indices,
  * missing vsetvli, out-of-range PC are simulator-user kernel bugs).
  */
-StepResult step(UthreadContext &ctx, const DecodedSection &section,
+StepResult step(UthreadContext &ctx, const KernelSection &section,
                 MemoryIf &mem);
 
 /**
@@ -213,7 +213,7 @@ StepResult step(UthreadContext &ctx, const DecodedSection &section,
  * @return dynamic instruction count.
  */
 std::uint64_t runToCompletion(UthreadContext &ctx,
-                              const DecodedSection &section, MemoryIf &mem,
+                              const KernelSection &section, MemoryIf &mem,
                               std::uint64_t max_instructions = 10'000'000);
 
 } // namespace m2ndp::isa

@@ -1,13 +1,17 @@
 #include "isa/inst.hh"
 
-#include "common/log.hh"
-
 namespace m2ndp::isa {
 
+namespace {
+
+/** Functional-unit class. Reads the memory width and vector tag: every
+ *  memory opcode runs on its scalar or vector LSU. */
 FuType
-fuTypeOf(Opcode op)
+fuTypeOf(const Instruction &inst)
 {
-    switch (op) {
+    if (inst.mem_width != 0)
+        return inst.is_vector ? FuType::VectorLsu : FuType::ScalarLsu;
+    switch (inst.op) {
       // Scalar integer ALU and control flow.
       case Opcode::LUI: case Opcode::LI: case Opcode::MV: case Opcode::NOP:
       case Opcode::ADD: case Opcode::ADDI: case Opcode::ADDW:
@@ -46,28 +50,8 @@ fuTypeOf(Opcode op)
         return FuType::ScalarSfu;
 
       // Scalar LSU.
-      case Opcode::LB: case Opcode::LBU: case Opcode::LH: case Opcode::LHU:
-      case Opcode::LW: case Opcode::LWU: case Opcode::LD:
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-      case Opcode::FLW: case Opcode::FLD: case Opcode::FSW: case Opcode::FSD:
-      case Opcode::AMOADD_W: case Opcode::AMOADD_D: case Opcode::AMOSWAP_W:
-      case Opcode::AMOSWAP_D: case Opcode::AMOMIN_W: case Opcode::AMOMIN_D:
-      case Opcode::AMOMAX_W: case Opcode::AMOMAX_D: case Opcode::AMOMINU_W:
-      case Opcode::AMOMINU_D: case Opcode::AMOMAXU_W: case Opcode::AMOMAXU_D:
-      case Opcode::AMOAND_W: case Opcode::AMOAND_D: case Opcode::AMOOR_W:
-      case Opcode::AMOOR_D: case Opcode::AMOXOR_W: case Opcode::AMOXOR_D:
       case Opcode::FENCE:
         return FuType::ScalarLsu;
-
-      // Vector LSU.
-      case Opcode::VLE8: case Opcode::VLE16: case Opcode::VLE32:
-      case Opcode::VLE64:
-      case Opcode::VSE8: case Opcode::VSE16: case Opcode::VSE32:
-      case Opcode::VSE64:
-      case Opcode::VLSE32: case Opcode::VLSE64:
-      case Opcode::VLUXEI32: case Opcode::VLUXEI64:
-      case Opcode::VSUXEI32: case Opcode::VSUXEI64:
-        return FuType::VectorLsu;
 
       // Vector SFU.
       case Opcode::VFDIV_VV: case Opcode::VFDIV_VF:
@@ -83,10 +67,12 @@ fuTypeOf(Opcode op)
     }
 }
 
-unsigned
-latencyOf(Opcode op)
+/** Result latency in sub-core cycles (memory ops: 1, they are LSU-timed).
+ *  Reads the memory width and vector tag, so those are filled first. */
+std::uint8_t
+latencyOf(const Instruction &inst)
 {
-    switch (op) {
+    switch (inst.op) {
       case Opcode::MUL: case Opcode::MULW: case Opcode::MULH:
         return 3;
       case Opcode::DIV: case Opcode::DIVU: case Opcode::REM:
@@ -114,36 +100,7 @@ latencyOf(Opcode op)
       case Opcode::VMUL_VV: case Opcode::VMUL_VX:
         return 3;
       default:
-        if (isVector(op) && !isMemory(op))
-            return 2;
-        return 1;
-    }
-}
-
-bool
-isMemory(Opcode op)
-{
-    switch (op) {
-      case Opcode::LB: case Opcode::LBU: case Opcode::LH: case Opcode::LHU:
-      case Opcode::LW: case Opcode::LWU: case Opcode::LD:
-      case Opcode::SB: case Opcode::SH: case Opcode::SW: case Opcode::SD:
-      case Opcode::FLW: case Opcode::FLD: case Opcode::FSW: case Opcode::FSD:
-      case Opcode::AMOADD_W: case Opcode::AMOADD_D: case Opcode::AMOSWAP_W:
-      case Opcode::AMOSWAP_D: case Opcode::AMOMIN_W: case Opcode::AMOMIN_D:
-      case Opcode::AMOMAX_W: case Opcode::AMOMAX_D: case Opcode::AMOMINU_W:
-      case Opcode::AMOMINU_D: case Opcode::AMOMAXU_W: case Opcode::AMOMAXU_D:
-      case Opcode::AMOAND_W: case Opcode::AMOAND_D: case Opcode::AMOOR_W:
-      case Opcode::AMOOR_D: case Opcode::AMOXOR_W: case Opcode::AMOXOR_D:
-      case Opcode::VLE8: case Opcode::VLE16: case Opcode::VLE32:
-      case Opcode::VLE64:
-      case Opcode::VSE8: case Opcode::VSE16: case Opcode::VSE32:
-      case Opcode::VSE64:
-      case Opcode::VLSE32: case Opcode::VLSE64:
-      case Opcode::VLUXEI32: case Opcode::VLUXEI64:
-      case Opcode::VSUXEI32: case Opcode::VSUXEI64:
-        return true;
-      default:
-        return false;
+        return inst.is_vector && inst.mem_width == 0 ? 2 : 1;
     }
 }
 
@@ -151,6 +108,74 @@ bool
 isVector(Opcode op)
 {
     return op >= Opcode::VSETVLI && op <= Opcode::VMERGE_VIM;
+}
+
+} // namespace
+
+void
+fillOpcodeTraits(Instruction &inst)
+{
+    auto amo = [&](AmoOp op, std::uint8_t width) {
+        inst.amo_op = op;
+        inst.mem_width = width;
+    };
+    switch (inst.op) {
+      // Scalar loads: width, extension, destination file.
+      case Opcode::LB: inst.mem_width = 1; inst.mem_sign = true; break;
+      case Opcode::LBU: inst.mem_width = 1; break;
+      case Opcode::LH: inst.mem_width = 2; inst.mem_sign = true; break;
+      case Opcode::LHU: inst.mem_width = 2; break;
+      case Opcode::LW: inst.mem_width = 4; inst.mem_sign = true; break;
+      case Opcode::LWU: inst.mem_width = 4; break;
+      case Opcode::LD: inst.mem_width = 8; break;
+      case Opcode::FLW: inst.mem_width = 4; inst.mem_fp = true; break;
+      case Opcode::FLD: inst.mem_width = 8; inst.mem_fp = true; break;
+      // Scalar stores.
+      case Opcode::SB: inst.mem_width = 1; break;
+      case Opcode::SH: inst.mem_width = 2; break;
+      case Opcode::SW: inst.mem_width = 4; break;
+      case Opcode::SD: inst.mem_width = 8; break;
+      case Opcode::FSW: inst.mem_width = 4; inst.mem_fp = true; break;
+      case Opcode::FSD: inst.mem_width = 8; inst.mem_fp = true; break;
+      // Atomics: op + width.
+      case Opcode::AMOADD_W: amo(AmoOp::Add, 4); break;
+      case Opcode::AMOADD_D: amo(AmoOp::Add, 8); break;
+      case Opcode::AMOSWAP_W: amo(AmoOp::Swap, 4); break;
+      case Opcode::AMOSWAP_D: amo(AmoOp::Swap, 8); break;
+      case Opcode::AMOMIN_W: amo(AmoOp::Min, 4); break;
+      case Opcode::AMOMIN_D: amo(AmoOp::Min, 8); break;
+      case Opcode::AMOMAX_W: amo(AmoOp::Max, 4); break;
+      case Opcode::AMOMAX_D: amo(AmoOp::Max, 8); break;
+      case Opcode::AMOMINU_W: amo(AmoOp::MinU, 4); break;
+      case Opcode::AMOMINU_D: amo(AmoOp::MinU, 8); break;
+      case Opcode::AMOMAXU_W: amo(AmoOp::MaxU, 4); break;
+      case Opcode::AMOMAXU_D: amo(AmoOp::MaxU, 8); break;
+      case Opcode::AMOAND_W: amo(AmoOp::And, 4); break;
+      case Opcode::AMOAND_D: amo(AmoOp::And, 8); break;
+      case Opcode::AMOOR_W: amo(AmoOp::Or, 4); break;
+      case Opcode::AMOOR_D: amo(AmoOp::Or, 8); break;
+      case Opcode::AMOXOR_W: amo(AmoOp::Xor, 4); break;
+      case Opcode::AMOXOR_D: amo(AmoOp::Xor, 8); break;
+      // Vector memory: EEW (or index EEW for indexed forms).
+      case Opcode::VLE8: case Opcode::VSE8: inst.mem_width = 1; break;
+      case Opcode::VLE16: case Opcode::VSE16: inst.mem_width = 2; break;
+      case Opcode::VLE32: case Opcode::VSE32: case Opcode::VLSE32:
+      case Opcode::VLUXEI32: case Opcode::VSUXEI32:
+        inst.mem_width = 4;
+        break;
+      case Opcode::VLE64: case Opcode::VSE64: case Opcode::VLSE64:
+      case Opcode::VLUXEI64: case Opcode::VSUXEI64:
+        inst.mem_width = 8;
+        break;
+      default:
+        break;
+    }
+    // Exactly the opcodes above (each sets mem_width) can push MemRefs;
+    // every other opcode is mem-free.
+    inst.touches_mem = inst.mem_width != 0;
+    inst.is_vector = isVector(inst.op);
+    inst.fu = fuTypeOf(inst);
+    inst.latency = latencyOf(inst);
 }
 
 } // namespace m2ndp::isa

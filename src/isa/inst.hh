@@ -5,8 +5,11 @@
  * The NDP units execute a modified RISC-V RV64IMAFD + Vector (RVV 1.0
  * subset) ISA (Section III-D). Kernels are written in assembly (Section
  * IV-B: "the kernels were implemented with assembly"); our assembler parses
- * the textual form directly into structured instructions — binary encoding
- * adds nothing for a simulator and is omitted.
+ * the textual form directly into the µops the units run — binary encoding
+ * adds nothing for a simulator and is omitted. Everything the executor
+ * needs to know about an opcode (functional-unit class, result latency,
+ * memory width and extension, AMO op) is filled in once, as each
+ * instruction is parsed, so `isa::step()` never re-derives it per issue.
  *
  * Restrictions (documented, asserted by the assembler):
  *  - VLEN = 256 bits (one 32 B vector register, matching the 32 B uthread
@@ -20,6 +23,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "mem/sparse_memory.hh" // AmoOp
 
 namespace m2ndp::isa {
 
@@ -108,21 +113,31 @@ enum class FuType : std::uint8_t {
     None,       ///< NOP/EXIT/VSETVLI (configuration only)
 };
 
-/** One decoded instruction. */
+/** One instruction as the units run it: its operands plus the traits
+ *  derived from its opcode (see fillOpcodeTraits). */
 struct Instruction
 {
     Opcode op = Opcode::NOP;
+    FuType fu = FuType::None;
+    std::uint8_t latency = 1;    ///< result latency (sub-core cycles)
     std::uint8_t rd = 0;
     std::uint8_t rs1 = 0;
     std::uint8_t rs2 = 0;
     std::uint8_t rs3 = 0;
+    std::uint8_t mem_width = 0;  ///< access width / vector EEW / index EEW
+    bool mem_sign = false;       ///< sign-extend scalar load result
+    bool mem_fp = false;         ///< scalar load/store targets the FP file
+    bool masked = false;         ///< ", v0.t" suffix: execute under mask v0
+    bool is_vector = false;      ///< vector-unit opcode (stat bucketing)
+    /** Can emit MemRefs (loads/stores/AMOs/vector memory). Lets the issue
+     *  stage skip memory-ref handling without inspecting the StepResult:
+     *  an instruction without this tag never populates StepResult::mem. */
+    bool touches_mem = false;
+    std::uint8_t sew = 0;        ///< VSETVLI: selected element width (bytes)
+    AmoOp amo_op = AmoOp::Add;   ///< resolved atomic op (AMO* only)
+    std::int32_t target = -1;    ///< resolved branch/jump target (inst index)
     std::int64_t imm = 0;
-    bool masked = false;     ///< ", v0.t" suffix: execute under mask v0
-    std::uint8_t sew = 0;    ///< VSETVLI: selected element width (bytes)
-    std::int32_t target = -1; ///< resolved branch/jump target (inst index)
-
-    /** Source line for diagnostics. */
-    std::uint32_t line = 0;
+    std::uint32_t line = 0;      ///< source line for diagnostics
 };
 
 /** A kernel section: initializer, one of possibly several bodies, finalizer
@@ -140,41 +155,10 @@ struct AssembledKernel
 {
     std::string name;
     std::vector<KernelSection> sections;
-
-    bool
-    hasInitializer() const
-    {
-        return !sections.empty() &&
-               sections.front().kind == SectionKind::Initializer;
-    }
-
-    bool
-    hasFinalizer() const
-    {
-        return !sections.empty() &&
-               sections.back().kind == SectionKind::Finalizer;
-    }
-
-    /** Indices of body sections, in execution order. */
-    std::vector<std::size_t> bodySections() const;
-
-    /** Total static instruction count (for Table/A1-style stats). */
-    std::size_t staticInstructionCount() const;
 };
 
-/** Functional-unit class of an opcode. */
-FuType fuTypeOf(Opcode op);
-
-/** Result latency in sub-core cycles (memory ops excluded: LSU-timed). */
-unsigned latencyOf(Opcode op);
-
-/** True if the opcode reads or writes memory. */
-bool isMemory(Opcode op);
-
-/** True for vector-unit opcodes (any V*). */
-bool isVector(Opcode op);
-
-/** Human-readable opcode name (for traces and error messages). */
-const char *opcodeName(Opcode op);
+/** Fill every field of @p inst derived from inst.op: FU class, latency,
+ *  memory width / sign / FP file, AMO op, and the vector and memory tags. */
+void fillOpcodeTraits(Instruction &inst);
 
 } // namespace m2ndp::isa

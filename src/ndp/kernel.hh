@@ -17,7 +17,6 @@
 
 #include "common/callback.hh"
 #include "common/units.hh"
-#include "isa/decoded.hh"
 #include "isa/inst.hh"
 #include "mem/page_table.hh"
 
@@ -55,9 +54,8 @@ struct NdpKernel
 {
     std::int64_t id = -1;
     Asid asid = 0;
+    /** What the units execute, assembled once at registration. */
     isa::AssembledKernel code;
-    /** µop form, decoded once at registration; what the units execute. */
-    isa::DecodedKernel decoded;
     KernelResources resources;
 };
 

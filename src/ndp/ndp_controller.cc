@@ -276,7 +276,6 @@ NdpController::registerKernel(Asid asid, const std::string &text,
         ++stats_.registrations_rejected;
         return static_cast<std::int64_t>(NdpError::IllegalInstruction);
     }
-    kernel->decoded = isa::DecodedKernel::decode(kernel->code);
     kernel->resources = res;
     std::int64_t id = kernel->id;
     kernels_.emplace(id, std::move(kernel));
@@ -601,7 +600,7 @@ NdpController::pullWork(unsigned unit, std::uint64_t free_reg_bytes,
         inst->next_work[unit] = next + 1;
         ++inst->spawned;
         out.instance = inst;
-        out.section = &inst->kernel->decoded.sections[inst->section_index];
+        out.section = &inst->kernel->code.sections[inst->section_index];
         if (idx == rr_instance_ && rr_credit_ > 0) {
             --rr_credit_;
         } else {

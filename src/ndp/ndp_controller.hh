@@ -192,7 +192,7 @@ struct NdpControllerConfig
 struct SpawnItem
 {
     KernelInstance *instance = nullptr;
-    const isa::DecodedSection *section = nullptr;
+    const isa::KernelSection *section = nullptr;
     Addr x1 = 0;          ///< mapped address (pool region) or scratchpad base
     std::uint64_t x2 = 0; ///< offset from pool base, or unique ID
 };

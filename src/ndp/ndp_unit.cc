@@ -420,8 +420,8 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
             break;
         }
 
-        // Determine the FU the next µop needs (pre-decoded).
-        const isa::DecodedInst &next_inst = slot.section->code[slot.ctx.pc];
+        // Determine the FU the next instruction needs (an opcode trait).
+        const isa::Instruction &next_inst = slot.section->code[slot.ctx.pc];
         isa::FuType fu = next_inst.fu;
         // Ablation: no scalar pipes — scalar work contends for vector FUs
         // like a SIMT-only GPU (redundant per-lane address calculation).
@@ -505,7 +505,7 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
             slot.finish_pending = true;
 
         Tick spad_ready = 0;
-        // Decode-time mem-free tag: ALU/branch µops (the majority on
+        // Assemble-time mem-free tag: ALU/branch µops (the majority on
         // compute-heavy kernels) skip the MemRefList inspection outright.
         if (next_inst.touches_mem && !res.mem.empty())
             spad_ready = handleMemRefs(sc_idx, sc, slot, res, now);

@@ -205,7 +205,7 @@ class NdpUnit : public isa::MemoryIf
         SlotState state = SlotState::Idle;
         isa::UthreadContext ctx;
         KernelInstance *instance = nullptr;
-        const isa::DecodedSection *section = nullptr;
+        const isa::KernelSection *section = nullptr;
         /** Owning sub-core (stable; set once at construction). */
         SubCore *owner = nullptr;
         /** Index within the owning sub-core (stable; ReadySched key). */

@@ -49,20 +49,20 @@ assembleOk(const Assembler &as, const std::string &text)
     return k;
 }
 
-/** Assemble and decode a single-section kernel. */
-DecodedSection
-decodeOne(const std::string &text)
+/** Assemble a single-section kernel. */
+KernelSection
+assembleOne(const std::string &text)
 {
-    DecodedKernel k = DecodedKernel::decode(assembleOk(Assembler(), text));
+    AssembledKernel k = assembleOk(Assembler(), text);
     EXPECT_EQ(k.sections.size(), 1u);
-    return k.sections.empty() ? DecodedSection{} : k.sections[0];
+    return k.sections.empty() ? KernelSection{} : k.sections[0];
 }
 
 /** Assemble a single-body kernel and run one uthread to completion. */
 std::uint64_t
 run(const std::string &text, UthreadContext &ctx, FlatMemory &mem)
 {
-    return runToCompletion(ctx, decodeOne(text), mem);
+    return runToCompletion(ctx, assembleOne(text), mem);
 }
 
 TEST(Assembler, ParsesSectionsAndName)
@@ -81,10 +81,12 @@ TEST(Assembler, ParsesSectionsAndName)
     )");
     EXPECT_EQ(k.name, "reduction");
     ASSERT_EQ(k.sections.size(), 3u);
-    EXPECT_TRUE(k.hasInitializer());
-    EXPECT_TRUE(k.hasFinalizer());
-    EXPECT_EQ(k.bodySections().size(), 1u);
-    EXPECT_EQ(k.staticInstructionCount(), 5u);
+    EXPECT_EQ(k.sections[0].kind, SectionKind::Initializer);
+    EXPECT_EQ(k.sections[1].kind, SectionKind::Body);
+    EXPECT_EQ(k.sections[2].kind, SectionKind::Finalizer);
+    EXPECT_EQ(k.sections[0].code.size(), 2u);
+    EXPECT_EQ(k.sections[1].code.size(), 2u);
+    EXPECT_EQ(k.sections[2].code.size(), 1u);
 }
 
 /** Fold the eight little-endian bytes of @p v into 64-bit FNV-1a @p h. */
@@ -180,7 +182,7 @@ TEST(Assembler, OpcodeTraitsGolden)
             text += mnemonic + " " + operands + "\n";
     }
 
-    auto k = DecodedKernel::decode(assembleOk(Assembler(), text));
+    auto k = assembleOk(Assembler(), text);
     ASSERT_EQ(k.sections.size(), 1u);
     const auto &code = k.sections[0].code;
     ASSERT_EQ(code.size(), 216u);
@@ -207,8 +209,6 @@ TEST(Assembler, DefaultBodySection)
     auto k = assembleOk(as, "li x1, 5\nexit\n");
     ASSERT_EQ(k.sections.size(), 1u);
     EXPECT_EQ(k.sections[0].kind, SectionKind::Body);
-    EXPECT_FALSE(k.hasInitializer());
-    EXPECT_FALSE(k.hasFinalizer());
 }
 
 TEST(Assembler, LabelsAndBranches)
@@ -548,8 +548,8 @@ TEST(Executor, MemRefCoalescing)
 {
     FlatMemory mem;
     // Unit-stride aligned 32 B load -> exactly one 32 B sector ref.
-    DecodedSection code = decodeOne("vsetvli x0, x0, e32, m1\n"
-                                    "li x3, 0x4000\nvle32.v v1, (x3)\n");
+    KernelSection code = assembleOne("vsetvli x0, x0, e32, m1\n"
+                                     "li x3, 0x4000\nvle32.v v1, (x3)\n");
     UthreadContext ctx;
     step(ctx, code, mem); // vsetvli
     step(ctx, code, mem); // li
@@ -561,8 +561,8 @@ TEST(Executor, MemRefCoalescing)
     EXPECT_TRUE(r.blocking_mem);
 
     // Misaligned crosses two sectors.
-    DecodedSection code2 = decodeOne("vsetvli x0, x0, e32, m1\n"
-                                     "li x3, 0x4010\nvle32.v v1, (x3)\n");
+    KernelSection code2 = assembleOne("vsetvli x0, x0, e32, m1\n"
+                                      "li x3, 0x4010\nvle32.v v1, (x3)\n");
     UthreadContext ctx2;
     step(ctx2, code2, mem);
     step(ctx2, code2, mem);
@@ -573,7 +573,7 @@ TEST(Executor, MemRefCoalescing)
     for (int i = 0; i < 8; ++i)
         mem.mem.write<std::uint32_t>(0x100 + 4 * i,
                                      static_cast<std::uint32_t>(i * 64));
-    DecodedSection code3 = decodeOne(
+    KernelSection code3 = assembleOne(
         "vsetvli x0, x0, e32, m1\nli x3, 0x100\nvle32.v v2, (x3)\n"
         "li x4, 0x8000\nvluxei32.v v1, (x4), v2\n");
     UthreadContext ctx3;
@@ -603,22 +603,23 @@ TEST(Executor, InfiniteLoopCaught)
 {
     FlatMemory mem;
     UthreadContext ctx;
-    EXPECT_THROW(runToCompletion(ctx, decodeOne("loop:\nj loop\n"), mem, 1000),
-                 std::logic_error);
+    EXPECT_THROW(
+        runToCompletion(ctx, assembleOne("loop:\nj loop\n"), mem, 1000),
+        std::logic_error);
 }
 
 TEST(Executor, FuTypesAndLatencies)
 {
-    auto sec = decodeOne("add x1, x2, x3\n"
-                         "div x1, x2, x3\n"
-                         "ld x1, (x2)\n"
-                         "amoadd.d x1, x2, (x3)\n"
-                         "vle32.v v1, (x2)\n"
-                         "vadd.vv v1, v2, v3\n"
-                         "vfdiv.vv v1, v2, v3\n"
-                         "vfmacc.vv v1, v2, v3\n"
-                         "vluxei32.v v1, (x2), v3\n"
-                         "vsetvli x0, x0, e32, m1\n");
+    auto sec = assembleOne("add x1, x2, x3\n"
+                           "div x1, x2, x3\n"
+                           "ld x1, (x2)\n"
+                           "amoadd.d x1, x2, (x3)\n"
+                           "vle32.v v1, (x2)\n"
+                           "vadd.vv v1, v2, v3\n"
+                           "vfdiv.vv v1, v2, v3\n"
+                           "vfmacc.vv v1, v2, v3\n"
+                           "vluxei32.v v1, (x2), v3\n"
+                           "vsetvli x0, x0, e32, m1\n");
     ASSERT_EQ(sec.code.size(), 10u);
     const auto &add = sec.code[0], &div = sec.code[1], &ld = sec.code[2],
                &amo = sec.code[3], &vle = sec.code[4], &vadd = sec.code[5],
@@ -640,13 +641,6 @@ TEST(Executor, FuTypesAndLatencies)
     EXPECT_FALSE(add.is_vector);
 }
 
-TEST(Executor, OpcodeNames)
-{
-    EXPECT_STREQ(opcodeName(Opcode::ADD), "add");
-    EXPECT_STREQ(opcodeName(Opcode::VFMACC_VV), "vfmacc.vv");
-    EXPECT_STREQ(opcodeName(Opcode::AMOADD_D), "amoadd.d");
-}
-
 TEST(Executor, MultiBodyKernelSections)
 {
     Assembler as;
@@ -656,10 +650,11 @@ TEST(Executor, MultiBodyKernelSections)
         .body
             li x3, 2
     )");
-    auto bodies = k.bodySections();
-    ASSERT_EQ(bodies.size(), 2u);
-    EXPECT_EQ(k.sections[bodies[0]].code[0].imm, 1);
-    EXPECT_EQ(k.sections[bodies[1]].code[0].imm, 2);
+    ASSERT_EQ(k.sections.size(), 2u);
+    EXPECT_EQ(k.sections[0].kind, SectionKind::Body);
+    EXPECT_EQ(k.sections[1].kind, SectionKind::Body);
+    EXPECT_EQ(k.sections[0].code[0].imm, 1);
+    EXPECT_EQ(k.sections[1].code[0].imm, 2);
 }
 
 } // namespace

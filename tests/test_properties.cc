@@ -27,15 +27,14 @@ namespace {
 
 // ------------------------------------------------ differential executor
 
-/** Assemble and decode the body of a generated single-section program. */
-isa::DecodedSection
-decodeBody(const std::string &text)
+/** Assemble the body of a generated single-section program. */
+isa::KernelSection
+assembleBody(const std::string &text)
 {
     std::string error;
-    auto k =
-        isa::DecodedKernel::decode(isa::Assembler().assemble(text, error));
+    auto k = isa::Assembler().assemble(text, error);
     EXPECT_EQ(error, "") << text;
-    return k.sections.empty() ? isa::DecodedSection{} : k.sections[0];
+    return k.sections.empty() ? isa::KernelSection{} : k.sections[0];
 }
 
 class NullMem : public isa::MemoryIf
@@ -103,7 +102,7 @@ TEST(PropertyIsa, ScalarAluDifferential)
 
         isa::UthreadContext ctx;
         NullMem mem;
-        isa::runToCompletion(ctx, decodeBody(text), mem);
+        isa::runToCompletion(ctx, assembleBody(text), mem);
         for (int r = 3; r <= 10; ++r) {
             ASSERT_EQ(ctx.x[r], regs[r])
                 << "trial " << trial << " register x" << r << "\nprogram:\n"
@@ -154,7 +153,7 @@ TEST(PropertyIsa, VectorIntDifferential)
                            std::string(vop) +
                            " v3, v1, v2\nvse32.v v3, (x5)\n";
         isa::UthreadContext ctx;
-        isa::runToCompletion(ctx, decodeBody(text), mem);
+        isa::runToCompletion(ctx, assembleBody(text), mem);
 
         for (int i = 0; i < 8; ++i) {
             std::uint32_t expect = 0;
