@@ -92,7 +92,7 @@ Cache::allocLine(Addr line_addr, Tick now)
 {
     // Victim pick over the compact tag/LRU arrays: an invalid way wins
     // outright, else the minimum LRU stamp. 16 ways touch 4 compact
-    // cache lines instead of 8 Line-struct ones.
+    // cache lines (2 of tags, 2 of LRU stamps).
     const std::size_t base = setIndex(line_addr) * cfg_.assoc;
     unsigned victim_way = 0;
     std::uint64_t victim_lru = ~std::uint64_t(0);
@@ -106,8 +106,9 @@ Cache::allocLine(Addr line_addr, Tick now)
             victim_way = w;
         }
     }
-    Line *victim = &lines_[base + victim_way];
-    if (victim->valid && victim->dirty) {
+    const std::size_t victim_idx = base + victim_way;
+    Line *victim = &lines_[victim_idx];
+    if (victim->dirty) {
         // Write back all dirty sectors (modeled as one downstream write per
         // valid sector; posted, no completion dependence).
         ++stats_.writebacks;
@@ -115,8 +116,8 @@ Cache::allocLine(Addr line_addr, Tick now)
         for (unsigned s = 0; s < sectors; ++s) {
             if (victim->sector_valid & (1ull << s)) {
                 sendDownstream(MemOp::Write,
-                               victim->tag + static_cast<Addr>(s) *
-                                                 cfg_.sector_bytes,
+                               tags_[victim_idx] + static_cast<Addr>(s) *
+                                                       cfg_.sector_bytes,
                                cfg_.sector_bytes, MemSource::NdpUnit, now,
                                {});
             }
@@ -124,7 +125,7 @@ Cache::allocLine(Addr line_addr, Tick now)
     }
     victim->dirty = false;
     victim->sector_valid = 0;
-    setWayTag(static_cast<std::size_t>(victim - lines_.data()), line_addr);
+    tags_[victim_idx] = line_addr;
     touch(*victim);
     return *victim;
 }

@@ -2,9 +2,10 @@
  * @file
  * Sectored set-associative cache with MSHRs.
  *
- * Timing-only: functional data lives in the SparseMemory backend
- * (functional-first execution, see DESIGN.md). The cache decides *when*
- * accesses complete and what traffic flows downstream, not data values.
+ * Timing-only: functional data lives in the SparseMemory backend, because
+ * the executor applies every load and store when the instruction issues
+ * (functional-first execution). The cache decides *when* accesses
+ * complete and what traffic flows downstream, not data values.
  *
  * Used for:
  *  - NDP-unit L1D: 128 KiB, 16-way, 4-cycle, 128 B line / 32 B sector,
@@ -105,14 +106,12 @@ class Cache : public MemPort
     void invalidateAll();
 
   private:
-    /** Line metadata. The LRU stamp lives in the parallel compact
-     *  `lrus_` array (8 B per way) so the victim scan touches 2 cache
-     *  lines per 16-way set instead of 8. */
+    /** Line metadata. The tag and LRU stamp live in the parallel compact
+     *  `tags_` and `lrus_` arrays (8 B per way each) so the probe and the
+     *  victim scan touch 2 cache lines per 16-way set instead of 4. */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
+        bool dirty = false;             ///< only ever set on a valid way
         std::uint64_t sector_valid = 0; ///< bitmask of valid sectors
     };
 
@@ -216,30 +215,16 @@ class Cache : public MemPort
     /**
      * Line metadata, flattened to [set * assoc + way]. The tag probe runs
      * over the separate compact tags_ array (8 B per way instead of a
-     * 32 B Line), so a 16-way probe touches 2 cache lines, not 8.
+     * 16 B Line), so a 16-way probe touches 2 cache lines, not 4.
      */
     std::vector<Line> lines_;
     std::vector<Addr> tags_; ///< line tag per way; kNoTag when invalid
     std::vector<std::uint64_t> lrus_; ///< LRU stamp per way (see touch)
     static constexpr Addr kNoTag = ~static_cast<Addr>(0);
 
-    /**
-     * Sole writers of the duplicated tag state: lines_[i].{valid,tag}
-     * and tags_[i] must always agree (findLine trusts tags_ alone), so
-     * every (in)validation goes through these.
-     */
-    void
-    setWayTag(std::size_t idx, Addr tag)
-    {
-        lines_[idx].valid = true;
-        lines_[idx].tag = tag;
-        tags_[idx] = tag;
-    }
-
     void
     invalidateWay(std::size_t idx)
     {
-        lines_[idx].valid = false;
         lines_[idx].dirty = false;
         lines_[idx].sector_valid = 0;
         tags_[idx] = kNoTag;
