@@ -12,8 +12,8 @@
  *  - DDR5-6400: 8 channels x 51.2 GB/s = 409.6 GB/s, 64 B
  *  - HBM2: 32 channels x 32 GB/s = 1024 GB/s, 32 B
  *
- * Refresh is not modeled (uniform few-percent bandwidth tax that does not
- * change any cross-configuration comparison); noted in DESIGN.md.
+ * Refresh is not modeled: it is a uniform few-percent bandwidth tax that
+ * does not change any cross-configuration comparison.
  */
 
 #pragma once

@@ -1,7 +1,8 @@
 /**
  * @file
- * Energy model (Section IV's methodology substituted per DESIGN.md):
- * event counts x per-event energies plus static power x runtime. The
+ * Energy model: event counts x per-event energies plus static power x
+ * runtime, in place of the paper's detailed power models (Section IV),
+ * which this simulator does not reproduce. The
  * paper-level energy comparisons are dominated by DRAM and CXL-link
  * traffic plus runtime statics, which this model captures:
  *

@@ -1,6 +1,8 @@
 /**
  * @file
- * CPU host interval model (ZSim substitution; see DESIGN.md).
+ * CPU host interval model. It stands in for the paper's ZSim runs: the
+ * baselines only need the two bandwidth/latency regimes below, not a
+ * cycle-level out-of-order core.
  *
  * Captures the two regimes the paper's CPU baselines live in:
  *  - latency-bound streaming: a scan sustains cores x MLP x line / latency

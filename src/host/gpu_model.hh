@@ -3,7 +3,7 @@
  * GPU host / GPU-NDP interval model.
  *
  * The paper evaluates GPU baselines with Accel-Sim; re-implementing a full
- * SIMT pipeline simulator is out of scope (see DESIGN.md substitutions).
+ * SIMT pipeline simulator is out of scope for an NDP reproduction.
  * Instead this model reproduces the first-order effects the paper
  * attributes to GPUs:
  *

@@ -4,7 +4,8 @@
  * rows of a 256-dim FP32 embedding table resident in CXL memory and sum
  * them. The uthread pool region is the SLS output (one uthread per 32 B
  * of output, Section IV-B); the paper's Criteo-derived lookup streams are
- * substituted with Zipfian-skewed indices (DESIGN.md).
+ * not shipped with the simulator, so Zipfian-skewed indices, which keep
+ * their hot-row skew, stand in for them.
  */
 
 #pragma once

@@ -190,8 +190,8 @@ Tick
 OlapWorkload::evaluateBaseline(const OlapQuery &q, const CpuConfig &c) const
 {
     // Polars evaluates each filter expression on one thread per query
-    // chunk; the paper's baseline is latency-bound on CXL (see DESIGN.md
-    // calibration). One pass per predicate column.
+    // chunk, so the paper's baseline is latency-bound on CXL: one
+    // thread's misses cannot fill the link. One pass per predicate column.
     Tick total = 0;
     for (std::size_t i = 0; i < q.predicates.size(); ++i) {
         auto r = cpuScan(c, rows_ * 4 + 2 * rows_, 1, rows_);

@@ -8,8 +8,10 @@
  * hidden size (cycle-level GEMV kernels on the NDP units) and report
  * per-token time extrapolated linearly in streamed bytes to the full
  * model (OPT-2.7B: h=2560, 32 layers; OPT-30B: h=7168, 48 layers) — the
- * generation phase is bandwidth-bound, so runtime scales with bytes
- * (DESIGN.md substitutions). Weight shards across devices model the
+ * generation phase is bandwidth-bound, so runtime scales with bytes and a
+ * reduced hidden size gives the same per-byte rate at a fraction of the
+ * simulation time.
+ * Weight shards across devices model the
  * paper's model-parallel scaling (Fig. 12b) including an all-reduce term.
  */
 

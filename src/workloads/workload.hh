@@ -8,7 +8,8 @@
  *    return the measured (simulated) runtime,
  *  - verify(): functional correctness against a host-side reference,
  *  - gpuDesc()/cpu estimates: abstract descriptors for the baseline
- *    interval models (see DESIGN.md substitutions).
+ *    interval models, which stand in for the paper's cycle-level CPU
+ *    and GPU simulators (see host/cpu_model.hh, host/gpu_model.hh).
  */
 
 #pragma once
