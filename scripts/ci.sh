@@ -8,8 +8,9 @@
 # stream-API and fault tests, the KVS workload tests (the staged table
 # build), the sparse-memory page/frame table and the NDP units'
 # translation cache (SparseMemory.*, the TLB-shootdown and
-# host-write-after-kernel-read integration tests) and the full-stack
-# quickstart example, and a
+# host-write-after-kernel-read integration tests), the assembler and
+# executor tests (test_isa: the assembler parses kernel text the host
+# supplies) and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
 # tests plus the open-loop overload harness (-DSANITIZE=thread,
 # M2NDP_THREADS=2).
@@ -88,6 +89,10 @@ if [[ "$run_sanitize" == 1 ]]; then
         "$san_dir/test_memory_system" --gtest_filter='SparseMemory.*'
         "$san_dir/test_integration" --gtest_filter=\
 'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*'
+        # Assembler smoke: kernel text comes from the host, so the parser
+        # and the executor it feeds run under ASan/UBSan in full.
+        cmake --build "$san_dir" -j "$jobs" --target test_isa
+        "$san_dir/test_isa"
         smoke_filter='test_runtime_api|test_faults|smoke_quickstart'
     else
         echo "note: GTest unavailable; sanitizer smoke covers quickstart only"
