@@ -467,6 +467,9 @@ Parser::finishSection()
     }
     fixups_.clear();
     labels_.clear();
+    // The section is what the units run for the kernel's lifetime: drop
+    // the push_back growth slack once, here.
+    current_.code.shrink_to_fit();
     kernel_.sections.push_back(std::move(current_));
     current_ = KernelSection{SectionKind::Body, {}};
     section_open_ = false;
