@@ -503,9 +503,13 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
                64));
         break;
       case Opcode::DIV: {
+        // RISC-V defines x / 0 = -1 and the one overflow, INT64_MIN / -1,
+        // as INT64_MIN; C++ leaves the latter undefined (x86 traps).
         auto a = static_cast<std::int64_t>(rx(in.rs1));
         auto b = static_cast<std::int64_t>(rx(in.rs2));
-        wx(in.rd, b == 0 ? ~0ull : static_cast<std::uint64_t>(a / b));
+        wx(in.rd, b == 0    ? ~0ull
+                  : b == -1 ? 0 - static_cast<std::uint64_t>(a)
+                            : static_cast<std::uint64_t>(a / b));
         break;
       }
       case Opcode::DIVU: {
@@ -516,8 +520,9 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::REM: {
         auto a = static_cast<std::int64_t>(rx(in.rs1));
         auto b = static_cast<std::int64_t>(rx(in.rs2));
-        wx(in.rd, b == 0 ? static_cast<std::uint64_t>(a)
-                         : static_cast<std::uint64_t>(a % b));
+        wx(in.rd, b == 0    ? static_cast<std::uint64_t>(a)
+                  : b == -1 ? 0
+                            : static_cast<std::uint64_t>(a % b));
         break;
       }
       case Opcode::REMU: {

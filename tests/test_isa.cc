@@ -1054,6 +1054,11 @@ TEST(Executor, OpcodeSemantics)
         {"divu x3, x1, x0", {xreg(1, 5)}, {xreg(3, ~0ull)}},
         {"rem x3, x1, x2", {xreg(1, u(-7)), xreg(2, 2)}, {xreg(3, u(-7 % 2))}},
         {"rem x3, x1, x0", {xreg(1, u(-7))}, {xreg(3, u(-7))}},
+        // The one signed overflow: INT64_MIN / -1.
+        {"div x3, x1, x2", {xreg(1, u(INT64_MIN)), xreg(2, u(-1))},
+         {xreg(3, u(INT64_MIN))}},
+        {"div x3, x1, x2", {xreg(1, 7), xreg(2, u(-1))}, {xreg(3, u(-7))}},
+        {"rem x3, x1, x2", {xreg(1, u(INT64_MIN)), xreg(2, u(-1))}, {xreg(3, 0)}},
         {"remu x3, x1, x2", {xreg(1, u(-7)), xreg(2, 2)}, {xreg(3, u(-7) % 2)}},
         {"remu x3, x1, x0", {xreg(1, u(-7))}, {xreg(3, u(-7))}},
 
