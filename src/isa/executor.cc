@@ -423,7 +423,9 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::NOP:
         break;
       case Opcode::LUI:
-        wx(in.rd, static_cast<std::uint64_t>(in.imm) << 12);
+        // RV64: the 32-bit result is sign-extended.
+        wx(in.rd, static_cast<std::uint64_t>(signExtend(
+                      static_cast<std::uint64_t>(in.imm) << 12, 32)));
         break;
       case Opcode::LI:
         wx(in.rd, static_cast<std::uint64_t>(in.imm));

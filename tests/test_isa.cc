@@ -1010,6 +1010,7 @@ TEST(Executor, OpcodeSemantics)
         // ---- scalar integer
         {"nop", {}, {}},
         {"lui x3, 0x12345", {}, {xreg(3, 0x12345000)}},
+        {"lui x3, 0x80000", {}, {xreg(3, u(s32(0x80000000)))}},
         {"li x3, -5", {}, {xreg(3, u(-5))}},
         {"mv x3, x1", {xreg(1, 0x123456789)}, {xreg(3, 0x123456789)}},
         {"add x3, x1, x2", {xreg(1, u(INT64_MAX)), xreg(2, 1)},
