@@ -230,6 +230,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
     // Vector helpers.
     const unsigned sew = ctx.sew;
     const unsigned vl = ctx.vl;
+    // Vector shifts use the low log2(SEW) bits of the shift amount.
+    const unsigned shamt_mask = sew * 8 - 1;
     auto active = [&](unsigned i) {
         return !in.masked || ctx.v[0].maskBit(i);
     };
@@ -741,20 +743,20 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
                static_cast<std::uint64_t>(in.imm), false);
         break;
       case Opcode::VSLL_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a << (b & 63); },
-               static_cast<std::uint64_t>(in.imm), false);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a << b; },
+               static_cast<std::uint64_t>(in.imm) & shamt_mask, false);
         break;
       case Opcode::VSLL_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a << (b & 63); },
-               rx(in.rs1), false);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a << b; },
+               rx(in.rs1) & shamt_mask, false);
         break;
       case Opcode::VSRL_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a >> (b & 63); },
-               static_cast<std::uint64_t>(in.imm), false);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a >> b; },
+               static_cast<std::uint64_t>(in.imm) & shamt_mask, false);
         break;
       case Opcode::VSRL_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a >> (b & 63); },
-               rx(in.rs1), false);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a >> b; },
+               rx(in.rs1) & shamt_mask, false);
         break;
       case Opcode::VSRA_VI: {
         checkV(in.rd);
@@ -764,7 +766,7 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
                 continue;
             std::int64_t a = vgetS(ctx.v[in.rs2], sew, i);
             vset(ctx.v[in.rd], sew, i,
-                 static_cast<std::uint64_t>(a >> (in.imm & 63)));
+                 static_cast<std::uint64_t>(a >> (in.imm & shamt_mask)));
         }
         break;
       }

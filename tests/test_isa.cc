@@ -1244,6 +1244,19 @@ TEST(Executor, OpcodeSemantics)
          {vreg(3, mapE(A, [](std::uint64_t a) { return std::uint32_t(a) >> 3; }))}},
         {"vsra.vi v3, v1, 3", {vreg(1, A)},
          {vreg(3, mapE(A, [](std::uint64_t a) { return u(s32(a) >> 3); }))}},
+        // Shift amounts use the low log2(SEW) bits: 35 is 3 at e32, 9 is 1
+        // at e8.
+        {"vsll.vx v3, v1, x1", {vreg(1, A), xreg(1, 35)},
+         {vreg(3, mapE(A, [](std::uint64_t a) { return a << 3; }))}},
+        {"vsrl.vx v3, v1, x1", {vreg(1, A), xreg(1, 35)},
+         {vreg(3, mapE(A, [](std::uint64_t a) { return std::uint32_t(a) >> 3; }))}},
+        {"vsll.vi v3, v1, 9", {vreg(1, BYTES)},
+         {vreg(3, mapE(BYTES, [](std::uint64_t a) { return a << 1; }))}, 1, 32},
+        {"vsrl.vi v3, v1, 9", {vreg(1, BYTES)},
+         {vreg(3, mapE(BYTES, [](std::uint64_t a) { return a >> 1; }))}, 1, 32},
+        {"vsra.vi v3, v1, 9", {vreg(1, BYTES)},
+         {vreg(3, mapE(BYTES, [](std::uint64_t a) { return u(std::int8_t(a) >> 1); }))},
+         1, 32},
         {"vmin.vv v3, v1, v2", {vreg(1, A), vreg(2, B)},
          {vreg(3, zipE(A, B, [](std::uint64_t a, std::uint64_t b) {
               return u(std::min(s32(a), s32(b))); }))}},
