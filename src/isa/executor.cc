@@ -380,7 +380,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         }
     };
 
-    /** Mask-producing compare: v[rd] bit i = fn(vs2[i], operand). */
+    /** Mask-producing compare: v[rd] bit i = fn(vs2[i], operand). A scalar
+     *  operand is cut to its low SEW bits, like the elements. */
     auto vCompare = [&](bool (*fn)(std::int64_t, std::int64_t),
                         std::int64_t scalar_operand, bool src_is_vector,
                         bool is_unsigned) {
@@ -388,6 +389,11 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         checkV(in.rs2);
         if (src_is_vector)
             checkV(in.rs1);
+        const auto raw = static_cast<std::uint64_t>(scalar_operand);
+        scalar_operand =
+            is_unsigned ? static_cast<std::int64_t>(
+                              raw & (~0ull >> (64 - 8 * sew)))
+                        : signExtend(raw, 8 * sew);
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i))
                 continue;

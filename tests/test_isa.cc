@@ -1366,6 +1366,17 @@ TEST(Executor, OpcodeSemantics)
          {mask(3, mapE(A, [](std::uint64_t a) { return a < 7; }))}},
         {"vmsgtu.vx v3, v1, x1", {vreg(1, A), xreg(1, 7)},
          {mask(3, mapE(A, [](std::uint64_t a) { return a > 7; }))}},
+        // A .vx operand is cut to SEW bits: 0xffffffff is -1 at e32, and
+        // bit 32 does not count.
+        {"vmslt.vx v3, v1, x1", {vreg(1, A), xreg(1, 0xFFFFFFFF)},
+         {mask(3, mapE(A, [](std::uint64_t a) { return s32(a) < -1; }))}},
+        {"vmsge.vx v3, v1, x1", {vreg(1, A), xreg(1, 0x80000000)},
+         {mask(3, Elems(8, 1))}},
+        {"vmseq.vx v3, v1, x1", {vreg(1, A), xreg(1, 0x100000007)},
+         {mask(3, mapE(A, [](std::uint64_t a) { return a == 7; }))}},
+        {"vmsltu.vx v3, v1, x1", {vreg(1, A), xreg(1, 0x100000007)},
+         {mask(3, mapE(A, [](std::uint64_t a) { return a < 7; }))}},
+        {"vmsgtu.vx v3, v1, x1", {vreg(1, A), xreg(1, u(-1))}, {mask(3, Elems(8, 0))}},
 
         // ---- float compares against f1 = +0.0: -0.0 equals it, NaN is
         // unordered
