@@ -99,6 +99,24 @@ boxF64(double d)
     return v;
 }
 
+/** RISC-V fmin/fmax (IEEE 754-2019 minimumNumber/maximumNumber): a NaN
+ *  operand yields the other operand, and -0.0 orders below +0.0. */
+double
+fminRv(double a, double b)
+{
+    if (a == b)
+        return std::signbit(a) ? a : b;
+    return std::fmin(a, b);
+}
+
+double
+fmaxRv(double a, double b)
+{
+    if (a == b)
+        return std::signbit(a) ? b : a;
+    return std::fmax(a, b);
+}
+
 /** Per-element addresses of one vector access (vl <= kVlenBytes). */
 struct AddrList
 {
@@ -598,8 +616,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         wf(in.rd, boxF32(asF32(rf(in.rs1)) * asF32(rf(in.rs2)) +
                          asF32(rf(in.rs3))));
         break;
-      case Opcode::FMIN_S: wf(in.rd, boxF32(std::fmin(asF32(rf(in.rs1)), asF32(rf(in.rs2))))); break;
-      case Opcode::FMAX_S: wf(in.rd, boxF32(std::fmax(asF32(rf(in.rs1)), asF32(rf(in.rs2))))); break;
+      case Opcode::FMIN_S: wf(in.rd, boxF32(static_cast<float>(fminRv(asF32(rf(in.rs1)), asF32(rf(in.rs2)))))); break;
+      case Opcode::FMAX_S: wf(in.rd, boxF32(static_cast<float>(fmaxRv(asF32(rf(in.rs1)), asF32(rf(in.rs2)))))); break;
       case Opcode::FADD_D: wf(in.rd, boxF64(asF64(rf(in.rs1)) + asF64(rf(in.rs2)))); break;
       case Opcode::FSUB_D: wf(in.rd, boxF64(asF64(rf(in.rs1)) - asF64(rf(in.rs2)))); break;
       case Opcode::FMUL_D: wf(in.rd, boxF64(asF64(rf(in.rs1)) * asF64(rf(in.rs2)))); break;
@@ -609,8 +627,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         wf(in.rd, boxF64(asF64(rf(in.rs1)) * asF64(rf(in.rs2)) +
                          asF64(rf(in.rs3))));
         break;
-      case Opcode::FMIN_D: wf(in.rd, boxF64(std::fmin(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
-      case Opcode::FMAX_D: wf(in.rd, boxF64(std::fmax(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
+      case Opcode::FMIN_D: wf(in.rd, boxF64(fminRv(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
+      case Opcode::FMAX_D: wf(in.rd, boxF64(fmaxRv(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
       case Opcode::FMV_S: case Opcode::FMV_D: wf(in.rd, rf(in.rs1)); break;
       case Opcode::FMV_X_W:
         wx(in.rd, static_cast<std::uint64_t>(
@@ -868,10 +886,10 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         vfBinop([](double a, double b) { return a / b; }, false);
         break;
       case Opcode::VFMIN_VV:
-        vfBinop([](double a, double b) { return std::fmin(a, b); }, true);
+        vfBinop(fminRv, true);
         break;
       case Opcode::VFMAX_VV:
-        vfBinop([](double a, double b) { return std::fmax(a, b); }, true);
+        vfBinop(fmaxRv, true);
         break;
       case Opcode::VFMACC_VV: {
         // vd[i] += vs1[i] * vs2[i]
@@ -949,8 +967,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
             double e = vgetF(ctx.v[in.rs2], sew, i);
             switch (in.op) {
               case Opcode::VFREDUSUM_VS: acc += e; break;
-              case Opcode::VFREDMAX_VS: acc = std::fmax(acc, e); break;
-              case Opcode::VFREDMIN_VS: acc = std::fmin(acc, e); break;
+              case Opcode::VFREDMAX_VS: acc = fmaxRv(acc, e); break;
+              case Opcode::VFREDMIN_VS: acc = fminRv(acc, e); break;
               default: break;
             }
         }

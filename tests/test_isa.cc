@@ -1135,6 +1135,15 @@ TEST(Executor, OpcodeSemantics)
         // A NaN operand yields the other operand.
         {"fmin.s f3, f1, f2", {fs(1, kNan), fs(2, 1.0f)}, {fs(3, 1.0f)}},
         {"fmax.d f3, f1, f2", {fd(1, 2.0), fd(2, double(kNan))}, {fd(3, 2.0)}},
+        // -0.0 orders below +0.0, in either operand order.
+        {"fmin.s f3, f1, f2", {fs(1, 0.0f), fs(2, -0.0f)}, {fs(3, -0.0f)}},
+        {"fmin.s f3, f1, f2", {fs(1, -0.0f), fs(2, 0.0f)}, {fs(3, -0.0f)}},
+        {"fmax.s f3, f1, f2", {fs(1, 0.0f), fs(2, -0.0f)}, {fs(3, 0.0f)}},
+        {"fmax.s f3, f1, f2", {fs(1, -0.0f), fs(2, 0.0f)}, {fs(3, 0.0f)}},
+        {"fmin.d f3, f1, f2", {fd(1, 0.0), fd(2, -0.0)}, {fd(3, -0.0)}},
+        {"fmin.d f3, f1, f2", {fd(1, -0.0), fd(2, 0.0)}, {fd(3, -0.0)}},
+        {"fmax.d f3, f1, f2", {fd(1, 0.0), fd(2, -0.0)}, {fd(3, 0.0)}},
+        {"fmax.d f3, f1, f2", {fd(1, -0.0), fd(2, 0.0)}, {fd(3, 0.0)}},
         {"fmv.s f3, f1", {fs(1, -1.0f)}, {fs(3, -1.0f)}},
         {"fmv.d f3, f1", {fd(1, -1.0)}, {fd(3, -1.0)}},
         {"fmv.x.w x3, f1", {fs(1, -1.0f)}, {xreg(3, u(s32(bitsOf(-1.0f))))}},
@@ -1300,6 +1309,10 @@ TEST(Executor, OpcodeSemantics)
          {vreg(3, underMask(fmaE(FA, FB, FC), FC, K))}},
         {"vfmin.vv v3, v1, v2", {vreg(1, FA), vreg(2, FB)}, {vreg(3, zipE(FA, FB, fmn))}},
         {"vfmax.vv v3, v1, v2", {vreg(1, FA), vreg(2, FB)}, {vreg(3, zipE(FA, FB, fmx))}},
+        {"vfmin.vv v3, v1, v2", {vreg(1, f32s({0.0f, -0.0f})), vreg(2, f32s({-0.0f, 0.0f}))},
+         {vreg(3, f32s({-0.0f, -0.0f}))}, 4, 2},
+        {"vfmax.vv v3, v1, v2", {vreg(1, f32s({0.0f, -0.0f})), vreg(2, f32s({-0.0f, 0.0f}))},
+         {vreg(3, f32s({0.0f, 0.0f}))}, 4, 2},
         {"vfmv.v.f v3, f1", {fs(1, F1)}, {vreg(3, F1s)}},
         {"vfmv.f.s f3, v1", {vreg(1, FA)}, {freg(3, 0xFFFFFFFF00000000 | FA[0])}},
         {"vfmv.s.f v3, f1", {fs(1, F1)}, {vreg(3, {bitsOf(F1)})}},
@@ -1327,6 +1340,10 @@ TEST(Executor, OpcodeSemantics)
          {vreg(3, {freduce(asF(FB[0]), [](float a, float b) { return a > b ? a : b; })})}},
         {"vfredmin.vs v3, v1, v2", {vreg(1, FA), vreg(2, FB)},
          {vreg(3, {freduce(asF(FB[0]), [](float a, float b) { return a < b ? a : b; })})}},
+        {"vfredmax.vs v3, v1, v2", {vreg(1, f32s({-0.0f, -1.0f})), vreg(2, f32s({0.0f}))},
+         {vreg(3, f32s({0.0f}))}, 4, 2},
+        {"vfredmin.vs v3, v1, v2", {vreg(1, f32s({0.0f, 1.0f})), vreg(2, f32s({-0.0f}))},
+         {vreg(3, f32s({-0.0f}))}, 4, 2},
 
         // ---- integer compares into a mask (e32, signed unless ...u)
         {"vmseq.vv v3, v1, v2", {vreg(1, A), vreg(2, B)},
