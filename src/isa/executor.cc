@@ -848,7 +848,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::VMV_V_V: {
         checkV(in.rd);
         checkV(in.rs2);
-        ctx.v[in.rd] = ctx.v[in.rs2];
+        // Elements past vl are tail: left undisturbed, as elsewhere.
+        std::memcpy(ctx.v[in.rd].b.data(), ctx.v[in.rs2].b.data(), vl * sew);
         break;
       }
       case Opcode::VMV_X_S:

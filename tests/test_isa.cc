@@ -1282,6 +1282,7 @@ TEST(Executor, OpcodeSemantics)
         {"vmv.v.i v3, 9", {}, {vreg(3, Elems(5, 9))}, 4, 5},
         {"vmv.v.x v3, x1", {xreg(1, X1)}, {vreg(3, bcast(X1))}},
         {"vmv.v.v v3, v1", {vreg(1, A)}, {vreg(3, A)}},
+        {"vmv.v.v v3, v1", {vreg(1, A)}, {vreg(3, firstN(A, 5))}, 4, 5},
         {"vmv.x.s x3, v1", {vreg(1, {0xFFFFFFF0})}, {xreg(3, u(-16))}},
         {"vmv.s.x v3, x1", {xreg(1, X1)}, {vreg(3, {X1})}},
 
