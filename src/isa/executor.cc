@@ -117,6 +117,16 @@ fmaxRv(double a, double b)
     return std::fmax(a, b);
 }
 
+/** a * b + c rounded once, at the element width (4: float, 8: double). */
+double
+fmaAt(unsigned sew, double a, double b, double c)
+{
+    if (sew == 4)
+        return std::fma(static_cast<float>(a), static_cast<float>(b),
+                        static_cast<float>(c));
+    return std::fma(a, b, c);
+}
+
 /** Per-element addresses of one vector access (vl <= kVlenBytes). */
 struct AddrList
 {
@@ -613,8 +623,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::FDIV_S: wf(in.rd, boxF32(asF32(rf(in.rs1)) / asF32(rf(in.rs2)))); break;
       case Opcode::FSQRT_S: wf(in.rd, boxF32(std::sqrt(asF32(rf(in.rs1))))); break;
       case Opcode::FMADD_S:
-        wf(in.rd, boxF32(asF32(rf(in.rs1)) * asF32(rf(in.rs2)) +
-                         asF32(rf(in.rs3))));
+        wf(in.rd, boxF32(std::fma(asF32(rf(in.rs1)), asF32(rf(in.rs2)),
+                                  asF32(rf(in.rs3)))));
         break;
       case Opcode::FMIN_S: wf(in.rd, boxF32(static_cast<float>(fminRv(asF32(rf(in.rs1)), asF32(rf(in.rs2)))))); break;
       case Opcode::FMAX_S: wf(in.rd, boxF32(static_cast<float>(fmaxRv(asF32(rf(in.rs1)), asF32(rf(in.rs2)))))); break;
@@ -624,8 +634,8 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::FDIV_D: wf(in.rd, boxF64(asF64(rf(in.rs1)) / asF64(rf(in.rs2)))); break;
       case Opcode::FSQRT_D: wf(in.rd, boxF64(std::sqrt(asF64(rf(in.rs1))))); break;
       case Opcode::FMADD_D:
-        wf(in.rd, boxF64(asF64(rf(in.rs1)) * asF64(rf(in.rs2)) +
-                         asF64(rf(in.rs3))));
+        wf(in.rd, boxF64(std::fma(asF64(rf(in.rs1)), asF64(rf(in.rs2)),
+                                  asF64(rf(in.rs3)))));
         break;
       case Opcode::FMIN_D: wf(in.rd, boxF64(fminRv(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
       case Opcode::FMAX_D: wf(in.rd, boxF64(fmaxRv(asF64(rf(in.rs1)), asF64(rf(in.rs2))))); break;
@@ -897,9 +907,10 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         checkV(in.rd); checkV(in.rs1); checkV(in.rs2);
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i)) continue;
-            double acc = vgetF(ctx.v[in.rd], sew, i);
-            acc += vgetF(ctx.v[in.rs1], sew, i) * vgetF(ctx.v[in.rs2], sew, i);
-            vsetF(ctx.v[in.rd], sew, i, acc);
+            vsetF(ctx.v[in.rd], sew, i,
+                  fmaAt(sew, vgetF(ctx.v[in.rs1], sew, i),
+                        vgetF(ctx.v[in.rs2], sew, i),
+                        vgetF(ctx.v[in.rd], sew, i)));
         }
         break;
       }
@@ -909,9 +920,9 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         double s = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i)) continue;
-            double acc = vgetF(ctx.v[in.rd], sew, i);
-            acc += s * vgetF(ctx.v[in.rs2], sew, i);
-            vsetF(ctx.v[in.rd], sew, i, acc);
+            vsetF(ctx.v[in.rd], sew, i,
+                  fmaAt(sew, s, vgetF(ctx.v[in.rs2], sew, i),
+                        vgetF(ctx.v[in.rd], sew, i)));
         }
         break;
       }

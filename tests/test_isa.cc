@@ -1128,6 +1128,14 @@ TEST(Executor, OpcodeSemantics)
          {fs(3, std::fma(1.5f, -0.25f, 2.0f))}},
         {"fmadd.d f3, f1, f2, f4", {fd(1, 1.5), fd(2, -0.25), fd(4, 2.0)},
          {fd(3, std::fma(1.5, -0.25, 2.0))}},
+        // Fused: (1 + 2^-12)^2 - (1 + 2^-11) is 2^-24 rounded once, and 0
+        // if the product is rounded first.
+        {"fmadd.s f3, f1, f2, f4",
+         {fs(1, 1.0f + 0x1p-12f), fs(2, 1.0f + 0x1p-12f), fs(4, -(1.0f + 0x1p-11f))},
+         {fs(3, 0x1p-24f)}},
+        {"fmadd.d f3, f1, f2, f4",
+         {fd(1, 1.0 + 0x1p-30), fd(2, 1.0 + 0x1p-30), fd(4, -(1.0 + 0x1p-29))},
+         {fd(3, 0x1p-60)}},
         {"fmin.s f3, f1, f2", {fs(1, 1.5f), fs(2, -0.25f)}, {fs(3, -0.25f)}},
         {"fmin.d f3, f1, f2", {fd(1, 1.5), fd(2, -0.25)}, {fd(3, -0.25)}},
         {"fmax.s f3, f1, f2", {fs(1, 1.5f), fs(2, -0.25f)}, {fs(3, 1.5f)}},
@@ -1308,6 +1316,16 @@ TEST(Executor, OpcodeSemantics)
          {vreg(3, fmaE(FA, F1s, FC))}},
         {"vfmacc.vv v3, v1, v2, v0.t", {vreg(1, FA), vreg(2, FB), vreg(3, FC), mask(0, K)},
          {vreg(3, underMask(fmaE(FA, FB, FC), FC, K))}},
+        // Fused at e32 too: (1 + 2^-12)^2 + 2^-80 lies just above a float
+        // midpoint, which rounding to double first would lose.
+        {"vfmacc.vv v3, v1, v2",
+         {vreg(1, f32s({1.0f + 0x1p-12f})), vreg(2, f32s({1.0f + 0x1p-12f})),
+          vreg(3, f32s({0x1p-80f}))},
+         {vreg(3, f32s({1.0f + 0x1p-11f + 0x1p-23f}))}, 4, 1},
+        {"vfmacc.vv v3, v1, v2",
+         {vreg(1, {bitsOf(1.0 + 0x1p-30)}), vreg(2, {bitsOf(1.0 + 0x1p-30)}),
+          vreg(3, {bitsOf(-(1.0 + 0x1p-29))})},
+         {vreg(3, {bitsOf(0x1p-60)})}, 8, 1},
         {"vfmin.vv v3, v1, v2", {vreg(1, FA), vreg(2, FB)}, {vreg(3, zipE(FA, FB, fmn))}},
         {"vfmax.vv v3, v1, v2", {vreg(1, FA), vreg(2, FB)}, {vreg(3, zipE(FA, FB, fmx))}},
         {"vfmin.vv v3, v1, v2", {vreg(1, f32s({0.0f, -0.0f})), vreg(2, f32s({-0.0f, 0.0f}))},
