@@ -20,272 +20,20 @@ struct AsmError
     std::string message;
 };
 
-/** Operand layout of a mnemonic. */
-enum class Fmt : std::uint8_t {
-    N0,     // no operands
-    R3,     // rd, rs1, rs2        (int)
-    I2,     // rd, rs1, imm
-    RI,     // rd, imm             (lui/li)
-    R2,     // rd, rs1             (mv)
-    LOAD,   // rd, imm(rs1)        (int or fp rd by opcode)
-    STORE,  // rs2, imm(rs1)
-    BR,     // rs1, rs2, label
-    JL,     // label               (j)
-    AMO,    // rd, rs2, (rs1)
-    F3,     // fd, fs1, fs2
-    F4,     // fd, fs1, fs2, fs3
-    F2,     // fd, fs1
-    FX,     // rd(x), fs1
-    XF,     // fd, rs1(x)
-    FCMP,   // rd(x), fs1, fs2
-    VSET,   // rd, rs1, eN, mN
-    VL,     // vd, (rs1)
-    VLS,    // vd, (rs1), rs2
-    VLX,    // vd, (rs1), vs2
-    VS,     // vs3, (rs1)
-    VSX,    // vs3, (rs1), vs2
-    VVV,    // vd, vs2, vs1
-    VVX,    // vd, vs2, rs1
-    VVI,    // vd, vs2, imm
-    VVF,    // vd, vs2, fs1
-    VV2,    // vd, vs2
-    VX1,    // vd, rs1
-    VI1,    // vd, imm
-    XV,     // rd(x), vs2
-    FV,     // fd, vs2
-    VF1,    // vd, fs1
-    V1,     // vd
-    VMRG,   // vd, vs2, (vs1|rs1|imm), v0
-};
-
-struct OpInfo
+/** Mnemonic -> opcode, built once from the opcode table. */
+const std::unordered_map<std::string_view, Opcode> &
+mnemonicIndex()
 {
-    Opcode op;
-    Fmt fmt;
-};
-
-const std::unordered_map<std::string, OpInfo> &
-mnemonicTable()
-{
-    static const std::unordered_map<std::string, OpInfo> table = {
-        {"nop", {Opcode::NOP, Fmt::N0}},
-        {"lui", {Opcode::LUI, Fmt::RI}},
-        {"li", {Opcode::LI, Fmt::RI}},
-        {"mv", {Opcode::MV, Fmt::R2}},
-        {"add", {Opcode::ADD, Fmt::R3}},
-        {"addi", {Opcode::ADDI, Fmt::I2}},
-        {"addw", {Opcode::ADDW, Fmt::R3}},
-        {"addiw", {Opcode::ADDIW, Fmt::I2}},
-        {"sub", {Opcode::SUB, Fmt::R3}},
-        {"subw", {Opcode::SUBW, Fmt::R3}},
-        {"and", {Opcode::AND, Fmt::R3}},
-        {"andi", {Opcode::ANDI, Fmt::I2}},
-        {"or", {Opcode::OR, Fmt::R3}},
-        {"ori", {Opcode::ORI, Fmt::I2}},
-        {"xor", {Opcode::XOR, Fmt::R3}},
-        {"xori", {Opcode::XORI, Fmt::I2}},
-        {"sll", {Opcode::SLL, Fmt::R3}},
-        {"slli", {Opcode::SLLI, Fmt::I2}},
-        {"srl", {Opcode::SRL, Fmt::R3}},
-        {"srli", {Opcode::SRLI, Fmt::I2}},
-        {"sra", {Opcode::SRA, Fmt::R3}},
-        {"srai", {Opcode::SRAI, Fmt::I2}},
-        {"slt", {Opcode::SLT, Fmt::R3}},
-        {"slti", {Opcode::SLTI, Fmt::I2}},
-        {"sltu", {Opcode::SLTU, Fmt::R3}},
-        {"sltiu", {Opcode::SLTIU, Fmt::I2}},
-        {"mul", {Opcode::MUL, Fmt::R3}},
-        {"mulw", {Opcode::MULW, Fmt::R3}},
-        {"mulh", {Opcode::MULH, Fmt::R3}},
-        {"div", {Opcode::DIV, Fmt::R3}},
-        {"divu", {Opcode::DIVU, Fmt::R3}},
-        {"rem", {Opcode::REM, Fmt::R3}},
-        {"remu", {Opcode::REMU, Fmt::R3}},
-        {"beq", {Opcode::BEQ, Fmt::BR}},
-        {"bne", {Opcode::BNE, Fmt::BR}},
-        {"blt", {Opcode::BLT, Fmt::BR}},
-        {"bge", {Opcode::BGE, Fmt::BR}},
-        {"bltu", {Opcode::BLTU, Fmt::BR}},
-        {"bgeu", {Opcode::BGEU, Fmt::BR}},
-        {"j", {Opcode::J, Fmt::JL}},
-        {"lb", {Opcode::LB, Fmt::LOAD}},
-        {"lbu", {Opcode::LBU, Fmt::LOAD}},
-        {"lh", {Opcode::LH, Fmt::LOAD}},
-        {"lhu", {Opcode::LHU, Fmt::LOAD}},
-        {"lw", {Opcode::LW, Fmt::LOAD}},
-        {"lwu", {Opcode::LWU, Fmt::LOAD}},
-        {"ld", {Opcode::LD, Fmt::LOAD}},
-        {"sb", {Opcode::SB, Fmt::STORE}},
-        {"sh", {Opcode::SH, Fmt::STORE}},
-        {"sw", {Opcode::SW, Fmt::STORE}},
-        {"sd", {Opcode::SD, Fmt::STORE}},
-        {"flw", {Opcode::FLW, Fmt::LOAD}},
-        {"fld", {Opcode::FLD, Fmt::LOAD}},
-        {"fsw", {Opcode::FSW, Fmt::STORE}},
-        {"fsd", {Opcode::FSD, Fmt::STORE}},
-        {"amoadd.w", {Opcode::AMOADD_W, Fmt::AMO}},
-        {"amoadd.d", {Opcode::AMOADD_D, Fmt::AMO}},
-        {"amoswap.w", {Opcode::AMOSWAP_W, Fmt::AMO}},
-        {"amoswap.d", {Opcode::AMOSWAP_D, Fmt::AMO}},
-        {"amomin.w", {Opcode::AMOMIN_W, Fmt::AMO}},
-        {"amomin.d", {Opcode::AMOMIN_D, Fmt::AMO}},
-        {"amomax.w", {Opcode::AMOMAX_W, Fmt::AMO}},
-        {"amomax.d", {Opcode::AMOMAX_D, Fmt::AMO}},
-        {"amominu.w", {Opcode::AMOMINU_W, Fmt::AMO}},
-        {"amominu.d", {Opcode::AMOMINU_D, Fmt::AMO}},
-        {"amomaxu.w", {Opcode::AMOMAXU_W, Fmt::AMO}},
-        {"amomaxu.d", {Opcode::AMOMAXU_D, Fmt::AMO}},
-        {"amoand.w", {Opcode::AMOAND_W, Fmt::AMO}},
-        {"amoand.d", {Opcode::AMOAND_D, Fmt::AMO}},
-        {"amoor.w", {Opcode::AMOOR_W, Fmt::AMO}},
-        {"amoor.d", {Opcode::AMOOR_D, Fmt::AMO}},
-        {"amoxor.w", {Opcode::AMOXOR_W, Fmt::AMO}},
-        {"amoxor.d", {Opcode::AMOXOR_D, Fmt::AMO}},
-        {"fence", {Opcode::FENCE, Fmt::N0}},
-        {"fadd.s", {Opcode::FADD_S, Fmt::F3}},
-        {"fadd.d", {Opcode::FADD_D, Fmt::F3}},
-        {"fsub.s", {Opcode::FSUB_S, Fmt::F3}},
-        {"fsub.d", {Opcode::FSUB_D, Fmt::F3}},
-        {"fmul.s", {Opcode::FMUL_S, Fmt::F3}},
-        {"fmul.d", {Opcode::FMUL_D, Fmt::F3}},
-        {"fdiv.s", {Opcode::FDIV_S, Fmt::F3}},
-        {"fdiv.d", {Opcode::FDIV_D, Fmt::F3}},
-        {"fsqrt.s", {Opcode::FSQRT_S, Fmt::F2}},
-        {"fsqrt.d", {Opcode::FSQRT_D, Fmt::F2}},
-        {"fmadd.s", {Opcode::FMADD_S, Fmt::F4}},
-        {"fmadd.d", {Opcode::FMADD_D, Fmt::F4}},
-        {"fmin.s", {Opcode::FMIN_S, Fmt::F3}},
-        {"fmin.d", {Opcode::FMIN_D, Fmt::F3}},
-        {"fmax.s", {Opcode::FMAX_S, Fmt::F3}},
-        {"fmax.d", {Opcode::FMAX_D, Fmt::F3}},
-        {"fmv.s", {Opcode::FMV_S, Fmt::F2}},
-        {"fmv.d", {Opcode::FMV_D, Fmt::F2}},
-        {"fmv.x.w", {Opcode::FMV_X_W, Fmt::FX}},
-        {"fmv.w.x", {Opcode::FMV_W_X, Fmt::XF}},
-        {"fmv.x.d", {Opcode::FMV_X_D, Fmt::FX}},
-        {"fmv.d.x", {Opcode::FMV_D_X, Fmt::XF}},
-        {"fcvt.s.w", {Opcode::FCVT_S_W, Fmt::XF}},
-        {"fcvt.s.l", {Opcode::FCVT_S_L, Fmt::XF}},
-        {"fcvt.d.w", {Opcode::FCVT_D_W, Fmt::XF}},
-        {"fcvt.d.l", {Opcode::FCVT_D_L, Fmt::XF}},
-        {"fcvt.w.s", {Opcode::FCVT_W_S, Fmt::FX}},
-        {"fcvt.l.s", {Opcode::FCVT_L_S, Fmt::FX}},
-        {"fcvt.w.d", {Opcode::FCVT_W_D, Fmt::FX}},
-        {"fcvt.l.d", {Opcode::FCVT_L_D, Fmt::FX}},
-        {"fcvt.d.s", {Opcode::FCVT_D_S, Fmt::F2}},
-        {"fcvt.s.d", {Opcode::FCVT_S_D, Fmt::F2}},
-        {"feq.s", {Opcode::FEQ_S, Fmt::FCMP}},
-        {"feq.d", {Opcode::FEQ_D, Fmt::FCMP}},
-        {"flt.s", {Opcode::FLT_S, Fmt::FCMP}},
-        {"flt.d", {Opcode::FLT_D, Fmt::FCMP}},
-        {"fle.s", {Opcode::FLE_S, Fmt::FCMP}},
-        {"fle.d", {Opcode::FLE_D, Fmt::FCMP}},
-        {"vsetvli", {Opcode::VSETVLI, Fmt::VSET}},
-        {"vle8.v", {Opcode::VLE8, Fmt::VL}},
-        {"vle16.v", {Opcode::VLE16, Fmt::VL}},
-        {"vle32.v", {Opcode::VLE32, Fmt::VL}},
-        {"vle64.v", {Opcode::VLE64, Fmt::VL}},
-        {"vse8.v", {Opcode::VSE8, Fmt::VS}},
-        {"vse16.v", {Opcode::VSE16, Fmt::VS}},
-        {"vse32.v", {Opcode::VSE32, Fmt::VS}},
-        {"vse64.v", {Opcode::VSE64, Fmt::VS}},
-        {"vlse32.v", {Opcode::VLSE32, Fmt::VLS}},
-        {"vlse64.v", {Opcode::VLSE64, Fmt::VLS}},
-        {"vluxei32.v", {Opcode::VLUXEI32, Fmt::VLX}},
-        {"vluxei64.v", {Opcode::VLUXEI64, Fmt::VLX}},
-        {"vsuxei32.v", {Opcode::VSUXEI32, Fmt::VSX}},
-        {"vsuxei64.v", {Opcode::VSUXEI64, Fmt::VSX}},
-        {"vadd.vv", {Opcode::VADD_VV, Fmt::VVV}},
-        {"vadd.vx", {Opcode::VADD_VX, Fmt::VVX}},
-        {"vadd.vi", {Opcode::VADD_VI, Fmt::VVI}},
-        {"vsub.vv", {Opcode::VSUB_VV, Fmt::VVV}},
-        {"vsub.vx", {Opcode::VSUB_VX, Fmt::VVX}},
-        {"vmul.vv", {Opcode::VMUL_VV, Fmt::VVV}},
-        {"vmul.vx", {Opcode::VMUL_VX, Fmt::VVX}},
-        {"vand.vv", {Opcode::VAND_VV, Fmt::VVV}},
-        {"vand.vx", {Opcode::VAND_VX, Fmt::VVX}},
-        {"vand.vi", {Opcode::VAND_VI, Fmt::VVI}},
-        {"vor.vv", {Opcode::VOR_VV, Fmt::VVV}},
-        {"vor.vx", {Opcode::VOR_VX, Fmt::VVX}},
-        {"vor.vi", {Opcode::VOR_VI, Fmt::VVI}},
-        {"vxor.vv", {Opcode::VXOR_VV, Fmt::VVV}},
-        {"vxor.vx", {Opcode::VXOR_VX, Fmt::VVX}},
-        {"vxor.vi", {Opcode::VXOR_VI, Fmt::VVI}},
-        {"vsll.vi", {Opcode::VSLL_VI, Fmt::VVI}},
-        {"vsll.vx", {Opcode::VSLL_VX, Fmt::VVX}},
-        {"vsrl.vi", {Opcode::VSRL_VI, Fmt::VVI}},
-        {"vsrl.vx", {Opcode::VSRL_VX, Fmt::VVX}},
-        {"vsra.vi", {Opcode::VSRA_VI, Fmt::VVI}},
-        {"vmin.vv", {Opcode::VMIN_VV, Fmt::VVV}},
-        {"vmax.vv", {Opcode::VMAX_VV, Fmt::VVV}},
-        {"vminu.vv", {Opcode::VMINU_VV, Fmt::VVV}},
-        {"vmaxu.vv", {Opcode::VMAXU_VV, Fmt::VVV}},
-        {"vid.v", {Opcode::VID_V, Fmt::V1}},
-        {"vmv.v.i", {Opcode::VMV_V_I, Fmt::VI1}},
-        {"vmv.v.x", {Opcode::VMV_V_X, Fmt::VX1}},
-        {"vmv.v.v", {Opcode::VMV_V_V, Fmt::VV2}},
-        {"vmv.x.s", {Opcode::VMV_X_S, Fmt::XV}},
-        {"vmv.s.x", {Opcode::VMV_S_X, Fmt::VX1}},
-        {"vfadd.vv", {Opcode::VFADD_VV, Fmt::VVV}},
-        {"vfadd.vf", {Opcode::VFADD_VF, Fmt::VVF}},
-        {"vfsub.vv", {Opcode::VFSUB_VV, Fmt::VVV}},
-        {"vfsub.vf", {Opcode::VFSUB_VF, Fmt::VVF}},
-        {"vfmul.vv", {Opcode::VFMUL_VV, Fmt::VVV}},
-        {"vfmul.vf", {Opcode::VFMUL_VF, Fmt::VVF}},
-        {"vfdiv.vv", {Opcode::VFDIV_VV, Fmt::VVV}},
-        {"vfdiv.vf", {Opcode::VFDIV_VF, Fmt::VVF}},
-        {"vfmacc.vv", {Opcode::VFMACC_VV, Fmt::VVV}},
-        {"vfmacc.vf", {Opcode::VFMACC_VF, Fmt::VVF}},
-        {"vfmin.vv", {Opcode::VFMIN_VV, Fmt::VVV}},
-        {"vfmax.vv", {Opcode::VFMAX_VV, Fmt::VVV}},
-        {"vfmv.v.f", {Opcode::VFMV_V_F, Fmt::VF1}},
-        {"vfmv.f.s", {Opcode::VFMV_F_S, Fmt::FV}},
-        {"vfmv.s.f", {Opcode::VFMV_S_F, Fmt::VF1}},
-        {"vredsum.vs", {Opcode::VREDSUM_VS, Fmt::VVV}},
-        {"vredmax.vs", {Opcode::VREDMAX_VS, Fmt::VVV}},
-        {"vredmin.vs", {Opcode::VREDMIN_VS, Fmt::VVV}},
-        {"vredand.vs", {Opcode::VREDAND_VS, Fmt::VVV}},
-        {"vredor.vs", {Opcode::VREDOR_VS, Fmt::VVV}},
-        {"vfredusum.vs", {Opcode::VFREDUSUM_VS, Fmt::VVV}},
-        {"vfredsum.vs", {Opcode::VFREDUSUM_VS, Fmt::VVV}}, // legacy spelling
-        {"vfredmax.vs", {Opcode::VFREDMAX_VS, Fmt::VVV}},
-        {"vfredmin.vs", {Opcode::VFREDMIN_VS, Fmt::VVV}},
-        {"vmseq.vv", {Opcode::VMSEQ_VV, Fmt::VVV}},
-        {"vmseq.vx", {Opcode::VMSEQ_VX, Fmt::VVX}},
-        {"vmseq.vi", {Opcode::VMSEQ_VI, Fmt::VVI}},
-        {"vmsne.vv", {Opcode::VMSNE_VV, Fmt::VVV}},
-        {"vmsne.vx", {Opcode::VMSNE_VX, Fmt::VVX}},
-        {"vmsne.vi", {Opcode::VMSNE_VI, Fmt::VVI}},
-        {"vmslt.vv", {Opcode::VMSLT_VV, Fmt::VVV}},
-        {"vmslt.vx", {Opcode::VMSLT_VX, Fmt::VVX}},
-        {"vmsle.vv", {Opcode::VMSLE_VV, Fmt::VVV}},
-        {"vmsle.vx", {Opcode::VMSLE_VX, Fmt::VVX}},
-        {"vmsle.vi", {Opcode::VMSLE_VI, Fmt::VVI}},
-        {"vmsgt.vx", {Opcode::VMSGT_VX, Fmt::VVX}},
-        {"vmsgt.vi", {Opcode::VMSGT_VI, Fmt::VVI}},
-        {"vmsge.vx", {Opcode::VMSGE_VX, Fmt::VVX}},
-        {"vmsltu.vv", {Opcode::VMSLTU_VV, Fmt::VVV}},
-        {"vmsltu.vx", {Opcode::VMSLTU_VX, Fmt::VVX}},
-        {"vmsgtu.vx", {Opcode::VMSGTU_VX, Fmt::VVX}},
-        {"vmflt.vf", {Opcode::VMFLT_VF, Fmt::VVF}},
-        {"vmfle.vf", {Opcode::VMFLE_VF, Fmt::VVF}},
-        {"vmfgt.vf", {Opcode::VMFGT_VF, Fmt::VVF}},
-        {"vmfge.vf", {Opcode::VMFGE_VF, Fmt::VVF}},
-        {"vmfeq.vf", {Opcode::VMFEQ_VF, Fmt::VVF}},
-        {"vmfne.vf", {Opcode::VMFNE_VF, Fmt::VVF}},
-        {"vmand.mm", {Opcode::VMAND_MM, Fmt::VVV}},
-        {"vmor.mm", {Opcode::VMOR_MM, Fmt::VVV}},
-        {"vmxor.mm", {Opcode::VMXOR_MM, Fmt::VVV}},
-        {"vmnand.mm", {Opcode::VMNAND_MM, Fmt::VVV}},
-        {"vmnot.m", {Opcode::VMNOT_M, Fmt::VV2}},
-        {"vcpop.m", {Opcode::VCPOP_M, Fmt::XV}},
-        {"vfirst.m", {Opcode::VFIRST_M, Fmt::XV}},
-        {"vmerge.vvm", {Opcode::VMERGE_VVM, Fmt::VMRG}},
-        {"vmerge.vxm", {Opcode::VMERGE_VXM, Fmt::VMRG}},
-        {"vmerge.vim", {Opcode::VMERGE_VIM, Fmt::VMRG}},
-        {"exit", {Opcode::EXIT, Fmt::N0}},
-    };
-    return table;
+    static const auto index = [] {
+        std::unordered_map<std::string_view, Opcode> m;
+        for (std::size_t i = 0; i < std::size(kOpcodes); ++i) {
+            if (!kOpcodes[i].mnemonic.empty())
+                m.emplace(kOpcodes[i].mnemonic, static_cast<Opcode>(i));
+        }
+        m.emplace("vfredsum.vs", Opcode::VFREDUSUM_VS); // legacy spelling
+        return m;
+    }();
+    return index;
 }
 
 std::string
@@ -371,8 +119,9 @@ class Parser
 
     void finishSection();
     void parseLine(std::string_view line);
-    Instruction buildInstruction(const OpInfo &info,
-                                 std::vector<std::string> ops);
+    Instruction buildInstruction(Opcode op, std::vector<std::string> ops);
+    /** Parse @p tok as the second source operand of kind inst.src. */
+    void parseSrc(Instruction &inst, const std::string &tok) const;
 
     const std::unordered_map<std::string, std::int64_t> &constants_;
     AssembledKernel kernel_;
@@ -475,11 +224,23 @@ Parser::finishSection()
     section_open_ = false;
 }
 
+void
+Parser::parseSrc(Instruction &inst, const std::string &tok) const
+{
+    switch (inst.src) {
+      case Src::V: inst.rs1 = parseReg(tok, 'v'); break;
+      case Src::X: inst.rs1 = parseReg(tok, 'x'); break;
+      case Src::F: inst.rs1 = parseReg(tok, 'f'); break;
+      case Src::I: inst.imm = parseImm(tok); break;
+      case Src::None: error("operation takes no source operand");
+    }
+}
+
 Instruction
-Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
+Parser::buildInstruction(Opcode op, std::vector<std::string> ops)
 {
     Instruction inst;
-    inst.op = info.op;
+    inst.op = op;
     inst.line = line_no_;
     fillOpcodeTraits(inst);
 
@@ -495,7 +256,7 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
                   std::to_string(ops.size()));
     };
 
-    switch (info.fmt) {
+    switch (opcodeInfo(op).fmt) {
       case Fmt::N0:
         need(0);
         break;
@@ -523,8 +284,7 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
         break;
       case Fmt::LOAD: {
         need(2);
-        char cls = (info.op == Opcode::FLW || info.op == Opcode::FLD) ? 'f' : 'x';
-        inst.rd = parseReg(ops[0], cls);
+        inst.rd = parseReg(ops[0], inst.mem_fp ? 'f' : 'x');
         auto [imm, base] = parseMemOperand(ops[1]);
         inst.imm = imm;
         inst.rs1 = base;
@@ -532,8 +292,7 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
       }
       case Fmt::STORE: {
         need(2);
-        char cls = (info.op == Opcode::FSW || info.op == Opcode::FSD) ? 'f' : 'x';
-        inst.rs2 = parseReg(ops[0], cls);
+        inst.rs2 = parseReg(ops[0], inst.mem_fp ? 'f' : 'x');
         auto [imm, base] = parseMemOperand(ops[1]);
         inst.imm = imm;
         inst.rs1 = base;
@@ -655,44 +414,21 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
         inst.rs2 = parseReg(ops[2], 'v');
         break;
       }
-      case Fmt::VVV:
+      case Fmt::VBIN:
         need(3);
         inst.rd = parseReg(ops[0], 'v');
         inst.rs2 = parseReg(ops[1], 'v');
-        inst.rs1 = parseReg(ops[2], 'v');
+        parseSrc(inst, ops[2]);
         break;
-      case Fmt::VVX:
-        need(3);
+      case Fmt::VSRC:
+        need(2);
         inst.rd = parseReg(ops[0], 'v');
-        inst.rs2 = parseReg(ops[1], 'v');
-        inst.rs1 = parseReg(ops[2], 'x');
-        break;
-      case Fmt::VVI:
-        need(3);
-        inst.rd = parseReg(ops[0], 'v');
-        inst.rs2 = parseReg(ops[1], 'v');
-        inst.imm = parseImm(ops[2]);
-        break;
-      case Fmt::VVF:
-        need(3);
-        inst.rd = parseReg(ops[0], 'v');
-        inst.rs2 = parseReg(ops[1], 'v');
-        inst.rs1 = parseReg(ops[2], 'f');
+        parseSrc(inst, ops[1]);
         break;
       case Fmt::VV2:
         need(2);
         inst.rd = parseReg(ops[0], 'v');
         inst.rs2 = parseReg(ops[1], 'v');
-        break;
-      case Fmt::VX1:
-        need(2);
-        inst.rd = parseReg(ops[0], 'v');
-        inst.rs1 = parseReg(ops[1], 'x');
-        break;
-      case Fmt::VI1:
-        need(2);
-        inst.rd = parseReg(ops[0], 'v');
-        inst.imm = parseImm(ops[1]);
         break;
       case Fmt::XV:
         need(2);
@@ -704,30 +440,19 @@ Parser::buildInstruction(const OpInfo &info, std::vector<std::string> ops)
         inst.rd = parseReg(ops[0], 'f');
         inst.rs2 = parseReg(ops[1], 'v');
         break;
-      case Fmt::VF1:
-        need(2);
-        inst.rd = parseReg(ops[0], 'v');
-        inst.rs1 = parseReg(ops[1], 'f');
-        break;
       case Fmt::V1:
         need(1);
         inst.rd = parseReg(ops[0], 'v');
         break;
-      case Fmt::VMRG: {
+      case Fmt::VMRG:
         need(4);
         if (toLower(ops[3]) != "v0")
             error("vmerge mask operand must be v0");
         inst.rd = parseReg(ops[0], 'v');
         inst.rs2 = parseReg(ops[1], 'v');
+        parseSrc(inst, ops[2]);
         inst.masked = true;
-        if (info.op == Opcode::VMERGE_VVM)
-            inst.rs1 = parseReg(ops[2], 'v');
-        else if (info.op == Opcode::VMERGE_VXM)
-            inst.rs1 = parseReg(ops[2], 'x');
-        else
-            inst.imm = parseImm(ops[2]);
         break;
-      }
     }
     return inst;
 }
@@ -795,8 +520,8 @@ Parser::parseLine(std::string_view raw)
     std::string_view rest =
         sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
 
-    auto it = mnemonicTable().find(mnemonic);
-    if (it == mnemonicTable().end())
+    auto it = mnemonicIndex().find(mnemonic);
+    if (it == mnemonicIndex().end())
         error("unknown mnemonic '" + mnemonic + "'");
 
     current_.code.push_back(

@@ -258,8 +258,6 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
     // Vector helpers.
     const unsigned sew = ctx.sew;
     const unsigned vl = ctx.vl;
-    // Vector shifts use the low log2(SEW) bits of the shift amount.
-    const unsigned shamt_mask = sew * 8 - 1;
     auto active = [&](unsigned i) {
         return !in.masked || ctx.v[0].maskBit(i);
     };
@@ -372,84 +370,95 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         coalesce(res.mem, true, addrs, sew);
     };
 
-    /** vd[i] = fn(vs2[i], src1) with unsigned semantics. */
-    auto vBinop = [&](std::uint64_t (*fn)(std::uint64_t, std::uint64_t),
-                      std::uint64_t scalar_operand, bool src_is_vector) {
+    // The second source of a vector op, by its kind (Instruction::src):
+    // element i of vs1 for .vv forms, else a scalar read once. Each
+    // operation has one case across its operand forms.
+    const bool src_vec = in.src == Src::V;
+    /** Checks vs1 (.vv) or returns x[rs1] (.vx) or the immediate (.vi). */
+    auto intScalar = [&]() -> std::uint64_t {
+        switch (in.src) {
+          case Src::V: checkV(in.rs1); return 0;
+          case Src::X: return rx(in.rs1);
+          default: return static_cast<std::uint64_t>(in.imm);
+        }
+    };
+    /** Checks vs1 (.vv) or returns f[rs1] as an element (.vf). */
+    auto fpScalar = [&]() -> double {
+        if (src_vec) {
+            checkV(in.rs1);
+            return 0.0;
+        }
+        return sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
+    };
+    auto sx = [&](std::uint64_t v) { return signExtend(v, 8 * sew); };
+
+    /** vd[i] = fn(vs2[i], src[i] & src_mask) on zero-extended elements. */
+    auto vBinop = [&](auto fn, std::uint64_t src_mask = ~0ull) {
         checkV(in.rd);
         checkV(in.rs2);
-        if (src_is_vector)
-            checkV(in.rs1);
+        const std::uint64_t scalar = intScalar();
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i))
                 continue;
-            std::uint64_t a = vget(ctx.v[in.rs2], sew, i);
-            std::uint64_t b = src_is_vector ? vget(ctx.v[in.rs1], sew, i)
-                                            : scalar_operand;
-            vset(ctx.v[in.rd], sew, i, fn(a, b));
+            std::uint64_t b = src_vec ? vget(ctx.v[in.rs1], sew, i) : scalar;
+            vset(ctx.v[in.rd], sew, i,
+                 fn(vget(ctx.v[in.rs2], sew, i), b & src_mask));
         }
     };
 
-    /** vd[i] = fn(vs2[i], src1) on doubles (sew 4 or 8). */
-    auto vfBinop = [&](double (*fn)(double, double), bool src_is_vector) {
+    /** vd[i] = fn(vs2[i], src[i], i) on FP elements (sew 4 or 8). */
+    auto vfBinop = [&](auto fn) {
         checkV(in.rd);
         checkV(in.rs2);
-        double scalar = 0.0;
-        if (src_is_vector) {
-            checkV(in.rs1);
-        } else {
-            scalar = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
-        }
+        const double scalar = fpScalar();
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i))
                 continue;
-            double a = vgetF(ctx.v[in.rs2], sew, i);
-            double b = src_is_vector ? vgetF(ctx.v[in.rs1], sew, i) : scalar;
-            vsetF(ctx.v[in.rd], sew, i, fn(a, b));
+            double b = src_vec ? vgetF(ctx.v[in.rs1], sew, i) : scalar;
+            vsetF(ctx.v[in.rd], sew, i, fn(vgetF(ctx.v[in.rs2], sew, i), b, i));
         }
     };
 
-    /** Mask-producing compare: v[rd] bit i = fn(vs2[i], operand). A scalar
-     *  operand is cut to its low SEW bits, like the elements. */
-    auto vCompare = [&](bool (*fn)(std::int64_t, std::int64_t),
-                        std::int64_t scalar_operand, bool src_is_vector,
-                        bool is_unsigned) {
+    /** Mask-producing compare: v[rd] bit i = fn(vs2[i], src[i]). Elements
+     *  and a scalar operand alike are cut to SEW bits, then sign-extended
+     *  (or zero-extended for the unsigned compares). */
+    auto vCompare = [&](auto fn, bool is_unsigned) {
         checkV(in.rd);
         checkV(in.rs2);
-        if (src_is_vector)
-            checkV(in.rs1);
-        const auto raw = static_cast<std::uint64_t>(scalar_operand);
-        scalar_operand =
-            is_unsigned ? static_cast<std::int64_t>(
-                              raw & (~0ull >> (64 - 8 * sew)))
-                        : signExtend(raw, 8 * sew);
+        auto ext = [&](std::uint64_t v) {
+            return is_unsigned
+                       ? static_cast<std::int64_t>(v & (~0ull >> (64 - 8 * sew)))
+                       : sx(v);
+        };
+        const std::int64_t scalar = ext(intScalar());
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i))
                 continue;
-            std::int64_t a, b;
-            if (is_unsigned) {
-                a = static_cast<std::int64_t>(vget(ctx.v[in.rs2], sew, i));
-                b = src_is_vector ? static_cast<std::int64_t>(
-                                        vget(ctx.v[in.rs1], sew, i))
-                                  : scalar_operand;
-            } else {
-                a = vgetS(ctx.v[in.rs2], sew, i);
-                b = src_is_vector ? vgetS(ctx.v[in.rs1], sew, i)
-                                  : scalar_operand;
-            }
-            ctx.v[in.rd].setMaskBit(i, fn(a, b));
+            std::int64_t b = src_vec ? ext(vget(ctx.v[in.rs1], sew, i)) : scalar;
+            ctx.v[in.rd].setMaskBit(i, fn(ext(vget(ctx.v[in.rs2], sew, i)), b));
         }
     };
 
-    auto vfCompare = [&](bool (*fn)(double, double)) {
+    /** FP compare: v[rd] bit i = fn(vs2[i], src[i]). */
+    auto vfCompare = [&](auto fn) {
         checkV(in.rd);
         checkV(in.rs2);
-        double scalar = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
+        const double scalar = fpScalar();
         for (unsigned i = 0; i < vl; ++i) {
             if (!active(i))
                 continue;
-            ctx.v[in.rd].setMaskBit(i, fn(vgetF(ctx.v[in.rs2], sew, i),
-                                          scalar));
+            double b = src_vec ? vgetF(ctx.v[in.rs1], sew, i) : scalar;
+            ctx.v[in.rd].setMaskBit(i, fn(vgetF(ctx.v[in.rs2], sew, i), b));
         }
+    };
+
+    /** x[rs2] (register forms) or the immediate (immediate forms). */
+    auto src2 = [&]() -> std::uint64_t {
+        return in.src == Src::I ? static_cast<std::uint64_t>(in.imm)
+                                : rx(in.rs2);
+    };
+    auto sext32 = [](std::uint64_t v) {
+        return static_cast<std::uint64_t>(signExtend(v, 32));
     };
 
     bool pc_set = false;
@@ -469,70 +478,37 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::MV:
         wx(in.rd, rx(in.rs1));
         break;
-      case Opcode::ADD: wx(in.rd, rx(in.rs1) + rx(in.rs2)); break;
-      case Opcode::ADDI:
-        wx(in.rd, rx(in.rs1) + static_cast<std::uint64_t>(in.imm));
-        break;
-      case Opcode::ADDW:
-        wx(in.rd, static_cast<std::uint64_t>(signExtend(
-                      static_cast<std::uint32_t>(rx(in.rs1) + rx(in.rs2)), 32)));
-        break;
-      case Opcode::ADDIW:
-        wx(in.rd, static_cast<std::uint64_t>(signExtend(
-                      static_cast<std::uint32_t>(
-                          rx(in.rs1) + static_cast<std::uint64_t>(in.imm)),
-                      32)));
+      // Register and immediate forms share a case (src2).
+      case Opcode::ADD: case Opcode::ADDI: wx(in.rd, rx(in.rs1) + src2()); break;
+      case Opcode::ADDW: case Opcode::ADDIW:
+        wx(in.rd, sext32(rx(in.rs1) + src2()));
         break;
       case Opcode::SUB: wx(in.rd, rx(in.rs1) - rx(in.rs2)); break;
-      case Opcode::SUBW:
-        wx(in.rd, static_cast<std::uint64_t>(signExtend(
-                      static_cast<std::uint32_t>(rx(in.rs1) - rx(in.rs2)), 32)));
+      case Opcode::SUBW: wx(in.rd, sext32(rx(in.rs1) - rx(in.rs2))); break;
+      case Opcode::AND: case Opcode::ANDI: wx(in.rd, rx(in.rs1) & src2()); break;
+      case Opcode::OR: case Opcode::ORI: wx(in.rd, rx(in.rs1) | src2()); break;
+      case Opcode::XOR: case Opcode::XORI: wx(in.rd, rx(in.rs1) ^ src2()); break;
+      case Opcode::SLL: case Opcode::SLLI:
+        wx(in.rd, rx(in.rs1) << (src2() & 63));
         break;
-      case Opcode::AND: wx(in.rd, rx(in.rs1) & rx(in.rs2)); break;
-      case Opcode::ANDI:
-        wx(in.rd, rx(in.rs1) & static_cast<std::uint64_t>(in.imm));
+      case Opcode::SRL: case Opcode::SRLI:
+        wx(in.rd, rx(in.rs1) >> (src2() & 63));
         break;
-      case Opcode::OR: wx(in.rd, rx(in.rs1) | rx(in.rs2)); break;
-      case Opcode::ORI:
-        wx(in.rd, rx(in.rs1) | static_cast<std::uint64_t>(in.imm));
-        break;
-      case Opcode::XOR: wx(in.rd, rx(in.rs1) ^ rx(in.rs2)); break;
-      case Opcode::XORI:
-        wx(in.rd, rx(in.rs1) ^ static_cast<std::uint64_t>(in.imm));
-        break;
-      case Opcode::SLL: wx(in.rd, rx(in.rs1) << (rx(in.rs2) & 63)); break;
-      case Opcode::SLLI: wx(in.rd, rx(in.rs1) << (in.imm & 63)); break;
-      case Opcode::SRL: wx(in.rd, rx(in.rs1) >> (rx(in.rs2) & 63)); break;
-      case Opcode::SRLI: wx(in.rd, rx(in.rs1) >> (in.imm & 63)); break;
-      case Opcode::SRA:
+      case Opcode::SRA: case Opcode::SRAI:
         wx(in.rd, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(rx(in.rs1)) >>
-                      (rx(in.rs2) & 63)));
+                      static_cast<std::int64_t>(rx(in.rs1)) >> (src2() & 63)));
         break;
-      case Opcode::SRAI:
-        wx(in.rd, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(rx(in.rs1)) >> (in.imm & 63)));
-        break;
-      case Opcode::SLT:
+      case Opcode::SLT: case Opcode::SLTI:
         wx(in.rd, static_cast<std::int64_t>(rx(in.rs1)) <
-                          static_cast<std::int64_t>(rx(in.rs2))
+                          static_cast<std::int64_t>(src2())
                       ? 1
                       : 0);
         break;
-      case Opcode::SLTI:
-        wx(in.rd, static_cast<std::int64_t>(rx(in.rs1)) < in.imm ? 1 : 0);
-        break;
-      case Opcode::SLTU:
-        wx(in.rd, rx(in.rs1) < rx(in.rs2) ? 1 : 0);
-        break;
-      case Opcode::SLTIU:
-        wx(in.rd, rx(in.rs1) < static_cast<std::uint64_t>(in.imm) ? 1 : 0);
+      case Opcode::SLTU: case Opcode::SLTIU:
+        wx(in.rd, rx(in.rs1) < src2() ? 1 : 0);
         break;
       case Opcode::MUL: wx(in.rd, rx(in.rs1) * rx(in.rs2)); break;
-      case Opcode::MULW:
-        wx(in.rd, static_cast<std::uint64_t>(signExtend(
-                      static_cast<std::uint32_t>(rx(in.rs1) * rx(in.rs2)), 32)));
-        break;
+      case Opcode::MULW: wx(in.rd, sext32(rx(in.rs1) * rx(in.rs2))); break;
       case Opcode::MULH:
         wx(in.rd,
            static_cast<std::uint64_t>(
@@ -718,121 +694,54 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         break;
 
       // ------------------------------------------------------- vector int
-      case Opcode::VADD_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a + b; }, 0, true);
+      case Opcode::VADD_VV: case Opcode::VADD_VX: case Opcode::VADD_VI:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a + b; });
         break;
-      case Opcode::VADD_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a + b; },
-               rx(in.rs1), false);
+      case Opcode::VSUB_VV: case Opcode::VSUB_VX:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a - b; });
         break;
-      case Opcode::VADD_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a + b; },
-               static_cast<std::uint64_t>(in.imm), false);
+      case Opcode::VMUL_VV: case Opcode::VMUL_VX:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a * b; });
         break;
-      case Opcode::VSUB_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a - b; }, 0, true);
+      case Opcode::VAND_VV: case Opcode::VAND_VX: case Opcode::VAND_VI:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a & b; });
         break;
-      case Opcode::VSUB_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a - b; },
-               rx(in.rs1), false);
+      case Opcode::VOR_VV: case Opcode::VOR_VX: case Opcode::VOR_VI:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a | b; });
         break;
-      case Opcode::VMUL_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a * b; }, 0, true);
+      case Opcode::VXOR_VV: case Opcode::VXOR_VX: case Opcode::VXOR_VI:
+        vBinop([](std::uint64_t a, std::uint64_t b) { return a ^ b; });
         break;
-      case Opcode::VMUL_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a * b; },
-               rx(in.rs1), false);
-        break;
-      case Opcode::VAND_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a & b; }, 0, true);
-        break;
-      case Opcode::VAND_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a & b; },
-               rx(in.rs1), false);
-        break;
-      case Opcode::VAND_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a & b; },
-               static_cast<std::uint64_t>(in.imm), false);
-        break;
-      case Opcode::VOR_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a | b; }, 0, true);
-        break;
-      case Opcode::VOR_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a | b; },
-               rx(in.rs1), false);
-        break;
-      case Opcode::VOR_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a | b; },
-               static_cast<std::uint64_t>(in.imm), false);
-        break;
-      case Opcode::VXOR_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a ^ b; }, 0, true);
-        break;
-      case Opcode::VXOR_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a ^ b; },
-               rx(in.rs1), false);
-        break;
-      case Opcode::VXOR_VI:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a ^ b; },
-               static_cast<std::uint64_t>(in.imm), false);
-        break;
-      case Opcode::VSLL_VI:
+      // Shifts use the low log2(SEW) bits of the amount.
+      case Opcode::VSLL_VI: case Opcode::VSLL_VX:
         vBinop([](std::uint64_t a, std::uint64_t b) { return a << b; },
-               static_cast<std::uint64_t>(in.imm) & shamt_mask, false);
+               8 * sew - 1);
         break;
-      case Opcode::VSLL_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a << b; },
-               rx(in.rs1) & shamt_mask, false);
-        break;
-      case Opcode::VSRL_VI:
+      case Opcode::VSRL_VI: case Opcode::VSRL_VX:
         vBinop([](std::uint64_t a, std::uint64_t b) { return a >> b; },
-               static_cast<std::uint64_t>(in.imm) & shamt_mask, false);
+               8 * sew - 1);
         break;
-      case Opcode::VSRL_VX:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return a >> b; },
-               rx(in.rs1) & shamt_mask, false);
+      case Opcode::VSRA_VI:
+        vBinop([&](std::uint64_t a, std::uint64_t b) {
+                   return static_cast<std::uint64_t>(sx(a) >> b);
+               },
+               8 * sew - 1);
         break;
-      case Opcode::VSRA_VI: {
-        checkV(in.rd);
-        checkV(in.rs2);
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i))
-                continue;
-            std::int64_t a = vgetS(ctx.v[in.rs2], sew, i);
-            vset(ctx.v[in.rd], sew, i,
-                 static_cast<std::uint64_t>(a >> (in.imm & shamt_mask)));
-        }
+      case Opcode::VMIN_VV:
+        vBinop([&](std::uint64_t a, std::uint64_t b) {
+            return static_cast<std::uint64_t>(std::min(sx(a), sx(b)));
+        });
         break;
-      }
-      case Opcode::VMIN_VV: {
-        checkV(in.rd); checkV(in.rs2); checkV(in.rs1);
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i)) continue;
-            std::int64_t a = vgetS(ctx.v[in.rs2], sew, i);
-            std::int64_t b = vgetS(ctx.v[in.rs1], sew, i);
-            vset(ctx.v[in.rd], sew, i,
-                 static_cast<std::uint64_t>(std::min(a, b)));
-        }
+      case Opcode::VMAX_VV:
+        vBinop([&](std::uint64_t a, std::uint64_t b) {
+            return static_cast<std::uint64_t>(std::max(sx(a), sx(b)));
+        });
         break;
-      }
-      case Opcode::VMAX_VV: {
-        checkV(in.rd); checkV(in.rs2); checkV(in.rs1);
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i)) continue;
-            std::int64_t a = vgetS(ctx.v[in.rs2], sew, i);
-            std::int64_t b = vgetS(ctx.v[in.rs1], sew, i);
-            vset(ctx.v[in.rd], sew, i,
-                 static_cast<std::uint64_t>(std::max(a, b)));
-        }
-        break;
-      }
       case Opcode::VMINU_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return std::min(a, b); },
-               0, true);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return std::min(a, b); });
         break;
       case Opcode::VMAXU_VV:
-        vBinop([](std::uint64_t a, std::uint64_t b) { return std::max(a, b); },
-               0, true);
+        vBinop([](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
         break;
       case Opcode::VID_V: {
         checkV(in.rd);
@@ -843,23 +752,13 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         }
         break;
       }
-      case Opcode::VMV_V_I: {
+      case Opcode::VMV_V_V: case Opcode::VMV_V_X: case Opcode::VMV_V_I: {
+        // vd[i] = src[i] (unmasked; elements past vl are tail).
         checkV(in.rd);
+        const std::uint64_t scalar = intScalar();
         for (unsigned i = 0; i < vl; ++i)
-            vset(ctx.v[in.rd], sew, i, static_cast<std::uint64_t>(in.imm));
-        break;
-      }
-      case Opcode::VMV_V_X: {
-        checkV(in.rd);
-        for (unsigned i = 0; i < vl; ++i)
-            vset(ctx.v[in.rd], sew, i, rx(in.rs1));
-        break;
-      }
-      case Opcode::VMV_V_V: {
-        checkV(in.rd);
-        checkV(in.rs2);
-        // Elements past vl are tail: left undisturbed, as elsewhere.
-        std::memcpy(ctx.v[in.rd].b.data(), ctx.v[in.rs2].b.data(), vl * sew);
+            vset(ctx.v[in.rd], sew, i,
+                 src_vec ? vget(ctx.v[in.rs1], sew, i) : scalar);
         break;
       }
       case Opcode::VMV_X_S:
@@ -872,63 +771,33 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         break;
 
       // ------------------------------------------------------ vector float
-      case Opcode::VFADD_VV:
-        vfBinop([](double a, double b) { return a + b; }, true);
+      case Opcode::VFADD_VV: case Opcode::VFADD_VF:
+        vfBinop([](double a, double b, unsigned) { return a + b; });
         break;
-      case Opcode::VFADD_VF:
-        vfBinop([](double a, double b) { return a + b; }, false);
+      case Opcode::VFSUB_VV: case Opcode::VFSUB_VF:
+        vfBinop([](double a, double b, unsigned) { return a - b; });
         break;
-      case Opcode::VFSUB_VV:
-        vfBinop([](double a, double b) { return a - b; }, true);
+      case Opcode::VFMUL_VV: case Opcode::VFMUL_VF:
+        vfBinop([](double a, double b, unsigned) { return a * b; });
         break;
-      case Opcode::VFSUB_VF:
-        vfBinop([](double a, double b) { return a - b; }, false);
+      case Opcode::VFDIV_VV: case Opcode::VFDIV_VF:
+        vfBinop([](double a, double b, unsigned) { return a / b; });
         break;
-      case Opcode::VFMUL_VV:
-        vfBinop([](double a, double b) { return a * b; }, true);
-        break;
-      case Opcode::VFMUL_VF:
-        vfBinop([](double a, double b) { return a * b; }, false);
-        break;
-      case Opcode::VFDIV_VV:
-        vfBinop([](double a, double b) { return a / b; }, true);
-        break;
-      case Opcode::VFDIV_VF:
-        vfBinop([](double a, double b) { return a / b; }, false);
+      case Opcode::VFMACC_VV: case Opcode::VFMACC_VF:
+        // vd[i] += src[i] * vs2[i], rounded once.
+        vfBinop([&](double a, double b, unsigned i) {
+            return fmaAt(sew, b, a, vgetF(ctx.v[in.rd], sew, i));
+        });
         break;
       case Opcode::VFMIN_VV:
-        vfBinop(fminRv, true);
+        vfBinop([](double a, double b, unsigned) { return fminRv(a, b); });
         break;
       case Opcode::VFMAX_VV:
-        vfBinop(fmaxRv, true);
+        vfBinop([](double a, double b, unsigned) { return fmaxRv(a, b); });
         break;
-      case Opcode::VFMACC_VV: {
-        // vd[i] += vs1[i] * vs2[i]
-        checkV(in.rd); checkV(in.rs1); checkV(in.rs2);
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i)) continue;
-            vsetF(ctx.v[in.rd], sew, i,
-                  fmaAt(sew, vgetF(ctx.v[in.rs1], sew, i),
-                        vgetF(ctx.v[in.rs2], sew, i),
-                        vgetF(ctx.v[in.rd], sew, i)));
-        }
-        break;
-      }
-      case Opcode::VFMACC_VF: {
-        // vd[i] += f[rs1] * vs2[i]
-        checkV(in.rd); checkV(in.rs2);
-        double s = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i)) continue;
-            vsetF(ctx.v[in.rd], sew, i,
-                  fmaAt(sew, s, vgetF(ctx.v[in.rs2], sew, i),
-                        vgetF(ctx.v[in.rd], sew, i)));
-        }
-        break;
-      }
       case Opcode::VFMV_V_F: {
         checkV(in.rd);
-        double s = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
+        const double s = fpScalar();
         for (unsigned i = 0; i < vl; ++i)
             vsetF(ctx.v[in.rd], sew, i, s);
         break;
@@ -939,12 +808,10 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
                       ? boxF32(static_cast<float>(vgetF(ctx.v[in.rs2], sew, 0)))
                       : boxF64(vgetF(ctx.v[in.rs2], sew, 0)));
         break;
-      case Opcode::VFMV_S_F: {
+      case Opcode::VFMV_S_F:
         checkV(in.rd);
-        double s = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
-        vsetF(ctx.v[in.rd], sew, 0, s);
+        vsetF(ctx.v[in.rd], sew, 0, fpScalar());
         break;
-      }
 
       // ------------------------------------------------------- reductions
       case Opcode::VREDSUM_VS: case Opcode::VREDMAX_VS:
@@ -989,82 +856,34 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       }
 
       // ---------------------------------------------------------- compares
-      case Opcode::VMSEQ_VV:
-        vCompare([](std::int64_t a, std::int64_t b) { return a == b; }, 0,
-                 true, false);
+      case Opcode::VMSEQ_VV: case Opcode::VMSEQ_VX: case Opcode::VMSEQ_VI:
+        vCompare([](std::int64_t a, std::int64_t b) { return a == b; }, false);
         break;
-      case Opcode::VMSEQ_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a == b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
+      case Opcode::VMSNE_VV: case Opcode::VMSNE_VX: case Opcode::VMSNE_VI:
+        vCompare([](std::int64_t a, std::int64_t b) { return a != b; }, false);
         break;
-      case Opcode::VMSEQ_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a == b; },
-                 in.imm, false, false);
+      case Opcode::VMSLT_VV: case Opcode::VMSLT_VX:
+        vCompare([](std::int64_t a, std::int64_t b) { return a < b; }, false);
         break;
-      case Opcode::VMSNE_VV:
-        vCompare([](std::int64_t a, std::int64_t b) { return a != b; }, 0,
-                 true, false);
+      case Opcode::VMSLE_VV: case Opcode::VMSLE_VX: case Opcode::VMSLE_VI:
+        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; }, false);
         break;
-      case Opcode::VMSNE_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a != b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
-        break;
-      case Opcode::VMSNE_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a != b; },
-                 in.imm, false, false);
-        break;
-      case Opcode::VMSLT_VV:
-        vCompare([](std::int64_t a, std::int64_t b) { return a < b; }, 0,
-                 true, false);
-        break;
-      case Opcode::VMSLT_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a < b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
-        break;
-      case Opcode::VMSLE_VV:
-        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; }, 0,
-                 true, false);
-        break;
-      case Opcode::VMSLE_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
-        break;
-      case Opcode::VMSLE_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; },
-                 in.imm, false, false);
-        break;
-      case Opcode::VMSGT_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a > b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
-        break;
-      case Opcode::VMSGT_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a > b; },
-                 in.imm, false, false);
+      case Opcode::VMSGT_VX: case Opcode::VMSGT_VI:
+        vCompare([](std::int64_t a, std::int64_t b) { return a > b; }, false);
         break;
       case Opcode::VMSGE_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a >= b; },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a >= b; }, false);
         break;
-      case Opcode::VMSLTU_VV:
+      // Unsigned: both sides are zero-extended, so compare as unsigned.
+      case Opcode::VMSLTU_VV: case Opcode::VMSLTU_VX:
         vCompare([](std::int64_t a, std::int64_t b) {
-                     return static_cast<std::uint64_t>(a) <
-                            static_cast<std::uint64_t>(b);
-                 },
-                 0, true, true);
-        break;
-      case Opcode::VMSLTU_VX:
-        vCompare([](std::int64_t a, std::int64_t b) {
-                     return static_cast<std::uint64_t>(a) <
-                            static_cast<std::uint64_t>(b);
-                 },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, true);
+            return static_cast<std::uint64_t>(a) < static_cast<std::uint64_t>(b);
+        }, true);
         break;
       case Opcode::VMSGTU_VX:
         vCompare([](std::int64_t a, std::int64_t b) {
-                     return static_cast<std::uint64_t>(a) >
-                            static_cast<std::uint64_t>(b);
-                 },
-                 static_cast<std::int64_t>(rx(in.rs1)), false, true);
+            return static_cast<std::uint64_t>(a) > static_cast<std::uint64_t>(b);
+        }, true);
         break;
       case Opcode::VMFLT_VF:
         vfCompare([](double a, double b) { return a < b; });
@@ -1134,22 +953,14 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       }
       case Opcode::VMERGE_VVM: case Opcode::VMERGE_VXM:
       case Opcode::VMERGE_VIM: {
-        // vd[i] = v0.mask[i] ? src1 : vs2[i]
-        checkV(in.rd); checkV(in.rs2);
+        // vd[i] = v0.mask[i] ? src[i] : vs2[i]
+        checkV(in.rd);
+        checkV(in.rs2);
+        const std::uint64_t scalar = intScalar();
         for (unsigned i = 0; i < vl; ++i) {
-            std::uint64_t val;
-            if (ctx.v[0].maskBit(i)) {
-                if (in.op == Opcode::VMERGE_VVM) {
-                    checkV(in.rs1);
-                    val = vget(ctx.v[in.rs1], sew, i);
-                } else if (in.op == Opcode::VMERGE_VXM) {
-                    val = rx(in.rs1);
-                } else {
-                    val = static_cast<std::uint64_t>(in.imm);
-                }
-            } else {
-                val = vget(ctx.v[in.rs2], sew, i);
-            }
+            std::uint64_t val = !ctx.v[0].maskBit(i) ? vget(ctx.v[in.rs2], sew, i)
+                                : src_vec            ? vget(ctx.v[in.rs1], sew, i)
+                                                     : scalar;
             vset(ctx.v[in.rd], sew, i, val);
         }
         break;

@@ -1456,12 +1456,12 @@ TEST(Executor, OpcodeSemantics)
     std::set<Opcode> covered;
     for (const SemRow &row : rows)
         covered.insert(runRow(row));
-    // Every opcode the assembler can emit has a row. JAL has no mnemonic.
-    for (unsigned op = 0; op <= static_cast<unsigned>(Opcode::EXIT); ++op) {
-        if (static_cast<Opcode>(op) == Opcode::JAL)
+    // Every opcode with a mnemonic in the opcode table has a row.
+    for (std::size_t op = 0; op < std::size(kOpcodes); ++op) {
+        if (kOpcodes[op].mnemonic.empty())
             continue;
         EXPECT_EQ(covered.count(static_cast<Opcode>(op)), 1u)
-            << "opcode " << op << " has no semantic row";
+            << kOpcodes[op].mnemonic << " has no semantic row";
     }
 }
 
