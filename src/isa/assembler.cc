@@ -26,10 +26,8 @@ mnemonicIndex()
 {
     static const auto index = [] {
         std::unordered_map<std::string_view, Opcode> m;
-        for (std::size_t i = 0; i < std::size(kOpcodes); ++i) {
-            if (!kOpcodes[i].mnemonic.empty())
-                m.emplace(kOpcodes[i].mnemonic, static_cast<Opcode>(i));
-        }
+        for (std::size_t i = 0; i < std::size(kOpcodes); ++i)
+            m.emplace(kOpcodes[i].mnemonic, static_cast<Opcode>(i));
         m.emplace("vfredsum.vs", Opcode::VFREDUSUM_VS); // legacy spelling
         return m;
     }();

@@ -560,7 +560,7 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         break;
       case Opcode::BLTU: branchTo(rx(in.rs1) < rx(in.rs2)); pc_set = true; break;
       case Opcode::BGEU: branchTo(rx(in.rs1) >= rx(in.rs2)); pc_set = true; break;
-      case Opcode::J: case Opcode::JAL:
+      case Opcode::J:
         branchTo(true);
         pc_set = true;
         break;

@@ -222,7 +222,6 @@ vmem(std::uint8_t width)
     OP(BLTU,         "bltu",         BR,    alu())                          \
     OP(BGEU,         "bgeu",         BR,    alu())                          \
     OP(J,            "j",            JL,    alu())                          \
-    OP(JAL,          "",             JL,    alu()) /* no mnemonic */        \
     /* ---- scalar memory */                                                \
     OP(LB,           "lb",           LOAD,  load(1, true))                  \
     OP(LBU,          "lbu",          LOAD,  load(1, false))                 \

@@ -206,7 +206,7 @@ TEST(Assembler, OpcodeTraitsGolden)
         fnvFold(h, u.sew);
         fnvFold(h, static_cast<std::uint64_t>(std::int64_t{u.target}));
     }
-    EXPECT_EQ(h, 0x188a92ce7e675da3ull);
+    EXPECT_EQ(h, 0x208e89d5bbdaca2dull);
 }
 
 TEST(Assembler, DefaultBodySection)
@@ -1456,10 +1456,8 @@ TEST(Executor, OpcodeSemantics)
     std::set<Opcode> covered;
     for (const SemRow &row : rows)
         covered.insert(runRow(row));
-    // Every opcode with a mnemonic in the opcode table has a row.
+    // Every opcode in the opcode table has a row.
     for (std::size_t op = 0; op < std::size(kOpcodes); ++op) {
-        if (kOpcodes[op].mnemonic.empty())
-            continue;
         EXPECT_EQ(covered.count(static_cast<Opcode>(op)), 1u)
             << kOpcodes[op].mnemonic << " has no semantic row";
     }
