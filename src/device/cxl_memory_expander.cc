@@ -490,12 +490,6 @@ CxlMemoryExpander::dramTlbRefill(Asid asid, Addr va)
 }
 
 void
-CxlMemoryExpander::wakeAllUnits()
-{
-    wakeUnits(static_cast<unsigned>(units_.size()));
-}
-
-void
 CxlMemoryExpander::wakeUnits(unsigned count)
 {
     for (unsigned i = 0; i < count; ++i)

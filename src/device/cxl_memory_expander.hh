@@ -209,8 +209,6 @@ class CxlMemoryExpander
     bool dramTlbWarm(Asid asid, Addr va);
     void dramTlbRefill(Asid asid, Addr va);
 
-    /** Wake every NDP unit (new work became available). */
-    void wakeAllUnits();
     /** Wake NDP units [0, @p count) (new work for those units only). */
     void wakeUnits(unsigned count);
     /** Read kernel source text from (asid-translated) device memory. */

@@ -425,9 +425,9 @@ NdpController::killInstance(KernelInstance *inst, std::int64_t code)
     if (inst->error == 0)
         inst->error = code;
 
-    // Wake the units so slots parked on a killed instance (e.g. an
+    // Wake every unit so slots parked on a killed instance (e.g. an
     // infinite loop) get culled at their next issue opportunity.
-    dev_.wakeAllUnits();
+    dev_.wakeUnits(num_units_);
     maybeAdvancePhase(inst);
 }
 
