@@ -371,85 +371,92 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
     };
 
     // The second source of a vector op, by its kind (Instruction::src):
-    // element i of vs1 for .vv forms, else a scalar read once. Each
-    // operation has one case across its operand forms.
+    // element i of vs1 (.vv), or a scalar read once. Each operation has one
+    // case across its operand forms; withIntSrc/withFpSrc compile its loop
+    // once per form, so the form is not re-tested per element.
+    //
+    // These helpers are forced inline: a lambda instantiated out of line
+    // needs the closures it refers to built on the stack, and this function
+    // builds them on every call, whatever the opcode.
     const bool src_vec = in.src == Src::V;
-    /** Checks vs1 (.vv) or returns x[rs1] (.vx) or the immediate (.vi). */
-    auto intScalar = [&]() -> std::uint64_t {
-        switch (in.src) {
-          case Src::V: checkV(in.rs1); return 0;
-          case Src::X: return rx(in.rs1);
-          default: return static_cast<std::uint64_t>(in.imm);
-        }
-    };
-    /** Checks vs1 (.vv) or returns f[rs1] as an element (.vf). */
-    auto fpScalar = [&]() -> double {
+    auto withIntSrc = [&](auto body) __attribute__((always_inline)) {
         if (src_vec) {
             checkV(in.rs1);
-            return 0.0;
+            body([&](unsigned i) { return vget(ctx.v[in.rs1], sew, i); });
+            return;
         }
-        return sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
+        const std::uint64_t s = in.src == Src::X
+                                    ? rx(in.rs1)
+                                    : static_cast<std::uint64_t>(in.imm);
+        body([s](unsigned) { return s; });
     };
+    auto withFpSrc = [&](auto body) __attribute__((always_inline)) {
+        if (src_vec) {
+            checkV(in.rs1);
+            body([&](unsigned i) { return vgetF(ctx.v[in.rs1], sew, i); });
+            return;
+        }
+        const double s = sew == 4 ? asF32(rf(in.rs1)) : asF64(rf(in.rs1));
+        body([s](unsigned) { return s; });
+    };
+    // Signed and unsigned views of a SEW-bit element.
     auto sx = [&](std::uint64_t v) { return signExtend(v, 8 * sew); };
+    auto zx = [&](std::uint64_t v) {
+        return static_cast<std::int64_t>(v & (~0ull >> (64 - 8 * sew)));
+    };
 
     /** vd[i] = fn(vs2[i], src[i] & src_mask) on zero-extended elements. */
-    auto vBinop = [&](auto fn, std::uint64_t src_mask = ~0ull) {
+    auto vBinop = [&](auto fn, std::uint64_t src_mask = ~0ull) __attribute__((always_inline)) {
         checkV(in.rd);
         checkV(in.rs2);
-        const std::uint64_t scalar = intScalar();
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i))
-                continue;
-            std::uint64_t b = src_vec ? vget(ctx.v[in.rs1], sew, i) : scalar;
-            vset(ctx.v[in.rd], sew, i,
-                 fn(vget(ctx.v[in.rs2], sew, i), b & src_mask));
-        }
+        withIntSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i) {
+                if (active(i))
+                    vset(ctx.v[in.rd], sew, i,
+                         fn(vget(ctx.v[in.rs2], sew, i), src(i) & src_mask));
+            }
+        });
     };
 
     /** vd[i] = fn(vs2[i], src[i], i) on FP elements (sew 4 or 8). */
-    auto vfBinop = [&](auto fn) {
+    auto vfBinop = [&](auto fn) __attribute__((always_inline)) {
         checkV(in.rd);
         checkV(in.rs2);
-        const double scalar = fpScalar();
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i))
-                continue;
-            double b = src_vec ? vgetF(ctx.v[in.rs1], sew, i) : scalar;
-            vsetF(ctx.v[in.rd], sew, i, fn(vgetF(ctx.v[in.rs2], sew, i), b, i));
-        }
+        withFpSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i) {
+                if (active(i))
+                    vsetF(ctx.v[in.rd], sew, i,
+                          fn(vgetF(ctx.v[in.rs2], sew, i), src(i), i));
+            }
+        });
     };
 
-    /** Mask-producing compare: v[rd] bit i = fn(vs2[i], src[i]). Elements
-     *  and a scalar operand alike are cut to SEW bits, then sign-extended
-     *  (or zero-extended for the unsigned compares). */
-    auto vCompare = [&](auto fn, bool is_unsigned) {
+    /** Mask-producing compare: v[rd] bit i = fn(ext(vs2[i]), ext(src[i])).
+     *  A scalar operand is cut to SEW bits like the elements; ext is sx
+     *  (signed compares) or zx (unsigned). */
+    auto vCompare = [&](auto fn, auto ext) __attribute__((always_inline)) {
         checkV(in.rd);
         checkV(in.rs2);
-        auto ext = [&](std::uint64_t v) {
-            return is_unsigned
-                       ? static_cast<std::int64_t>(v & (~0ull >> (64 - 8 * sew)))
-                       : sx(v);
-        };
-        const std::int64_t scalar = ext(intScalar());
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i))
-                continue;
-            std::int64_t b = src_vec ? ext(vget(ctx.v[in.rs1], sew, i)) : scalar;
-            ctx.v[in.rd].setMaskBit(i, fn(ext(vget(ctx.v[in.rs2], sew, i)), b));
-        }
+        withIntSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i) {
+                if (active(i))
+                    ctx.v[in.rd].setMaskBit(
+                        i, fn(ext(vget(ctx.v[in.rs2], sew, i)), ext(src(i))));
+            }
+        });
     };
 
     /** FP compare: v[rd] bit i = fn(vs2[i], src[i]). */
-    auto vfCompare = [&](auto fn) {
+    auto vfCompare = [&](auto fn) __attribute__((always_inline)) {
         checkV(in.rd);
         checkV(in.rs2);
-        const double scalar = fpScalar();
-        for (unsigned i = 0; i < vl; ++i) {
-            if (!active(i))
-                continue;
-            double b = src_vec ? vgetF(ctx.v[in.rs1], sew, i) : scalar;
-            ctx.v[in.rd].setMaskBit(i, fn(vgetF(ctx.v[in.rs2], sew, i), b));
-        }
+        withFpSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i) {
+                if (active(i))
+                    ctx.v[in.rd].setMaskBit(
+                        i, fn(vgetF(ctx.v[in.rs2], sew, i), src(i)));
+            }
+        });
     };
 
     /** x[rs2] (register forms) or the immediate (immediate forms). */
@@ -752,15 +759,14 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         }
         break;
       }
-      case Opcode::VMV_V_V: case Opcode::VMV_V_X: case Opcode::VMV_V_I: {
+      case Opcode::VMV_V_V: case Opcode::VMV_V_X: case Opcode::VMV_V_I:
         // vd[i] = src[i] (unmasked; elements past vl are tail).
         checkV(in.rd);
-        const std::uint64_t scalar = intScalar();
-        for (unsigned i = 0; i < vl; ++i)
-            vset(ctx.v[in.rd], sew, i,
-                 src_vec ? vget(ctx.v[in.rs1], sew, i) : scalar);
+        withIntSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i)
+                vset(ctx.v[in.rd], sew, i, src(i));
+        });
         break;
-      }
       case Opcode::VMV_X_S:
         checkV(in.rs2);
         wx(in.rd, static_cast<std::uint64_t>(vgetS(ctx.v[in.rs2], sew, 0)));
@@ -795,13 +801,13 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
       case Opcode::VFMAX_VV:
         vfBinop([](double a, double b, unsigned) { return fmaxRv(a, b); });
         break;
-      case Opcode::VFMV_V_F: {
+      case Opcode::VFMV_V_F:
         checkV(in.rd);
-        const double s = fpScalar();
-        for (unsigned i = 0; i < vl; ++i)
-            vsetF(ctx.v[in.rd], sew, i, s);
+        withFpSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i)
+                vsetF(ctx.v[in.rd], sew, i, src(i));
+        });
         break;
-      }
       case Opcode::VFMV_F_S:
         checkV(in.rs2);
         wf(in.rd, sew == 4
@@ -810,7 +816,7 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         break;
       case Opcode::VFMV_S_F:
         checkV(in.rd);
-        vsetF(ctx.v[in.rd], sew, 0, fpScalar());
+        withFpSrc([&](auto src) { vsetF(ctx.v[in.rd], sew, 0, src(0)); });
         break;
 
       // ------------------------------------------------------- reductions
@@ -857,33 +863,33 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
 
       // ---------------------------------------------------------- compares
       case Opcode::VMSEQ_VV: case Opcode::VMSEQ_VX: case Opcode::VMSEQ_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a == b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a == b; }, sx);
         break;
       case Opcode::VMSNE_VV: case Opcode::VMSNE_VX: case Opcode::VMSNE_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a != b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a != b; }, sx);
         break;
       case Opcode::VMSLT_VV: case Opcode::VMSLT_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a < b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a < b; }, sx);
         break;
       case Opcode::VMSLE_VV: case Opcode::VMSLE_VX: case Opcode::VMSLE_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a <= b; }, sx);
         break;
       case Opcode::VMSGT_VX: case Opcode::VMSGT_VI:
-        vCompare([](std::int64_t a, std::int64_t b) { return a > b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a > b; }, sx);
         break;
       case Opcode::VMSGE_VX:
-        vCompare([](std::int64_t a, std::int64_t b) { return a >= b; }, false);
+        vCompare([](std::int64_t a, std::int64_t b) { return a >= b; }, sx);
         break;
       // Unsigned: both sides are zero-extended, so compare as unsigned.
       case Opcode::VMSLTU_VV: case Opcode::VMSLTU_VX:
         vCompare([](std::int64_t a, std::int64_t b) {
             return static_cast<std::uint64_t>(a) < static_cast<std::uint64_t>(b);
-        }, true);
+        }, zx);
         break;
       case Opcode::VMSGTU_VX:
         vCompare([](std::int64_t a, std::int64_t b) {
             return static_cast<std::uint64_t>(a) > static_cast<std::uint64_t>(b);
-        }, true);
+        }, zx);
         break;
       case Opcode::VMFLT_VF:
         vfCompare([](double a, double b) { return a < b; });
@@ -952,19 +958,16 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         break;
       }
       case Opcode::VMERGE_VVM: case Opcode::VMERGE_VXM:
-      case Opcode::VMERGE_VIM: {
+      case Opcode::VMERGE_VIM:
         // vd[i] = v0.mask[i] ? src[i] : vs2[i]
         checkV(in.rd);
         checkV(in.rs2);
-        const std::uint64_t scalar = intScalar();
-        for (unsigned i = 0; i < vl; ++i) {
-            std::uint64_t val = !ctx.v[0].maskBit(i) ? vget(ctx.v[in.rs2], sew, i)
-                                : src_vec            ? vget(ctx.v[in.rs1], sew, i)
-                                                     : scalar;
-            vset(ctx.v[in.rd], sew, i, val);
-        }
+        withIntSrc([&](auto src) {
+            for (unsigned i = 0; i < vl; ++i)
+                vset(ctx.v[in.rd], sew, i,
+                     ctx.v[0].maskBit(i) ? src(i) : vget(ctx.v[in.rs2], sew, i));
+        });
         break;
-      }
 
       case Opcode::EXIT:
         res.done = true;
