@@ -21,13 +21,13 @@ struct AsmError
 };
 
 /** Mnemonic -> opcode, built once from the opcode table. */
-const std::unordered_map<std::string_view, Opcode> &
+const std::unordered_map<std::string, Opcode> &
 mnemonicIndex()
 {
     static const auto index = [] {
-        std::unordered_map<std::string_view, Opcode> m;
+        std::unordered_map<std::string, Opcode> m;
         for (std::size_t i = 0; i < std::size(kOpcodes); ++i)
-            m.emplace(kOpcodes[i].mnemonic, static_cast<Opcode>(i));
+            m.emplace(std::string(kOpcodes[i].mnemonic), static_cast<Opcode>(i));
         m.emplace("vfredsum.vs", Opcode::VFREDUSUM_VS); // legacy spelling
         return m;
     }();
