@@ -534,9 +534,7 @@ CxlMemoryExpander::aggregateUnitStats() const
 {
     NdpUnitStats total;
     for (const auto &u : units_) {
-        // Snapshot, not stats(): folds each unit's still-open burst in,
-        // so a run whose longest burst is its last is reported fully.
-        const NdpUnitStats s = u->statsSnapshot();
+        const NdpUnitStats &s = u->stats();
         total.instructions += s.instructions;
         total.scalar_instructions += s.scalar_instructions;
         total.vector_instructions += s.vector_instructions;
@@ -552,14 +550,9 @@ CxlMemoryExpander::aggregateUnitStats() const
         total.stall_mem_wait += s.stall_mem_wait;
         total.stall_no_ready += s.stall_no_ready;
         total.stall_fu_busy += s.stall_fu_busy;
-        total.bursts += s.bursts;
-        total.burst_cycles += s.burst_cycles;
-        total.burst_max = std::max(total.burst_max, s.burst_max);
         total.traps_unmapped += s.traps_unmapped;
         total.traps_spad_oob += s.traps_spad_oob;
         total.uthreads_killed += s.uthreads_killed;
-        for (unsigned b = 0; b < NdpUnitStats::kBurstBuckets; ++b)
-            total.burst_hist[b] += s.burst_hist[b];
     }
     return total;
 }

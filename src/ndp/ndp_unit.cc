@@ -33,13 +33,13 @@ NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
 {
     M2_ASSERT(cfg_.slots_per_subcore <= ReadySched::kMaxSlots,
               "sub-core slot count exceeds the ready ring width");
+    full_mask_ = cfg_.slots_per_subcore == 64
+                     ? ~std::uint64_t(0)
+                     : (std::uint64_t(1) << cfg_.slots_per_subcore) - 1;
     for (auto &sc : subcores_) {
         sc.slots.resize(cfg_.slots_per_subcore);
-        sc.idle_count = cfg_.slots_per_subcore;
         sc.reg_bytes_free = cfg_.regfile_bytes / cfg_.subcores;
-        sc.idle_mask = cfg_.slots_per_subcore == 64
-                           ? ~std::uint64_t(0)
-                           : (std::uint64_t(1) << cfg_.slots_per_subcore) - 1;
+        sc.idle_mask = full_mask_;
         sc.sched.reset(cfg_.slots_per_subcore);
         for (unsigned i = 0; i < sc.slots.size(); ++i) {
             sc.slots[i].owner = &sc;
@@ -191,7 +191,7 @@ void
 NdpUnit::wake()
 {
     work_maybe_available_ = true;
-    scheduleTick(eqNextEdge());
+    scheduleTick(edgeAtOrAfter(eq_.now()));
 }
 
 M2NDP_HOT_PATH
@@ -209,47 +209,39 @@ Tick
 NdpUnit::tick(Tick now)
 {
     // Same-edge re-ticks (completions queued mid-cycle, phase wakes)
-    // re-run the spawn/issue passes but must not extend the burst run or
-    // re-count the per-cycle scheduler stats for an already-counted edge.
+    // re-run the spawn/issue passes but must not re-count the per-cycle
+    // scheduler stats for an already-counted edge.
     const bool new_cycle = now != last_tick_;
-    if (new_cycle) {
-        // Burst accounting: a tick exactly one period after the previous
-        // one extends the current back-to-back run; a gap (or the first
-        // tick) closes it.
-        if (last_tick_ != kTickMax && now == last_tick_ + cfg_.period) {
-            ++burst_len_;
-        } else {
-            stats_.recordBurst(burst_len_);
-            flushIssueStats();
-            burst_len_ = 1;
-        }
-        last_tick_ = now;
-    }
+    last_tick_ = now;
 
     // Apply parked memory completions first so woken slots issue this
     // cycle (fused delivery: the response event no longer exists).
     if (pending_min_ <= now)
         drainCompletions(now);
     Tick next = kTickMax;
+    // OR of every sub-core's idle and live slot masks once its spawn and
+    // issue passes are done (no later pass touches an earlier sub-core).
+    std::uint64_t idle_any = 0;
+    std::uint64_t live_any = 0;
 
-    for (unsigned i = 0; i < subcores_.size(); ++i) {
-        auto &sc = subcores_[i];
-        if (work_maybe_available_ && sc.idle_count != 0)
+    for (auto &sc : subcores_) {
+        if (work_maybe_available_ && sc.idle_mask != 0)
             trySpawn(sc, now);
-        if (sc.sched.totalReady() == 0) {
+        if (sc.sched.totalReady() != 0) {
+            next = std::min(next, issueOne(sc, now, new_cycle));
+        } else if (new_cycle && sc.waitmem_count != 0) {
             // Fully parked sub-core (every live uthread waits on memory):
             // the dominant case on memory-bound kernels. Classify the
             // stall inline and skip the issue pass entirely — the ring
             // and wake list are empty, so issueOne could only return
             // kTickMax anyway.
-            if (new_cycle && sc.waitmem_count != 0)
-                ++stats_.stall_mem_wait;
-            continue;
+            ++stats_.stall_mem_wait;
         }
-        next = std::min(next, issueOne(i, sc, now, new_cycle));
+        idle_any |= sc.idle_mask;
+        live_any |= sc.idle_mask ^ full_mask_;
     }
 
-    if (live_slots_ > 0)
+    if (live_any != 0)
         ++stats_.active_cycles;
 
     // Decide when to tick again: the earliest of the next interesting
@@ -259,7 +251,7 @@ NdpUnit::tick(Tick now)
     // a completion or wake requests a tick. Returned to the cycle driver
     // instead of upcalled through requestUnitTick (one virtual call per
     // tick saved; completions queued mid-tick still upcall).
-    if (work_maybe_available_ && hasIdleSlot())
+    if (work_maybe_available_ && idle_any != 0)
         next = std::min(next, now + cfg_.period);
     next = std::min(next, pending_min_);
     return next != kTickMax ? edgeAtOrAfter(next) : kTickMax;
@@ -308,18 +300,14 @@ NdpUnit::drainCompletions(Tick now)
 }
 
 M2NDP_HOT_PATH
-bool
+void
 NdpUnit::trySpawn(SubCore &sc, Tick now)
 {
-    if (sc.idle_count == 0)
-        return false;
     // Coarse-grained ablation: behave like threadblock allocation — only
     // refill when the whole sub-core drained (Fig. 12a).
-    if (!cfg_.fine_grained_spawn &&
-        sc.idle_count != sc.slots.size())
-        return false;
+    if (!cfg_.fine_grained_spawn && sc.idle_mask != full_mask_)
+        return;
 
-    bool spawned = false;
     while (sc.idle_mask != 0) {
         // Lowest idle slot (same pick order as the old linear walk).
         unsigned idx =
@@ -333,7 +321,7 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
         if (got != PullStatus::Spawn) {
             if (got == PullStatus::Empty)
                 work_maybe_available_ = false;
-            return spawned;
+            return;
         }
         const auto &need = item.instance->kernel->resources;
         sc.reg_bytes_free -= need.registerBytes();
@@ -352,23 +340,20 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
         slot.ready_at = now + cfg_.period; // spawn takes one cycle
         slot.outstanding_loads = 0;
         slot.finish_pending = false;
-        ++live_slots_;
-        --sc.idle_count;
         sc.idle_mask &= ~(std::uint64_t(1) << idx);
         // Spawn interaction with the ready ring: the slot enters the
         // wake list for the next edge and surfaces in the ring there.
         sc.sched.sleepUntil(idx, slot.ready_at);
-        spawned = true;
-        if (!cfg_.fine_grained_spawn)
-            continue; // fill the whole sub-core in coarse mode
-        break;        // fine-grained: at most one spawn per cycle
+        // Fine-grained: at most one spawn per cycle; coarse mode fills
+        // the whole sub-core.
+        if (cfg_.fine_grained_spawn)
+            return;
     }
-    return spawned;
 }
 
 M2NDP_HOT_PATH
 Tick
-NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
+NdpUnit::issueOne(SubCore &sc, Tick now, bool new_cycle)
 {
     hotpath::Scope issue_timer(hotpath::g.issue);
     // Surface due sleepers (FU latency, spawn delay) into the ready ring.
@@ -470,11 +455,11 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
             break;
         }
 
-        // Per-issue stat writes hoisted into per-burst accumulators (see
-        // flushIssueStats).
-        ++acc_instructions_;
+        ++stats_.instructions;
         if (next_inst.is_vector)
-            ++acc_vector_instructions_;
+            ++stats_.vector_instructions;
+        else
+            ++stats_.scalar_instructions;
 
         // FU occupancy: pipelined units take a new op next cycle; SFUs are
         // unpipelined; LSUs are occupied one cycle per sector reference.
@@ -508,7 +493,7 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle)
         // Assemble-time mem-free tag: ALU/branch µops (the majority on
         // compute-heavy kernels) skip the MemRefList inspection outright.
         if (next_inst.touches_mem && !res.mem.empty())
-            spad_ready = handleMemRefs(sc_idx, sc, slot, res, now);
+            spad_ready = handleMemRefs(slot, res, now);
 
         if (slot.outstanding_loads == 0) {
             if (slot.state == SlotState::WaitMem) {
@@ -567,9 +552,7 @@ NdpUnit::completeBlockingAccess(Slot *slot, Tick when)
 
 M2NDP_HOT_PATH
 Tick
-NdpUnit::handleMemRefs([[maybe_unused]] unsigned sc_idx, SubCore &sc,
-                       Slot &slot,
-                       const isa::StepResult &res, Tick now)
+NdpUnit::handleMemRefs(Slot &slot, const isa::StepResult &res, Tick now)
 {
     // First pass: issue global refs (these need real completion
     // callbacks) and count blocking scratchpad refs.
@@ -582,7 +565,7 @@ NdpUnit::handleMemRefs([[maybe_unused]] unsigned sc_idx, SubCore &sc,
                 ++spad_blocking;
             continue;
         }
-        issueGlobalAccess(sc, slot, ref, now, res.blocking_mem);
+        issueGlobalAccess(slot, ref, now, res.blocking_mem);
     }
     if (spad_blocking == 0)
         return 0;
@@ -608,9 +591,8 @@ NdpUnit::handleMemRefs([[maybe_unused]] unsigned sc_idx, SubCore &sc,
 
 M2NDP_HOT_PATH
 void
-NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
-                           const isa::MemRef &ref,
-                           Tick now, bool blocking)
+NdpUnit::issueGlobalAccess(Slot &slot, const isa::MemRef &ref, Tick now,
+                           bool blocking)
 {
     KernelInstance *inst = slot.instance;
     const Asid asid = inst->asid;
@@ -724,28 +706,19 @@ NdpUnit::finishThread(SubCore &sc, Slot &slot)
     slot.state = SlotState::Idle;
     slot.instance = nullptr;
     slot.section = nullptr;
-    --live_slots_;
-    ++sc.idle_count;
     sc.idle_mask |= std::uint64_t(1) << slot.index;
     ++stats_.uthreads_completed;
     work_maybe_available_ = true; // a slot freed: maybe new spawn possible
     ctl_.uthreadFinished(inst);
 }
 
-M2NDP_HOT_PATH
-bool
-NdpUnit::hasIdleSlot() const
+unsigned
+NdpUnit::activeSlots() const
 {
-    // live_slots_ is maintained on every spawn/finish: O(1), no subcore
-    // walk on the per-tick rearm path.
-    return live_slots_ < cfg_.subcores * cfg_.slots_per_subcore;
-}
-
-M2NDP_HOT_PATH
-Tick
-NdpUnit::eqNextEdge() const
-{
-    return edgeAtOrAfter(eq_.now());
+    unsigned idle = 0;
+    for (const auto &sc : subcores_)
+        idle += static_cast<unsigned>(std::popcount(sc.idle_mask));
+    return cfg_.subcores * cfg_.slots_per_subcore - idle;
 }
 
 } // namespace m2ndp

@@ -25,9 +25,7 @@
 
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -71,9 +69,6 @@ struct NdpUnitConfig
 /** Aggregate statistics for one NDP unit. */
 struct NdpUnitStats
 {
-    /** Burst-length histogram buckets (log2): 1, 2-3, 4-7, ... 128+. */
-    static constexpr unsigned kBurstBuckets = 8;
-
     std::uint64_t instructions = 0;
     std::uint64_t scalar_instructions = 0;
     std::uint64_t vector_instructions = 0;
@@ -107,26 +102,6 @@ struct NdpUnitStats
     /** Sub-core cycles with issue-eligible uthreads that all lost FU
      *  structural hazards (every candidate's FU busy). */
     std::uint64_t stall_fu_busy = 0;
-    /** Run-until-stall bursts: maximal runs of back-to-back ticked
-     *  cycles. A burst of length L covers L consecutive cycle edges. */
-    std::uint64_t bursts = 0;
-    std::uint64_t burst_cycles = 0; ///< cycles covered by recorded bursts
-    std::uint64_t burst_max = 0;    ///< longest recorded burst (cycles)
-    std::array<std::uint64_t, kBurstBuckets> burst_hist{};
-
-    void
-    recordBurst(std::uint64_t len)
-    {
-        if (len == 0)
-            return;
-        ++bursts;
-        burst_cycles += len;
-        burst_max = std::max(burst_max, len);
-        unsigned bucket =
-            len >= 128 ? kBurstBuckets - 1
-                       : static_cast<unsigned>(std::bit_width(len)) - 1;
-        ++burst_hist[bucket];
-    }
 };
 
 /** The NDP unit proper. */
@@ -150,28 +125,9 @@ class NdpUnit : public isa::MemoryIf
     Tick tick(Tick now);
 
     /** Number of currently live (non-idle) uthread slots. */
-    unsigned activeSlots() const { return live_slots_; }
+    unsigned activeSlots() const;
 
     const NdpUnitStats &stats() const { return stats_; }
-
-    /**
-     * Stats with the still-open run-until-stall burst folded in as if it
-     * ended now (non-mutating): without this, a unit whose longest burst
-     * is its final one would never report it — recordBurst only fires
-     * when a later tick observes a gap.
-     */
-    NdpUnitStats
-    statsSnapshot() const
-    {
-        NdpUnitStats s = stats_;
-        s.recordBurst(burst_len_);
-        // Fold the open burst's issue accumulators the same way: the
-        // per-issue counts live in acc_* until the burst closes.
-        s.instructions += acc_instructions_;
-        s.vector_instructions += acc_vector_instructions_;
-        s.scalar_instructions += acc_instructions_ - acc_vector_instructions_;
-        return s;
-    }
 
     const NdpUnitConfig &config() const { return cfg_; }
     const TlbStats &dtlbStats() const { return dtlb_.stats(); }
@@ -222,9 +178,9 @@ class NdpUnit : public isa::MemoryIf
         std::uint64_t reg_bytes_free = 0;
         unsigned rr_next = 0;
         /** Idle slots as a bitmask: spawn picks the lowest free slot with
-         *  a count-trailing-zeros instead of walking the slot array. */
+         *  a count-trailing-zeros instead of walking the slot array. The
+         *  one record of occupancy: 0 = full, full_mask_ = all idle. */
         std::uint64_t idle_mask = 0;
-        unsigned idle_count = 0;
         /** Slots in WaitMem (for stall-reason classification only). */
         unsigned waitmem_count = 0;
         /** Ready ring + ready_at-ordered wake list: the issue stage only
@@ -273,9 +229,9 @@ class NdpUnit : public isa::MemoryIf
     void drainCompletions(Tick now);
 
     void scheduleTick(Tick at);
-    /** Spawn into an idle slot of @p sc if the next uthread's registers
-     *  fit; returns whether anything spawned. */
-    bool trySpawn(SubCore &sc, Tick now);
+    /** Spawn into an idle slot of @p sc (which has one) if the next
+     *  uthread's registers fit. */
+    void trySpawn(SubCore &sc, Tick now);
     /**
      * One ready-ring issue pass over @p sc: round-robin-selects among the
      * issue-eligible slots only (bitmask rotate + ctz), issues at most one
@@ -288,7 +244,7 @@ class NdpUnit : public isa::MemoryIf
      * @p new_cycle gates the per-cycle scheduler stats so same-edge
      * re-ticks do not double-count an already-counted edge.
      */
-    Tick issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle);
+    Tick issueOne(SubCore &sc, Tick now, bool new_cycle);
     void finishThread(SubCore &sc, Slot &slot);
     /**
      * Issue the timing side of one instruction's memory references.
@@ -298,11 +254,10 @@ class NdpUnit : public isa::MemoryIf
      * returns the tick the slot becomes ready (0 = no pure-scratchpad
      * wait; the caller applies it to ready_at).
      */
-    Tick handleMemRefs(unsigned sc_idx, SubCore &sc, Slot &slot,
-                       const isa::StepResult &res, Tick now);
+    Tick handleMemRefs(Slot &slot, const isa::StepResult &res, Tick now);
     /** Translation delay + global access for one ref; wakes slot. */
-    void issueGlobalAccess(SubCore &sc, Slot &slot, const isa::MemRef &ref,
-                           Tick now, bool blocking);
+    void issueGlobalAccess(Slot &slot, const isa::MemRef &ref, Tick now,
+                           bool blocking);
     /**
      * Issue the timing access itself (after any DRAM-TLB fill delay).
      * Split out so the D-TLB fill continuation captures only scalars —
@@ -312,8 +267,6 @@ class NdpUnit : public isa::MemoryIf
     void launchGlobalAccess(Slot *slot, KernelInstance *inst, MemOp op,
                             bool blocking, Addr pa, std::uint32_t size,
                             Tick issued_at);
-    bool hasIdleSlot() const;
-    Tick eqNextEdge() const;
     /**
      * First cycle edge at or after @p t. Runs on every tick re-arm and
      * every queued completion, so the modulo is computed with a
@@ -386,32 +339,11 @@ class NdpUnit : public isa::MemoryIf
      *  multiply computes t / period exactly (see edgeAtOrAfter). */
     std::uint64_t period_inv_ = 0;
     Tick period_div_limit_ = 0;
-    unsigned live_slots_ = 0;
+    /** A sub-core's idle_mask with every slot idle. */
+    std::uint64_t full_mask_ = 0;
     bool work_maybe_available_ = true;
-    /** Burst tracking: previous ticked edge and current run length. */
+    /** Previous ticked edge: same-edge re-ticks skip per-cycle stats. */
     Tick last_tick_ = kTickMax;
-    std::uint64_t burst_len_ = 0;
-    /**
-     * Per-burst issue accumulators: the issue loop bumps these two local
-     * counters instead of three NdpUnitStats fields per instruction; the
-     * burst-close path in tick() folds them into stats_ (scalar count is
-     * derived as instructions - vector there, saving the third per-issue
-     * increment and its branch). statsSnapshot() folds non-mutatingly.
-     */
-    std::uint64_t acc_instructions_ = 0;
-    std::uint64_t acc_vector_instructions_ = 0;
-
-    /** Fold the open burst's issue accumulators into stats_. */
-    void
-    flushIssueStats()
-    {
-        stats_.instructions += acc_instructions_;
-        stats_.vector_instructions += acc_vector_instructions_;
-        stats_.scalar_instructions +=
-            acc_instructions_ - acc_vector_instructions_;
-        acc_instructions_ = 0;
-        acc_vector_instructions_ = 0;
-    }
     /** Parked memory completions: (when, seq) min-heap over a capacity-
      *  retaining vector (drained by tick; heap top tick == pending_min_). */
     std::vector<PendingCompletion> pending_;

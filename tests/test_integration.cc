@@ -308,16 +308,10 @@ TEST_F(IntegrationTest, SchedulerStatsAndDeterminism)
     Tick t2 = run_once(second);
     EXPECT_EQ(t1, t2);
 
-    // The ring saw issuable uthreads, bursts formed, and the dominant
-    // stall on a dependent-load kernel is memory wait.
+    // The ring saw issuable uthreads, and the dominant stall on a
+    // dependent-load kernel is memory wait.
     EXPECT_GT(first.ready_occupancy_integral, 0u);
-    EXPECT_GT(first.bursts, 0u);
-    EXPECT_GE(first.burst_max, 2u);
     EXPECT_GT(first.stall_mem_wait, first.stall_fu_busy);
-    std::uint64_t hist_total = 0;
-    for (std::uint64_t h : first.burst_hist)
-        hist_total += h;
-    EXPECT_EQ(hist_total, first.bursts);
 
     // Scheduler-internal counters are deterministic, bit for bit.
     EXPECT_EQ(first.instructions, second.instructions);
@@ -326,9 +320,6 @@ TEST_F(IntegrationTest, SchedulerStatsAndDeterminism)
     EXPECT_EQ(first.stall_mem_wait, second.stall_mem_wait);
     EXPECT_EQ(first.stall_no_ready, second.stall_no_ready);
     EXPECT_EQ(first.stall_fu_busy, second.stall_fu_busy);
-    EXPECT_EQ(first.bursts, second.bursts);
-    EXPECT_EQ(first.burst_cycles, second.burst_cycles);
-    EXPECT_EQ(first.burst_max, second.burst_max);
 }
 
 TEST_F(IntegrationTest, ReductionWithScratchpadAndAtomics)
