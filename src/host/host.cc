@@ -50,25 +50,9 @@ HostCxlPort::abortIfDownAtDevice(HostAccess *a)
     if (!link_.isDownAt(dev_eq_.now())) [[likely]]
         return false;
     a->failed = true;
-    postToHost(dev_eq_.now() + link_.config().oneway_latency, a,
-               &HostCxlPort::finish);
+    postToHostAt(dev_eq_.now() + link_.config().oneway_latency,
+                 [a] { a->port->finish(a); });
     return true;
-}
-
-void
-HostCxlPort::postToDevice(Tick when, HostAccess *a,
-                          void (HostCxlPort::*stage)(HostAccess *))
-{
-    domain_.post(SimDomain::kHost, dev_pid_, when,
-                 [a, stage] { (a->port->*stage)(a); });
-}
-
-void
-HostCxlPort::postToHost(Tick when, HostAccess *a,
-                        void (HostCxlPort::*stage)(HostAccess *))
-{
-    domain_.post(dev_pid_, SimDomain::kHost, when,
-                 [a, stage] { (a->port->*stage)(a); });
 }
 
 void
@@ -84,7 +68,7 @@ HostCxlPort::postToHostAt(Tick when, EventCallback cb)
 }
 
 // --------------------------------------------------------------------------
-// Write chain (M2S RwD -> S2M NDR)
+// CXL.mem chain: M2S RwD -> S2M NDR for writes, M2S Req -> S2M DRS for reads
 // --------------------------------------------------------------------------
 
 void
@@ -103,46 +87,8 @@ HostCxlPort::writeAsync(Addr hpa, const void *data, std::uint32_t size,
         a->big_data = std::make_unique<std::uint8_t[]>(size);
         std::memcpy(a->big_data.get(), data, size);
     }
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->wDeliver(a); });
+    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->deliver(a); });
 }
-
-void
-HostCxlPort::wDeliver(HostAccess *a)
-{
-    if (abortIfDown(a))
-        return;
-    Tick arrive = link_.down().send(link_.writeReqBytes(a->size));
-    postToDevice(arrive, a, &HostCxlPort::wAtDevice);
-}
-
-void
-HostCxlPort::wAtDevice(HostAccess *a)
-{
-    if (abortIfDownAtDevice(a))
-        return;
-    dev_.cxlWrite(a->hpa, a->data(), a->size,
-                  [a](Tick t) { a->port->wDeviceDone(a, t); });
-}
-
-void
-HostCxlPort::wDeviceDone(HostAccess *a, Tick t)
-{
-    Tick at = std::max(dev_eq_.now(), t);
-    dev_eq_.schedule(at, [a] { a->port->wSendNdr(a); });
-}
-
-void
-HostCxlPort::wSendNdr(HostAccess *a)
-{
-    if (abortIfDownAtDevice(a))
-        return;
-    Tick back = link_.up().send(link_.ndrBytes());
-    postToHost(back + cfg_.host_overhead, a, &HostCxlPort::finish);
-}
-
-// --------------------------------------------------------------------------
-// Read chain (M2S Req -> S2M DRS)
-// --------------------------------------------------------------------------
 
 void
 HostCxlPort::readAsync(Addr hpa, std::uint32_t size, TickCallback done)
@@ -161,47 +107,57 @@ HostCxlPort::readAsync(Addr hpa, std::uint32_t size, void *out,
     a->is_write = false;
     a->read_out = out;
     a->done = std::move(done);
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->rDeliver(a); });
+    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->deliver(a); });
 }
 
 void
-HostCxlPort::rDeliver(HostAccess *a)
+HostCxlPort::deliver(HostAccess *a)
 {
     if (abortIfDown(a))
         return;
-    Tick arrive = link_.down().send(link_.readReqBytes());
-    postToDevice(arrive, a, &HostCxlPort::rAtDevice);
+    Tick arrive = link_.down().send(a->is_write
+                                        ? link_.writeReqBytes(a->size)
+                                        : link_.readReqBytes());
+    postToDeviceAt(arrive, [a] { a->port->atDevice(a); });
 }
 
 void
-HostCxlPort::rAtDevice(HostAccess *a)
+HostCxlPort::atDevice(HostAccess *a)
 {
     if (abortIfDownAtDevice(a))
         return;
-    dev_.cxlRead(a->hpa, a->size,
-                 [a](Tick t) { a->port->rDeviceDone(a, t); });
+    auto done = [a](Tick t) { a->port->deviceDone(a, t); };
+    if (a->is_write)
+        dev_.cxlWrite(a->hpa, a->data(), a->size, done);
+    else
+        dev_.cxlRead(a->hpa, a->size, done);
 }
 
 void
-HostCxlPort::rDeviceDone(HostAccess *a, Tick t)
+HostCxlPort::deviceDone(HostAccess *a, Tick t)
 {
     Tick at = std::max(dev_eq_.now(), t);
-    dev_eq_.schedule(at, [a] { a->port->rSendData(a); });
+    dev_eq_.schedule(at, [a] { a->port->respond(a); });
 }
 
 void
-HostCxlPort::rSendData(HostAccess *a)
+HostCxlPort::respond(HostAccess *a)
 {
     if (abortIfDownAtDevice(a))
         return;
-    // The S2M DRS carries the data: capture the functional bytes at
-    // response-formation time, on the device partition. The destination
-    // buffer is quiescent while the access is in flight; the mailbox
-    // handoff publishes the bytes to the host thread before `done` runs.
-    if (a->read_out != nullptr)
-        dev_.funcRead(a->hpa, a->read_out, a->size);
-    Tick back = link_.up().send(link_.dataRespBytes(a->size));
-    postToHost(back + cfg_.host_overhead, a, &HostCxlPort::finish);
+    std::uint32_t bytes = link_.ndrBytes();
+    if (!a->is_write) {
+        // The S2M DRS carries the data: capture the functional bytes at
+        // response-formation time, on the device partition. The
+        // destination buffer is quiescent while the access is in flight;
+        // the mailbox handoff publishes the bytes to the host thread
+        // before `done` runs.
+        if (a->read_out != nullptr)
+            dev_.funcRead(a->hpa, a->read_out, a->size);
+        bytes = link_.dataRespBytes(a->size);
+    }
+    Tick back = link_.up().send(bytes);
+    postToHostAt(back + cfg_.host_overhead, [a] { a->port->finish(a); });
 }
 
 void

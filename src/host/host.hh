@@ -189,23 +189,14 @@ class HostCxlPort
      */
     bool abortIfDownAtDevice(HostAccess *a);
 
-    /** Cross the host->device partition boundary (or same queue). */
-    void postToDevice(Tick when, HostAccess *a, void (HostCxlPort::*stage)(HostAccess *));
-    /** Cross the device->host partition boundary (or same queue). */
-    void postToHost(Tick when, HostAccess *a, void (HostCxlPort::*stage)(HostAccess *));
-
-    // Write chain: issue -> link -> device -> NDR -> completion.
-    // wDeliver runs on the host partition; wAtDevice, wDeviceDone and
-    // wSendNdr on the device partition; finish back on the host.
-    void wDeliver(HostAccess *a);
-    void wAtDevice(HostAccess *a);
-    void wDeviceDone(HostAccess *a, Tick t);
-    void wSendNdr(HostAccess *a);
-    // Read chain: issue -> link -> device -> data response -> completion.
-    void rDeliver(HostAccess *a);
-    void rAtDevice(HostAccess *a);
-    void rDeviceDone(HostAccess *a, Tick t);
-    void rSendData(HostAccess *a);
+    // One chain for both directions, switched on HostAccess::is_write:
+    // issue -> link -> device -> NDR (write) or DRS (read) -> completion.
+    // deliver runs on the host partition; atDevice, deviceDone and
+    // respond on the device partition; finish back on the host.
+    void deliver(HostAccess *a);
+    void atDevice(HostAccess *a);
+    void deviceDone(HostAccess *a, Tick t);
+    void respond(HostAccess *a);
     void finish(HostAccess *a);
 
     EventQueue &eq_;      ///< host partition queue
