@@ -19,18 +19,6 @@ PacketFilter::insert(Addr base, Addr bound, Asid asid)
     return true;
 }
 
-bool
-PacketFilter::remove(Asid asid)
-{
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->asid == asid) {
-            entries_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::optional<PacketFilterMatch>
 PacketFilter::match(Addr addr) const
 {

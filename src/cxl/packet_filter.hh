@@ -50,9 +50,6 @@ class PacketFilter
      */
     bool insert(Addr base, Addr bound, Asid asid);
 
-    /** Remove the entry for @p asid. @return true if present. */
-    bool remove(Asid asid);
-
     /** Check an incoming request address. */
     std::optional<PacketFilterMatch> match(Addr addr) const;
 

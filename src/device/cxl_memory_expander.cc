@@ -444,13 +444,6 @@ CxlMemoryExpander::allocateM2FuncRegion(Asid asid)
 }
 
 void
-CxlMemoryExpander::removeM2FuncRegion(Asid asid)
-{
-    filter_.remove(asid);
-    m2func_regions_.erase(asid);
-}
-
-void
 CxlMemoryExpander::attachProcess(const PageTable *table)
 {
     processes_[table->asid()] = table;

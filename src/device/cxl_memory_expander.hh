@@ -121,7 +121,6 @@ class CxlMemoryExpander
     /** Allocate and install an M2func region for a process. @return its
      *  host-physical base address. */
     Addr allocateM2FuncRegion(Asid asid);
-    void removeM2FuncRegion(Asid asid);
 
     /** Register a process' page table for functional translation. */
     void attachProcess(const PageTable *table);

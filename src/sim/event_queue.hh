@@ -165,18 +165,6 @@ class EventQueue
     }
 
     /**
-     * Advance now() to @p when without executing events scheduled after it.
-     * Used by open-loop drivers to inject work mid-simulation.
-     */
-    void
-    advanceTo(Tick when)
-    {
-        M2_ASSERT(when >= now_, "advanceTo in the past");
-        M2_ASSERT(nextEventTick() >= when, "advanceTo would skip events");
-        now_ = when;
-    }
-
-    /**
      * Burst-ticking support (run-until-stall): advance now() to @p when
      * iff no pending event would fire at or before it, i.e. the caller's
      * next wakeup is provably the next thing to happen. Returns false —
@@ -376,42 +364,6 @@ class Ticker
     EventCallback cb_;
     EventQueue::Event *ev_ = nullptr;
     Tick armed_at_ = kTickMax;
-};
-
-/**
- * A clock domain: converts between local cycles and global ticks.
- * Cycle 0 begins at tick 0 for all domains.
- */
-class ClockDomain
-{
-  public:
-    explicit ClockDomain(Tick period) : period_(period)
-    {
-        M2_ASSERT(period > 0, "zero clock period");
-    }
-
-    static ClockDomain fromGHz(double ghz) { return ClockDomain(periodFromGHz(ghz)); }
-
-    Tick period() const { return period_; }
-
-    /** Tick at the start of the given cycle. */
-    Tick cycleToTick(std::uint64_t cycle) const { return cycle * period_; }
-
-    /** Cycle containing the given tick. */
-    std::uint64_t tickToCycle(Tick t) const { return t / period_; }
-
-    /** First cycle boundary at or after @p t. */
-    Tick
-    nextEdge(Tick t) const
-    {
-        Tick r = t % period_;
-        return r == 0 ? t : t + (period_ - r);
-    }
-
-    double frequencyGHz() const { return 1000.0 / static_cast<double>(period_); }
-
-  private:
-    Tick period_;
 };
 
 } // namespace m2ndp

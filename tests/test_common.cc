@@ -276,17 +276,5 @@ TEST(Reservation, NextFreeBookingRecordsLookahead)
     EXPECT_EQ(eq.maxBookingLookahead(), 300u);
 }
 
-TEST(ClockDomain, Conversions)
-{
-    auto clk = ClockDomain::fromGHz(2.0);
-    EXPECT_EQ(clk.period(), 500u);
-    EXPECT_EQ(clk.cycleToTick(4), 2000u);
-    EXPECT_EQ(clk.tickToCycle(2499), 4u);
-    EXPECT_EQ(clk.nextEdge(0), 0u);
-    EXPECT_EQ(clk.nextEdge(1), 500u);
-    EXPECT_EQ(clk.nextEdge(500), 500u);
-    EXPECT_DOUBLE_EQ(clk.frequencyGHz(), 2.0);
-}
-
 } // namespace
 } // namespace m2ndp

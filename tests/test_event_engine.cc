@@ -105,7 +105,7 @@ TEST(EventEngine, HighChurnRecyclingKeepsCountsConsistent)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(EventEngine, RunWithLimitAndAdvanceTo)
+TEST(EventEngine, RunWithLimit)
 {
     EventQueue eq;
     int fired = 0;
@@ -115,8 +115,6 @@ TEST(EventEngine, RunWithLimitAndAdvanceTo)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 50u);
     EXPECT_EQ(eq.nextEventTick(), 100u);
-    eq.advanceTo(90);
-    EXPECT_EQ(eq.now(), 90u);
     eq.run();
     EXPECT_EQ(fired, 2);
 }
