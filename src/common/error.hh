@@ -15,8 +15,8 @@
  *  - launch-time rejections raised by `NdpController::launch`
  *    (InvalidKernel, QueueFull, BadPoolRegion),
  *  - registration failures (RegistrationFailed, IllegalInstruction),
- *  - kernel traps raised mid-execution by `NdpUnit`
- *    (UnmappedAddress, ScratchpadOverflow),
+ *  - kernel traps raised mid-execution by `NdpUnit` and the executor
+ *    (UnmappedAddress, ScratchpadOverflow, IllegalInstruction),
  *  - supervision (WatchdogTimeout from the controller watchdog),
  *  - transport (DeviceLost when a CXL link goes down),
  *  - stream policy (Aborted for queued launches cancelled by fail-fast,
@@ -100,8 +100,9 @@ ndpErrorOf(std::int64_t v)
 const char *ndpErrorName(NdpError e);
 
 /**
- * Thrown by `NdpUnit` when a kernel instruction faults (unmapped
- * address, scratchpad overflow). Caught at the issue stage, where the
+ * Thrown when a kernel instruction faults: by `NdpUnit` on an unmapped
+ * address or a scratchpad overflow, by the executor on an instruction
+ * shape the model does not run. Caught at the issue stage, where the
  * trapping uthread is retired and the owning instance is killed; it
  * never propagates past `NdpUnit::issueOne`.
  */

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/bitutil.hh"
+#include "common/error.hh"
 #include "common/log.hh"
 
 namespace m2ndp::isa {
@@ -97,6 +99,30 @@ boxF64(double d)
     std::uint64_t v;
     std::memcpy(&v, &d, sizeof(d));
     return v;
+}
+
+/** fcvt.{w,l}.{s,d} without a rounding-mode operand: round to nearest
+ *  even (the default frm; the simulator never changes the host's
+ *  rounding mode) and saturate as RISC-V does. NaN and positive overflow
+ *  give the largest @p Int, negative overflow the smallest. Returned
+ *  sign-extended to 64 bits. */
+template <typename Int>
+std::uint64_t
+fcvtToInt(double v)
+{
+    constexpr Int kMax = std::numeric_limits<Int>::max();
+    constexpr Int kMin = std::numeric_limits<Int>::min();
+    // 2^(bits-1): the first value above kMax, exact as a double.
+    constexpr double kLimit = -static_cast<double>(kMin);
+    const double r = std::nearbyint(v);
+    Int out;
+    if (std::isnan(r) || r >= kLimit)
+        out = kMax;
+    else if (r < -kLimit)
+        out = kMin;
+    else
+        out = static_cast<Int>(r);
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(out));
 }
 
 /** RISC-V fmin/fmax (IEEE 754-2019 minimumNumber/maximumNumber): a NaN
@@ -337,9 +363,18 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         coalesce(res.mem, false, addrs, eew);
         res.blocking_mem = addrs.n != 0;
     };
+    // The index register is one register (LMUL = 1 only): an index EEW
+    // wider than SEW at a vl whose indices overflow it would need a
+    // register group, which this model does not run. Kernel text is host
+    // input, so this traps instead of reading past vs2.
+    auto checkIndexFits = [&](unsigned index_eew) {
+        if (vl * index_eew > kVlenBytes) [[unlikely]]
+            throw KernelTrap{NdpError::IllegalInstruction};
+    };
     auto vgather = [&](unsigned index_eew) {
         checkV(in.rd);
         checkV(in.rs2);
+        checkIndexFits(index_eew);
         Addr base = rx(in.rs1) + static_cast<std::uint64_t>(in.imm);
         AddrList addrs;
         for (unsigned i = 0; i < vl; ++i) {
@@ -357,6 +392,7 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
     auto vscatter = [&](unsigned index_eew) {
         checkV(in.rs3);
         checkV(in.rs2);
+        checkIndexFits(index_eew);
         Addr base = rx(in.rs1) + static_cast<std::uint64_t>(in.imm);
         AddrList addrs;
         for (unsigned i = 0; i < vl; ++i) {
@@ -646,22 +682,10 @@ execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         wf(in.rd, boxF64(static_cast<double>(
                       static_cast<std::int64_t>(rx(in.rs1)))));
         break;
-      case Opcode::FCVT_W_S:
-        wx(in.rd, static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                      static_cast<std::int32_t>(asF32(rf(in.rs1))))));
-        break;
-      case Opcode::FCVT_L_S:
-        wx(in.rd, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(asF32(rf(in.rs1)))));
-        break;
-      case Opcode::FCVT_W_D:
-        wx(in.rd, static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                      static_cast<std::int32_t>(asF64(rf(in.rs1))))));
-        break;
-      case Opcode::FCVT_L_D:
-        wx(in.rd, static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(asF64(rf(in.rs1)))));
-        break;
+      case Opcode::FCVT_W_S: wx(in.rd, fcvtToInt<std::int32_t>(asF32(rf(in.rs1)))); break;
+      case Opcode::FCVT_L_S: wx(in.rd, fcvtToInt<std::int64_t>(asF32(rf(in.rs1)))); break;
+      case Opcode::FCVT_W_D: wx(in.rd, fcvtToInt<std::int32_t>(asF64(rf(in.rs1)))); break;
+      case Opcode::FCVT_L_D: wx(in.rd, fcvtToInt<std::int64_t>(asF64(rf(in.rs1)))); break;
       case Opcode::FCVT_D_S: wf(in.rd, boxF64(asF32(rf(in.rs1)))); break;
       case Opcode::FCVT_S_D: wf(in.rd, boxF32(static_cast<float>(asF64(rf(in.rs1))))); break;
       case Opcode::FEQ_S: wx(in.rd, asF32(rf(in.rs1)) == asF32(rf(in.rs2)) ? 1 : 0); break;

@@ -58,6 +58,14 @@ const char *kSpadOob = R"(
     ld x4, 120(x3)
 )";
 
+/** Gathers with 64-bit indices at e32: 8 indices fill two vector
+ *  registers, which LMUL = 1 does not provide (IllegalInstruction). */
+const char *kWideGather = R"(
+    .name widegather
+    vsetvli x0, x0, e32, m1
+    vluxei64.v v1, (x1), v2
+)";
+
 /** Spins forever: only the watchdog can end it. */
 const char *kSpin = R"(
     .name spin
@@ -207,6 +215,29 @@ TEST_F(FaultTest, ScratchpadOverflowTrapSurfacesTypedError)
     EXPECT_EQ(ev.error(), NdpError::ScratchpadOverflow);
     EXPECT_GE(sys->device().aggregateUnitStats().traps_spad_oob, 1u);
     EXPECT_EQ(sys->device().activeContexts(), 0u);
+}
+
+TEST_F(FaultTest, IndexedAccessPastOneRegisterTrapsNotFatal)
+{
+    KernelResources res;
+    res.num_int_regs = 4;
+    res.num_vector_regs = 4;
+    std::int64_t kid = rt->registerKernel(kWideGather, res);
+    ASSERT_GT(kid, 0);
+
+    NdpStream &stream = rt->createStream();
+    NdpEvent ev = stream.launch(tinyLaunch(kid, *proc));
+    ev.wait();
+    ASSERT_TRUE(ev.done());
+    EXPECT_TRUE(ev.failed());
+    EXPECT_EQ(ev.error(), NdpError::IllegalInstruction);
+    EXPECT_EQ(sys->device().controller().stats().instances_faulted, 1u);
+    EXPECT_EQ(sys->device().activeContexts(), 0u);
+
+    // The device keeps running ordinary kernels.
+    Buffers buf = makeBuffers(*sys, *proc, 256);
+    EXPECT_GT(stream.launch(vecAddLaunch(vecadd_kid, buf)).wait(), 0);
+    EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
 }
 
 TEST_F(FaultTest, IllegalKernelRegistrationRejectedNotFatal)

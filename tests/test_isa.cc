@@ -13,6 +13,7 @@
 #include <limits>
 #include <set>
 
+#include "common/error.hh"
 #include "isa/assembler.hh"
 #include "isa/executor.hh"
 #include "mem/sparse_memory.hh"
@@ -393,7 +394,7 @@ TEST(Executor, FloatScalar)
     )",
         ctx, mem);
     EXPECT_FLOAT_EQ(mem.mem.read<float>(0x3008), 4.0f);
-    EXPECT_EQ(ctx.x[5], 3u); // 3.75 truncates to 3
+    EXPECT_EQ(ctx.x[5], 4u); // 3.75 rounds to nearest: 4
     EXPECT_EQ(ctx.x[6], 1u);
 }
 
@@ -603,6 +604,49 @@ TEST(Executor, RegisterProvisioningEnforced)
     ctx3.num_v = 2;
     EXPECT_THROW(run("vsetvli x0, x0, e32, m1\nvmv.v.i v3, 0\n", ctx3, mem),
                  std::logic_error);
+}
+
+TEST(Executor, IndexedAccessPastOneRegisterTraps)
+{
+    // An index register holds kVlenBytes: vl x index EEW beyond that
+    // would need a register group (LMUL = 1 only here), so the gather
+    // or scatter traps instead of reading the next registers.
+    struct Case
+    {
+        const char *text;
+        std::uint8_t sew;
+        std::uint32_t vl;
+        bool traps;
+    };
+    const Case cases[] = {
+        {"vluxei64.v v3, (x1), v2", 4, 8, true},  // 64 B of indices
+        {"vsuxei64.v v3, (x1), v2", 4, 8, true},
+        {"vluxei32.v v3, (x1), v2", 1, 32, true}, // 128 B of indices
+        {"vluxei32.v v3, (x1), v2", 1, 8, false}, // 32 B: fits
+        {"vluxei64.v v3, (x1), v2", 4, 4, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(c.text) + " sew=" + std::to_string(c.sew) +
+                     " vl=" + std::to_string(c.vl));
+        FlatMemory mem;
+        KernelSection sec = assembleOne(std::string(c.text) + "\nnop\n");
+        UthreadContext ctx;
+        ctx.sew = c.sew;
+        ctx.vl = c.vl;
+        ctx.x[1] = 0x1000;
+        ctx.v[2] = VecReg{}; // every index 0
+        if (c.traps) {
+            NdpError code = NdpError::Ok;
+            try {
+                step(ctx, sec, mem);
+            } catch (const KernelTrap &trap) {
+                code = trap.code;
+            }
+            EXPECT_EQ(code, NdpError::IllegalInstruction);
+        } else {
+            EXPECT_NO_THROW(step(ctx, sec, mem));
+        }
+    }
 }
 
 TEST(Executor, InfiniteLoopCaught)
@@ -1163,13 +1207,35 @@ TEST(Executor, OpcodeSemantics)
          {fs(3, static_cast<float>(-3000000000LL))}},
         {"fcvt.d.w f3, x1", {xreg(1, 0x1FFFFFFFD)}, {fd(3, -3.0)}},
         {"fcvt.d.l f3, x1", {xreg(1, u(-3000000000))}, {fd(3, -3e9)}},
-        // Conversions to integer round toward zero (the model's rounding
-        // mode), on in-range inputs.
-        {"fcvt.w.s x3, f1", {fs(1, -3.75f)}, {xreg(3, u(-3))}},
+        // Conversions to integer round to nearest, ties to even (the
+        // default frm), and saturate: NaN and positive overflow give the
+        // largest value, negative overflow the smallest.
+        {"fcvt.w.s x3, f1", {fs(1, -3.75f)}, {xreg(3, u(-4))}},
+        {"fcvt.w.s x3, f1", {fs(1, 2.5f)}, {xreg(3, 2)}},
+        {"fcvt.w.s x3, f1", {fs(1, -1.5f)}, {xreg(3, u(-2))}},
+        {"fcvt.w.s x3, f1", {fs(1, kNan)}, {xreg(3, 0x7FFFFFFF)}},
+        {"fcvt.w.s x3, f1", {fs(1, 3e9f)}, {xreg(3, 0x7FFFFFFF)}},
+        {"fcvt.w.s x3, f1", {fs(1, -3e9f)}, {xreg(3, u(INT32_MIN))}},
+        {"fcvt.w.s x3, f1", {fs(1, -kInf)}, {xreg(3, u(INT32_MIN))}},
         {"fcvt.l.s x3, f1", {fs(1, 1e10f)},
          {xreg(3, u(static_cast<std::int64_t>(1e10f)))}},
-        {"fcvt.w.d x3, f1", {fd(1, 3.75)}, {xreg(3, 3)}},
+        {"fcvt.l.s x3, f1", {fs(1, 0.5f)}, {xreg(3, 0)}},
+        {"fcvt.l.s x3, f1", {fs(1, kNan)}, {xreg(3, u(INT64_MAX))}},
+        {"fcvt.l.s x3, f1", {fs(1, 1e19f)}, {xreg(3, u(INT64_MAX))}},
+        {"fcvt.l.s x3, f1", {fs(1, -kInf)}, {xreg(3, u(INT64_MIN))}},
+        {"fcvt.w.d x3, f1", {fd(1, 3.75)}, {xreg(3, 4)}},
+        {"fcvt.w.d x3, f1", {fd(1, -2.5)}, {xreg(3, u(-2))}},
+        {"fcvt.w.d x3, f1", {fd(1, 2147483647.4)}, {xreg(3, 0x7FFFFFFF)}},
+        {"fcvt.w.d x3, f1", {fd(1, 2147483647.5)}, {xreg(3, 0x7FFFFFFF)}},
+        {"fcvt.w.d x3, f1", {fd(1, -2147483648.5)}, {xreg(3, u(INT32_MIN))}},
+        {"fcvt.w.d x3, f1", {fd(1, -2147483649.0)}, {xreg(3, u(INT32_MIN))}},
+        {"fcvt.w.d x3, f1", {fd(1, double(kNan))}, {xreg(3, 0x7FFFFFFF)}},
         {"fcvt.l.d x3, f1", {fd(1, -1e12 - 0.5)}, {xreg(3, u(-1000000000000))}},
+        {"fcvt.l.d x3, f1", {fd(1, 3.5)}, {xreg(3, 4)}},
+        {"fcvt.l.d x3, f1", {fd(1, double(kNan))}, {xreg(3, u(INT64_MAX))}},
+        {"fcvt.l.d x3, f1", {fd(1, 1e19)}, {xreg(3, u(INT64_MAX))}},
+        {"fcvt.l.d x3, f1", {fd(1, -1e19)}, {xreg(3, u(INT64_MIN))}},
+        {"fcvt.l.d x3, f1", {fd(1, -0x1p63)}, {xreg(3, u(INT64_MIN))}},
         {"fcvt.d.s f3, f1", {fs(1, 0.1f)}, {fd(3, static_cast<double>(0.1f))}},
         {"fcvt.s.d f3, f1", {fd(1, 0.1)}, {fs(3, static_cast<float>(0.1))}},
         {"feq.s x3, f1, f2", {fs(1, 0.0f), fs(2, -0.0f)}, {xreg(3, 1)}},
