@@ -4,7 +4,8 @@
 # driven by the exported compile_commands.json), ctest (which holds the
 # exact deterministic perf goldens), the repository benchmark's
 # self-test, then a sanitizer smoke pass
-# (-DSANITIZE=address,undefined) over the
+# (-DSANITIZE=address,undefined,float-cast-overflow, every report fatal)
+# over the
 # stream-API and fault tests, the KVS workload tests (the staged table
 # build), the sparse-memory page/frame table and the NDP units'
 # translation cache (SparseMemory.*, the TLB-shootdown and
@@ -63,8 +64,13 @@ if [[ "$run_selftest" == 1 ]]; then
 fi
 
 if [[ "$run_sanitize" == 1 ]]; then
-    echo "==> sanitizer smoke (-DSANITIZE=address,undefined)"
-    cmake -B "$san_dir" -S "$repo_root" -DSANITIZE=address,undefined
+    echo "==> sanitizer smoke (-DSANITIZE=address,undefined,float-cast-overflow)"
+    # GCC leaves float-cast-overflow out of `undefined`, and UBSan
+    # recovers by default (prints and carries on, exit code 0): name the
+    # check and make every report abort, so a finding fails the stage.
+    cmake -B "$san_dir" -S "$repo_root" \
+        -DSANITIZE=address,undefined,float-cast-overflow \
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
     cmake --build "$san_dir" -j "$jobs" --target quickstart
     # The gtest-based stream-API suite only exists when GTest is
     # installed (CMake warns and skips test targets otherwise). Probe the
