@@ -213,6 +213,37 @@ TEST_F(WorkloadTest, KvstorePlacementAndHostWalkGolden)
     EXPECT_EQ(base.latency_ns.percentile(99), 1096.33);
 }
 
+TEST_F(WorkloadTest, KvstoreReplaysOneTrace)
+{
+    // A workload replays one request trace however often and through
+    // whichever path it runs: the host walk and two NDP replays each see
+    // the same requests, so each run's outcome is pinned exactly.
+    KvstoreConfig kc;
+    kc.num_items = 3000;
+    kc.num_buckets = 1024;
+    kc.num_requests = 200;
+    KvstoreWorkload kvs(*sys, *proc, kc);
+    kvs.setup();
+
+    auto base = kvs.runHostBaseline(sys->host());
+    EXPECT_EQ(base.completed, kc.num_requests);
+    EXPECT_TRUE(base.verified);
+    EXPECT_EQ(base.latency_ns.percentile(50), 711.5);
+    EXPECT_EQ(base.latency_ns.percentile(99), 1096.33);
+
+    // The first replay leaves the device warm for the second.
+    const double p50[] = {564.25, 509.75};
+    const double p99[] = {909.55099999999948, 625.29443999999978};
+    for (unsigned replay = 0; replay < 2; ++replay) {
+        SCOPED_TRACE(replay);
+        auto ndp = kvs.runNdp(*rt);
+        EXPECT_EQ(ndp.completed, kc.num_requests);
+        EXPECT_TRUE(ndp.verified);
+        EXPECT_EQ(ndp.latency_ns.percentile(50), p50[replay]);
+        EXPECT_EQ(ndp.latency_ns.percentile(99), p99[replay]);
+    }
+}
+
 TEST_F(WorkloadTest, DlrmSlsCorrect)
 {
     DlrmConfig dc;
