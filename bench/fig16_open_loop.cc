@@ -94,10 +94,10 @@ main(int argc, char **argv)
                         static_cast<double>(r.offered),
                     r.latency.p50(), r.latency.p99(), r.latency.p999());
         // Past the knee the run cannot absorb arrivals at the configured
-        // rate: the completion span stretches (measured offered load
-        // falls short of the configured one) or admission control starts
-        // rejecting. Track the last point that keeps up cleanly.
-        bool keeps_up = r.offered_rps >= 0.95 * rate &&
+        // rate: the completion span stretches (goodput falls short of
+        // the configured rate) or admission control starts rejecting.
+        // Track the last point that keeps up cleanly.
+        bool keeps_up = r.goodput_rps >= 0.95 * rate &&
                         r.shed + r.rejected == 0;
         if (!keeps_up)
             break;
@@ -108,9 +108,9 @@ main(int argc, char **argv)
     if (knee_found)
         row("knee offered load", knee / 1e6, "Mreq/s");
     else
-        note("no sweep point kept up (>= 95% of offered, no shed or "
-             "reject): knee not measured; 16b/16c fall back to the first "
-             "sweep rate");
+        note("no sweep point kept up (goodput >= 95% of the rate, no "
+             "shed or reject): knee not measured; 16b/16c fall back to "
+             "the first sweep rate");
 
     header("Fig. 16b", "multi-tenant QoS under contention");
     // Uncontended reference: the latency tenant alone at its own rate.

@@ -305,6 +305,7 @@ TrafficHarness::run()
 
     // ---- roll up ----
     Tick last = base;
+    Tick arrivals = 0; // span from base to the last arrival
     for (std::size_t i = 0; i < n; ++i) {
         Tenant &t = tenants[i];
         TrafficTenantResult &res = result.tenants[i];
@@ -322,15 +323,16 @@ TrafficHarness::run()
         result.shed += res.shed;
         result.faulted += res.faulted;
         last = std::max(last, t.last_completion);
+        if (!t.trace.empty())
+            arrivals = std::max(arrivals, t.trace.back().arrival);
     }
     result.end_tick = last;
-    Tick span = last > base ? last - base : 0;
-    if (span > 0) {
-        result.offered_rps =
-            static_cast<double>(result.offered) / ticksToSeconds(span);
-        result.goodput_rps =
-            static_cast<double>(result.completed) / ticksToSeconds(span);
-    }
+    if (arrivals > 0)
+        result.offered_rps = static_cast<double>(result.offered) /
+                             ticksToSeconds(arrivals);
+    if (last > base)
+        result.goodput_rps = static_cast<double>(result.completed) /
+                             ticksToSeconds(last - base);
     return result;
 }
 

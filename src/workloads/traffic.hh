@@ -101,9 +101,9 @@ struct TrafficResult
     std::uint64_t rejected = 0;
     std::uint64_t shed = 0;
     std::uint64_t faulted = 0;
-    double offered_rps = 0.0;
-    double goodput_rps = 0.0;
-    /** Last request completion tick (span end for the rates). */
+    double offered_rps = 0.0; ///< over the span to the last arrival
+    double goodput_rps = 0.0; ///< over the span to end_tick
+    /** Last request completion tick. */
     Tick end_tick = 0;
 
     /**
