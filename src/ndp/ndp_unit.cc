@@ -227,7 +227,7 @@ NdpUnit::tick(Tick now)
     for (auto &sc : subcores_) {
         if (work_maybe_available_ && sc.idle_mask != 0)
             trySpawn(sc, now);
-        if (sc.sched.totalReady() != 0) {
+        if (sc.sched.anyReady() || sc.sched.sleeperCount() != 0) {
             next = std::min(next, issueOne(sc, now, new_cycle));
         } else if (new_cycle && sc.waitmem_count != 0) {
             // Fully parked sub-core (every live uthread waits on memory):

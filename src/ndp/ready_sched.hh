@@ -123,13 +123,7 @@ class ReadySched
     /** Issue-eligible slots as a bitmask (the ring contents). */
     std::uint64_t readyMask() const { return mask_; }
     bool anyReady() const { return mask_ != 0; }
-    unsigned readyCount() const
-    {
-        return static_cast<unsigned>(std::popcount(mask_));
-    }
-
-    /** Ready-state slots in total (ring + wake list). */
-    unsigned totalReady() const { return readyCount() + nwake_; }
+    /** Slots on the wake list (ready state, not yet due). */
     unsigned sleeperCount() const { return nwake_; }
 
     /** Earliest future wake tick (kTickMax when the list is empty). */
