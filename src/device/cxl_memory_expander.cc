@@ -3,6 +3,7 @@
 #include "common/annotations.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 
@@ -93,6 +94,9 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
                         layout::kM2FuncReserve),
       bi_rng_(0xB1B1 + cfg.index)
 {
+    if (cfg_.num_units > 64)
+        M2_FATAL("a device supports at most 64 NDP units, got ",
+                 cfg_.num_units);
     // Drain delivery aligned to unit cycle edges: units park completions
     // until their next edge anyway, so the quantized drain coalesces
     // completer events with unit ticks at no unit-visible timing cost
@@ -218,6 +222,7 @@ CxlMemoryExpander::requestUnitTick(unsigned unit, Tick at)
 {
     if (at < unit_next_tick_[unit])
         unit_next_tick_[unit] = at;
+    armed_units_ |= std::uint64_t{1} << unit;
     // Inside the driver the request is observed by its own loop; arming
     // here would plant a queue event that blocks run-until-stall bursts.
     // A request for the edge being processed can land on a unit the loop
@@ -234,17 +239,18 @@ CxlMemoryExpander::unitCycleDriver()
 {
     in_cycle_driver_ = true;
     Tick now = eq_.now();
-    const unsigned n = cfg_.num_units;
     for (;;) {
-        // Run every unit due at this edge, in unit-index order (the
-        // deterministic replacement for per-unit Ticker FIFO order),
-        // folding the next-edge minimum into the same pass. A unit's
-        // next edge arrives as tick()'s return value; requests landing
-        // mid-loop on already-visited units raise driver_rescan_.
+        // Run every armed unit due at this edge, in unit-index order
+        // (the deterministic replacement for per-unit Ticker FIFO order),
+        // folding the next-edge minimum into the same pass. The live mask
+        // is re-read after each unit, so one armed mid-pass above it
+        // still runs; requests landing mid-loop on already-visited units
+        // raise driver_rescan_.
         driver_now_ = now;
         driver_rescan_ = false;
         Tick next = kTickMax;
-        for (unsigned u = 0; u < n; ++u) {
+        for (std::uint64_t pending = armed_units_; pending != 0;) {
+            const auto u = static_cast<unsigned>(std::countr_zero(pending));
             Tick t = unit_next_tick_[u];
             if (t <= now) {
                 unit_next_tick_[u] = kTickMax;
@@ -253,7 +259,10 @@ CxlMemoryExpander::unitCycleDriver()
                     t = unit_next_tick_[u];
                 unit_next_tick_[u] = t;
             }
+            if (t == kTickMax)
+                armed_units_ &= ~(std::uint64_t{1} << u);
             next = std::min(next, t);
+            pending = armed_units_ & (~std::uint64_t{0} << u << 1);
         }
         if (driver_rescan_ || next <= now)
             continue; // same-edge re-tick (phase wake, queued completion)

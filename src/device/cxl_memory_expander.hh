@@ -288,15 +288,17 @@ class CxlMemoryExpander
     /**
      * Shared cycle driver (run-until-stall ticking): one Ticker serves
      * every NDP unit. `unit_next_tick_[u]` is the earliest edge unit u
-     * wants service (kTickMax when stalled); the driver runs all due
-     * units per edge in unit-index order, then either consumes the next
-     * edge in place — when `EventQueue::tryAdvance` proves no other event
-     * intervenes (burst: zero scheduled events per edge) — or re-arms the
-     * Ticker at the earliest requested edge. Requests arriving while the
-     * driver runs are picked up by its own loop instead of re-arming.
+     * wants service (kTickMax when stalled), and bit u of `armed_units_`
+     * is set while it is not; the driver runs all due units per edge in
+     * unit-index order, then either consumes the next edge in place —
+     * when `EventQueue::tryAdvance` proves no other event intervenes
+     * (burst: zero scheduled events per edge) — or re-arms the Ticker at
+     * the earliest requested edge. Requests arriving while the driver
+     * runs are picked up by its own loop instead of re-arming.
      */
     void unitCycleDriver();
     std::vector<Tick> unit_next_tick_;
+    std::uint64_t armed_units_ = 0;
     Ticker unit_ticker_;
     bool in_cycle_driver_ = false;
     /** Edge the driver is processing, and whether a request for that very

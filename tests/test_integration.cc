@@ -149,6 +149,46 @@ TEST_F(IntegrationTest, VecAddEndToEnd)
     EXPECT_EQ(runtime->pollKernelStatus(iid), KernelStatus::Finished);
 }
 
+TEST(CycleDriver, SixtyFourUnitsEachRunOneUthread)
+{
+    // The cycle driver keeps one armed bit per unit. A 64 x 32 B pool
+    // hands unit u exactly offset u, so every unit spawns once and unit
+    // 63 runs on the mask's top bit.
+    constexpr unsigned kUnits = 64;
+    constexpr unsigned kN = kUnits * 8; // 8 x 32-bit elements per uthread
+    SystemConfig cfg;
+    cfg.device.num_units = kUnits;
+    System sys(cfg);
+    ProcessAddressSpace &proc = sys.createProcess();
+    auto runtime = sys.createRuntime(proc);
+    Addr a = proc.allocate(kN * 4), b = proc.allocate(kN * 4),
+         c = proc.allocate(kN * 4);
+    std::vector<std::uint32_t> va(kN), vb(kN);
+    for (unsigned i = 0; i < kN; ++i) {
+        va[i] = 3 * i;
+        vb[i] = 7000 + i;
+    }
+    sys.writeVirtual(proc, a, va.data(), kN * 4);
+    sys.writeVirtual(proc, b, vb.data(), kN * 4);
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(kVecAddKernel, res);
+    ASSERT_GT(kid, 0);
+    ASSERT_GT(runtime->launchKernelSync(launchWith(kid, a, a + kN * 4,
+                                                   {b, c})),
+              0);
+
+    std::vector<std::uint32_t> vc(kN);
+    sys.readVirtual(proc, c, vc.data(), kN * 4);
+    for (unsigned i = 0; i < kN; ++i)
+        ASSERT_EQ(vc[i], va[i] + vb[i]) << "at index " << i;
+    ASSERT_EQ(sys.device().config().num_units, kUnits);
+    for (unsigned u = 0; u < kUnits; ++u)
+        EXPECT_EQ(sys.device().unit(u).stats().uthreads_completed, 1u)
+            << "unit " << u;
+}
+
 TEST_F(IntegrationTest, EventsPerInstructionWithinBudget)
 {
     // Event accounting for the fused access path + ready-list scheduler:
