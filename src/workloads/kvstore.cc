@@ -174,11 +174,12 @@ KvstoreWorkload::setup()
         chain_depth_[rank] = seen[keyHash(rank)]++;
 }
 
-std::vector<KvstoreWorkload::Request>
-KvstoreWorkload::makeTrace() const
+const std::vector<KvstoreWorkload::Request> &
+KvstoreWorkload::trace()
 {
-    std::vector<Request> trace;
-    trace.reserve(cfg_.num_requests);
+    if (trace_.size() == cfg_.num_requests)
+        return trace_;
+    trace_.reserve(cfg_.num_requests);
     ZipfianGenerator zipf(cfg_.num_items, 0.99, cfg_.seed);
     Rng rng(cfg_.seed ^ 0xABCD);
     Tick arrival = 0;
@@ -191,9 +192,9 @@ KvstoreWorkload::makeTrace() const
         if (cfg_.arrival_rate > 0.0)
             arrival += static_cast<Tick>(rng.nextExponential(mean_gap));
         r.arrival = arrival;
-        trace.push_back(r);
+        trace_.push_back(r);
     }
-    return trace;
+    return trace_;
 }
 
 /**
@@ -206,7 +207,7 @@ struct KvstoreWorkload::Run
 {
     Run(KvstoreWorkload &w_, HostCxlPort &port_, NdpRuntime *rt_)
         : w(w_), port(port_), rt(rt_), eq(w_.sys_.eq()),
-          trace(w_.makeTrace()), t0(trace.size()), base(eq.now())
+          trace(w_.trace()), t0(trace.size()), base(eq.now())
     {
         if (rt != nullptr) {
             // One stream per client connection: requests round-robin
@@ -379,7 +380,7 @@ struct KvstoreWorkload::Run
     HostCxlPort &port;
     NdpRuntime *rt; ///< null for the host baseline
     EventQueue &eq;
-    std::vector<Request> trace;
+    const std::vector<Request> &trace;
     std::vector<Tick> t0; ///< per request: when the host took it
     std::vector<NdpStream *> streams;
     std::int64_t get_kid = 0;

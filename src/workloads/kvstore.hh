@@ -75,7 +75,8 @@ class KvstoreWorkload
 
     std::uint64_t keyHash(std::uint64_t rank) const;
     Addr bucketAddr(std::uint64_t hash) const;
-    std::vector<Request> makeTrace() const;
+    /** The request trace; built on first use, as it depends on cfg_ only. */
+    const std::vector<Request> &trace();
 
     System &sys_;
     ProcessAddressSpace &proc_;
@@ -84,6 +85,7 @@ class KvstoreWorkload
     Addr nodes_va_ = 0;
     Addr resp_va_ = 0; ///< per-request response slots
     std::vector<std::uint64_t> chain_depth_; // for baseline modeling/verify
+    std::vector<Request> trace_;
 };
 
 } // namespace m2ndp::workloads
