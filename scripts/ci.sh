@@ -89,12 +89,14 @@ if [[ "$run_sanitize" == 1 ]]; then
         "$san_dir/test_workloads" --gtest_filter='WorkloadTest.Kvstore*'
         # Functional memory smoke: the page/frame table and the units'
         # one translation cache, including its shootdown flush and a
-        # host write to a frame a kernel first read unwritten.
+        # host write to a frame a kernel first read unwritten. The
+        # 64-unit cycle-driver case uses the armed-unit mask's top bit,
+        # where a shift past bit 63 would be undefined.
         cmake --build "$san_dir" -j "$jobs" --target test_memory_system
         cmake --build "$san_dir" -j "$jobs" --target test_integration
         "$san_dir/test_memory_system" --gtest_filter='SparseMemory.*'
         "$san_dir/test_integration" --gtest_filter=\
-'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*'
+'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*:CycleDriver.*'
         # Assembler smoke: kernel text comes from the host, so the parser
         # and the executor it feeds run under ASan/UBSan in full.
         cmake --build "$san_dir" -j "$jobs" --target test_isa
