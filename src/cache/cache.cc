@@ -118,8 +118,7 @@ Cache::allocLine(Addr line_addr, Tick now)
                 sendDownstream(MemOp::Write,
                                tags_[victim_idx] + static_cast<Addr>(s) *
                                                        cfg_.sector_bytes,
-                               cfg_.sector_bytes, MemSource::NdpUnit, now,
-                               {});
+                               cfg_.sector_bytes, now, {});
             }
         }
     }
@@ -206,12 +205,11 @@ Cache::mshrErase(Mshr *m)
 
 M2NDP_HOT_PATH
 void
-Cache::sendDownstream(MemOp op, Addr addr, std::uint32_t size,
-                      MemSource source, Tick at, TickCallback cb)
+Cache::sendDownstream(MemOp op, Addr addr, std::uint32_t size, Tick at,
+                      TickCallback cb)
 {
     stats_.bytes_downstream += size;
-    downstream_.receive(
-        makePacket(op, addr, size, source, at, std::move(cb)), at);
+    downstream_.receive(makePacket(op, addr, size, std::move(cb)), at);
 }
 
 M2NDP_HOT_PATH
@@ -288,10 +286,9 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         ++stats_.miss_forwards;
         // Single-packet miss path: the first miss is never parked — the
         // ORIGINAL packet rides downstream as the sector fill request.
-        // Re-stamp it to the fill granule (it keeps its source and issue
-        // tick) and push the fill frame carrying the stable node
-        // pointer: no carrier packet, no wrapped callback, and no hash
-        // probe on the fill path. The whole request path below is
+        // Re-stamp it to the fill granule and push the fill frame
+        // carrying the stable node pointer: no carrier packet, no wrapped
+        // callback, and no hash probe on the fill path. The whole request path below is
         // synchronous, so the pool alloc-count delta measures exactly
         // the packets this miss acquired (the rider counts as one).
         const bool was_atomic = pkt->op == MemOp::Atomic;
@@ -339,7 +336,6 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         if (forward) {
             pkt->addr = sector_addr;
             pkt->size = cfg_.sector_bytes;
-            pkt->issued_at = now;
             stats_.bytes_downstream += cfg_.sector_bytes;
             downstream_.receive(std::move(pkt), now);
         }
@@ -430,13 +426,6 @@ Cache::handleRiderFill(MemPacket &rider, Mshr *m, unsigned sector,
     // the fusion) and is not counted as a second access.
     if (!stalled_.empty())
         lookupAt(MemPacketPtr(stalled_.pop()), when, true);
-}
-
-void
-Cache::invalidateAll()
-{
-    for (std::size_t i = 0; i < lines_.size(); ++i)
-        invalidateWay(i);
 }
 
 } // namespace m2ndp

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/intrusive_fifo.hh"
@@ -32,7 +31,6 @@ namespace m2ndp {
 /** Static configuration of one cache. */
 struct CacheConfig
 {
-    std::string name = "cache";
     std::uint64_t size = 128 * 1024;
     unsigned assoc = 16;
     unsigned line_bytes = 128;
@@ -101,9 +99,6 @@ class Cache : public MemPort
 
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return cfg_; }
-
-    /** Invalidate everything (e.g. I-cache flush on kernel unregister). */
-    void invalidateAll();
 
   private:
     /** Line metadata. The tag and LRU stamp live in the parallel compact
@@ -204,8 +199,8 @@ class Cache : public MemPort
             ++lru_clock_;
     }
 
-    void sendDownstream(MemOp op, Addr addr, std::uint32_t size,
-                        MemSource source, Tick at, TickCallback cb);
+    void sendDownstream(MemOp op, Addr addr, std::uint32_t size, Tick at,
+                        TickCallback cb);
 
     EventQueue &eq_;
     CacheConfig cfg_;
@@ -221,14 +216,6 @@ class Cache : public MemPort
     std::vector<Addr> tags_; ///< line tag per way; kNoTag when invalid
     std::vector<std::uint64_t> lrus_; ///< LRU stamp per way (see touch)
     static constexpr Addr kNoTag = ~static_cast<Addr>(0);
-
-    void
-    invalidateWay(std::size_t idx)
-    {
-        lines_[idx].dirty = false;
-        lines_[idx].sector_valid = 0;
-        tags_[idx] = kNoTag;
-    }
 
     /** Fixed MSHR node pool (stable addresses; captured by fill
      *  callbacks) and the line-keyed open-addressing index over it. */

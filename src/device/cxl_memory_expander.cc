@@ -9,25 +9,6 @@
 
 namespace m2ndp {
 
-/** MemPort adapter feeding the shared DRAM device from the L2 slices. */
-class CxlMemoryExpander::DramPort : public MemPort
-{
-  public:
-    explicit DramPort(CxlMemoryExpander &dev) : dev_(dev) {}
-
-    void
-    receive(MemPacketPtr pkt, Tick at) override
-    {
-        // Atomics that miss in L2 fetch their sector like reads.
-        if (pkt->op == MemOp::Atomic)
-            pkt->op = MemOp::Read;
-        dev_.dram_->receive(std::move(pkt), at);
-    }
-
-  private:
-    CxlMemoryExpander &dev_;
-};
-
 /** Routes L1D misses from unit @p unit over the NoC to the L2 slices and
  *  books the response crossbar on the way back. */
 class CxlMemoryExpander::UnitPort : public MemPort
@@ -45,25 +26,14 @@ class CxlMemoryExpander::UnitPort : public MemPort
         // on its cycle ticker. No response event, no unit-wake event,
         // and no carrier packet: the L1 miss continues downstream on
         // the same pooled node.
-        pkt->pushHop(&UnitPort::respHop, &dev_,
+        pkt->pushHop(&CxlMemoryExpander::respXbarHop, &dev_,
                      std::uint64_t(unit_) |
                          (std::uint64_t(pkt->size) << 32),
-                     0);
+                     unit_);
         dev_.localMemPacket(std::move(pkt), at);
     }
 
   private:
-    /** Hop frame: response crossbar back to the unit (a = unit |
-     *  bytes<<32). */
-    static Tick
-    respHop(MemPacket &, Tick t, void *ctx, std::uint64_t a, std::uint64_t)
-    {
-        auto *dev = static_cast<CxlMemoryExpander *>(ctx);
-        const unsigned unit = static_cast<unsigned>(a & 0xffffffffu);
-        const std::uint32_t bytes = static_cast<std::uint32_t>(a >> 32);
-        return dev->resp_xbar_->send(unit, bytes, t, t ^ unit);
-    }
-
     CxlMemoryExpander &dev_;
     unsigned unit_;
 };
@@ -105,11 +75,9 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     dram_ = std::make_unique<DramDevice>(eq_, cfg_.dram, cfg_.dram_channels,
                                          cfg_.interleave_bytes,
                                          cfg_.unit.period);
-    dram_port_ = std::make_unique<DramPort>(*this);
 
     for (unsigned c = 0; c < cfg_.dram_channels; ++c) {
         CacheConfig l2;
-        l2.name = "l2_slice" + std::to_string(c);
         l2.size = cfg_.l2_slice_bytes;
         l2.assoc = cfg_.l2_assoc;
         l2.line_bytes = 128;
@@ -120,7 +88,7 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
         l2.write_allocate = true;
         l2.atomics_local = true; // global atomics execute here (III-F)
         l2.mshrs = 160;
-        l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_port_));
+        l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_));
     }
 
     CrossbarConfig req = cfg_.noc;
@@ -139,7 +107,6 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
                                                    mem_, uc));
         unit_ports_.push_back(std::make_unique<UnitPort>(*this, u));
         CacheConfig l1;
-        l1.name = "l1d_u" + std::to_string(u);
         l1.size = cfg_.l1d_bytes;
         l1.assoc = 16;
         l1.line_bytes = 128;
@@ -168,15 +135,6 @@ CxlMemoryExpander::~CxlMemoryExpander() = default;
 // --------------------------------------------------------------------------
 // Memory path
 // --------------------------------------------------------------------------
-
-void
-CxlMemoryExpander::localMemAccess(MemOp op, Addr pa, std::uint32_t size,
-                                  MemSource source, Tick at,
-                                  TickCallback done)
-{
-    localMemPacket(makePacket(op, pa, size, source, at, std::move(done)),
-                   at);
-}
 
 M2NDP_HOT_PATH
 void
@@ -301,10 +259,9 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
 
     // Through the unit's L1D; misses route over the NoC to the L2 slices
     // (the UnitPort adapter books the response crossbar). A delayed
-    // access parks in its pooled packet, stamped with the tick it
-    // enters the L1D, so the event only captures the packet.
-    MemPacketPtr pkt = makePacket(op, pa, size, MemSource::NdpUnit,
-                                  eq_.now() + bi_delay, std::move(done));
+    // access parks in its pooled packet, so the event only captures the
+    // packet.
+    MemPacketPtr pkt = makePacket(op, pa, size, std::move(done));
     if (bi_delay > 0) {
         eq_.scheduleAfter(bi_delay,
                           [this, unit, pkt = std::move(pkt)]() mutable {
@@ -317,24 +274,24 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
 
 Tick
 CxlMemoryExpander::respXbarHop(MemPacket &, Tick t, void *ctx,
-                               std::uint64_t a, std::uint64_t)
+                               std::uint64_t a, std::uint64_t b)
 {
-    // Fused: the crossbar hop is a latency term on the completion tick;
-    // the consumer (host port / peer route) re-schedules at max(now, t),
-    // so early delivery with a future stamp is safe.
+    // Fused: the crossbar hop is a latency term on the completion tick.
+    // The waiting unit parks the early completion on its cycle ticker;
+    // the host port and peer route re-schedule at max(now, t). Either
+    // way, early delivery with a future stamp is safe.
     auto *dev = static_cast<CxlMemoryExpander *>(ctx);
     const unsigned port = static_cast<unsigned>(a & 0xffffffffu);
     const std::uint32_t bytes = static_cast<std::uint32_t>(a >> 32);
-    return dev->resp_xbar_->send(port, bytes, t, t);
+    return dev->resp_xbar_->send(port, bytes, t, t ^ b);
 }
 
 void
 CxlMemoryExpander::respondVia(unsigned resp_port, std::uint32_t xbar_size,
                               MemOp op, Addr pa, std::uint32_t size,
-                              MemSource source, TickCallback done)
+                              TickCallback done)
 {
-    MemPacketPtr pkt =
-        makePacket(op, pa, size, source, eq_.now(), std::move(done));
+    MemPacketPtr pkt = makePacket(op, pa, size, std::move(done));
     pkt->pushHop(&CxlMemoryExpander::respXbarHop, this,
                  std::uint64_t(resp_port) | (std::uint64_t(xbar_size) << 32),
                  0);
@@ -345,8 +302,7 @@ void
 CxlMemoryExpander::peerMemAccess(MemOp op, Addr pa, std::uint32_t size,
                                  TickCallback done)
 {
-    respondVia(peerRespPort(cfg_), size, op, pa, size, MemSource::Peer,
-               std::move(done));
+    respondVia(peerRespPort(cfg_), size, op, pa, size, std::move(done));
 }
 
 // --------------------------------------------------------------------------
@@ -393,7 +349,7 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
     ++dstats_.host_writes;
     mem_.write(hpa, data, size);
     respondVia(hostRespPort(cfg_), 16, MemOp::Write, hpa, size,
-               MemSource::Host, std::move(done));
+               std::move(done));
 }
 
 void
@@ -407,10 +363,8 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
         // Carrier packet trick: the deferred return-value responder must
         // hold the completion callback without overflowing inline capture
         // buffers; a pooled packet is its zero-allocation home.
-        MemPacket *carrier = makePacket(MemOp::Read, hpa, size,
-                                        MemSource::Host, eq_.now(),
-                                        std::move(done))
-                                 .release();
+        MemPacket *carrier =
+            makePacket(MemOp::Read, hpa, size, std::move(done)).release();
         eq_.scheduleAfter(
             cfg_.m2func_latency,
             [this, asid, offset = match->offset, hpa, carrier] {
@@ -426,7 +380,7 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
     }
     ++dstats_.host_reads;
     respondVia(hostRespPort(cfg_), size, MemOp::Read, hpa, size,
-               MemSource::Host, std::move(done));
+               std::move(done));
 }
 
 // --------------------------------------------------------------------------

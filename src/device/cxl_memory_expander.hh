@@ -220,18 +220,13 @@ class CxlMemoryExpander
     /**
      * Timing access into this device's own memory path, logically issued
      * at @p at (>= now; fused upstream stages issue from their completion
-     * tick). @p done follows the fused delivery convention: it may run
-     * before sim-time reaches its tick argument.
-     */
-    void localMemAccess(MemOp op, Addr pa, std::uint32_t size,
-                        MemSource source, Tick at, TickCallback done);
-
-    /**
-     * Single-packet form of localMemAccess: route @p pkt (addressed with
-     * a global PA inside this device's window) over the request crossbar
-     * to its L2 slice, re-stamping the address device-local in place. The
-     * packet keeps whatever hop frames and completion callback it already
-     * carries — an L1 miss rides through here unchanged.
+     * tick): route @p pkt (addressed with a global PA inside this
+     * device's window) over the request crossbar to its L2 slice,
+     * re-stamping the address device-local in place. The packet keeps
+     * whatever hop frames and completion callback it already carries —
+     * an L1 miss rides through here unchanged — and follows the fused
+     * delivery convention: it may complete before sim-time reaches its
+     * completion tick.
      */
     void localMemPacket(MemPacketPtr pkt, Tick at);
 
@@ -243,11 +238,12 @@ class CxlMemoryExpander
      * gone; the response path allocates nothing.
      */
     void respondVia(unsigned resp_port, std::uint32_t xbar_size, MemOp op,
-                    Addr pa, std::uint32_t size, MemSource source,
-                    TickCallback done);
+                    Addr pa, std::uint32_t size, TickCallback done);
 
-    /** Hop frame for host/peer responses: books the response crossbar as
-     *  a latency term on the completion tick (a = port | bytes<<32). */
+    /** Hop frame for every response: books the response crossbar as a
+     *  latency term on the completion tick (a = port | bytes<<32). The
+     *  crossbar plane keys on t ^ b: b is the unit index on a unit's
+     *  L1 miss, 0 for host and peer responses. */
     static Tick respXbarHop(MemPacket &pkt, Tick t, void *ctx,
                             std::uint64_t a, std::uint64_t b);
 
@@ -274,10 +270,6 @@ class CxlMemoryExpander
     std::unique_ptr<NdpController> controller_;
     std::vector<std::unique_ptr<NdpUnit>> units_;
     std::unique_ptr<DramTlb> dram_tlb_;
-
-    /** Adapters so each L2 slice can feed the shared DRAM device. */
-    class DramPort;
-    std::unique_ptr<DramPort> dram_port_;
 
     /** Per-unit L1D caches (write-through, Section III-F) and the adapters
      *  routing their misses over the request crossbar to the L2 slices. */

@@ -101,9 +101,8 @@ DramAddressMap::decode(Addr local_addr) const
     return Coords{channel, bank, row};
 }
 
-DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
-                         unsigned index)
-    : eq_(eq), timing_(timing), index_(index), banks_(timing.banks)
+DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing)
+    : eq_(eq), timing_(timing), banks_(timing.banks)
 {
 }
 
@@ -177,7 +176,7 @@ DramDevice::DramDevice(EventQueue &eq, const DramTiming &timing,
     eq_.allowDeliverySlack(drain_quantum_);
     channels_.reserve(channels);
     for (unsigned i = 0; i < channels; ++i)
-        channels_.push_back(std::make_unique<DramChannel>(eq, timing, i));
+        channels_.push_back(std::make_unique<DramChannel>(eq, timing));
     // Outstanding bookings are bounded by upstream MSHR capacity; reserve
     // past that so the steady state never grows the vector.
     ready_.reserve(512 * channels);

@@ -103,7 +103,7 @@ class DramAddressMap
 class DramChannel
 {
   public:
-    DramChannel(EventQueue &eq, const DramTiming &timing, unsigned index);
+    DramChannel(EventQueue &eq, const DramTiming &timing);
 
     /**
      * Book an access decoded to this channel, logically arriving at
@@ -132,7 +132,6 @@ class DramChannel
 
     EventQueue &eq_;
     DramTiming timing_;
-    unsigned index_;
     std::vector<BankState> banks_;
     Reservation bus_; ///< tCCD token clock for column commands
     DramStats stats_;
@@ -168,7 +167,6 @@ class DramDevice : public MemPort
     unsigned channelOf(Addr local_addr) const;
 
     DramStats totalStats() const;
-    const DramChannel &channel(unsigned i) const { return *channels_[i]; }
     unsigned numChannels() const { return static_cast<unsigned>(channels_.size()); }
 
     /** Peak bandwidth in bytes/second across all channels. */

@@ -39,12 +39,6 @@ struct LocalCache
 {
     MemPacket *free_head = nullptr;
     std::size_t live = 0;
-    /**
-     * Debug IDs are per-thread monotonic (nothing orders on them); a
-     * shared counter here would be the one cross-thread store on the
-     * per-access hot path.
-     */
-    std::uint64_t next_id = 0;
     /** Monotonic acquisitions (packets_per_miss accounting). */
     std::uint64_t allocs = 0;
 };
@@ -76,7 +70,6 @@ MemPacketPool::alloc()
     MemPacket *pkt = c.free_head;
     c.free_head = pkt->link;
     pkt->link = nullptr;
-    pkt->id = c.next_id++;
     ++c.allocs;
     ++c.live;
     return pkt;
@@ -92,7 +85,6 @@ MemPacketPool::release(MemPacket *pkt)
     // Hop frames are POD (no captures); clearing the count suffices.
     pkt->onComplete.reset();
     pkt->num_hops = 0;
-    pkt->issued_at = 0;
     pkt->wait_sector = 0;
     LocalCache &c = t_cache;
     pkt->link = c.free_head;

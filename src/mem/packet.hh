@@ -12,13 +12,13 @@
  * traffic performs zero heap allocations per access.
  *
  * A miss rides **one** packet end-to-end: each level a packet descends
- * (L1 miss, NoC port, L2 miss, DRAM ingress) pushes a *hop frame* — a
- * plain {function, context, two words} record — onto the packet's
- * intrusive hop stack instead of parking the packet and forwarding a
- * fresh carrier with an interposed callback. `complete(t)` pops the
- * frames LIFO, threading the completion tick through each (a frame may
- * transform it, e.g. folding in the response-crossbar hop as a latency
- * term), and finally runs `onComplete`. Frames capture nothing — the
+ * (L1 miss, NoC port, L2 miss) pushes a *hop frame* — a plain
+ * {function, context, two words} record — onto the packet's intrusive
+ * hop stack instead of parking the packet and forwarding a fresh carrier
+ * with an interposed callback. `complete(t)` pops the frames LIFO,
+ * threading the completion tick through each (a frame may transform it,
+ * e.g. folding in the response-crossbar hop as a latency term), and
+ * finally runs `onComplete`. Frames capture nothing — the
  * two payload words are packed by the pusher — so the response path
  * allocates nothing and wraps no callbacks.
  */
@@ -47,15 +47,6 @@ enum class MemOp : std::uint8_t {
     Write,
     /** Read-modify-write executed at the memory-side L2 (global atomics). */
     Atomic,
-};
-
-/** Who generated a packet; used for traffic accounting (Fig. 6b, Fig. 15). */
-enum class MemSource : std::uint8_t {
-    NdpUnit,
-    Host,
-    DramTlb,
-    BackInvalidation,
-    Peer,
 };
 
 struct MemPacket;
@@ -88,23 +79,16 @@ struct MemPacket
     /**
      * Hop-stack depth: the deepest traversal is an L1 read miss that
      * also misses L2 — L1 fill frame, response-crossbar frame, L2 fill
-     * frame, DRAM path-debug frame.
+     * frame.
      */
-    static constexpr unsigned kMaxHops = 4;
+    static constexpr unsigned kMaxHops = 3;
 
     MemOp op = MemOp::Read;
     Addr addr = 0;
     std::uint32_t size = 0;
-    MemSource source = MemSource::NdpUnit;
 
     /** Completion callback; invoked exactly once at completion tick. */
     TickCallback onComplete;
-
-    /** Tick the packet entered the device memory system (for stats). */
-    Tick issued_at = 0;
-
-    /** Monotonic ID for debugging / deterministic ordering. */
-    std::uint64_t id = 0;
 
     /**
      * Intrusive link. While pooled: the free-list chain. While in flight:
@@ -211,15 +195,12 @@ using MemPacketPtr = std::unique_ptr<MemPacket, MemPacketDeleter>;
 
 /** Allocate and fill a pooled packet. */
 inline MemPacketPtr
-makePacket(MemOp op, Addr addr, std::uint32_t size, MemSource source,
-           Tick issued_at, TickCallback cb)
+makePacket(MemOp op, Addr addr, std::uint32_t size, TickCallback cb)
 {
     MemPacket *pkt = MemPacketPool::alloc();
     pkt->op = op;
     pkt->addr = addr;
     pkt->size = size;
-    pkt->source = source;
-    pkt->issued_at = issued_at;
     pkt->onComplete = std::move(cb);
     return MemPacketPtr(pkt);
 }

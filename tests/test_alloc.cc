@@ -343,8 +343,8 @@ TEST(SinglePacketMissPath, PoolReturnsToBaselineAfterMissStorm)
 {
     // A storm of cold misses (fresh buffers each run => every line
     // fills from DRAM) must hand every pooled packet back: outstanding()
-    // returns to its pre-storm baseline and the hop stack never
-    // outgrows its fixed cap.
+    // returns to its pre-storm baseline, and the deepest hop stack (an
+    // L1 read miss that also misses L2) fills the fixed cap exactly.
     VecAddSetup s(1u << 14);
     auto &ctrl = s.sys.device().controller();
 
@@ -362,8 +362,8 @@ TEST(SinglePacketMissPath, PoolReturnsToBaselineAfterMissStorm)
     EXPECT_GT(MemPacketPool::hopHighWater(), 0u)
         << "no hop frames were ever pushed: the miss path is not riding "
            "the hop stack";
-    EXPECT_LE(MemPacketPool::hopHighWater(), MemPacket::kMaxHops)
-        << "hop stack exceeded its fixed depth cap";
+    EXPECT_EQ(MemPacketPool::hopHighWater(), MemPacket::kMaxHops)
+        << "kMaxHops no longer matches the deepest hop stack pushed";
 }
 
 TEST(SinglePacketMissPath, NewCountersBitExactAcrossEngineThreads)

@@ -417,17 +417,6 @@ TEST(Cache, AtomicsPassThroughWhenNotLocal)
     EXPECT_LT(done - t0, 10000u);
 }
 
-TEST(Cache, InvalidateAll)
-{
-    EventQueue eq;
-    FixedLatencyMem mem(eq, 1000);
-    Cache cache(eq, testCacheConfig(), mem);
-    accessCache(eq, cache, MemOp::Read, 0x6000);
-    cache.invalidateAll();
-    accessCache(eq, cache, MemOp::Read, 0x6000);
-    EXPECT_EQ(cache.stats().read_misses, 2u);
-}
-
 // ---------------------------------------------------------------- NoC
 
 TEST(Crossbar, BandwidthSerializationPerPort)
