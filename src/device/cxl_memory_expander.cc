@@ -318,12 +318,14 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
         ++dstats_.m2func_calls;
         // Store the payload functionally in the M2func region and stage a
         // copy in a pooled buffer for the controller. The staging copy is
-        // required for correctness, not just allocation-freedom: launch
-        // slots are strided 32 B apart (Section III-B), so a 64 B payload
-        // in the region overlaps the next slot and a concurrent launch
-        // there would clobber this one's argument bytes before the
-        // controller handles them. The event captures only the node
-        // pointer (fits the inline buffer).
+        // required for correctness, not just allocation-freedom: entry
+        // points are 32 B apart (Section III-B), so a full 64 B payload
+        // at the base LaunchKernel offset (64) spans PollKernelStatus at
+        // offset 96, and a poll written there would clobber this launch's
+        // argument bytes before the controller handles them. (The extra
+        // launch slots are 64 B apart, kM2FuncLaunchSlotStride, and do not
+        // overlap one another.) The event captures only the node pointer
+        // (fits the inline buffer).
         mem_.write(hpa, data, size);
         if (size > M2FuncPayload::kMaxBytes) {
             // The controller only ever sees the staged (clamped) copy, so
