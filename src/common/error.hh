@@ -78,13 +78,6 @@ enum class NdpError : std::int64_t
     DeadlineExceeded = -14,
 };
 
-/** Any negative int64 in an id/return channel is an error code. */
-constexpr bool
-isNdpError(std::int64_t v)
-{
-    return v < 0;
-}
-
 /** Decode an id/return-channel value into the typed enum. */
 constexpr NdpError
 ndpErrorOf(std::int64_t v)

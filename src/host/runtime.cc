@@ -108,9 +108,10 @@ NdpStream::launch(const LaunchDesc &desc)
         ++completed_;
         return NdpEvent(&rt_, rec);
     }
-    // QoS stamps: an explicit per-launch deadline wins over the stream
-    // default; the stream priority rides every launch to the device WRR.
-    if (rec->deadline == 0 && default_deadline_ != 0)
+    // QoS stamps: the stream's relative deadline resolves to an absolute
+    // one at submit; the stream priority rides every launch to the
+    // device WRR.
+    if (default_deadline_ != 0)
         rec->deadline = rt_.eq_.now() + default_deadline_;
     rec->weight = priority_;
     if (queue_limit_ != 0 && queue_.size() >= queue_limit_) [[unlikely]] {
@@ -378,7 +379,6 @@ NdpRuntime::makeRecord(const LaunchDesc &desc, unsigned device)
     rec->rt = this;
     rec->desc = desc;
     rec->device = device;
-    rec->deadline = desc.deadlineTick();
     rec->refs = 2; // runtime (until completion) + event handle
     if (deviceKernelId(devs_[device], desc.kernel()) < 0) {
         // Reject unknown kernel handles at submit time, mirroring the

@@ -102,31 +102,16 @@ class LaunchDesc
         return *this;
     }
 
-    /**
-     * Absolute sim-time deadline (0 = none). A launch whose deadline has
-     * expired before it reaches the device is shed with
-     * NdpError::DeadlineExceeded instead of occupying a launch slot —
-     * host-side admission state, never serialized to the device.
-     */
-    LaunchDesc &
-    deadline(Tick abs_tick)
-    {
-        deadline_ = abs_tick;
-        return *this;
-    }
-
     std::int64_t kernel() const { return kernel_; }
     Addr poolBase() const { return base_; }
     Addr poolBound() const { return bound_; }
     const std::uint8_t *argData() const { return arg_bytes_.data(); }
     std::uint8_t argSize() const { return nargs_; }
-    Tick deadlineTick() const { return deadline_; }
 
   private:
     std::int64_t kernel_ = -1;
     Addr base_ = 0;
     Addr bound_ = 0;
-    Tick deadline_ = 0;
     std::uint8_t nargs_ = 0;
     std::array<std::uint8_t, kMaxArgBytes> arg_bytes_{};
 };
@@ -309,8 +294,8 @@ class NdpStream
     unsigned priority() const { return priority_; }
 
     /**
-     * Default relative deadline applied at submit to launches whose
-     * descriptor carries none: absolute deadline = submit tick + @p rel.
+     * Relative deadline applied at submit to every launch on the
+     * stream: absolute deadline = submit tick + @p rel.
      * 0 (default) disables. Expired launches are shed with
      * NdpError::DeadlineExceeded instead of occupying the device.
      */
