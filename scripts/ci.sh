@@ -7,9 +7,10 @@
 # (-DSANITIZE=address,undefined,float-cast-overflow, every report fatal)
 # over the
 # stream-API and fault tests, the KVS workload tests (the staged table
-# build), the sparse-memory page/frame table and the NDP units'
-# translation cache (SparseMemory.*, the TLB-shootdown and
-# host-write-after-kernel-read integration tests), the assembler and
+# build), the whole memory-system suite (sparse memory, caches, DRAM,
+# crossbar and link), the NDP units' translation cache (the
+# TLB-shootdown and host-write-after-kernel-read integration tests),
+# the 64-unit cycle-driver test, the assembler and
 # executor tests (test_isa: the assembler parses kernel text the host
 # supplies) and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
@@ -87,14 +88,16 @@ if [[ "$run_sanitize" == 1 ]]; then
         # staging buffer; run the KVS workload tests under ASan/UBSan.
         cmake --build "$san_dir" -j "$jobs" --target test_workloads
         "$san_dir/test_workloads" --gtest_filter='WorkloadTest.Kvstore*'
-        # Functional memory smoke: the page/frame table and the units'
-        # one translation cache, including its shootdown flush and a
-        # host write to a frame a kernel first read unwritten. The
-        # 64-unit cycle-driver case uses the armed-unit mask's top bit,
-        # where a shift past bit 63 would be undefined.
+        # Memory smoke: the whole memory-system suite (the page/frame
+        # table, and the cache, DRAM, crossbar and link cases that push
+        # packets through the hop stack and the L2 -> DRAM path), and
+        # the units' one translation cache, including its shootdown
+        # flush and a host write to a frame a kernel first read
+        # unwritten. The 64-unit cycle-driver case uses the armed-unit
+        # mask's top bit, where a shift past bit 63 would be undefined.
         cmake --build "$san_dir" -j "$jobs" --target test_memory_system
         cmake --build "$san_dir" -j "$jobs" --target test_integration
-        "$san_dir/test_memory_system" --gtest_filter='SparseMemory.*'
+        "$san_dir/test_memory_system"
         "$san_dir/test_integration" --gtest_filter=\
 'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*:CycleDriver.*'
         # Assembler smoke: kernel text comes from the host, so the parser
