@@ -10,7 +10,8 @@
 # build), the whole memory-system suite (sparse memory, caches, DRAM,
 # crossbar and link), the NDP units' translation cache (the
 # TLB-shootdown and host-write-after-kernel-read integration tests),
-# the 64-unit cycle-driver test, the assembler and
+# the 64-unit cycle-driver test, the controller tests (M2func return
+# slots and the held-back launch reply), the assembler and
 # executor tests (test_isa: the assembler parses kernel text the host
 # supplies) and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
@@ -95,11 +96,12 @@ if [[ "$run_sanitize" == 1 ]]; then
         # flush and a host write to a frame a kernel first read
         # unwritten. The 64-unit cycle-driver case uses the armed-unit
         # mask's top bit, where a shift past bit 63 would be undefined.
+        # The controller cases park and answer held-back M2func reads.
         cmake --build "$san_dir" -j "$jobs" --target test_memory_system
         cmake --build "$san_dir" -j "$jobs" --target test_integration
         "$san_dir/test_memory_system"
         "$san_dir/test_integration" --gtest_filter=\
-'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*:CycleDriver.*'
+'IntegrationTest.TlbShootdownPath:IntegrationTest.HostWriteAfter*:CycleDriver.*:ControllerTest.*'
         # Assembler smoke: kernel text comes from the host, so the parser
         # and the executor it feeds run under ASan/UBSan in full.
         cmake --build "$san_dir" -j "$jobs" --target test_isa

@@ -3,7 +3,7 @@
  * Intrusive slab-backed object pool.
  *
  * One template behind every hot-path record pool in the simulator (event
- * nodes, LaunchRecord, HostAccess, M2func PayloadNode, KernelInstance,
+ * nodes, LaunchRecord, HostAccess, M2FuncCall, KernelInstance,
  * P2P routes; MemPacket keeps a per-thread variant): objects are
  * carved out of slabs that live for the pool's lifetime and recycled
  * through an intrusive freelist, so steady-state acquire/release cycles

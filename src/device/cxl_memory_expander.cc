@@ -317,33 +317,31 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
     if (match) {
         ++dstats_.m2func_calls;
         // Store the payload functionally in the M2func region and stage a
-        // copy in a pooled buffer for the controller. The staging copy is
+        // copy in the call record for the controller. The staging copy is
         // required for correctness, not just allocation-freedom: entry
         // points are 32 B apart (Section III-B), so a full 64 B payload
         // at the base LaunchKernel offset (64) spans PollKernelStatus at
         // offset 96, and a poll written there would clobber this launch's
         // argument bytes before the controller handles them. (The extra
         // launch slots are 64 B apart, kM2FuncLaunchSlotStride, and do not
-        // overlap one another.) The event captures only the node pointer
-        // (fits the inline buffer).
+        // overlap one another.)
         mem_.write(hpa, data, size);
         if (size > M2FuncPayload::kMaxBytes) {
             // The controller only ever sees the staged (clamped) copy, so
             // the oversize diagnostic must fire here.
             M2_WARN("M2func payload exceeds 64 B; truncating semantics");
         }
-        Asid asid = match->asid;
-        std::uint64_t offset = match->offset;
-        PayloadNode *node = payload_pool_.acquire();
-        node->payload.size = static_cast<std::uint8_t>(
+        M2FuncCall *call = call_pool_.acquire();
+        call->asid = match->asid;
+        call->offset = match->offset;
+        call->payload.size = static_cast<std::uint8_t>(
             std::min<std::uint32_t>(size, M2FuncPayload::kMaxBytes));
-        std::memcpy(node->payload.bytes.data(), data, node->payload.size);
-        eq_.scheduleAfter(cfg_.m2func_latency,
-                          [this, asid, offset, node] {
-                              controller_->handleWrite(asid, offset,
-                                                       node->payload);
-                              payload_pool_.release(node);
-                          });
+        std::memcpy(call->payload.bytes.data(), data, call->payload.size);
+        eq_.scheduleAfter(cfg_.m2func_latency, [this, call] {
+            controller_->handleWrite(call->asid, call->offset,
+                                     call->payload);
+            call_pool_.release(call);
+        });
         // The write itself is acked immediately (Fig. 5a).
         done(eq_.now() + cfg_.m2func_latency);
         return;
@@ -361,23 +359,22 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
     auto match = filter_.match(hpa);
     if (match) {
         ++dstats_.m2func_calls;
-        Asid asid = match->asid;
-        // Carrier packet trick: the deferred return-value responder must
-        // hold the completion callback without overflowing inline capture
-        // buffers; a pooled packet is its zero-allocation home.
-        MemPacket *carrier =
-            makePacket(MemOp::Read, hpa, size, std::move(done)).release();
-        eq_.scheduleAfter(
-            cfg_.m2func_latency,
-            [this, asid, offset = match->offset, hpa, carrier] {
-                controller_->handleRead(
-                    asid, offset,
-                    [this, hpa, carrier](std::int64_t value) {
-                        mem_.write<std::int64_t>(hpa, value);
-                        MemPacketPtr p(carrier);
-                        p->complete(eq_.now());
-                    });
-            });
+        // The controller answers at once or holds the reply back until
+        // a synchronous launch ends; the record keeps `done` till then.
+        M2FuncCall *call = call_pool_.acquire();
+        call->asid = match->asid;
+        call->offset = match->offset;
+        call->hpa = hpa;
+        call->done = std::move(done);
+        eq_.scheduleAfter(cfg_.m2func_latency, [this, call] {
+            controller_->handleRead(
+                call->asid, call->offset, [this, call](std::int64_t value) {
+                    mem_.write<std::int64_t>(call->hpa, value);
+                    TickCallback reply = std::move(call->done);
+                    call_pool_.release(call);
+                    reply(eq_.now());
+                });
+        });
         return;
     }
     ++dstats_.host_reads;

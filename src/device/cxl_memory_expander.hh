@@ -153,8 +153,8 @@ class CxlMemoryExpander
     /** Total live uthread slots right now (Fig. 6a sampling). */
     unsigned activeContexts() const;
 
-    /** M2func payload staging nodes currently checked out (leak tests). */
-    std::size_t livePayloadNodes() const { return payload_pool_.live(); }
+    /** M2func call records currently checked out (leak tests). */
+    std::size_t liveM2FuncCalls() const { return call_pool_.live(); }
 
     /**
      * Install the cross-device P2P access hook (set by the System).
@@ -248,14 +248,21 @@ class CxlMemoryExpander
                             std::uint64_t a, std::uint64_t b);
 
     /**
-     * Pooled staging buffer for an M2func payload in flight between the
-     * CXL.mem ingress and the controller (see cxlWrite for why staging is
-     * required and why events carry only the node pointer).
+     * One M2func access in flight from the CXL.mem ingress to the
+     * controller, and for a read on to its (possibly held-back) reply.
+     * Events and the reply carry only the record pointer, which fits
+     * the inline capture buffer. A write stages its payload here (see
+     * cxlWrite for why staging is required); a read keeps its
+     * completion callback.
      */
-    struct PayloadNode
+    struct M2FuncCall
     {
-        PayloadNode *next = nullptr;
+        M2FuncCall *next = nullptr;
+        Asid asid = 0;
+        std::uint64_t offset = 0;
+        Addr hpa = 0;
         M2FuncPayload payload;
+        TickCallback done;
     };
 
     EventQueue &eq_;
@@ -309,7 +316,7 @@ class CxlMemoryExpander
     PeerAccessFn peer_access_;
     DeviceStats dstats_;
 
-    SlabPool<PayloadNode> payload_pool_;
+    SlabPool<M2FuncCall> call_pool_;
 };
 
 } // namespace m2ndp

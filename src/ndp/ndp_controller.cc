@@ -84,6 +84,7 @@ LaunchWire::decode(const M2FuncPayload &p, unsigned at, Layout layout)
 // M2func entry points
 // --------------------------------------------------------------------------
 
+M2NDP_HOT_PATH
 void
 NdpController::setReturn(Asid asid, std::uint64_t fn_index,
                          std::int64_t value, bool ready)
@@ -91,19 +92,10 @@ NdpController::setReturn(Asid asid, std::uint64_t fn_index,
     ReturnSlot &slot = returns_[slotKey(asid, fn_index)];
     slot.value = value;
     slot.ready = ready;
-}
-
-void
-NdpController::resolveReturn(Asid asid, std::uint64_t fn_index,
-                             std::int64_t value)
-{
-    ReturnSlot &slot = returns_[slotKey(asid, fn_index)];
-    slot.value = value;
-    slot.ready = true;
-    auto waiters = std::move(slot.waiters);
-    slot.waiters.clear();
-    for (auto &w : waiters)
-        w(value);
+    if (ready && slot.waiter) {
+        auto waiter = std::move(slot.waiter);
+        waiter(value);
+    }
 }
 
 void
@@ -134,18 +126,18 @@ NdpController::launchFromWire(Asid asid, std::uint64_t fn_index,
     // the subsequent read to the same offset (deferred if synchronous).
     // A synchronous launch resolves it when the instance completes, which
     // can already happen inside launch() (an empty pool region).
-    setReturn(asid, fn_index, kNdpErr, !w.sync);
     InstanceCompleteFn resolve;
     if (w.sync) {
+        setReturn(asid, fn_index, kNdpErr, false);
         resolve = [this, asid, fn_index](const KernelInstance &inst) {
-            resolveReturn(asid, fn_index, inst.returnValue());
+            setReturn(asid, fn_index, inst.returnValue(), true);
         };
     }
     std::int64_t iid = launch(asid, w.kernel, w.base, w.bound, w.args,
                               w.args_size, std::move(resolve), w.weight);
     // Typed rejection codes travel back through the return slot too.
     if (iid < 0 || !w.sync)
-        resolveReturn(asid, fn_index, iid);
+        setReturn(asid, fn_index, iid, true);
 }
 
 void
@@ -198,14 +190,11 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
       case M2Func::LaunchKernel:
         launchStore(asid, fn_index, payload);
         return;
-      case M2Func::PollKernelStatus: {
-        last_poll_target_[asid] = payload.get<std::int64_t>(0);
+      case M2Func::PollKernelStatus:
+        // The slot keeps the target; handleRead reports its status.
         setReturn(asid, static_cast<std::uint64_t>(fn),
-                  static_cast<std::int64_t>(
-                      status(last_poll_target_[asid])),
-                  true);
+                  payload.get<std::int64_t>(0), true);
         return;
-      }
       case M2Func::ShootdownTlbEntry: {
         Addr va = payload.get<std::uint64_t>(0);
         Asid target = payload.get<std::uint16_t>(8);
@@ -217,29 +206,26 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
     M2_WARN("M2func write to unknown offset ", offset);
 }
 
+M2NDP_HOT_PATH
 void
 NdpController::handleRead(Asid asid, std::uint64_t offset,
                           InlineCallback<void(std::int64_t)> respond)
 {
     std::uint64_t fn_index = offset / kM2FuncStride;
-    auto fn = static_cast<M2Func>(fn_index);
-    if (fn_index < kM2FuncLaunchSlotBase &&
-        fn == M2Func::PollKernelStatus) {
-        // Poll status is recomputed at read time so a spinning host sees
-        // progress without rewriting the function arguments.
-        auto it = last_poll_target_.find(asid);
-        std::int64_t v = it == last_poll_target_.end()
-                             ? kNdpErr
-                             : static_cast<std::int64_t>(status(it->second));
-        respond(v);
+    ReturnSlot &slot = returns_[slotKey(asid, fn_index)];
+    if (!slot.ready) {
+        // The runtime reads each slot once before it reuses it.
+        M2_ASSERT(!slot.waiter, "second held-back read of M2func offset ",
+                  offset);
+        slot.waiter = std::move(respond);
         return;
     }
-    ReturnSlot &slot = returns_[slotKey(asid, fn_index)];
-    if (slot.ready) {
+    // Poll status is computed at read time so a spinning host sees
+    // progress without rewriting the function arguments.
+    if (fn_index == static_cast<std::uint64_t>(M2Func::PollKernelStatus))
+        respond(static_cast<std::int64_t>(status(slot.value)));
+    else
         respond(slot.value);
-    } else {
-        slot.waiters.push_back(std::move(respond));
-    }
 }
 
 // --------------------------------------------------------------------------

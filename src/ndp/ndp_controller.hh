@@ -305,11 +305,16 @@ class NdpController
     const NdpKernel *kernelById(std::int64_t id) const;
 
   private:
+    /**
+     * One M2func return offset: its value and, while a synchronous
+     * launch on it runs, the one read held back until the value is
+     * ready. The PollKernelStatus slot holds the polled instance id.
+     */
     struct ReturnSlot
     {
         std::int64_t value = kNdpErr;
         bool ready = true;
-        std::vector<InlineCallback<void(std::int64_t)>> waiters;
+        InlineCallback<void(std::int64_t)> waiter;
     };
 
     std::uint64_t
@@ -318,10 +323,10 @@ class NdpController
         return (static_cast<std::uint64_t>(asid) << 12) | fn_index;
     }
 
+    /** Store @p value in a return slot; once it is @p ready, answer the
+     *  read parked on the slot, if any. */
     void setReturn(Asid asid, std::uint64_t fn_index, std::int64_t value,
                    bool ready);
-    void resolveReturn(Asid asid, std::uint64_t fn_index,
-                       std::int64_t value);
     /** A launch store (base offset or extra slot): one full-format
      *  launch, or one or two compact ones on consecutive offsets. */
     void launchStore(Asid asid, std::uint64_t fn_index,
@@ -385,7 +390,6 @@ class NdpController
     std::unordered_set<std::int64_t> completed_errors_;
 
     std::unordered_map<std::uint64_t, ReturnSlot> returns_;
-    std::unordered_map<Asid, std::int64_t> last_poll_target_;
 
     /** Free list over per-unit scratchpad data space. */
     std::map<std::uint64_t, std::uint64_t> spad_free_; // offset -> size

@@ -141,8 +141,8 @@ TEST(SteadyStateAllocation, WarmKernelRunIsAllocationFree)
 TEST(SteadyStateAllocation, ErrorStormRecyclesAllPools)
 {
     // A storm of trapping launches must recycle every pooled object on
-    // the *failure* path: launch records, host access slots, device
-    // payload nodes. Leaks here never show up in happy-path tests — only
+    // the *failure* path: launch records, host access slots, M2func
+    // call records. Leaks here never show up in happy-path tests — only
     // under sustained errors — so drive two storms and check that (a)
     // every pool drains back to empty and (b) the warm storm allocates
     // no more than the cold one (the error path reuses pooled objects
@@ -173,8 +173,8 @@ TEST(SteadyStateAllocation, ErrorStormRecyclesAllPools)
     EXPECT_EQ(rt->stats().faulted_completions, 16u);
     EXPECT_EQ(rt->liveLaunchRecords(), 0u) << "launch records leaked";
     EXPECT_EQ(sys.host().liveAccesses(), 0u) << "host accesses leaked";
-    EXPECT_EQ(sys.device().livePayloadNodes(), 0u)
-        << "device payload nodes leaked";
+    EXPECT_EQ(sys.device().liveM2FuncCalls(), 0u)
+        << "M2func call records leaked";
 
     std::uint64_t a1 = allocationCount();
     storm(16); // warm: every failure recycles pooled state
@@ -183,7 +183,7 @@ TEST(SteadyStateAllocation, ErrorStormRecyclesAllPools)
     EXPECT_EQ(rt->stats().faulted_completions, 32u);
     EXPECT_EQ(rt->liveLaunchRecords(), 0u);
     EXPECT_EQ(sys.host().liveAccesses(), 0u);
-    EXPECT_EQ(sys.device().livePayloadNodes(), 0u);
+    EXPECT_EQ(sys.device().liveM2FuncCalls(), 0u);
     EXPECT_LE(second, first)
         << "warm error storm should not outgrow the cold one";
 }

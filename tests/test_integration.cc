@@ -902,6 +902,20 @@ class ControllerTest : public ::testing::Test
         return out;
     }
 
+    /** The PollKernelStatus entry point's byte offset. */
+    static constexpr std::uint64_t kPollOffset =
+        static_cast<std::uint64_t>(M2Func::PollKernelStatus) * kM2FuncStride;
+
+    /** An M2func poll write naming instance @p id. */
+    void
+    writePoll(std::int64_t id)
+    {
+        M2FuncPayload p;
+        std::memcpy(p.bytes.data(), &id, sizeof(id));
+        p.size = sizeof(id);
+        ctrl().handleWrite(proc->asid(), kPollOffset, p);
+    }
+
     std::array<std::uint8_t, 32>
     dumped(Addr pool)
     {
@@ -967,6 +981,8 @@ TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
     // A backlog of long launches behind a 2-instance limit: the first two
     // run, the rest wait in the launch queue.
     // The first is 16x shorter than the rest, so it finishes alone.
+    // Before any poll write, an M2func poll read reports an error.
+    EXPECT_EQ(*readReturn(kPollOffset), kNdpErr);
     const Addr pool = proc->allocate(1u << 20);
     std::vector<std::int64_t> ids;
     for (int i = 0; i < 5; ++i) {
@@ -981,6 +997,10 @@ TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
     EXPECT_EQ(ctrl().status(ids[1]), KernelStatus::Running);
     for (int i = 2; i < 5; ++i)
         EXPECT_EQ(ctrl().status(ids[i]), KernelStatus::Pending) << i;
+    // The M2func poll reports the status of the id it last named.
+    writePoll(ids[0]);
+    EXPECT_EQ(*readReturn(kPollOffset),
+              static_cast<std::int64_t>(KernelStatus::Running));
 
     // Spawn progress is visible for running ids only.
     while (ctrl().instanceSpawned(ids[0]) == 0 && dev_eq().step()) {
@@ -993,6 +1013,9 @@ TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
     }
     ASSERT_EQ(ctrl().stats().instances_completed, 1u);
     EXPECT_EQ(ctrl().status(ids[0]), KernelStatus::Finished);
+    // A spinning host sees the progress without rewriting the poll.
+    EXPECT_EQ(*readReturn(kPollOffset),
+              static_cast<std::int64_t>(KernelStatus::Finished));
     EXPECT_EQ(ctrl().status(ids[1]), KernelStatus::Running);
     EXPECT_EQ(ctrl().status(ids[2]), KernelStatus::Running);
     EXPECT_EQ(ctrl().status(ids[3]), KernelStatus::Pending);

@@ -335,9 +335,12 @@ TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFreeOnHostPath)
 {
     // The synchronous part of NdpStream::launch — record setup, M2func
     // slot assignment, payload pack, host-port write+read issue, event
-    // scheduling — must not touch the heap once pools are warm. (Device-
-    // side per-launch bookkeeping runs later, inside the simulation, and
-    // is covered by tests/test_alloc.cc.)
+    // scheduling — must not touch the heap once pools are warm, and
+    // neither may the simulation that carries the launches through the
+    // device: the M2func store, the read whose reply the controller
+    // holds back until the kernel ends, and the kernel itself. (The
+    // warm-launch cases in tests/test_alloc.cc call the controller
+    // directly, so only this burst covers the M2func reply.)
     constexpr unsigned kStreams = 4;
     constexpr unsigned kPerStream = 8;
     Buffers buf = makeBuffers(*sys, *proc, 256);
@@ -380,7 +383,11 @@ TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFreeOnHostPath)
     EXPECT_EQ(after - before, 0u)
         << "warm stream launches touched the heap on the host path";
 
+    before = allocationCount();
     rt->synchronize();
+    after = allocationCount();
+    EXPECT_EQ(after - before, 0u)
+        << "a warm launch burst touched the heap inside the simulation";
     for (auto &ev : events) {
         EXPECT_TRUE(ev.done());
         EXPECT_GT(ev.instanceId(), 0);
