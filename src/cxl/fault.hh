@@ -67,7 +67,6 @@ struct FaultStats
     std::uint64_t messages_checked = 0;
     std::uint64_t crc_replays = 0;
     std::uint64_t dropped_flits = 0;
-    std::uint64_t link_down_events = 0;
     /** Total replay latency added to message delivery. */
     Tick replay_ticks = 0;
 };

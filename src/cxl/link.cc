@@ -47,7 +47,6 @@ CxlLink::faultStats() const
     s.crc_replays = d.crc_replays + u.crc_replays;
     s.dropped_flits = d.dropped_flits + u.dropped_flits;
     s.replay_ticks = d.replay_ticks + u.replay_ticks;
-    s.link_down_events = forced_ ? 1 : 0;
     return s;
 }
 

@@ -199,8 +199,6 @@ StepResult
 execute(UthreadContext &ctx, const Instruction &in, std::uint32_t code_size,
         MemoryIf &mem)
 {
-    ++ctx.instret;
-
     StepResult res;
     res.fu = in.fu;
     res.latency = in.latency;

@@ -165,13 +165,6 @@ struct UthreadContext
     std::uint8_t num_f = 32;
     std::uint8_t num_v = 32;
 
-    /** Mapped pool address and offset, stored at spawn (Section III-E). */
-    Addr mapped_addr = 0;
-    std::uint64_t mapped_offset = 0;
-
-    /** Dynamic instruction count (for stats). */
-    std::uint64_t instret = 0;
-
     /**
      * Re-arm this context for a fresh uthread. Zeroes only the registers
      * the kernel can touch (the provisioned counts) instead of copying a
@@ -191,9 +184,6 @@ struct UthreadContext
         num_x = nx;
         num_f = nf;
         num_v = nv;
-        mapped_addr = 0;
-        mapped_offset = 0;
-        instret = 0;
     }
 };
 

@@ -333,8 +333,6 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
                           need.num_float_regs, need.num_vector_regs);
         slot.ctx.x[1] = item.x1;
         slot.ctx.x[2] = item.x2;
-        slot.ctx.mapped_addr = item.x1;
-        slot.ctx.mapped_offset = item.x2;
         slot.instance = item.instance;
         slot.section = item.section;
         slot.ready_at = now + cfg_.period; // spawn takes one cycle

@@ -39,9 +39,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
     // message adds to its sender's clock. Every path crossing a partition
     // boundary — CXL.mem sends, CXL.io doorbells (500 ns one-way), P2P
     // hops — pays at least the link's one-way stack+wire latency.
-    CxlLinkConfig lc = cfg_.link;
-    lc.oneway_latency += cfg_.switch_latency;
-    Tick lookahead = lc.oneway_latency;
+    Tick lookahead = cfg_.link.oneway_latency;
     if (cfg_.num_devices > 1)
         lookahead = std::min(lookahead, cfg_.p2p_oneway_latency);
 
@@ -55,7 +53,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
         FaultConfig fc = cfg_.fault;
         fc.seed = SplitMix64(cfg_.fault.seed ^ (0xFA17u + d)).next();
         links_.push_back(std::make_unique<CxlLink>(
-            eq_, *device_queues_.back(), lc, fc));
+            eq_, *device_queues_.back(), cfg_.link, fc));
 
         allocators_.push_back(std::make_unique<PhysAllocator>(
             layout::deviceBase(d),

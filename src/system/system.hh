@@ -38,8 +38,6 @@ struct SystemConfig
      */
     FaultConfig fault;
 
-    /** Extra one-way latency when a CXL switch sits on the path. */
-    Tick switch_latency = 0;
     /** Device-to-device latency for P2P through the switch. */
     Tick p2p_oneway_latency = 70 * kNs;
 
