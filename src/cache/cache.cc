@@ -22,14 +22,15 @@ Cache::Cache(EventQueue &eq, CacheConfig cfg, MemPort &downstream)
     M2_ASSERT(cfg_.size % (static_cast<std::uint64_t>(cfg_.assoc) *
                            cfg_.line_bytes) == 0,
               "cache size not divisible into sets");
-    num_sets_ = cfg_.size / (static_cast<std::uint64_t>(cfg_.assoc) *
-                             cfg_.line_bytes);
-    // Mask indexing when possible (all device caches); host-model caches
-    // with non-power-of-two set counts fall back to modulo.
-    set_mask_ = isPowerOfTwo(num_sets_) ? num_sets_ - 1 : 0;
-    lines_.assign(num_sets_ * cfg_.assoc, Line{});
-    tags_.assign(num_sets_ * cfg_.assoc, kNoTag);
-    lrus_.assign(num_sets_ * cfg_.assoc, 0);
+    const std::uint64_t num_sets =
+        cfg_.size / (static_cast<std::uint64_t>(cfg_.assoc) *
+                     cfg_.line_bytes);
+    M2_ASSERT(isPowerOfTwo(num_sets),
+              "cache set count must be a power of two (mask indexing)");
+    set_mask_ = num_sets - 1;
+    lines_.assign(num_sets * cfg_.assoc, Line{});
+    tags_.assign(num_sets * cfg_.assoc, kNoTag);
+    lrus_.assign(num_sets * cfg_.assoc, 0);
 
     M2_ASSERT(cfg_.line_bytes / cfg_.sector_bytes <= 64,
               "sector_valid / sectors_pending are 64-bit masks");
@@ -70,7 +71,7 @@ Cache::setIndex(Addr line_addr) const
 {
     // Hash the set index so power-of-two strides do not alias into one set.
     std::uint64_t h = mixHash64(line_addr / cfg_.line_bytes);
-    return set_mask_ != 0 ? (h & set_mask_) : (h % num_sets_);
+    return h & set_mask_;
 }
 
 M2NDP_HOT_PATH

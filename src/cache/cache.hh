@@ -12,7 +12,6 @@
  *    write-through, no write-allocate (GPU-style, Section III-F)
  *  - Memory-side L2 slices: 128 KiB per channel, 16-way, 7-cycle,
  *    write-back, executes global atomics (Section III-E/F)
- *  - Host cache levels in the CPU/GPU interval models
  */
 
 #pragma once
@@ -205,8 +204,7 @@ class Cache : public MemPort
     EventQueue &eq_;
     CacheConfig cfg_;
     MemPort &downstream_;
-    std::uint64_t num_sets_;
-    std::uint64_t set_mask_ = 0; ///< num_sets_ - 1 when a power of two
+    std::uint64_t set_mask_ = 0; ///< set count - 1 (a power of two)
     /**
      * Line metadata, flattened to [set * assoc + way]. The tag probe runs
      * over the separate compact tags_ array (8 B per way instead of a

@@ -151,8 +151,7 @@ class DramDevice : public MemPort
      * period: units already park completions and act on them at the next
      * cycle edge, so aligning the drain to those edges coalesces
      * completer events with unit edges without moving any unit-visible
-     * timing. 0 (the default, used by the host memory models) drains at
-     * the exact data tick.
+     * timing. 0 (the default) drains at the exact data tick.
      */
     DramDevice(EventQueue &eq, const DramTiming &timing, unsigned channels,
                std::uint64_t interleave_bytes = 256, Tick drain_quantum = 0);
