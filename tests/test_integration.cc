@@ -978,11 +978,12 @@ pattern(unsigned n, std::uint8_t first)
 
 TEST_F(ControllerTest, StatusReportsPendingRunningFinishedFaultedAndErrors)
 {
+    // Before any poll write, an M2func poll read reports an error.
+    EXPECT_EQ(*readReturn(kPollOffset), kNdpErr);
+
     // A backlog of long launches behind a 2-instance limit: the first two
     // run, the rest wait in the launch queue.
     // The first is 16x shorter than the rest, so it finishes alone.
-    // Before any poll write, an M2func poll read reports an error.
-    EXPECT_EQ(*readReturn(kPollOffset), kNdpErr);
     const Addr pool = proc->allocate(1u << 20);
     std::vector<std::int64_t> ids;
     for (int i = 0; i < 5; ++i) {
