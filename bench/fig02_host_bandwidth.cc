@@ -83,7 +83,7 @@ main(int argc, char **argv)
     // payload ride an 80 B flit one way (the other direction carries only
     // 16 B headers); mixed traffic loads both directions — 128 B payload
     // per 96 B in each direction.
-    const double per_dir = sys.config().link.bandwidth_gbps;
+    const double per_dir = kCxlLinkGbps;
     const double uni_ceiling = per_dir * 64.0 / 80.0;
     const double mixed_ceiling = per_dir * 128.0 / 96.0;
 

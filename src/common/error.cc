@@ -30,12 +30,12 @@ ndpErrorName(NdpError e)
         return "device-lost";
     case NdpError::Aborted:
         return "aborted";
-    case NdpError::RetriesExhausted:
-        return "retries-exhausted";
     case NdpError::Overloaded:
         return "overloaded";
     case NdpError::DeadlineExceeded:
         return "deadline-exceeded";
+    case NdpError::BadLaunchLayout:
+        return "bad-launch-layout";
     }
     return "invalid-error-code";
 }

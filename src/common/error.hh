@@ -12,15 +12,14 @@
  * application.
  *
  * Error classes, by origin:
- *  - launch-time rejections raised by `NdpController::launch`
- *    (InvalidKernel, QueueFull, BadPoolRegion),
+ *  - launch-time rejections raised by the controller (InvalidKernel,
+ *    QueueFull, BadPoolRegion, BadLaunchLayout),
  *  - registration failures (RegistrationFailed, IllegalInstruction),
  *  - kernel traps raised mid-execution by `NdpUnit` and the executor
  *    (UnmappedAddress, ScratchpadOverflow, IllegalInstruction),
  *  - supervision (WatchdogTimeout from the controller watchdog),
  *  - transport (DeviceLost when a CXL link goes down),
- *  - stream policy (Aborted for queued launches cancelled by fail-fast,
- *    RetriesExhausted reserved for callers that track retry budgets),
+ *  - stream policy (Aborted for queued launches cancelled by fail-fast),
  *  - admission control (Overloaded for bounded-queue rejection and
  *    DeadlineExceeded for expired-deadline shedding — docs/robustness.md
  *    "Overload protection").
@@ -59,8 +58,6 @@ enum class NdpError : std::int64_t
     DeviceLost = -10,
     /** Queued launch cancelled by a fail-fast stream after an error. */
     Aborted = -11,
-    /** Retry policy exhausted its relaunch budget. */
-    RetriesExhausted = -12,
     /**
      * Admission control rejected the launch: a bounded stream or device
      * launch queue was at capacity (host-side backpressure, distinct
@@ -76,6 +73,9 @@ enum class NdpError : std::int64_t
      * it).
      */
     DeadlineExceeded = -14,
+    /** A batched launch store at the base LaunchKernel offset, where
+     *  its second half would answer through PollKernelStatus's. */
+    BadLaunchLayout = -15,
 };
 
 /** Decode an id/return-channel value into the typed enum. */

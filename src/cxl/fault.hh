@@ -10,10 +10,10 @@
  *    `min(1, ber * bits)`. Real CXL links detect these with the flit CRC
  *    and resolve them in hardware via the link-layer retry buffer
  *    (LRSM replay), so the message is still delivered — the fault costs
- *    a replay round-trip (`crc_replay_penalty`) and is counted.
+ *    a replay round-trip (`kCrcReplayPenalty`) and is counted.
  *  - **Dropped flits**: with probability `drop_rate` the flit train is
  *    lost outright and recovered by an ack-timeout replay
- *    (`drop_replay_penalty`) — delivered late, counted separately.
+ *    (`kDropReplayPenalty`) — delivered late, counted separately.
  *  - **Link down**: `CxlLink::forceLinkDown(t)` fails the link
  *    permanently from tick t on. This is the only *unrecoverable* fault:
  *    the host port aborts in-flight accesses with a typed error and the
@@ -45,6 +45,11 @@
 
 namespace m2ndp {
 
+/** Latency cost of a CRC-triggered link-layer replay. */
+inline constexpr Tick kCrcReplayPenalty = 100 * kNs;
+/** Latency cost of an ack-timeout replay after a dropped flit. */
+inline constexpr Tick kDropReplayPenalty = 500 * kNs;
+
 /** Per-link fault-injection configuration (disabled by default). */
 struct FaultConfig
 {
@@ -55,10 +60,6 @@ struct FaultConfig
     double bit_error_rate = 0.0;
     /** Per-message drop probability (ack-timeout replay). */
     double drop_rate = 0.0;
-    /** Latency cost of a CRC-triggered link-layer replay. */
-    Tick crc_replay_penalty = 100 * kNs;
-    /** Latency cost of an ack-timeout replay after a dropped flit. */
-    Tick drop_replay_penalty = 500 * kNs;
 };
 
 /** Fault counters, bit-exact across same-seed runs. */
@@ -88,7 +89,6 @@ class FaultInjector
                (cfg_.bit_error_rate > 0.0 || cfg_.drop_rate > 0.0);
     }
 
-    const FaultConfig &config() const { return cfg_; }
     const FaultStats &stats() const { return stats_; }
 
     /**
@@ -104,15 +104,15 @@ class FaultInjector
         double u = rng_.nextDouble();
         if (u < cfg_.drop_rate) {
             ++stats_.dropped_flits;
-            stats_.replay_ticks += cfg_.drop_replay_penalty;
-            return cfg_.drop_replay_penalty;
+            stats_.replay_ticks += kDropReplayPenalty;
+            return kDropReplayPenalty;
         }
         double p_crc = std::min(
             1.0, cfg_.bit_error_rate * static_cast<double>(bytes) * 8.0);
         if (u < cfg_.drop_rate + p_crc) {
             ++stats_.crc_replays;
-            stats_.replay_ticks += cfg_.crc_replay_penalty;
-            return cfg_.crc_replay_penalty;
+            stats_.replay_ticks += kCrcReplayPenalty;
+            return kCrcReplayPenalty;
         }
         return 0;
     }

@@ -10,7 +10,7 @@ CxlDirection::send(std::uint32_t bytes)
     Tick penalty = 0;
     if (faults_armed_) [[unlikely]]
         penalty = injector_.onMessage(bytes);
-    Tick ser = serializationTicks(bytes, cfg_.bandwidth_gbps);
+    Tick ser = serializationTicks(bytes, kCxlLinkGbps);
     // A link-layer replay (LRSM) blocks the direction until the flit
     // retransmits, so the penalty occupies the link: later messages queue
     // behind it and per-direction FIFO ordering is preserved. Protocol

@@ -27,12 +27,15 @@ namespace m2ndp {
 
 class CxlLink;
 
+/** CXL 3.0 / PCIe 6.0 x8 link rate per direction, GB/s (Table IV). */
+inline constexpr double kCxlLinkGbps = 64.0;
+/** M2S Req / S2M NDR size; also the header on every data message. */
+inline constexpr std::uint32_t kCxlHeaderBytes = 16;
+
 /** Configuration of one CXL.mem link (both directions symmetric). */
 struct CxlLinkConfig
 {
-    double bandwidth_gbps = 64.0; ///< per direction, GB/s
     Tick oneway_latency = 35000;  ///< stack + wire, one direction (35 ns)
-    std::uint32_t req_header_bytes = 16; ///< M2S Req / S2M NDR size
 };
 
 /** Per-direction traffic statistics. */
@@ -137,21 +140,21 @@ class CxlLink
     FaultStats faultStats() const;
 
     /** Bytes on the wire for a read request (header only). */
-    std::uint32_t readReqBytes() const { return cfg_.req_header_bytes; }
+    std::uint32_t readReqBytes() const { return kCxlHeaderBytes; }
     /** Bytes on the wire for a write request carrying @p payload bytes. */
     std::uint32_t
     writeReqBytes(std::uint32_t payload) const
     {
-        return cfg_.req_header_bytes + payload;
+        return kCxlHeaderBytes + payload;
     }
     /** Bytes for a data response. */
     std::uint32_t
     dataRespBytes(std::uint32_t payload) const
     {
-        return cfg_.req_header_bytes + payload;
+        return kCxlHeaderBytes + payload;
     }
     /** Bytes for a no-data response. */
-    std::uint32_t ndrBytes() const { return cfg_.req_header_bytes; }
+    std::uint32_t ndrBytes() const { return kCxlHeaderBytes; }
 
   private:
     /** Derive an independent per-direction injector seed. */
@@ -165,15 +168,13 @@ class CxlLink
 };
 
 /**
- * Latency constants for CXL.io/PCIe-based NDP management (Section II-C and
- * Fig. 5). These model the *observed* end-to-end costs of the conventional
- * schemes; y is the one-way CXL.io latency used in the Fig. 5 analysis.
+ * CXL.io/PCIe latency for the conventional NDP management schemes
+ * (Section II-C and Fig. 5), modeled by its *observed* end-to-end cost;
+ * y is the one-way CXL.io latency used in the Fig. 5 analysis.
  */
 struct CxlIoConfig
 {
     Tick oneway_latency = 500 * kNs; ///< y in Fig. 5
-    /** Completion-poll cost over PCIe (2-3 us per Section II-C). */
-    Tick poll_latency = 2 * kUs;
 };
 
 } // namespace m2ndp

@@ -40,6 +40,20 @@ class CxlMemoryExpander::UnitPort : public MemPort
 
 namespace {
 
+// Table IV device constants (the swept values live in DeviceConfig).
+constexpr unsigned kDramChannels = 32;          ///< LPDDR5, one L2 slice each
+constexpr std::uint64_t kInterleaveBytes = 256; ///< hashed channel interleave
+constexpr std::uint64_t kL2SliceBytes = 128 * kKiB; ///< 16-way, 7-cycle
+constexpr unsigned kL2Assoc = 16;
+constexpr Tick kL2LatencyCycles = 7;
+/** L1D: half of the unit's 128 KiB, the rest is scratchpad (III-F). */
+constexpr std::uint64_t kL1dBytes = 64 * kKiB;
+constexpr Tick kL1dLatencyCycles = 4;
+constexpr Tick kM2FuncLatency = 30 * kNs; ///< controller handling
+constexpr Tick kBackInvalidationLatency = 150 * kNs; ///< Fig. 13b
+/** Media-over-CXL link (III-J): the host link's rate, 35 ns each way. */
+constexpr Tick kMediaLinkLatency = 35 * kNs;
+
 /** Response-crossbar port used by CXL (host) responses. */
 constexpr unsigned
 hostRespPort(const DeviceConfig &cfg)
@@ -60,8 +74,8 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     : eq_(eq), cfg_(cfg), mem_(global_mem),
       unit_next_tick_(cfg.num_units, kTickMax),
       unit_ticker_(eq, [this] { unitCycleDriver(); }),
-      next_m2func_base_(layout::deviceBase(cfg.index) + cfg.capacity -
-                        layout::kM2FuncReserve),
+      next_m2func_base_(layout::deviceBase(cfg.index) +
+                        layout::kDeviceWindow - layout::kM2FuncReserve),
       bi_rng_(0xB1B1 + cfg.index)
 {
     if (cfg_.num_units > 64)
@@ -72,17 +86,17 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     // completer events with unit ticks at no unit-visible timing cost
     // (host-path completions through the L2 slices can deliver up to one
     // unit cycle later in *sim* time; their completion ticks stay exact).
-    dram_ = std::make_unique<DramDevice>(eq_, cfg_.dram, cfg_.dram_channels,
-                                         cfg_.interleave_bytes,
+    dram_ = std::make_unique<DramDevice>(eq_, DramTiming::lpddr5(),
+                                         kDramChannels, kInterleaveBytes,
                                          cfg_.unit.period);
 
-    for (unsigned c = 0; c < cfg_.dram_channels; ++c) {
+    for (unsigned c = 0; c < kDramChannels; ++c) {
         CacheConfig l2;
-        l2.size = cfg_.l2_slice_bytes;
-        l2.assoc = cfg_.l2_assoc;
+        l2.size = kL2SliceBytes;
+        l2.assoc = kL2Assoc;
         l2.line_bytes = 128;
         l2.sector_bytes = 32;
-        l2.latency = cfg_.l2_latency_cycles * cfg_.unit.period;
+        l2.latency = kL2LatencyCycles * cfg_.unit.period;
         l2.port_cycle = cfg_.unit.period;
         l2.write_through = false;
         l2.write_allocate = true;
@@ -91,10 +105,11 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
         l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_));
     }
 
-    CrossbarConfig req = cfg_.noc;
-    req.ports = cfg_.dram_channels;
+    // On-chip NoC: Table IV's four 32x32 crossbars of 32 B flits.
+    CrossbarConfig req;
+    req.ports = kDramChannels;
     req_xbar_ = std::make_unique<Crossbar>(eq_, req);
-    CrossbarConfig resp = cfg_.noc;
+    CrossbarConfig resp;
     resp.ports = cfg_.num_units + 2; // units + host + peer
     resp_xbar_ = std::make_unique<Crossbar>(eq_, resp);
 
@@ -107,11 +122,11 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
                                                    mem_, uc));
         unit_ports_.push_back(std::make_unique<UnitPort>(*this, u));
         CacheConfig l1;
-        l1.size = cfg_.l1d_bytes;
+        l1.size = kL1dBytes;
         l1.assoc = 16;
         l1.line_bytes = 128;
         l1.sector_bytes = 32;
-        l1.latency = cfg_.l1d_latency_cycles * cfg_.unit.period;
+        l1.latency = kL1dLatencyCycles * cfg_.unit.period;
         l1.port_cycle = cfg_.unit.period;
         l1.write_through = true;   // GPU-style, Section III-F
         l1.write_allocate = false;
@@ -120,11 +135,8 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
         l1d_.push_back(std::make_unique<Cache>(eq_, l1, *unit_ports_[u]));
     }
 
-    // DRAM-TLB region: 32 MiB below the M2func reserve (plenty for 2 MiB
-    // pages; Section III-H notes 16 B / page overhead).
-    Addr tlb_base = paBase() + cfg_.capacity - layout::kM2FuncReserve -
-                    32 * kMiB;
-    dram_tlb_ = std::make_unique<DramTlb>(tlb_base, 32 * kMiB,
+    dram_tlb_ = std::make_unique<DramTlb>(paBase() + layout::kDramTlbOffset,
+                                          layout::kDramTlbBytes,
                                           layout::kPageBytes);
 
     media_links_.resize(std::max(1u, cfg_.media_links));
@@ -153,9 +165,10 @@ CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
     Tick media_delay = 0;
     if (cfg_.media_over_cxl) {
         unsigned link = channel % cfg_.media_links;
-        Tick ser = serializationTicks(size + 16, cfg_.media_link_gbps) * 2;
+        Tick ser =
+            serializationTicks(size + kCxlHeaderBytes, kCxlLinkGbps) * 2;
         Tick start = media_links_[link].book(eq_, at, ser);
-        media_delay = (start - at) + ser + 2 * cfg_.media_link_latency;
+        media_delay = (start - at) + ser + 2 * kMediaLinkLatency;
     }
 
     // The crossbar plane hash keys on the *global* PA (stable across the
@@ -255,7 +268,7 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     Tick bi_delay = 0;
     if (op == MemOp::Read && cfg_.dirty_cache_ratio > 0.0 &&
         bi_rng_.nextDouble() < cfg_.dirty_cache_ratio)
-        bi_delay = cfg_.back_invalidation_latency;
+        bi_delay = kBackInvalidationLatency;
 
     // Through the unit's L1D; misses route over the NoC to the L2 slices
     // (the UnitPort adapter books the response crossbar). A delayed
@@ -337,13 +350,13 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
         call->payload.size = static_cast<std::uint8_t>(
             std::min<std::uint32_t>(size, M2FuncPayload::kMaxBytes));
         std::memcpy(call->payload.bytes.data(), data, call->payload.size);
-        eq_.scheduleAfter(cfg_.m2func_latency, [this, call] {
+        eq_.scheduleAfter(kM2FuncLatency, [this, call] {
             controller_->handleWrite(call->asid, call->offset,
                                      call->payload);
             call_pool_.release(call);
         });
         // The write itself is acked immediately (Fig. 5a).
-        done(eq_.now() + cfg_.m2func_latency);
+        done(eq_.now() + kM2FuncLatency);
         return;
     }
     ++dstats_.host_writes;
@@ -366,7 +379,7 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
         call->offset = match->offset;
         call->hpa = hpa;
         call->done = std::move(done);
-        eq_.scheduleAfter(cfg_.m2func_latency, [this, call] {
+        eq_.scheduleAfter(kM2FuncLatency, [this, call] {
             controller_->handleRead(
                 call->asid, call->offset, [this, call](std::int64_t value) {
                     mem_.write<std::int64_t>(call->hpa, value);
@@ -396,7 +409,7 @@ CxlMemoryExpander::allocateM2FuncRegion(Asid asid)
         return existing->second;
     Addr base = next_m2func_base_;
     M2_ASSERT(base + layout::kM2FuncRegionSize <=
-                  paBase() + cfg_.capacity,
+                  paBase() + layout::kDeviceWindow,
               "M2func reserve exhausted");
     if (!filter_.insert(base, base + layout::kM2FuncRegionSize, asid))
         M2_FATAL("packet filter rejected M2func region for asid ", asid);

@@ -40,35 +40,15 @@
 
 namespace m2ndp {
 
-/** Device configuration (Table IV defaults). */
+/** The device values the paper sweeps (Table IV defaults); the fixed
+ *  ones are constants in cxl_memory_expander.cc and layout::. */
 struct DeviceConfig
 {
     unsigned index = 0;
-    std::uint64_t capacity = 256ull * kGiB;
-
-    // DRAM media.
-    DramTiming dram = DramTiming::lpddr5();
-    unsigned dram_channels = 32;
-    std::uint64_t interleave_bytes = 256;
-
-    // Memory-side L2: 128 KiB per channel slice, 16-way, 7-cycle.
-    std::uint64_t l2_slice_bytes = 128 * kKiB;
-    unsigned l2_assoc = 16;
-    Tick l2_latency_cycles = 7;
 
     // NDP units.
     unsigned num_units = 32;
     NdpUnitConfig unit;
-
-    // NDP-unit L1D: 128 KiB total split with the scratchpad (Section III-F).
-    std::uint64_t l1d_bytes = 64 * kKiB;
-    Tick l1d_latency_cycles = 4;
-
-    // On-chip NoC (four 32x32 crossbars of 32 B flits).
-    CrossbarConfig noc;
-
-    // M2func handling latency at the controller (microcontroller-style).
-    Tick m2func_latency = 30 * kNs;
 
     // NDP controller limits and watchdog budget.
     NdpControllerConfig controller;
@@ -76,13 +56,10 @@ struct DeviceConfig
     // Dirty-host-cache limit study (Fig. 13b): fraction of NDP-read data
     // requiring back-invalidation from the host cache.
     double dirty_cache_ratio = 0.0;
-    Tick back_invalidation_latency = 150 * kNs;
 
     // Section III-J: media behind CXL links (NDP-enabled switch).
     bool media_over_cxl = false;
     unsigned media_links = 1;
-    double media_link_gbps = 64.0;
-    Tick media_link_latency = 35 * kNs;
 };
 
 /** Device statistics snapshot. */

@@ -1,13 +1,15 @@
 #include "host/host.hh"
 
+#include <cstring>
+
 #include "common/log.hh"
 
 namespace m2ndp {
 
 HostCxlPort::HostCxlPort(EventQueue &eq, CxlLink &link,
-                         CxlMemoryExpander &dev, HostPortConfig cfg,
-                         SimDomain &domain, unsigned device_partition)
-    : eq_(eq), dev_eq_(dev.eventQueue()), link_(link), dev_(dev), cfg_(cfg),
+                         CxlMemoryExpander &dev, SimDomain &domain,
+                         unsigned device_partition)
+    : eq_(eq), dev_eq_(dev.eventQueue()), link_(link), dev_(dev),
       domain_(domain), dev_pid_(device_partition)
 {
 }
@@ -19,7 +21,6 @@ HostCxlPort::allocAccess()
 {
     HostAccess *a = access_pool_.acquire();
     a->port = this;
-    a->big_data.reset();
     a->done.reset();
     a->failed = false;
     a->read_out = nullptr;
@@ -30,7 +31,6 @@ void
 HostCxlPort::releaseAccess(HostAccess *a)
 {
     a->done.reset();
-    a->big_data.reset();
     access_pool_.release(a);
 }
 
@@ -75,19 +75,16 @@ void
 HostCxlPort::writeAsync(Addr hpa, const void *data, std::uint32_t size,
                         TickCallback done)
 {
+    M2_ASSERT(size <= HostAccess::kInlineBytes,
+              "a CXL.mem write carries at most one 64 B line, got ", size);
     ++stats_.writes;
     HostAccess *a = allocAccess();
     a->hpa = hpa;
     a->size = size;
     a->is_write = true;
     a->done = std::move(done);
-    if (size <= HostAccess::kInlineBytes) {
-        std::memcpy(a->inline_data, data, size);
-    } else {
-        a->big_data = std::make_unique<std::uint8_t[]>(size);
-        std::memcpy(a->big_data.get(), data, size);
-    }
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->deliver(a); });
+    std::memcpy(a->inline_data, data, size);
+    eq_.scheduleAfter(kHostOverhead, [a] { a->port->deliver(a); });
 }
 
 void
@@ -107,7 +104,7 @@ HostCxlPort::readAsync(Addr hpa, std::uint32_t size, void *out,
     a->is_write = false;
     a->read_out = out;
     a->done = std::move(done);
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->deliver(a); });
+    eq_.scheduleAfter(kHostOverhead, [a] { a->port->deliver(a); });
 }
 
 void
@@ -128,7 +125,7 @@ HostCxlPort::atDevice(HostAccess *a)
         return;
     auto done = [a](Tick t) { a->port->deviceDone(a, t); };
     if (a->is_write)
-        dev_.cxlWrite(a->hpa, a->data(), a->size, done);
+        dev_.cxlWrite(a->hpa, a->inline_data, a->size, done);
     else
         dev_.cxlRead(a->hpa, a->size, done);
 }
@@ -157,7 +154,7 @@ HostCxlPort::respond(HostAccess *a)
         bytes = link_.dataRespBytes(a->size);
     }
     Tick back = link_.up().send(bytes);
-    postToHostAt(back + cfg_.host_overhead, [a] { a->port->finish(a); });
+    postToHostAt(back + kHostOverhead, [a] { a->port->finish(a); });
 }
 
 void

@@ -5,16 +5,16 @@
  * Models the host processor's view of one CXL memory expander: load/store
  * instructions to HDM addresses become M2S Req/RwD packets over the link.
  * Host-side overhead (core -> cache-miss path -> CXL root port) is a fixed
- * cost calibrated so that the idle load-to-use latency matches Table IV
- * (150 ns default; 300/600 ns variants).
+ * cost, kHostOverhead, which SystemConfig::linkForLoadToUse folds into
+ * the idle load-to-use latency of Table IV (150 ns default; 300/600 ns
+ * variants).
  *
  * Accesses in flight are carried by slab-pooled `HostAccess` records: the
- * write payload (up to 64 B inline — the M2func maximum) and the completion
- * callback live on the record, so every event scheduled along the
- * issue -> link -> device -> link -> completion chain captures only the
- * record pointer and stays within the 48 B inline buffer. A warm host
- * access performs zero heap allocations end to end; payloads larger than
- * the inline buffer (bulk setup traffic) fall back to a heap copy.
+ * write payload (at most the one 64 B line a CXL.mem RwD carries) and the
+ * completion callback live on the record, so every event scheduled along
+ * the issue -> link -> device -> link -> completion chain captures only
+ * the record pointer and stays within the 48 B inline buffer. A warm host
+ * access performs zero heap allocations end to end.
  *
  * Blocking helpers drive the event queue until the access completes, so
  * examples read as ordinary sequential host code.
@@ -23,9 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
 
 #include "common/slab_pool.hh"
 #include "cxl/link.hh"
@@ -35,12 +32,8 @@
 
 namespace m2ndp {
 
-/** Host port configuration. */
-struct HostPortConfig
-{
-    /** One-sided host overhead per access (issue + completion paths). */
-    Tick host_overhead = 10 * kNs;
-};
+/** One-sided host overhead per access, paid on issue and on completion. */
+inline constexpr Tick kHostOverhead = 10 * kNs;
 
 /** Host traffic statistics. */
 struct HostPortStats
@@ -58,22 +51,20 @@ class HostCxlPort
      * @param eq    the host partition's queue (issue/completion side)
      * @param link  the CXL.mem link to the device
      * @param dev   the device (its own queue runs the device-side stages)
-     * @param cfg   host-side cost model
      * @param domain  partition coordinator for cross-partition posts
      * @param device_partition  the device's partition id in @p domain
      */
     HostCxlPort(EventQueue &eq, CxlLink &link, CxlMemoryExpander &dev,
-                HostPortConfig cfg, SimDomain &domain,
-                unsigned device_partition);
+                SimDomain &domain, unsigned device_partition);
     ~HostCxlPort();
 
     HostCxlPort(const HostCxlPort &) = delete;
     HostCxlPort &operator=(const HostCxlPort &) = delete;
 
     /**
-     * Async CXL.mem write (M2S RwD). The payload is copied onto a pooled
-     * access record (inline up to 64 B). @p done (optional) fires when the
-     * NDR returns.
+     * Async CXL.mem write (M2S RwD) of at most 64 B. The payload is
+     * copied onto a pooled access record. @p done (optional) fires when
+     * the NDR returns.
      */
     void writeAsync(Addr hpa, const void *data, std::uint32_t size,
                     TickCallback done);
@@ -135,7 +126,6 @@ class HostCxlPort
     CxlLink &link() { return link_; }
     EventQueue &eventQueue() { return eq_; }
     const HostPortStats &stats() const { return stats_; }
-    const HostPortConfig &config() const { return cfg_; }
 
     /** Access records currently in flight (pool-leak checks in tests). */
     std::size_t liveAccesses() const { return access_pool_.live(); }
@@ -147,7 +137,7 @@ class HostCxlPort
      */
     struct HostAccess
     {
-        /** Payload bytes stored inline (M2func payloads are <= 64 B). */
+        /** Write payload bytes: one RwD carries one 64 B line. */
         static constexpr std::uint32_t kInlineBytes = 64;
 
         HostAccess *next = nullptr; ///< freelist link
@@ -161,14 +151,6 @@ class HostCxlPort
         void *read_out = nullptr;
         TickCallback done;
         std::uint8_t inline_data[kInlineBytes];
-        /** Cold fallback for bulk writes (setup traffic). */
-        std::unique_ptr<std::uint8_t[]> big_data;
-
-        const std::uint8_t *
-        data() const
-        {
-            return big_data ? big_data.get() : inline_data;
-        }
     };
 
     HostAccess *allocAccess();
@@ -203,7 +185,6 @@ class HostCxlPort
     EventQueue &dev_eq_;  ///< device partition queue
     CxlLink &link_;
     CxlMemoryExpander &dev_;
-    HostPortConfig cfg_;
     SimDomain &domain_;
     unsigned dev_pid_;
     HostPortStats stats_;

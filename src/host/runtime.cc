@@ -315,9 +315,11 @@ NdpRuntime::pollKernelStatus(std::int64_t instance_id, unsigned device)
         dev.port->write(addr, &instance_id, 8);
         return static_cast<KernelStatus>(dev.port->read<std::int64_t>(addr));
     }
-    // CXL.io poll: one expensive MMIO/polling round trip (Section II-C).
+    // CXL.io poll: one expensive MMIO/polling round trip, 2-3 us per
+    // Section II-C.
+    constexpr Tick kCxlIoPollLatency = 2 * kUs;
     bool done = false;
-    eq_.scheduleAfter(cfg_.io.poll_latency, [&done] { done = true; });
+    eq_.scheduleAfter(kCxlIoPollLatency, [&done] { done = true; });
     dev.port->runUntil(done);
     return dev.port->device().controller().status(instance_id);
 }

@@ -53,7 +53,7 @@ const char *offloadSchemeName(OffloadScheme scheme);
 struct NdpRuntimeConfig
 {
     OffloadScheme scheme = OffloadScheme::M2Func;
-    CxlIoConfig io; ///< CXL.io latency constants for the baseline schemes
+    CxlIoConfig io; ///< CXL.io one-way latency for the baseline schemes
 
     // ---- admission control / QoS (docs/robustness.md) ----
 
@@ -174,7 +174,6 @@ class NdpRuntime
     const NdpRuntimeStats &stats() const { return stats_; }
     ProcessAddressSpace &process() { return process_; }
     HostCxlPort &port(unsigned device = 0) { return *devs_[device].port; }
-    const NdpRuntimeConfig &config() const { return cfg_; }
 
   private:
     friend class NdpStream;

@@ -83,9 +83,19 @@ struct MemPacket
      */
     static constexpr unsigned kMaxHops = 3;
 
-    MemOp op = MemOp::Read;
     Addr addr = 0;
     std::uint32_t size = 0;
+    MemOp op = MemOp::Read;
+
+    /**
+     * Wait-queue tag owned by whoever holds the packet in an intrusive
+     * chain. Caches park line-fill waiters of a whole line on one MSHR
+     * chain and stamp each with its sector index here, so a sector fill
+     * settles its waiters in a single chain walk with no per-packet
+     * address arithmetic.
+     */
+    std::uint8_t wait_sector = 0;
+    std::uint8_t num_hops = 0; ///< frames on the hop stack below
 
     /** Completion callback; invoked exactly once at completion tick. */
     TickCallback onComplete;
@@ -98,19 +108,9 @@ struct MemPacket
      */
     MemPacket *link = nullptr;
 
-    /**
-     * Wait-queue tag owned by whoever holds the packet in an intrusive
-     * chain. Caches park line-fill waiters of a whole line on one MSHR
-     * chain and stamp each with its sector index here, so a sector fill
-     * settles its waiters in a single chain walk with no per-packet
-     * address arithmetic.
-     */
-    std::uint8_t wait_sector = 0;
-
     /** Return-path frames, pushed on the way down, popped on the way up
      *  (LIFO: the innermost level's frame fires first). */
     HopFrame hops[kMaxHops];
-    std::uint8_t num_hops = 0;
 
     /** Push a return-path frame (zero-allocation; no captures). */
     void
@@ -149,6 +149,8 @@ struct MemPacket
         }
     }
 };
+
+static_assert(sizeof(MemPacket) == 192, "keep the small fields by `size`");
 
 /**
  * Slab-backed free list of MemPackets. Each executor thread recycles

@@ -67,6 +67,11 @@ inline constexpr std::uint64_t kPageBytes = 2 * kMiB;
 inline constexpr std::uint64_t kM2FuncReserve = 16 * kMiB;
 /** Bytes of M2func region per host process. */
 inline constexpr std::uint64_t kM2FuncRegionSize = 64 * kKiB;
+/** DRAM-TLB area (Section III-H; 16 B per 2 MiB page) right below the
+ *  M2func reserve. Process allocations own everything below it. */
+inline constexpr std::uint64_t kDramTlbBytes = 32 * kMiB;
+inline constexpr std::uint64_t kDramTlbOffset =
+    kDeviceWindow - kM2FuncReserve - kDramTlbBytes;
 
 constexpr bool
 isScratchpadVa(Addr va)

@@ -4,20 +4,19 @@
 
 #include "common/log.hh"
 #include "device/cxl_memory_expander.hh"
+#include "ndp/ndp_unit.hh"
 
 namespace m2ndp {
 
 NdpController::NdpController(CxlMemoryExpander &dev, Config cfg)
     : dev_(dev), eq_(dev.eventQueue()), cfg_(cfg),
       num_units_(dev.config().num_units),
-      slots_per_unit_(dev.config().unit.subcores *
-                      dev.config().unit.slots_per_subcore),
-      unit_spad_bytes_(dev.config().unit.spad_bytes),
+      slots_per_unit_(dev.config().unit.subcores * kSlotsPerSubcore),
       subcore_reg_bytes_(dev.config().unit.regfile_bytes /
                          dev.config().unit.subcores)
 {
     // Whole per-unit scratchpad data space starts free.
-    spad_free_[0] = unit_spad_bytes_;
+    spad_free_[0] = kSpadBytes;
 }
 
 // --------------------------------------------------------------------------
@@ -106,6 +105,15 @@ NdpController::launchStore(Asid asid, std::uint64_t fn_index,
         launchFromWire(asid, fn_index,
                        LaunchWire::decode(payload, 0,
                                           LaunchWire::Layout::Full));
+        return;
+    }
+    // The base offset owns one return offset: the next one (96) is
+    // PollKernelStatus, where a second launch would overwrite the poll
+    // target. Only the extra slots own the pair a batched store needs.
+    if (fn_index < kM2FuncLaunchSlotBase) {
+        ++stats_.launches_rejected;
+        setReturn(asid, fn_index,
+                  static_cast<std::int64_t>(NdpError::BadLaunchLayout), true);
         return;
     }
     // Batched store: each compact half resolves through its own return
@@ -248,7 +256,7 @@ NdpController::registerKernel(Asid asid, const std::string &text,
     if (res.num_int_regs < 3 || res.num_int_regs > kRegs ||
         res.num_float_regs > kRegs || res.num_vector_regs > kRegs)
         return reject("needs x0-x2 and at most 32 registers per file");
-    if (res.scratchpad_bytes > unit_spad_bytes_)
+    if (res.scratchpad_bytes > kSpadBytes)
         return reject("scratchpad request exceeds unit scratchpad");
     auto kernel = std::make_unique<NdpKernel>();
     kernel->id = next_kernel_id_++;
@@ -286,7 +294,8 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, Addr pool_base,
         ++stats_.launches_rejected;
         return static_cast<std::int64_t>(NdpError::InvalidKernel);
     }
-    if (pending_.size() >= cfg_.launch_queue_capacity) {
+    constexpr std::size_t kLaunchQueueCapacity = 4096;
+    if (pending_.size() >= kLaunchQueueCapacity) {
         // Launch buffer full: error code back to the host (Section III-C).
         ++stats_.launches_rejected;
         return static_cast<std::int64_t>(NdpError::QueueFull);

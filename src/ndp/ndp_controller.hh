@@ -84,7 +84,9 @@ inline constexpr std::uint8_t kLaunchFlagSync = 0x1;
  * descriptors instead of one full-format launch — one store, two kernel
  * launches, amortizing the CXL.mem store per launch under load. Each half
  * owns one return offset of the 64 B slot pair (fn_index and fn_index+1),
- * so the deferred-read completion protocol is unchanged per launch.
+ * so the deferred-read completion protocol is unchanged per launch. Only
+ * the extra launch slots own such a pair; at the base LaunchKernel
+ * offset the store is rejected with NdpError::BadLaunchLayout.
  */
 inline constexpr std::uint8_t kLaunchFlagCompact = 0x2;
 /** Bytes per compact descriptor; two fill one launch-slot stride. */
@@ -176,7 +178,6 @@ struct NdpControllerStats
 struct NdpControllerConfig
 {
     unsigned max_concurrent_instances = 48;
-    unsigned launch_queue_capacity = 4096;
     /**
      * Per-instance watchdog budget in ticks from activation (0 =
      * disabled, the default — no events are scheduled). An instance
@@ -328,7 +329,8 @@ class NdpController
     void setReturn(Asid asid, std::uint64_t fn_index, std::int64_t value,
                    bool ready);
     /** A launch store (base offset or extra slot): one full-format
-     *  launch, or one or two compact ones on consecutive offsets. */
+     *  launch or, at an extra slot only, one or two compact ones on
+     *  consecutive offsets. */
     void launchStore(Asid asid, std::uint64_t fn_index,
                      const M2FuncPayload &payload);
     /** One decoded launch: launch + return-value plumbing. */
@@ -359,7 +361,6 @@ class NdpController
     /** Device geometry, fixed at construction. */
     const unsigned num_units_;
     const unsigned slots_per_unit_;
-    const std::uint64_t unit_spad_bytes_;
     /** Register-file bytes of one sub-core (a uthread's upper bound). */
     const std::uint64_t subcore_reg_bytes_;
     isa::Assembler assembler_;

@@ -23,24 +23,25 @@ constexpr std::uint64_t kPageMask = layout::kPageBytes - 1;
 constexpr unsigned kPageShift = std::countr_zero(layout::kPageBytes);
 static_assert(SparseMemory::kPageBytes == layout::kPageBytes,
               "a cached translation must map onto one SparseMemory page");
+
+// Table IV unit constants (the swept values live in NdpUnitConfig).
+constexpr Tick kSpadLatencyCycles = 2;
+constexpr unsigned kDtlbEntries = 256; ///< per unit, 8-way
+constexpr unsigned kDtlbAssoc = 8;
+constexpr Tick kAtsLatency = 2 * kUs; ///< cold DRAM-TLB entry (II-B)
 } // namespace
 
 NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
                  SparseMemory &mem, NdpUnitConfig cfg)
     : eq_(eq), dev_(dev), ctl_(ctl), mem_(mem), cfg_(cfg),
-      subcores_(cfg.subcores), spad_(cfg.spad_bytes, 0),
-      dtlb_(cfg.dtlb_entries, cfg.dtlb_assoc, layout::kPageBytes)
+      subcores_(cfg.subcores), spad_(kSpadBytes, 0),
+      dtlb_(kDtlbEntries, kDtlbAssoc, layout::kPageBytes)
 {
-    M2_ASSERT(cfg_.slots_per_subcore <= ReadySched::kMaxSlots,
-              "sub-core slot count exceeds the ready ring width");
-    full_mask_ = cfg_.slots_per_subcore == 64
-                     ? ~std::uint64_t(0)
-                     : (std::uint64_t(1) << cfg_.slots_per_subcore) - 1;
     for (auto &sc : subcores_) {
-        sc.slots.resize(cfg_.slots_per_subcore);
+        sc.slots.resize(kSlotsPerSubcore);
         sc.reg_bytes_free = cfg_.regfile_bytes / cfg_.subcores;
-        sc.idle_mask = full_mask_;
-        sc.sched.reset(cfg_.slots_per_subcore);
+        sc.idle_mask = kAllIdle;
+        sc.sched.reset(kSlotsPerSubcore);
         for (unsigned i = 0; i < sc.slots.size(); ++i) {
             sc.slots[i].owner = &sc;
             sc.slots[i].index = static_cast<std::uint8_t>(i);
@@ -50,7 +51,7 @@ NdpUnit::NdpUnit(EventQueue &eq, CxlMemoryExpander &dev, NdpController &ctl,
     // but posted stores can pile up behind DRAM latency. Reserve well past
     // any observed peak so the steady state never grows the vector.
     pending_.reserve(16 * static_cast<std::size_t>(cfg_.subcores) *
-                     cfg_.slots_per_subcore);
+                     kSlotsPerSubcore);
 
     // Reciprocal for the edge math: ceil(2^64 / period). Exact for
     // t < 2^64 / period because the rounding error e = inv*period - 2^64
@@ -238,7 +239,7 @@ NdpUnit::tick(Tick now)
             ++stats_.stall_mem_wait;
         }
         idle_any |= sc.idle_mask;
-        live_any |= sc.idle_mask ^ full_mask_;
+        live_any |= sc.idle_mask ^ kAllIdle;
     }
 
     if (live_any != 0)
@@ -305,7 +306,7 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
 {
     // Coarse-grained ablation: behave like threadblock allocation — only
     // refill when the whole sub-core drained (Fig. 12a).
-    if (!cfg_.fine_grained_spawn && sc.idle_mask != full_mask_)
+    if (!cfg_.fine_grained_spawn && sc.idle_mask != kAllIdle)
         return;
 
     while (sc.idle_mask != 0) {
@@ -568,7 +569,7 @@ NdpUnit::handleMemRefs(Slot &slot, const isa::StepResult &res, Tick now)
     if (spad_blocking == 0)
         return 0;
 
-    const Tick spad_done = now + cfg_.spad_latency_cycles * cfg_.period;
+    const Tick spad_done = now + kSpadLatencyCycles * cfg_.period;
     if (slot.outstanding_loads == 0 && !slot.finish_pending) {
         // Pure scratchpad wait: the latency is fixed and known now, so
         // the slot can simply become ready at the completion tick — no
@@ -602,7 +603,7 @@ NdpUnit::issueGlobalAccess(Slot &slot, const isa::MemRef &ref, Tick now,
     if (!dtlb_.lookup(asid, ref.va)) {
         need_dram_tlb = true;
         if (!dev_.dramTlbWarm(asid, ref.va)) {
-            ats_delay = cfg_.ats_latency;
+            ats_delay = kAtsLatency;
             dev_.dramTlbRefill(asid, ref.va);
         }
     }
@@ -655,7 +656,7 @@ NdpUnit::issueGlobalAccess(Slot &slot, const isa::MemRef &ref, Tick now,
     dev_.unitMemAccess(
         cfg_.index, MemOp::Read, entry_pa, DramTlb::kEntryBytes,
         [this, s, inst_p, pa, now, size, op, blocking, cold](Tick t) {
-            Tick fire = cold ? t + cfg_.ats_latency : t;
+            Tick fire = cold ? t + kAtsLatency : t;
             if (fire <= eq_.now()) {
                 launchGlobalAccess(s, inst_p, op, blocking, pa, size, now);
                 return;
@@ -716,7 +717,7 @@ NdpUnit::activeSlots() const
     unsigned idle = 0;
     for (const auto &sc : subcores_)
         idle += static_cast<unsigned>(std::popcount(sc.idle_mask));
-    return cfg_.subcores * cfg_.slots_per_subcore - idle;
+    return cfg_.subcores * kSlotsPerSubcore - idle;
 }
 
 } // namespace m2ndp

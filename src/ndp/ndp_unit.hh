@@ -44,19 +44,21 @@ namespace m2ndp {
 class CxlMemoryExpander;
 class NdpController;
 
-/** Static configuration of one NDP unit (Table IV defaults). */
+/** uthread slots per sub-core (Table IV); the controller sizes its
+ *  per-unit work from this. */
+inline constexpr unsigned kSlotsPerSubcore = 16;
+/** Data scratchpad per unit, excluding the argument window (Table IV:
+ *  128 KiB split with the L1D, Section III-F). */
+inline constexpr std::uint64_t kSpadBytes = 64 * kKiB;
+
+/** The NDP-unit values the paper sweeps (Table IV defaults); the fixed
+ *  ones are the constants above and in ndp_unit.cc. */
 struct NdpUnitConfig
 {
     unsigned index = 0;
     unsigned subcores = 4;
-    unsigned slots_per_subcore = 16;
     std::uint64_t regfile_bytes = 48 * kKiB;
-    std::uint64_t spad_bytes = 64 * kKiB; ///< data scratchpad (excl. args)
     Tick period = 500;                    ///< 2 GHz
-    Tick spad_latency_cycles = 2;
-    unsigned dtlb_entries = 256;
-    unsigned dtlb_assoc = 8;
-    Tick ats_latency = 2 * kUs; ///< DRAM-TLB miss fallback (Section II-B)
 
     /** Ablation: false = coarse spawning (all 16 slots of a sub-core at
      *  once, threadblock-style; Fig. 12a "w/o Fine-grained thr"). */
@@ -129,7 +131,6 @@ class NdpUnit : public isa::MemoryIf
 
     const NdpUnitStats &stats() const { return stats_; }
 
-    const NdpUnitConfig &config() const { return cfg_; }
     const TlbStats &dtlbStats() const { return dtlb_.stats(); }
 
     /** Invalidate one page translation (Table II, privileged path). */
@@ -179,7 +180,7 @@ class NdpUnit : public isa::MemoryIf
         unsigned rr_next = 0;
         /** Idle slots as a bitmask: spawn picks the lowest free slot with
          *  a count-trailing-zeros instead of walking the slot array. The
-         *  one record of occupancy: 0 = full, full_mask_ = all idle. */
+         *  one record of occupancy: 0 = full, kAllIdle = all idle. */
         std::uint64_t idle_mask = 0;
         /** Slots in WaitMem (for stall-reason classification only). */
         unsigned waitmem_count = 0;
@@ -340,7 +341,10 @@ class NdpUnit : public isa::MemoryIf
     std::uint64_t period_inv_ = 0;
     Tick period_div_limit_ = 0;
     /** A sub-core's idle_mask with every slot idle. */
-    std::uint64_t full_mask_ = 0;
+    static constexpr std::uint64_t kAllIdle =
+        (std::uint64_t{1} << kSlotsPerSubcore) - 1;
+    static_assert(kSlotsPerSubcore < ReadySched::kMaxSlots,
+                  "sub-core slot count exceeds the ready ring width");
     bool work_maybe_available_ = true;
     /** Previous ticked edge: same-edge re-ticks skip per-cycle stats. */
     Tick last_tick_ = kTickMax;

@@ -123,8 +123,6 @@ class SimDomain : public SimDriver
 
     /** Partitions in the domain (host + devices). */
     unsigned partitions() const { return static_cast<unsigned>(queues_.size()); }
-    /** Executors actually running device windows. */
-    unsigned executors() const { return executors_; }
     /** The conservative lookahead (ticks). */
     Tick lookahead() const { return lookahead_; }
 

@@ -11,11 +11,11 @@ namespace m2ndp {
 CxlLinkConfig
 SystemConfig::linkForLoadToUse(Tick ltu)
 {
-    // Idle read LtU decomposes as: 2x host overhead (20 ns total) +
-    // 2x (stack + wire) + device-internal L2/DRAM access (~55 ns).
-    // Solve for the one-way stack+wire latency.
+    // Idle read LtU decomposes as: 2x host overhead + 2x (stack + wire)
+    // + device-internal L2/DRAM access (~55 ns). Solve for the one-way
+    // stack+wire latency.
     CxlLinkConfig link;
-    Tick fixed = 20 * kNs + 55 * kNs;
+    Tick fixed = 2 * kHostOverhead + 55 * kNs;
     M2_ASSERT(ltu > fixed, "load-to-use below physical floor");
     link.oneway_latency = (ltu - fixed) / 2;
     return link;
@@ -39,9 +39,10 @@ System::System(SystemConfig cfg) : cfg_(cfg)
     // message adds to its sender's clock. Every path crossing a partition
     // boundary — CXL.mem sends, CXL.io doorbells (500 ns one-way), P2P
     // hops — pays at least the link's one-way stack+wire latency.
+    constexpr Tick kP2pOnewayLatency = 70 * kNs; // through the switch
     Tick lookahead = cfg_.link.oneway_latency;
     if (cfg_.num_devices > 1)
-        lookahead = std::min(lookahead, cfg_.p2p_oneway_latency);
+        lookahead = std::min(lookahead, kP2pOnewayLatency);
 
     for (unsigned d = 0; d < cfg_.num_devices; ++d) {
         DeviceConfig dc = cfg_.device;
@@ -56,8 +57,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
             eq_, *device_queues_.back(), cfg_.link, fc));
 
         allocators_.push_back(std::make_unique<PhysAllocator>(
-            layout::deviceBase(d),
-            dc.capacity - layout::kM2FuncReserve - 32 * kMiB));
+            layout::deviceBase(d), layout::kDramTlbOffset));
     }
 
     std::vector<EventQueue *> dev_queues;
@@ -69,8 +69,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
 
     for (unsigned d = 0; d < cfg_.num_devices; ++d) {
         host_ports_.push_back(std::make_unique<HostCxlPort>(
-            eq_, *links_[d], *devices_[d], cfg_.host, *domain_,
-            SimDomain::deviceId(d)));
+            eq_, *links_[d], *devices_[d], *domain_, SimDomain::deviceId(d)));
     }
 
     // P2P routing through the switch (Section III-I): each hop crosses a
@@ -94,8 +93,7 @@ System::System(SystemConfig cfg) : cfg_(cfg)
             rt->pa = pa;
             rt->size = size;
             rt->done = std::move(done);
-            Tick hop = cfg_.p2p_oneway_latency;
-            Tick arrive = device_queues_[src]->now() + hop;
+            Tick arrive = device_queues_[src]->now() + kP2pOnewayLatency;
             domain_->post(
                 SimDomain::deviceId(src), SimDomain::deviceId(target),
                 arrive, [this, rt] {
@@ -106,11 +104,11 @@ System::System(SystemConfig cfg) : cfg_(cfg)
                                 SimDomain::deviceId(rt->target),
                                 SimDomain::deviceId(rt->src),
                                 std::max(tq.now(), t) +
-                                    cfg_.p2p_oneway_latency,
+                                    kP2pOnewayLatency,
                                 [this, rt, t] {
                                     TickCallback fin = std::move(rt->done);
                                     p2p_pools_[rt->src]->release(rt);
-                                    fin(t + cfg_.p2p_oneway_latency);
+                                    fin(t + kP2pOnewayLatency);
                                 });
                         });
                 });

@@ -29,7 +29,6 @@ struct SystemConfig
     unsigned num_devices = 1;
     DeviceConfig device;   ///< template; index set per device
     CxlLinkConfig link;    ///< per-device link
-    HostPortConfig host;
     /**
      * Link fault injection (disabled by default). `fault.seed` is the
      * base seed; each device's link gets an independent seed derived
@@ -37,9 +36,6 @@ struct SystemConfig
      * fully determined by the base seed.
      */
     FaultConfig fault;
-
-    /** Device-to-device latency for P2P through the switch. */
-    Tick p2p_oneway_latency = 70 * kNs;
 
     /**
      * Simulation executor threads for the partitioned engine: the host
@@ -54,7 +50,8 @@ struct SystemConfig
     /**
      * Build a link config whose idle load-to-use latency is @p ltu
      * (Table IV: 150 / 300 / 600 ns). Calibrated against the measured
-     * breakdown: host overhead + 2x(stack+wire) + device-internal access.
+     * breakdown: 2x host overhead (kHostOverhead) + 2x(stack+wire) +
+     * device-internal access.
      */
     static CxlLinkConfig linkForLoadToUse(Tick ltu);
 };

@@ -368,7 +368,7 @@ TEST_F(FaultTest, RegisterPressureCapsOccupancyAndCompletes)
     res.num_int_regs = 8;
     res.num_vector_regs = 24;
     const std::uint64_t fit = subCoreRegBytes() / res.registerBytes();
-    ASSERT_LT(fit, NdpUnitConfig{}.slots_per_subcore);
+    ASSERT_LT(fit, kSlotsPerSubcore);
     std::int64_t kid = rt->registerKernel(kVecAdd, res);
     ASSERT_GT(kid, 0);
 

@@ -1125,6 +1125,35 @@ TEST_F(ControllerTest, ShortCompactStoreCarriesOneLaunch)
         EXPECT_EQ(d1[i], i < 4 ? 0x30 + i : 0) << "byte " << i;
 }
 
+TEST_F(ControllerTest, CompactStoreAtBaseLaunchOffsetIsRejected)
+{
+    // The base LaunchKernel offset (64) owns one return offset; the next
+    // one (96) is PollKernelStatus. A batched store there must not launch
+    // its second half through the poll slot.
+    constexpr std::uint64_t kLaunchOffset =
+        static_cast<std::uint64_t>(M2Func::LaunchKernel) * kM2FuncStride;
+    Addr p1 = proc->allocate(4096);
+    Addr p2 = proc->allocate(4096);
+    M2FuncPayload p;
+    putCompact(p, 0, 8, static_cast<std::uint32_t>(argdump), p1, p1 + 32,
+               pattern(8, 0x20));
+    putCompact(p, 32, 8, static_cast<std::uint32_t>(argdump), p2, p2 + 32,
+               pattern(8, 0x60));
+    const auto before = ctrl().stats();
+    ctrl().handleWrite(proc->asid(), kLaunchOffset, p);
+    EXPECT_EQ(ctrl().stats().launches_rejected,
+              before.launches_rejected + 1);
+    EXPECT_EQ(*readReturn(kLaunchOffset),
+              static_cast<std::int64_t>(NdpError::BadLaunchLayout));
+    // The poll slot still answers at once with a status (nothing was
+    // polled yet), never with the second launch's instance id.
+    std::int64_t *poll = readReturn(kPollOffset);
+    EXPECT_EQ(*poll, kNdpErr) << "the poll read was held back";
+    sys->eq().run();
+    EXPECT_EQ(*poll, kNdpErr);
+    EXPECT_EQ(ctrl().stats().launches, before.launches);
+}
+
 TEST_F(ControllerTest, OneUthreadLaunchesWakeOnlyUnitZero)
 {
     // A 32 B pool is one Body uthread, which only unit 0 can spawn (unit

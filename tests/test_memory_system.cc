@@ -467,7 +467,7 @@ TEST(CxlLink, LatencyAndSerialization)
     // A read request is header-only.
     Tick arrive = link.down().send(link.readReqBytes());
     EXPECT_EQ(arrive, cfg.oneway_latency +
-                          serializationTicks(16, cfg.bandwidth_gbps));
+                          serializationTicks(16, kCxlLinkGbps));
 
     // Bandwidth: pushing 1 MiB of 64 B responses takes ~ 1 MiB / 64 GB/s.
     Tick last = 0;
