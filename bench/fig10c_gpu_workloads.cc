@@ -119,7 +119,6 @@ main(int argc, char **argv)
                 OptConfig oc;
                 oc.model = big ? OptModel::opt30b() : OptModel::opt2_7b();
                 oc.sim_hidden = args.full ? 1024 : 512;
-                oc.sim_layers = 1;
                 OptWorkload w(sys, proc, oc);
                 w.setup();
                 auto r = w.runNdp(rt);

@@ -64,7 +64,6 @@ main(int argc, char **argv)
             OptConfig oc;
             oc.model = big ? OptModel::opt30b() : OptModel::opt2_7b();
             oc.sim_hidden = args.full ? 512 : 256;
-            oc.sim_layers = 1;
             oc.devices = d;
             OptWorkload w(sys, proc, oc);
             w.setup();

@@ -21,7 +21,6 @@ int
 main(int argc, char **argv)
 {
     auto args = BenchArgs::parse(argc, argv);
-    EnergyParams ep;
 
     header("Fig. 15", "energy: CPU OLAP (TPC-H Q6) baseline vs M2NDP");
     {
@@ -41,7 +40,7 @@ main(int argc, char **argv)
             olap.evaluateBytes(q) * 2; // req+resp headers + data
         base_act.runtime = base_eval + b.filter + b.etc;
         auto base_e =
-            computeEnergy(ep, Platform::CpuHostPassiveCxl, base_act);
+            computeEnergy(Platform::CpuHostPassiveCxl, base_act);
 
         auto us = sys.device().aggregateUnitStats();
         EnergyActivity ndp_act;
@@ -53,7 +52,7 @@ main(int argc, char **argv)
         ndp_act.runtime = b.evaluate + b.filter + b.etc;
         ndp_act.compute_unit_seconds =
             32.0 * ticksToSeconds(b.evaluate);
-        auto ndp_e = computeEnergy(ep, Platform::M2Ndp, ndp_act);
+        auto ndp_e = computeEnergy(Platform::M2Ndp, ndp_act);
 
         double reduction = 1.0 - ndp_e.total() / base_e.total();
         row("T6 energy reduction", reduction * 100, "%", 83.9);
@@ -81,7 +80,7 @@ main(int argc, char **argv)
         base_act.compute_unit_seconds =
             82.0 * ticksToSeconds(est.runtime);
         auto base_e =
-            computeEnergy(ep, Platform::GpuHostPassiveCxl, base_act);
+            computeEnergy(Platform::GpuHostPassiveCxl, base_act);
 
         auto us = sys.device().aggregateUnitStats();
         EnergyActivity ndp_act;
@@ -92,7 +91,7 @@ main(int argc, char **argv)
         ndp_act.vector_ops = us.vector_instructions;
         ndp_act.runtime = r.runtime;
         ndp_act.compute_unit_seconds = 32.0 * ticksToSeconds(r.runtime);
-        auto ndp_e = computeEnergy(ep, Platform::M2Ndp, ndp_act);
+        auto ndp_e = computeEnergy(Platform::M2Ndp, ndp_act);
 
         double reduction = 1.0 - ndp_e.total() / base_e.total();
         row("HISTO4096 energy reduction", reduction * 100, "%", 78.2);

@@ -162,7 +162,6 @@ main(int argc, char **argv)
     ot.arrival_rate = 2.0 * knee;
     ot.deadline = 4 * kUs;
     ot.policy = StreamPolicy::Retry;
-    ot.max_retries = 3;
     ot.retry_backoff = 2 * kUs;
     ot.rate_limit = 3.0 * knee; // token bucket bounds retry storms
     ot.rate_burst = 64;

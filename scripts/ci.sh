@@ -2,8 +2,9 @@
 # One-command CI gate: configure + build (warnings are errors, including
 # -Wextra/-Wshadow), the ndp-lint static-analysis pass (tools/ndp_lint,
 # driven by the exported compile_commands.json), ctest (which holds the
-# exact deterministic perf goldens), the repository benchmark's
-# self-test, then a sanitizer smoke pass
+# exact deterministic perf goldens), a diff of every figure bench's
+# output at M2NDP_THREADS=1 against M2NDP_THREADS=4, the repository
+# benchmark's self-test, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined,float-cast-overflow, every report fatal)
 # over the
 # stream-API and fault tests, the KVS workload tests (the staged table
@@ -56,6 +57,18 @@ python3 "$repo_root/tools/ndp_lint/check_lint.py" src \
 
 echo "==> ctest"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
+
+echo "==> figure outputs across thread counts (M2NDP_THREADS=1 vs 4)"
+# Results must not depend on how many executor threads run the device
+# partitions: every fig bench and quickstart writes byte-identical
+# output with one thread and with four.
+fig_tmp="$(mktemp -d)"
+trap 'rm -rf "$fig_tmp"' EXIT
+M2NDP_THREADS=1 "$repo_root/scripts/fig_outputs.sh" "$build_dir" \
+    "$fig_tmp/threads1"
+M2NDP_THREADS=4 "$repo_root/scripts/fig_outputs.sh" "$build_dir" \
+    "$fig_tmp/threads4"
+diff -r "$fig_tmp/threads1" "$fig_tmp/threads4"
 
 if [[ "$run_selftest" == 1 ]]; then
     # Quick-scale run of the repository benchmark's three workloads:

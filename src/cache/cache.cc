@@ -13,27 +13,17 @@ namespace m2ndp {
 Cache::Cache(EventQueue &eq, CacheConfig cfg, MemPort &downstream)
     : eq_(eq), cfg_(std::move(cfg)), downstream_(downstream)
 {
-    M2_ASSERT(cfg_.line_bytes % cfg_.sector_bytes == 0,
-              "line must be a whole number of sectors");
-    M2_ASSERT(isPowerOfTwo(cfg_.line_bytes) &&
-                  isPowerOfTwo(cfg_.sector_bytes),
-              "line/sector sizes must be powers of two (mask math)");
-    sector_shift_ = floorLog2(cfg_.sector_bytes);
-    M2_ASSERT(cfg_.size % (static_cast<std::uint64_t>(cfg_.assoc) *
-                           cfg_.line_bytes) == 0,
+    const std::uint64_t set_bytes =
+        static_cast<std::uint64_t>(kCacheAssoc) * kCacheLineBytes;
+    M2_ASSERT(cfg_.size % set_bytes == 0,
               "cache size not divisible into sets");
-    const std::uint64_t num_sets =
-        cfg_.size / (static_cast<std::uint64_t>(cfg_.assoc) *
-                     cfg_.line_bytes);
+    const std::uint64_t num_sets = cfg_.size / set_bytes;
     M2_ASSERT(isPowerOfTwo(num_sets),
               "cache set count must be a power of two (mask indexing)");
     set_mask_ = num_sets - 1;
-    lines_.assign(num_sets * cfg_.assoc, Line{});
-    tags_.assign(num_sets * cfg_.assoc, kNoTag);
-    lrus_.assign(num_sets * cfg_.assoc, 0);
-
-    M2_ASSERT(cfg_.line_bytes / cfg_.sector_bytes <= 64,
-              "sector_valid / sectors_pending are 64-bit masks");
+    lines_.assign(num_sets * kCacheAssoc, Line{});
+    tags_.assign(num_sets * kCacheAssoc, kNoTag);
+    lrus_.assign(num_sets * kCacheAssoc, 0);
 
     // MSHR node pool: at most one line entry per outstanding sector fill
     // (bounded by cfg_.mshrs), plus one spare so a waiter completion that
@@ -70,7 +60,7 @@ std::uint64_t
 Cache::setIndex(Addr line_addr) const
 {
     // Hash the set index so power-of-two strides do not alias into one set.
-    std::uint64_t h = mixHash64(line_addr / cfg_.line_bytes);
+    std::uint64_t h = mixHash64(line_addr / kCacheLineBytes);
     return h & set_mask_;
 }
 
@@ -78,9 +68,9 @@ M2NDP_HOT_PATH
 Cache::Line *
 Cache::findLine(Addr line_addr)
 {
-    const std::size_t base = setIndex(line_addr) * cfg_.assoc;
+    const std::size_t base = setIndex(line_addr) * kCacheAssoc;
     const Addr *tags = tags_.data() + base;
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
+    for (unsigned w = 0; w < kCacheAssoc; ++w) {
         if (tags[w] == line_addr)
             return &lines_[base + w];
     }
@@ -94,10 +84,10 @@ Cache::allocLine(Addr line_addr, Tick now)
     // Victim pick over the compact tag/LRU arrays: an invalid way wins
     // outright, else the minimum LRU stamp. 16 ways touch 4 compact
     // cache lines (2 of tags, 2 of LRU stamps).
-    const std::size_t base = setIndex(line_addr) * cfg_.assoc;
+    const std::size_t base = setIndex(line_addr) * kCacheAssoc;
     unsigned victim_way = 0;
     std::uint64_t victim_lru = ~std::uint64_t(0);
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
+    for (unsigned w = 0; w < kCacheAssoc; ++w) {
         if (tags_[base + w] == kNoTag) {
             victim_way = w;
             break;
@@ -113,13 +103,12 @@ Cache::allocLine(Addr line_addr, Tick now)
         // Write back all dirty sectors (modeled as one downstream write per
         // valid sector; posted, no completion dependence).
         ++stats_.writebacks;
-        unsigned sectors = cfg_.line_bytes / cfg_.sector_bytes;
-        for (unsigned s = 0; s < sectors; ++s) {
+        for (unsigned s = 0; s < kCacheLineBytes / kCacheSectorBytes; ++s) {
             if (victim->sector_valid & (1ull << s)) {
                 sendDownstream(MemOp::Write,
                                tags_[victim_idx] + static_cast<Addr>(s) *
-                                                       cfg_.sector_bytes,
-                               cfg_.sector_bytes, now, {});
+                                                       kCacheSectorBytes,
+                               kCacheSectorBytes, now, {});
             }
         }
     }
@@ -238,7 +227,7 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
     const bool sector_hit =
         line != nullptr && (line->sector_valid & (1ull << sector));
 
-    if (pkt->op == MemOp::Atomic && !cfg_.atomics_local) {
+    if (pkt->op == MemOp::Atomic && cfg_.role == CacheRole::L1d) {
         // Atomics execute at the memory-side L2; the original packet
         // passes straight through — the port below pushes the
         // response-crossbar hop frame, so no carrier wrap is needed.
@@ -296,11 +285,11 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         const std::uint64_t allocs_before = MemPacketPool::allocCount();
         pkt->op = MemOp::Read;
         pkt->addr = sector_addr;
-        pkt->size = cfg_.sector_bytes;
+        pkt->size = kCacheSectorBytes;
         pkt->pushHop(&Cache::fillHop, this,
                      reinterpret_cast<std::uint64_t>(m),
                      sector | (was_atomic ? kHopWasAtomic : 0u));
-        stats_.bytes_downstream += cfg_.sector_bytes;
+        stats_.bytes_downstream += kCacheSectorBytes;
         downstream_.receive(std::move(pkt), now);
         stats_.miss_path_packets +=
             1 + (MemPacketPool::allocCount() - allocs_before);
@@ -311,11 +300,11 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         if (line != nullptr && sector_hit) {
             ++stats_.write_hits;
             touch(*line);
-            if (cfg_.write_through)
-                forward = true;
+            if (cfg_.role == CacheRole::L1d)
+                forward = true; // write-through
             else
                 line->dirty = true;
-        } else if (!cfg_.write_allocate || cfg_.write_through) {
+        } else if (cfg_.role == CacheRole::L1d) {
             // No-allocate: forward the write downstream.
             ++stats_.write_misses;
             forward = true;
@@ -336,8 +325,8 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick, bool retry)
         pkt->complete(now);
         if (forward) {
             pkt->addr = sector_addr;
-            pkt->size = cfg_.sector_bytes;
-            stats_.bytes_downstream += cfg_.sector_bytes;
+            pkt->size = kCacheSectorBytes;
+            stats_.bytes_downstream += kCacheSectorBytes;
             downstream_.receive(std::move(pkt), now);
         }
         return;

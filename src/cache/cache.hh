@@ -7,11 +7,11 @@
  * (functional-first execution). The cache decides *when* accesses
  * complete and what traffic flows downstream, not data values.
  *
- * Used for:
- *  - NDP-unit L1D: 128 KiB, 16-way, 4-cycle, 128 B line / 32 B sector,
- *    write-through, no write-allocate (GPU-style, Section III-F)
- *  - Memory-side L2 slices: 128 KiB per channel, 16-way, 7-cycle,
- *    write-back, executes global atomics (Section III-E/F)
+ * Used for (both 16-way, 128 B line / 32 B sector):
+ *  - NDP-unit L1D: 64 KiB, 4-cycle, write-through, no write-allocate
+ *    (GPU-style, Section III-F)
+ *  - Memory-side L2 slices: 128 KiB per channel, 7-cycle, write-back,
+ *    executes global atomics (Section III-E/F)
  */
 
 #pragma once
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitutil.hh"
 #include "common/intrusive_fifo.hh"
 #include "common/units.hh"
 #include "mem/packet.hh"
@@ -27,18 +28,34 @@
 
 namespace m2ndp {
 
+/** Table IV geometry shared by the L1D and the L2 slices. */
+inline constexpr unsigned kCacheAssoc = 16;
+inline constexpr unsigned kCacheLineBytes = 128;
+inline constexpr unsigned kCacheSectorBytes = 32; ///< fill granularity
+static_assert(isPowerOfTwo(kCacheLineBytes) &&
+                  isPowerOfTwo(kCacheSectorBytes) &&
+                  kCacheSectorBytes <= kCacheLineBytes,
+              "line/sector sizes must be powers of two (mask math)");
+static_assert(kCacheLineBytes / kCacheSectorBytes <= 64,
+              "sector_valid / sectors_pending are 64-bit masks");
+
+/** Which of the device's two caches this is (Section III-F). */
+enum class CacheRole : std::uint8_t {
+    /** NDP-unit L1D: write-through, no write-allocate; atomics pass
+     *  through to the memory-side L2. */
+    L1d,
+    /** Memory-side L2 slice: write-back, write-allocate; executes
+     *  global atomics. */
+    L2,
+};
+
 /** Static configuration of one cache. */
 struct CacheConfig
 {
     std::uint64_t size = 128 * 1024;
-    unsigned assoc = 16;
-    unsigned line_bytes = 128;
-    unsigned sector_bytes = 32; ///< fill granularity; == line_bytes if unsectored
     Tick latency = 2000;        ///< lookup latency (ticks)
     Tick port_cycle = 500;      ///< min spacing between lookups (throughput)
-    bool write_through = false;
-    bool write_allocate = true;
-    bool atomics_local = false; ///< execute atomics here (memory-side L2)
+    CacheRole role = CacheRole::L2;
     unsigned mshrs = 32;
 };
 
@@ -97,7 +114,6 @@ class Cache : public MemPort
     void receive(MemPacketPtr pkt, Tick at) override;
 
     const CacheStats &stats() const { return stats_; }
-    const CacheConfig &config() const { return cfg_; }
 
   private:
     /** Line metadata. The tag and LRU stamp live in the parallel compact
@@ -175,15 +191,16 @@ class Cache : public MemPort
     void handleRiderFill(MemPacket &rider, Mshr *m, unsigned sector,
                          bool was_atomic, Tick when);
 
-    // Line/sector geometry is power-of-two (asserted at construction —
-    // the mask arithmetic below depends on it), so these stay mask/shift
-    // with no integer divide on the lookup path.
-    Addr lineAddr(Addr a) const { return a & ~static_cast<Addr>(cfg_.line_bytes - 1); }
-    Addr sectorAddr(Addr a) const { return a & ~static_cast<Addr>(cfg_.sector_bytes - 1); }
-    unsigned sectorIndex(Addr a) const
+    // Line/sector geometry is power-of-two (asserted with the
+    // constants), so these stay mask/shift with no integer divide on the
+    // lookup path.
+    static Addr lineAddr(Addr a) { return a & ~Addr{kCacheLineBytes - 1}; }
+    static Addr sectorAddr(Addr a) { return a & ~Addr{kCacheSectorBytes - 1}; }
+    static unsigned
+    sectorIndex(Addr a)
     {
-        return static_cast<unsigned>((a & (cfg_.line_bytes - 1)) >>
-                                     sector_shift_);
+        return static_cast<unsigned>((a & (kCacheLineBytes - 1)) /
+                                     kCacheSectorBytes);
     }
     std::uint64_t setIndex(Addr line_addr) const;
 
@@ -206,9 +223,10 @@ class Cache : public MemPort
     MemPort &downstream_;
     std::uint64_t set_mask_ = 0; ///< set count - 1 (a power of two)
     /**
-     * Line metadata, flattened to [set * assoc + way]. The tag probe runs
-     * over the separate compact tags_ array (8 B per way instead of a
-     * 16 B Line), so a 16-way probe touches 2 cache lines, not 4.
+     * Line metadata, flattened to [set * kCacheAssoc + way]. The tag
+     * probe runs over the separate compact tags_ array (8 B per way
+     * instead of a 16 B Line), so a 16-way probe touches 2 cache lines,
+     * not 4.
      */
     std::vector<Line> lines_;
     std::vector<Addr> tags_; ///< line tag per way; kNoTag when invalid
@@ -228,7 +246,6 @@ class Cache : public MemPort
 
     Reservation port_; ///< lookup port, one port_cycle per access
     std::uint64_t lru_clock_ = 0;
-    unsigned sector_shift_ = 0; ///< log2(sector_bytes)
     CacheStats stats_;
 };
 

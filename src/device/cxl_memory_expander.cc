@@ -43,8 +43,7 @@ namespace {
 // Table IV device constants (the swept values live in DeviceConfig).
 constexpr unsigned kDramChannels = 32;          ///< LPDDR5, one L2 slice each
 constexpr std::uint64_t kInterleaveBytes = 256; ///< hashed channel interleave
-constexpr std::uint64_t kL2SliceBytes = 128 * kKiB; ///< 16-way, 7-cycle
-constexpr unsigned kL2Assoc = 16;
+constexpr std::uint64_t kL2SliceBytes = 128 * kKiB; ///< 7-cycle
 constexpr Tick kL2LatencyCycles = 7;
 /** L1D: half of the unit's 128 KiB, the rest is scratchpad (III-F). */
 constexpr std::uint64_t kL1dBytes = 64 * kKiB;
@@ -93,25 +92,19 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     for (unsigned c = 0; c < kDramChannels; ++c) {
         CacheConfig l2;
         l2.size = kL2SliceBytes;
-        l2.assoc = kL2Assoc;
-        l2.line_bytes = 128;
-        l2.sector_bytes = 32;
         l2.latency = kL2LatencyCycles * cfg_.unit.period;
         l2.port_cycle = cfg_.unit.period;
-        l2.write_through = false;
-        l2.write_allocate = true;
-        l2.atomics_local = true; // global atomics execute here (III-F)
+        l2.role = CacheRole::L2; // global atomics execute here (III-F)
         l2.mshrs = 160;
         l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_));
     }
 
-    // On-chip NoC: Table IV's four 32x32 crossbars of 32 B flits.
-    CrossbarConfig req;
-    req.ports = kDramChannels;
-    req_xbar_ = std::make_unique<Crossbar>(eq_, req);
-    CrossbarConfig resp;
-    resp.ports = cfg_.num_units + 2; // units + host + peer
-    resp_xbar_ = std::make_unique<Crossbar>(eq_, resp);
+    // On-chip NoC: Table IV's four 32x32 crossbars of 32 B flits, clocked
+    // with the NDP units.
+    req_xbar_ =
+        std::make_unique<Crossbar>(eq_, kDramChannels, cfg_.unit.period);
+    resp_xbar_ = std::make_unique<Crossbar>(
+        eq_, cfg_.num_units + 2, cfg_.unit.period); // units + host + peer
 
     controller_ = std::make_unique<NdpController>(*this, cfg_.controller);
 
@@ -123,14 +116,9 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
         unit_ports_.push_back(std::make_unique<UnitPort>(*this, u));
         CacheConfig l1;
         l1.size = kL1dBytes;
-        l1.assoc = 16;
-        l1.line_bytes = 128;
-        l1.sector_bytes = 32;
         l1.latency = kL1dLatencyCycles * cfg_.unit.period;
         l1.port_cycle = cfg_.unit.period;
-        l1.write_through = true;   // GPU-style, Section III-F
-        l1.write_allocate = false;
-        l1.atomics_local = false;  // global atomics go to the L2 slices
+        l1.role = CacheRole::L1d; // GPU-style write-through (III-F)
         l1.mshrs = 64;
         l1d_.push_back(std::make_unique<Cache>(eq_, l1, *unit_ports_[u]));
     }

@@ -13,7 +13,6 @@ DramTiming::lpddr5()
     // 12.8 GB/s per channel with 32 B granularity: one 32 B burst per
     // 2.5 ns. Command clock 800 MHz (1.25 ns) -> burst occupies 2 cycles.
     return DramTiming{
-        .name = "LPDDR5",
         .tck = 1250,
         .n_rc = 48,
         .n_rcd = 15,
@@ -24,46 +23,6 @@ DramTiming::lpddr5()
         .banks = 16,
         .access_bytes = 32,
         .row_bytes = 2048,
-    };
-}
-
-DramTiming
-DramTiming::ddr5()
-{
-    // 51.2 GB/s per channel with 64 B granularity: one 64 B burst per
-    // 1.25 ns. Command clock 1.6 GHz (0.625 ns) -> burst occupies 2 cycles.
-    return DramTiming{
-        .name = "DDR5-6400",
-        .tck = 625,
-        .n_rc = 149,
-        .n_rcd = 46,
-        .n_cl = 46,
-        .n_rp = 46,
-        .n_ccd = 2,
-        .burst_cycles = 2,
-        .banks = 32,
-        .access_bytes = 64,
-        .row_bytes = 8192,
-    };
-}
-
-DramTiming
-DramTiming::hbm2()
-{
-    // 32 GB/s per pseudo-channel with 32 B granularity: one 32 B burst per
-    // 1 ns. Command clock 1 GHz (Table IV) -> burst occupies 1 cycle.
-    return DramTiming{
-        .name = "HBM2",
-        .tck = 1000,
-        .n_rc = 48,
-        .n_rcd = 14,
-        .n_cl = 14,
-        .n_rp = 15,
-        .n_ccd = 1,
-        .burst_cycles = 1,
-        .banks = 16,
-        .access_bytes = 32,
-        .row_bytes = 1024,
     };
 }
 

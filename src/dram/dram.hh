@@ -7,10 +7,8 @@
  * FR-FCFS-lite scheduling (row hits first, then oldest), and a shared data
  * bus whose burst occupancy sets the channel bandwidth ceiling.
  *
- * Presets follow Table IV of the paper:
- *  - LPDDR5: 32 channels x 12.8 GB/s = 409.6 GB/s, 32 B access granularity
- *  - DDR5-6400: 8 channels x 51.2 GB/s = 409.6 GB/s, 64 B
- *  - HBM2: 32 channels x 32 GB/s = 1024 GB/s, 32 B
+ * The expander's media follows Table IV of the paper: LPDDR5, 32
+ * channels x 12.8 GB/s = 409.6 GB/s, 32 B access granularity.
  *
  * Refresh is not modeled: it is a uniform few-percent bandwidth tax that
  * does not change any cross-configuration comparison.
@@ -19,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/units.hh"
@@ -32,7 +29,6 @@ namespace m2ndp {
 /** Timing and organization parameters for one DRAM channel type. */
 struct DramTiming
 {
-    std::string name;
     Tick tck;                  ///< command clock period (ticks)
     unsigned n_rc;             ///< ACT-to-ACT, same bank (cycles)
     unsigned n_rcd;            ///< ACT-to-column (cycles)
@@ -46,10 +42,6 @@ struct DramTiming
 
     /** LPDDR5 channel per Table IV (12.8 GB/s per channel). */
     static DramTiming lpddr5();
-    /** DDR5-6400 channel per Table IV (51.2 GB/s per channel). */
-    static DramTiming ddr5();
-    /** HBM2 channel per Table IV (32 GB/s per channel). */
-    static DramTiming hbm2();
 };
 
 /** Aggregate statistics for a DRAM device. */

@@ -4,11 +4,18 @@
 
 namespace m2ndp {
 
+namespace {
+
+constexpr unsigned kLineBytes = 64;
+/** Per-element compute cost for scans (cycles per element). */
+constexpr double kScanCyclesPerElement = 2.0;
+
+} // namespace
+
 CpuConfig
 CpuConfig::hostOverCxl(Tick ltu)
 {
     CpuConfig c;
-    c.name = "CPU-over-CXL";
     c.mem_latency = ltu;
     c.bw_gbps = 64.0;
     return c;
@@ -18,7 +25,6 @@ CpuConfig
 CpuConfig::hostLocal()
 {
     CpuConfig c;
-    c.name = "CPU-local-DDR5";
     c.mem_latency = 75 * kNs;
     c.bw_gbps = 409.6;
     return c;
@@ -28,7 +34,6 @@ CpuConfig
 CpuConfig::cpuNdp()
 {
     CpuConfig c;
-    c.name = "CPU-NDP";
     c.cores = 32;
     c.freq_ghz = 2.3; // EPYC 75F3 (Section IV-A)
     c.mem_latency = 90 * kNs; // device-internal access
@@ -44,7 +49,7 @@ cpuScan(const CpuConfig &c, std::uint64_t bytes, unsigned threads,
     threads = std::min(threads, c.cores);
     // Latency-bound streaming bandwidth per thread.
     double per_thread_gbps =
-        c.mlp * c.line_bytes / (ticksToSeconds(c.mem_latency) * 1e9);
+        c.mlp * kLineBytes / (ticksToSeconds(c.mem_latency) * 1e9);
     double stream_gbps =
         std::min(per_thread_gbps * threads, c.bw_gbps);
     Tick mem_time =
@@ -52,7 +57,7 @@ cpuScan(const CpuConfig &c, std::uint64_t bytes, unsigned threads,
                           (stream_gbps * 1e9) * 1e12);
     // Per-element compute (predicate evaluation etc.), parallel over threads.
     Tick compute_time = static_cast<Tick>(
-        static_cast<double>(elements) * c.scan_cycles_per_element /
+        static_cast<double>(elements) * kScanCyclesPerElement /
         (c.freq_ghz * threads) * 1000.0);
 
     CpuScanResult r;

@@ -18,27 +18,26 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.hh"
 
 namespace m2ndp {
 
-/** CPU configuration (Table IV). */
+/**
+ * CPU configuration (Table IV): the values the host and CPU-NDP presets
+ * vary. The 64 B line and the 2-cycle per-element scan cost are
+ * constants in cpu_model.cc.
+ */
 struct CpuConfig
 {
-    std::string name = "CPU";
     unsigned cores = 64;
     double freq_ghz = 3.2;
     /** Outstanding cache-line misses per core (MLHR/OoO window bound). */
     double mlp = 8.0;
-    unsigned line_bytes = 64;
     /** Load-to-use latency of the memory holding the data. */
     Tick mem_latency = 150 * kNs;
     /** Bandwidth ceiling of the path to the data (GB/s). */
     double bw_gbps = 64.0;
-    /** Per-element compute cost for scans (cycles per element). */
-    double scan_cycles_per_element = 2.0;
 
     /** Baseline host with data in CXL memory (link-attached). */
     static CpuConfig hostOverCxl(Tick ltu = 150 * kNs);

@@ -7,12 +7,31 @@
 
 namespace m2ndp {
 
+namespace {
+
+// Table IV GPU constants (the varied values live in GpuConfig).
+constexpr unsigned kMaxThreadsPerSm = 1536;
+constexpr unsigned kWarpSize = 32;
+/** FP32 FMA lanes per SM (GA102-like: 128). */
+constexpr unsigned kLanesPerSm = 128;
+/** Outstanding 64 B transactions the CXL port can track. */
+constexpr unsigned kLinkTags = 384;
+/** Average memory latency seen by a warp (ticks). */
+constexpr Tick kMemLatency = 400 * 590; ///< ~400 SM cycles
+
+} // namespace
+
+double
+GpuConfig::peakGflops() const
+{
+    return sms * kLanesPerSm * 2.0 * freq_ghz;
+}
+
 GpuConfig
-GpuConfig::baselineOverCxl(double link_gbps)
+GpuConfig::baselineOverCxl()
 {
     GpuConfig g;
-    g.name = "GPU-baseline";
-    g.link_bw_gbps = link_gbps;
+    g.link_bw_gbps = 64.0;
     return g;
 }
 
@@ -20,7 +39,6 @@ GpuConfig
 GpuConfig::gpuNdp(double sm_count, Tick launch_overhead)
 {
     GpuConfig g;
-    g.name = "GPU-NDP";
     g.sms = sm_count;
     g.freq_ghz = 2.0; // Table IV: GPU-NDP SMs run at 2 GHz
     g.mem_bw_gbps = 409.6;
@@ -46,10 +64,10 @@ gpuEstimate(const GpuConfig &g, const GpuWorkloadDesc &w)
     // per warp, each 32 B sector per latency (latency-bound regime that
     // penalizes low-SM-count GPU-NDP configurations).
     const double resident_warps =
-        g.sms * (g.max_threads_per_sm / g.warp_size) * w.occupancy;
+        g.sms * (kMaxThreadsPerSm / kWarpSize) * w.occupancy;
     const double conc_bw =
         resident_warps * w.warp_mlp * 128.0 /
-        (ticksToSeconds(g.mem_latency) * 1e9); // GB/s
+        (ticksToSeconds(kMemLatency) * 1e9); // GB/s
 
     double mem_bw = std::min(g.mem_bw_gbps, conc_bw);
 
@@ -61,7 +79,7 @@ gpuEstimate(const GpuConfig &g, const GpuWorkloadDesc &w)
     if (g.link_bw_gbps > 0.0) {
         double rt_seconds = ticksToSeconds(2 * g.link_ltu);
         double tag_bw =
-            g.link_tags * 64.0 / rt_seconds / 1e9; // GB/s
+            kLinkTags * 64.0 / rt_seconds / 1e9; // GB/s
         link_bw_eff = std::min(g.link_bw_gbps, tag_bw);
     }
 

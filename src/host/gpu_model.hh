@@ -33,16 +33,16 @@
 
 namespace m2ndp {
 
-/** GPU hardware configuration (Table IV). */
+/**
+ * GPU hardware configuration (Table IV): the values the baselines vary.
+ * The fixed ones (1536 threads and 128 FP32 lanes per SM, 32-wide
+ * warps, 384 CXL port tags, ~400-cycle memory latency) are constants in
+ * gpu_model.cc.
+ */
 struct GpuConfig
 {
-    std::string name = "GPU";
     double sms = 82.0;
     double freq_ghz = 1.695;
-    unsigned max_threads_per_sm = 1536;
-    unsigned warp_size = 32;
-    /** FP32 FMA lanes per SM (GA102-like: 128). */
-    unsigned lanes_per_sm = 128;
     /** Peak internal memory bandwidth (GB/s). */
     double mem_bw_gbps = 1024.0;
     /** Link bandwidth to where the data lives (GB/s); 0 = data is local. */
@@ -50,22 +50,15 @@ struct GpuConfig
     /** Load-to-use latency of the CXL link (bounds link throughput via
      *  the outstanding-transaction tag limit). */
     Tick link_ltu = 150 * kNs;
-    /** Outstanding 64 B transactions the CXL port can track. */
-    unsigned link_tags = 384;
-    /** Average memory latency seen by a warp (ticks). */
-    Tick mem_latency = 400 * 590; ///< ~400 SM cycles
     /** Kernel launch + completion-check overhead (offload scheme). */
     Tick launch_overhead = 1500 * kNs;
 
     /** Peak FP32 GFLOPS. */
-    double
-    peakGflops() const
-    {
-        return sms * lanes_per_sm * 2.0 * freq_ghz;
-    }
+    double peakGflops() const;
 
-    /** Baseline GPU host (RTX 3090-like) with data behind a CXL link. */
-    static GpuConfig baselineOverCxl(double link_gbps = 64.0);
+    /** Baseline GPU host (RTX 3090-like) with data behind a 64 GB/s CXL
+     *  link. */
+    static GpuConfig baselineOverCxl();
     /** GPU-NDP: @p sm_count SMs inside the CXL device at LPDDR5 BW. */
     static GpuConfig gpuNdp(double sm_count, Tick launch_overhead);
 };

@@ -173,15 +173,6 @@ HostCxlPort::finish(HostAccess *a)
 // Blocking helpers
 // --------------------------------------------------------------------------
 
-void
-HostCxlPort::runUntil(const bool &flag)
-{
-    while (!flag) {
-        if (!eq_.step())
-            M2_PANIC("event queue drained while waiting for host access");
-    }
-}
-
 Tick
 HostCxlPort::write(Addr hpa, const void *data, std::uint32_t size)
 {
@@ -191,7 +182,7 @@ HostCxlPort::write(Addr hpa, const void *data, std::uint32_t size)
         done = true;
         when = t;
     });
-    runUntil(done);
+    eq_.stepUntil([&done] { return done; }, "host access");
     return when;
 }
 
@@ -204,7 +195,7 @@ HostCxlPort::read(Addr hpa, void *out, std::uint32_t size)
         done = true;
         when = t;
     });
-    runUntil(done);
+    eq_.stepUntil([&done] { return done; }, "host access");
     return when;
 }
 

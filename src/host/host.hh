@@ -105,9 +105,6 @@ class HostCxlPort
         return write(hpa, &v, sizeof(T));
     }
 
-    /** Run the event queue until @p flag becomes true. */
-    void runUntil(const bool &flag);
-
     /**
      * Cross-partition plumbing for the CXL.io baseline schemes: post
      * work onto the device partition (from the host side) or back onto

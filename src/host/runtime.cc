@@ -176,11 +176,8 @@ NdpStream::abortQueued(Tick now)
 void
 NdpStream::synchronize()
 {
-    auto &eq = rt_.port(device_).eventQueue();
-    while (!idle()) {
-        if (!eq.step())
-            M2_PANIC("event queue drained with stream launches pending");
-    }
+    rt_.port(device_).eventQueue().stepUntil([this] { return idle(); },
+                                              "stream launches");
 }
 
 // --------------------------------------------------------------------------
@@ -320,7 +317,8 @@ NdpRuntime::pollKernelStatus(std::int64_t instance_id, unsigned device)
     constexpr Tick kCxlIoPollLatency = 2 * kUs;
     bool done = false;
     eq_.scheduleAfter(kCxlIoPollLatency, [&done] { done = true; });
-    dev.port->runUntil(done);
+    dev.port->eventQueue().stepUntil([&done] { return done; },
+                                     "a CXL.io poll");
     return dev.port->device().controller().status(instance_id);
 }
 
@@ -579,10 +577,7 @@ NdpRuntime::completeRecord(LaunchRecord *rec, std::int64_t iid, Tick t)
 void
 NdpRuntime::waitFor(LaunchRecord *rec)
 {
-    while (!rec->done) {
-        if (!eq_.step())
-            M2_PANIC("event queue drained while waiting for a launch");
-    }
+    eq_.stepUntil([rec] { return rec->done; }, "a launch");
 }
 
 bool

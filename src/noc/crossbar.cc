@@ -7,29 +7,30 @@
 
 namespace m2ndp {
 
-Crossbar::Crossbar(EventQueue &eq, CrossbarConfig cfg)
-    : eq_(eq), cfg_(cfg),
-      ports_(static_cast<std::size_t>(cfg.planes) * cfg.ports)
+Crossbar::Crossbar(EventQueue &eq, unsigned ports, Tick cycle)
+    : eq_(eq), ports_per_plane_(ports), cycle_(cycle),
+      ports_(static_cast<std::size_t>(kCrossbarPlanes) * ports)
 {
-    M2_ASSERT(cfg_.planes > 0 && cfg_.ports > 0, "empty crossbar");
+    M2_ASSERT(ports > 0 && cycle > 0, "empty or unclocked crossbar");
 }
 
 Tick
 Crossbar::send(unsigned dst_port, std::uint32_t bytes, Tick at,
                std::uint64_t route_hash)
 {
-    M2_ASSERT(dst_port < cfg_.ports, "bad crossbar port ", dst_port);
+    M2_ASSERT(dst_port < ports_per_plane_, "bad crossbar port ", dst_port);
     M2_ASSERT(at + eq_.deliverySlack() >= eq_.now(),
               "crossbar injection in the past");
-    unsigned plane = static_cast<unsigned>(mixHash64(route_hash) % cfg_.planes);
+    unsigned plane =
+        static_cast<unsigned>(mixHash64(route_hash) % kCrossbarPlanes);
     Reservation &port =
-        ports_[static_cast<std::size_t>(plane) * cfg_.ports + dst_port];
+        ports_[static_cast<std::size_t>(plane) * ports_per_plane_ + dst_port];
 
-    unsigned flits = (bytes + cfg_.flit_bytes - 1) / cfg_.flit_bytes;
+    unsigned flits = (bytes + kFlitBytes - 1) / kFlitBytes;
     flits = std::max(flits, 1u);
 
-    Tick ready = at + cfg_.hop_latency;
-    Tick occupancy = static_cast<Tick>(flits) * cfg_.cycle;
+    Tick ready = at + kCrossbarHopCycles * cycle_;
+    Tick occupancy = static_cast<Tick>(flits) * cycle_;
     Tick start = port.book(eq_, ready, occupancy);
     Tick done = start + occupancy;
 

@@ -20,15 +20,11 @@
 
 namespace m2ndp {
 
-/** Crossbar configuration. */
-struct CrossbarConfig
-{
-    unsigned planes = 4;       ///< parallel crossbar instances
-    unsigned ports = 32;       ///< destination ports per plane
-    unsigned flit_bytes = 32;  ///< serialization granularity
-    Tick cycle = 500;          ///< flit slot duration (2 GHz)
-    Tick hop_latency = 2000;   ///< traversal latency (4 cycles @ 2 GHz)
-};
+/** Table IV NoC constants. */
+inline constexpr unsigned kCrossbarPlanes = 4; ///< parallel crossbars
+inline constexpr unsigned kFlitBytes = 32;     ///< serialization granularity
+/** Traversal latency in crossbar cycles. */
+inline constexpr Tick kCrossbarHopCycles = 4;
 
 /** Traffic statistics. */
 struct CrossbarStats
@@ -45,7 +41,12 @@ struct CrossbarStats
 class Crossbar
 {
   public:
-    Crossbar(EventQueue &eq, CrossbarConfig cfg);
+    /**
+     * @p ports destination ports per plane; @p cycle the flit slot
+     * duration (the device's NDP-unit clock period), so a hop takes
+     * kCrossbarHopCycles cycles.
+     */
+    Crossbar(EventQueue &eq, unsigned ports, Tick cycle);
 
     /**
      * Book transfer of @p bytes to @p dst_port, selecting a plane by
@@ -61,11 +62,11 @@ class Crossbar
               std::uint64_t route_hash);
 
     const CrossbarStats &stats() const { return stats_; }
-    const CrossbarConfig &config() const { return cfg_; }
 
   private:
     EventQueue &eq_;
-    CrossbarConfig cfg_;
+    unsigned ports_per_plane_;
+    Tick cycle_;
     std::vector<Reservation> ports_; ///< [plane * ports + dst]
     CrossbarStats stats_;
 };

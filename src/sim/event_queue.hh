@@ -127,7 +127,7 @@ class EventQueue
     /**
      * Install a partitioned-simulation driver: `run()`, `step()` and
      * `empty()` on this queue then drive the whole domain, so blocking
-     * loops written against a single queue (host port `runUntil`, stream
+     * loops written against a single queue (`stepUntil`, stream
      * `synchronize`, test step loops) work unchanged on a sharded
      * simulation. The driver must outlive the queue's use.
      */
@@ -162,6 +162,21 @@ class EventQueue
     step()
     {
         return driver_ != nullptr ? driver_->driveStep() : stepLocal();
+    }
+
+    /**
+     * Blocking wait: execute events one at a time until @p done() holds
+     * (checked before each step). Panics, naming @p what, if the queue
+     * drains first — nothing could ever make @p done() true.
+     */
+    template <typename Pred>
+    void
+    stepUntil(Pred done, const char *what)
+    {
+        while (!done()) {
+            if (!step())
+                M2_PANIC("event queue drained while waiting for ", what);
+        }
     }
 
     /**

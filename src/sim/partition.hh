@@ -28,7 +28,7 @@
  * identical engine checksums, sim times, and result bytes.
  *
  * The SimDomain implements SimDriver and installs itself on the host
- * queue, so blocking loops written against one queue — `runUntil`,
+ * queue, so blocking loops written against one queue — `stepUntil`,
  * `synchronize`, test step loops — drive the whole domain unchanged.
  * driveStep() preserves single-event granularity: with one executor it
  * executes exactly one event per call (device partitions scanned in

@@ -9,6 +9,11 @@ namespace m2ndp::workloads {
 
 namespace {
 
+constexpr unsigned kDim = 256; ///< FP32 elements per embedding row
+static_assert(kDim % 8 == 0, "a uthread sums 8 FP32 lanes of a row");
+constexpr unsigned kLookupsPerRequest = 80;
+constexpr std::uint64_t kSeed = 5;
+
 /**
  * SLS kernel: each uthread produces 8 FP32 outputs (32 B) of one request's
  * pooled embedding. args: [0]=table, [8]=indices, [16]=lookups,
@@ -51,25 +56,24 @@ DlrmWorkload::DlrmWorkload(System &sys, ProcessAddressSpace &proc,
                            DlrmConfig cfg)
     : sys_(sys), proc_(proc), cfg_(cfg)
 {
-    M2_ASSERT(cfg_.dim % 8 == 0, "dim must be a multiple of 8");
     M2_ASSERT(cfg_.devices >= 1, "need at least one device shard");
 }
 
 void
 DlrmWorkload::setup()
 {
-    Rng rng(cfg_.seed);
-    const std::uint64_t row_bytes = cfg_.dim * 4ull;
+    Rng rng(kSeed);
+    const std::uint64_t row_bytes = kDim * 4ull;
     const std::uint64_t rows_per_dev =
         (cfg_.table_rows + cfg_.devices - 1) / cfg_.devices;
 
     // Table shards: rows filled with a deterministic value f(row, d).
     for (unsigned dev = 0; dev < cfg_.devices; ++dev) {
-        std::vector<float> shard(rows_per_dev * cfg_.dim);
+        std::vector<float> shard(rows_per_dev * kDim);
         for (std::uint64_t r = 0; r < rows_per_dev; ++r) {
             std::uint64_t global_row = dev * rows_per_dev + r;
-            for (unsigned d = 0; d < cfg_.dim; ++d) {
-                shard[r * cfg_.dim + d] =
+            for (unsigned d = 0; d < kDim; ++d) {
+                shard[r * kDim + d] =
                     0.001f * static_cast<float>((global_row + d) % 997);
             }
         }
@@ -78,9 +82,9 @@ DlrmWorkload::setup()
     }
 
     // Zipfian-skewed lookup indices (hot entries), per request.
-    ZipfianGenerator zipf(cfg_.table_rows, 0.9, cfg_.seed + 1);
+    ZipfianGenerator zipf(cfg_.table_rows, 0.9, kSeed + 1);
     host_indices_.resize(static_cast<std::size_t>(cfg_.batch) *
-                         cfg_.lookups_per_request);
+                         kLookupsPerRequest);
     for (auto &idx : host_indices_)
         idx = static_cast<std::uint32_t>(zipf.next());
 
@@ -88,18 +92,18 @@ DlrmWorkload::setup()
     // request's lookups (model-parallel SLS; partial sums are combined on
     // the host). Lists are padded to a fixed per-device lookup count so
     // the kernel's loop bound is uniform.
-    lookups_per_dev_ = (cfg_.lookups_per_request + cfg_.devices - 1) /
+    lookups_per_dev_ = (kLookupsPerRequest + cfg_.devices - 1) /
                        cfg_.devices;
     for (unsigned dev = 0; dev < cfg_.devices; ++dev) {
         std::vector<std::uint32_t> local(
             static_cast<std::size_t>(cfg_.batch) * lookups_per_dev_, 0);
         for (unsigned b = 0; b < cfg_.batch; ++b) {
             unsigned filled = 0;
-            for (unsigned l = 0; l < cfg_.lookups_per_request &&
+            for (unsigned l = 0; l < kLookupsPerRequest &&
                                  filled < lookups_per_dev_;
                  ++l) {
                 std::uint64_t g =
-                    host_indices_[b * cfg_.lookups_per_request + l];
+                    host_indices_[b * kLookupsPerRequest + l];
                 if (g / rows_per_dev == dev) {
                     local[b * lookups_per_dev_ + filled++] =
                         static_cast<std::uint32_t>(g % rows_per_dev);
@@ -122,7 +126,7 @@ DlrmWorkload::runNdp(NdpRuntime &rt)
 {
     M2_ASSERT(rt.numDevices() >= cfg_.devices,
               "runtime spans fewer devices than the table shards");
-    const std::uint64_t row_bytes = cfg_.dim * 4ull;
+    const std::uint64_t row_bytes = kDim * 4ull;
     const std::uint64_t out_bytes =
         static_cast<std::uint64_t>(cfg_.batch) * row_bytes;
 
@@ -154,16 +158,16 @@ DlrmWorkload::runNdp(NdpRuntime &rt)
     sys_.readVirtual(proc_, indices_va_[0], local0.data(),
                      local0.size() * 4);
     auto out = downloadArray<float>(sys_, proc_, out_va_,
-                                    cfg_.batch * cfg_.dim);
+                                    cfg_.batch * kDim);
     r.verified = true;
     for (unsigned b = 0; b < cfg_.batch && r.verified; ++b) {
-        for (unsigned d = 0; d < cfg_.dim; d += 64) { // sample dims
+        for (unsigned d = 0; d < kDim; d += 64) { // sample dims
             float ref = 0.0f;
             for (unsigned l = 0; l < lookups_per_dev_; ++l) {
                 std::uint64_t local = local0[b * lookups_per_dev_ + l];
                 ref += 0.001f * static_cast<float>((local + d) % 997);
             }
-            float got = out[b * cfg_.dim + d];
+            float got = out[b * kDim + d];
             if (std::abs(ref - got) >
                 1e-3f * std::max(1.0f, std::abs(ref)))
                 r.verified = false;
@@ -177,9 +181,9 @@ DlrmWorkload::runNdp(NdpRuntime &rt)
 std::uint64_t
 DlrmWorkload::bytesPerRequest() const
 {
-    return static_cast<std::uint64_t>(cfg_.lookups_per_request) *
-               cfg_.dim * 4 +
-           cfg_.lookups_per_request * 4 + cfg_.dim * 4;
+    return static_cast<std::uint64_t>(kLookupsPerRequest) *
+               kDim * 4 +
+           kLookupsPerRequest * 4 + kDim * 4;
 }
 
 std::uint64_t
@@ -194,7 +198,7 @@ DlrmWorkload::gpuDesc() const
     GpuWorkloadDesc d;
     d.name = "DLRM(SLS)-B" + std::to_string(cfg_.batch);
     d.bytes_read = usefulBytes();
-    d.bytes_written = static_cast<std::uint64_t>(cfg_.batch) * cfg_.dim * 4;
+    d.bytes_written = static_cast<std::uint64_t>(cfg_.batch) * kDim * 4;
     d.coalescing = 1.0; // 1 KiB rows coalesce perfectly
     d.active_lanes = 0.95;
     d.occupancy = cfg_.batch >= 32 ? 0.9 : 0.35; // small batches underfill

@@ -17,13 +17,12 @@
 
 namespace m2ndp::workloads {
 
+/** The swept values; the 256-dim rows, 80 lookups per request and the
+ *  index seed are constants in dlrm.cc. */
 struct DlrmConfig
 {
     std::uint64_t table_rows = 100'000; ///< paper: 1 M (scaled default)
-    unsigned dim = 256;                 ///< FP32 elements per row
-    unsigned lookups_per_request = 80;
     unsigned batch = 32;                ///< 4 / 32 / 256
-    std::uint64_t seed = 5;
     /** Shard the table across this many devices (Fig. 12b). */
     unsigned devices = 1;
 };
@@ -42,7 +41,6 @@ class DlrmWorkload
 
     GpuWorkloadDesc gpuDesc() const;
     std::uint64_t usefulBytes() const;
-    const DlrmConfig &config() const { return cfg_; }
     /** Per-request embedding-gather traffic (bytes). */
     std::uint64_t bytesPerRequest() const;
 

@@ -61,7 +61,6 @@ class KvstoreWorkload
      */
     KvstoreResult runHostBaseline(HostCxlPort &port);
 
-    const KvstoreConfig &config() const { return cfg_; }
 
   private:
     struct Run;

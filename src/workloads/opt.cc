@@ -115,7 +115,6 @@ OptWorkload::runNdp(NdpRuntime &rt)
 
     const std::uint64_t row_bytes = cols_ * 4;
     const std::uint64_t pool_bytes = rows_per_dev_ * 32;
-    const unsigned gemvs = gemvs_per_layer_ * cfg_.sim_layers;
 
     std::vector<NdpStream *> streams;
     for (unsigned dev = 0; dev < cfg_.devices; ++dev)
@@ -127,7 +126,7 @@ OptWorkload::runNdp(NdpRuntime &rt)
     // activations (charged analytically below). The per-device streams
     // are in-order, so queueing the next GEMV behind the previous one
     // expresses the dependence without host-side callbacks.
-    for (unsigned g = 0; g < gemvs; ++g) {
+    for (unsigned g = 0; g < gemvs_per_layer_; ++g) {
         std::vector<NdpEvent> events;
         for (unsigned dev = 0; dev < cfg_.devices; ++dev) {
             Addr pool = pool_va_[dev];
@@ -171,8 +170,8 @@ std::uint64_t
 OptWorkload::sliceBytes() const
 {
     // Per-device simulated slice traffic (all devices run concurrently).
-    return static_cast<std::uint64_t>(gemvs_per_layer_) * cfg_.sim_layers *
-           rows_per_dev_ * cols_ * 4;
+    return static_cast<std::uint64_t>(gemvs_per_layer_) * rows_per_dev_ *
+           cols_ * 4;
 }
 
 Tick

@@ -4,7 +4,7 @@
  * layer weights (QKV / output projections, two MLP matrices) and the KV
  * cache once per token — all GEMV-shaped, weight-bandwidth-bound work.
  *
- * We simulate a configurable number of transformer layers at a reduced
+ * We simulate one transformer layer at a reduced
  * hidden size (cycle-level GEMV kernels on the NDP units) and report
  * per-token time extrapolated linearly in streamed bytes to the full
  * model (OPT-2.7B: h=2560, 32 layers; OPT-30B: h=7168, 48 layers) — the
@@ -51,9 +51,8 @@ struct OptModel
 struct OptConfig
 {
     OptModel model = OptModel::opt30b();
-    /** Simulated slice: hidden size and layers actually executed. */
+    /** Hidden size of the simulated slice (one layer is executed). */
     unsigned sim_hidden = 512;
-    unsigned sim_layers = 1;
     unsigned devices = 1; ///< tensor-parallel shards (Fig. 12b)
 };
 
@@ -78,7 +77,6 @@ class OptWorkload
 
     GpuWorkloadDesc gpuDesc() const;
     std::uint64_t sliceBytes() const;
-    const OptConfig &config() const { return cfg_; }
 
   private:
     System &sys_;
@@ -90,7 +88,7 @@ class OptWorkload
     /** Rows of the simulated GEMV per device shard. */
     std::uint64_t rows_per_dev_ = 0;
     std::uint64_t cols_ = 0;
-    /** GEMVs per simulated layer (QKV+out+MLP+attention equivalents). */
+    /** GEMVs of the simulated layer (QKV+out+MLP+attention equivalents). */
     unsigned gemvs_per_layer_ = 0;
 };
 

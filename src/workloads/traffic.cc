@@ -17,6 +17,11 @@ constexpr std::uint64_t kNodeBytes = 256;
 constexpr std::uint64_t kSlotBytes = 256;
 /** Host-side request preparation cost (hash/dispatch, Section IV-B). */
 constexpr Tick kPrepCost = 100 * kNs;
+/** Keys per tenant, with Zipfian popularity. */
+constexpr std::uint64_t kNumKeys = 1 << 14;
+constexpr double kZipfTheta = 0.99;
+/** Retries a StreamPolicy::Retry stream grants each launch. */
+constexpr unsigned kMaxRetries = 3;
 
 /**
  * GET: copy value bytes from the key node into the response slot (the
@@ -209,7 +214,6 @@ TrafficHarness::run()
         NdpRuntimeConfig rtcfg;
         rtcfg.rate_limit = tc.rate_limit;
         rtcfg.rate_burst = tc.rate_burst;
-        rtcfg.device_queue_limit = tc.device_queue_limit;
         t.rt = sys_.createRuntime(*t.proc, rtcfg);
 
         KernelResources res;
@@ -231,7 +235,7 @@ TrafficHarness::run()
         const unsigned slots_per_dev = (tc.streams + shards - 1) / shards;
         for (unsigned d = 0; d < shards; ++d) {
             t.nodes_va.push_back(
-                t.proc->allocate(cfg_.num_keys * kNodeBytes + 64,
+                t.proc->allocate(kNumKeys * kNodeBytes + 64,
                                  Placement::Localized, d));
             t.slots_va.push_back(
                 t.proc->allocate(slots_per_dev * kSlotBytes + 64,
@@ -239,7 +243,7 @@ TrafficHarness::run()
         }
         for (unsigned s = 0; s < tc.streams; ++s) {
             NdpStream &st = t.rt->createStream(ndev > 0 ? s % ndev : 0);
-            st.setPolicy(tc.policy, tc.max_retries, tc.retry_backoff);
+            st.setPolicy(tc.policy, kMaxRetries, tc.retry_backoff);
             st.setPriority(tc.weight);
             st.setDeadline(tc.deadline);
             st.setQueueLimit(tc.queue_limit);
@@ -247,7 +251,7 @@ TrafficHarness::run()
         }
 
         // ---- deterministic trace: Zipf keys, Poisson + burst arrivals ----
-        ZipfianGenerator zipf(cfg_.num_keys, cfg_.zipf_theta,
+        ZipfianGenerator zipf(kNumKeys, kZipfTheta,
                               cfg_.seed + i * 0x9e3779b97f4a7c15ull);
         Rng rng(cfg_.seed ^ (i * 0xd1342543de82ef95ull + 0xABCD));
         double mean_gap =

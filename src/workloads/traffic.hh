@@ -58,23 +58,20 @@ struct TrafficTenantConfig
     /** Per-stream bounded queue depth (0 = unbounded). */
     unsigned queue_limit = 64;
     StreamPolicy policy = StreamPolicy::SkipAndContinue;
-    unsigned max_retries = 3;
     Tick retry_backoff = 1 * kUs;
 
     // ---- runtime-level admission (per tenant) ----
     /** Token-bucket rate limit (launches/s; 0 = off). */
     double rate_limit = 0.0;
     unsigned rate_burst = 16;
-    /** Bounded per-device launch queue (0 = unbounded). */
-    unsigned device_queue_limit = 1024;
 };
 
+/** The tenants and the trace seed; the key count (16 Ki keys per tenant,
+ *  Zipf theta 0.99) and the Retry budget (3) are constants in
+ *  traffic.cc. */
 struct TrafficConfig
 {
     std::vector<TrafficTenantConfig> tenants;
-    /** Keys per tenant (Zipfian popularity, theta 0.99). */
-    std::uint64_t num_keys = 1 << 14;
-    double zipf_theta = 0.99;
     std::uint64_t seed = 42;
 };
 

@@ -701,7 +701,6 @@ TEST(ParallelEngineTest, SerialAndParallelRunsAreBitExact)
         workloads::OptConfig oc;
         oc.model = workloads::OptModel::opt30b();
         oc.sim_hidden = 256;
-        oc.sim_layers = 1;
         oc.devices = kOptDevices;
         workloads::OptWorkload w(sys, proc, oc);
         w.setup();

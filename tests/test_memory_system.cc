@@ -12,6 +12,7 @@
 #include "cxl/link.hh"
 #include "cxl/packet_filter.hh"
 #include "dram/dram.hh"
+#include "dram_timings.hh"
 #include "mem/page_table.hh"
 #include "mem/sparse_memory.hh"
 #include "noc/crossbar.hh"
@@ -220,9 +221,9 @@ TEST(Dram, PeakBandwidthNumbers)
     EventQueue eq;
     DramDevice lpddr5(eq, DramTiming::lpddr5(), 32);
     EXPECT_NEAR(lpddr5.peakBandwidth() / 1e9, 409.6, 1.0);
-    DramDevice ddr5(eq, DramTiming::ddr5(), 8);
+    DramDevice ddr5(eq, test::ddr5Timing(), 8);
     EXPECT_NEAR(ddr5.peakBandwidth() / 1e9, 409.6, 1.0);
-    DramDevice hbm2(eq, DramTiming::hbm2(), 32);
+    DramDevice hbm2(eq, test::hbm2Timing(), 32);
     EXPECT_NEAR(hbm2.peakBandwidth() / 1e9, 1024.0, 2.0);
 }
 
@@ -261,11 +262,8 @@ CacheConfig
 testCacheConfig()
 {
     CacheConfig cfg;
-    cfg.size = 8 * 1024;
-    cfg.assoc = 4;
-    cfg.line_bytes = 128;
-    cfg.sector_bytes = 32;
-    cfg.latency = 2000; // 4 cycles @ 2 GHz
+    cfg.size = 8 * 1024; // four 16-way sets of 128 B lines, 32 B sectors
+    cfg.latency = 2000;  // 4 cycles @ 2 GHz
     cfg.port_cycle = 500;
     return cfg;
 }
@@ -368,8 +366,7 @@ TEST(Cache, WriteThroughForwardsWrites)
     EventQueue eq;
     FixedLatencyMem mem(eq, 50000);
     auto cfg = testCacheConfig();
-    cfg.write_through = true;
-    cfg.write_allocate = false;
+    cfg.role = CacheRole::L1d; // write-through, no write-allocate
     Cache cache(eq, cfg, mem);
 
     accessCache(eq, cache, MemOp::Write, 0x3000);
@@ -383,8 +380,7 @@ TEST(Cache, WriteBackHoldsDirtyDataUntilEviction)
     EventQueue eq;
     FixedLatencyMem mem(eq, 50000);
     auto cfg = testCacheConfig();
-    cfg.write_through = false;
-    cfg.write_allocate = true;
+    cfg.role = CacheRole::L2; // write-back, write-allocate
     Cache cache(eq, cfg, mem);
 
     accessCache(eq, cache, MemOp::Write, 0x4000);
@@ -402,13 +398,13 @@ TEST(Cache, AtomicsPassThroughWhenNotLocal)
     EventQueue eq;
     FixedLatencyMem mem(eq, 50000);
     auto cfg = testCacheConfig();
-    cfg.atomics_local = false; // NDP L1: atomics go to memory-side L2
+    cfg.role = CacheRole::L1d; // NDP L1: atomics go to memory-side L2
     Cache cache(eq, cfg, mem);
     accessCache(eq, cache, MemOp::Atomic, 0x5000);
     EXPECT_EQ(mem.accesses, 1u);
 
     auto cfg2 = testCacheConfig();
-    cfg2.atomics_local = true; // memory-side L2 executes atomics
+    cfg2.role = CacheRole::L2; // memory-side L2 executes atomics
     Cache l2(eq, cfg2, mem);
     accessCache(eq, l2, MemOp::Atomic, 0x5000); // miss -> fill, then done
     EXPECT_EQ(l2.stats().atomics, 1u);
@@ -422,18 +418,14 @@ TEST(Cache, AtomicsPassThroughWhenNotLocal)
 TEST(Crossbar, BandwidthSerializationPerPort)
 {
     EventQueue eq;
-    CrossbarConfig cfg;
-    cfg.planes = 1;
-    cfg.ports = 4;
-    cfg.flit_bytes = 32;
-    cfg.cycle = 500;
-    cfg.hop_latency = 2000;
-    Crossbar xbar(eq, cfg);
+    Crossbar xbar(eq, /*ports=*/4, /*cycle=*/500); // hop: 4 cycles
 
-    // Two 32 B sends to the same port serialize; to different ports do not.
+    // Two 32 B sends to the same port of one plane serialize; to
+    // different ports they do not. Route hashes 1 and 3 pick the same
+    // plane.
     Tick a = xbar.send(0, 32, eq.now(), 1);
-    Tick b = xbar.send(0, 32, eq.now(), 2);
-    Tick c = xbar.send(1, 32, eq.now(), 3);
+    Tick b = xbar.send(0, 32, eq.now(), 3);
+    Tick c = xbar.send(1, 32, eq.now(), 2);
     EXPECT_EQ(a, 2000u + 500u);
     EXPECT_EQ(b, a + 500);
     EXPECT_EQ(c, a); // different port: no contention
@@ -443,17 +435,45 @@ TEST(Crossbar, BandwidthSerializationPerPort)
 TEST(Crossbar, PlanesMultiplyBandwidth)
 {
     EventQueue eq;
-    CrossbarConfig cfg;
-    cfg.planes = 4;
-    cfg.ports = 2;
-    Crossbar xbar(eq, cfg);
+    Crossbar xbar(eq, /*ports=*/2, /*cycle=*/500);
     // With 4 planes, sends hashed across planes rarely all collide.
     std::vector<Tick> times;
     for (unsigned i = 0; i < 8; ++i)
         times.push_back(xbar.send(0, 32, eq.now(), i * 977));
     Tick max_time = *std::max_element(times.begin(), times.end());
     // If it were a single plane, the last delivery would be >= 8 slots out.
-    EXPECT_LT(max_time, cfg.hop_latency + 8 * cfg.cycle);
+    EXPECT_LT(max_time, 2000u + 8 * 500u);
+}
+
+TEST(Crossbar, DeviceNocRunsAtTheUnitClock)
+{
+    // A host write into an idle device books the request crossbar (hop
+    // plus one slot per 32 B flit), an L2 slice lookup (7 unit cycles;
+    // the write allocates, nothing reaches DRAM), then the response
+    // crossbar (hop plus one slot for the 16 B completion). At a 1 GHz
+    // unit clock a hop is 4 cycles, 4,000 ticks, and a flit slot one
+    // cycle, 1,000 ticks.
+    auto write_latency = [](std::uint32_t bytes) {
+        EventQueue eq;
+        SparseMemory mem;
+        DeviceConfig cfg;
+        cfg.num_units = 1;
+        cfg.unit.period = 1000;
+        CxlMemoryExpander dev(eq, mem, cfg);
+        std::vector<std::uint8_t> data(bytes, 0xab);
+        const Tick start = eq.now();
+        Tick done = kTickMax;
+        dev.cxlWrite(dev.paBase(), data.data(), bytes,
+                     [&done](Tick t) { done = t; });
+        eq.run();
+        EXPECT_EQ(dev.requestNoc().stats().flits, bytes / 32);
+        return done - start;
+    };
+    constexpr Tick kHop = 4000;
+    constexpr Tick kFlit = 1000;
+    constexpr Tick kL2Lookup = 7 * 1000;
+    EXPECT_EQ(write_latency(32), kHop + kFlit + kL2Lookup + kHop + kFlit);
+    EXPECT_EQ(write_latency(64), kHop + 2 * kFlit + kL2Lookup + kHop + kFlit);
 }
 
 // ---------------------------------------------------------------- CXL

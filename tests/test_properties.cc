@@ -16,6 +16,7 @@
 #include "cache/cache.hh"
 #include "common/rng.hh"
 #include "dram/dram.hh"
+#include "dram_timings.hh"
 #include "isa/assembler.hh"
 #include "isa/executor.hh"
 #include "mem/sparse_memory.hh"
@@ -217,21 +218,21 @@ INSTANTIATE_TEST_SUITE_P(
     Presets, DramPresetTest,
     ::testing::Values(
         DramCase{"lpddr5", DramTiming::lpddr5(), 32, 409.6},
-        DramCase{"ddr5", DramTiming::ddr5(), 8, 409.6},
-        DramCase{"hbm2", DramTiming::hbm2(), 32, 1024.0},
+        DramCase{"ddr5", test::ddr5Timing(), 8, 409.6},
+        DramCase{"hbm2", test::hbm2Timing(), 32, 1024.0},
         DramCase{"lpddr5_half", DramTiming::lpddr5(), 16, 204.8}),
     [](const auto &tpi) { return std::string(tpi.param.name); });
 
 // ------------------------------------------------ cache sweeps
 
 class CacheSweepTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned, bool>>
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, CacheRole>>
 {
 };
 
 TEST_P(CacheSweepTest, FillThenHitInvariant)
 {
-    auto [assoc, sector, write_through] = GetParam();
+    auto [size, role] = GetParam();
     EventQueue eq;
     struct Term : MemPort
     {
@@ -249,17 +250,15 @@ TEST_P(CacheSweepTest, FillThenHitInvariant)
     } mem(eq);
 
     CacheConfig cfg;
-    cfg.size = 16 * 1024;
-    cfg.assoc = assoc;
-    cfg.sector_bytes = sector;
-    cfg.write_through = write_through;
-    cfg.write_allocate = !write_through;
+    cfg.size = size;
+    cfg.role = role;
     Cache cache(eq, cfg, mem);
 
-    Rng rng(assoc * 131 + sector);
+    Rng rng(size / kKiB * 131 + static_cast<unsigned>(role));
     std::vector<Addr> addrs;
     for (int i = 0; i < 32; ++i)
-        addrs.push_back(alignDown(rng.nextBounded(1 << 20), sector));
+        addrs.push_back(
+            alignDown(rng.nextBounded(1 << 20), kCacheSectorBytes));
 
     // Fill.
     for (Addr a : addrs) {
@@ -284,11 +283,12 @@ TEST_P(CacheSweepTest, FillThenHitInvariant)
     EXPECT_GE(cache.stats().read_hits, hits_before + 3);
 }
 
+// From one 16-way set (2 KiB) to the device's L1D size (64 KiB).
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CacheSweepTest,
-    ::testing::Combine(::testing::Values(4u, 8u, 16u),
-                       ::testing::Values(32u, 64u, 128u),
-                       ::testing::Bool()));
+    ::testing::Combine(::testing::Values(2 * kKiB, 8 * kKiB, 16 * kKiB,
+                                         64 * kKiB),
+                       ::testing::Values(CacheRole::L1d, CacheRole::L2)));
 
 // ------------------------------------------------ ready scheduler
 

@@ -260,7 +260,6 @@ TEST_F(WorkloadTest, OptGemvCorrectAndExtrapolates)
 {
     OptConfig oc;
     oc.sim_hidden = 256;
-    oc.sim_layers = 1;
     oc.model = OptModel::opt2_7b();
     OptWorkload opt(*sys, *proc, oc);
     opt.setup();
